@@ -14,12 +14,19 @@ import (
 // fuzzEnv lazily builds the shared device and base acquisitions the
 // streamer fuzzer perturbs; acquisition is far too slow to run per
 // fuzz iteration.
+//
+// The streamer's base recordings are fuzzBaseSeconds long, longer than
+// every history ring the streamer holds (the 16 s gate and delineator
+// rings, the 8 s z-prefix ring): a recording that fits every ring
+// cannot catch a ring overrun by a large push. The delineator fuzzer
+// runs on its own delinFuzzSeconds acquisitions.
 var fuzzEnv struct {
-	once sync.Once
-	dev  *Device
-	base [][2][]float64 // {ecg, z} per subject
-	rs   [][]int        // R peaks detected on each base ECG
-	err  error
+	once  sync.Once
+	dev   *Device
+	base  [][2][]float64 // {ecg, z} per subject, fuzzBaseSeconds long
+	delin [][]float64    // z per subject, delinFuzzSeconds long
+	rs    [][]int        // R peaks detected on each delin recording's ECG
+	err   error
 }
 
 func fuzzSetup() error {
@@ -32,33 +39,53 @@ func fuzzSetup() error {
 		fuzzEnv.dev = dev
 		for sid := 1; sid <= 3; sid++ {
 			sub, _ := physio.SubjectByID(sid)
-			acq, err := dev.Acquire(&sub, 8)
+			acq, err := dev.Acquire(&sub, fuzzBaseSeconds)
 			if err != nil {
 				fuzzEnv.err = err
 				return
 			}
 			fuzzEnv.base = append(fuzzEnv.base, [2][]float64{acq.ECG, acq.Z})
+			short, err := dev.Acquire(&sub, delinFuzzSeconds)
+			if err != nil {
+				fuzzEnv.err = err
+				return
+			}
+			fuzzEnv.delin = append(fuzzEnv.delin, short.Z)
 			pt, err := ecg.NewPTStream(ecg.DefaultPT(dev.cfg.FS))
 			if err != nil {
 				fuzzEnv.err = err
 				return
 			}
-			fuzzEnv.rs = append(fuzzEnv.rs, pt.Flush(pt.Push(nil, acq.ECG)))
+			fuzzEnv.rs = append(fuzzEnv.rs, pt.Flush(pt.Push(nil, short.ECG)))
 		}
 	})
 	return fuzzEnv.err
 }
 
+// fuzzBaseSeconds is the length of FuzzStreamerPush's base recordings.
+const fuzzBaseSeconds = 30
+
+// fuzzChunk maps one fuzz byte to a push size over an n-sample
+// recording: bytes below 128 give fine chunks of 0-254 samples, the rest
+// give 1/128ths of the recording, up to the whole of it.
+func fuzzChunk(b byte, n int) int {
+	if b < 128 {
+		return int(b) * 2
+	}
+	return int(b-127) * n / 128
+}
+
 // FuzzStreamerPush pins the streaming engine's chunk invariance under
 // fuzzing: for study-subject signals with fuzz-chosen gain/offset
 // perturbations, any chunking of the input — including degenerate 1-
-// sample and empty pushes — must produce exactly the beat stream of a
-// single whole-recording push, never panic, and leave identical
-// health/acceptance state.
+// sample and empty pushes, and pushes of up to the whole recording —
+// must produce exactly the beat stream of a single whole-recording
+// push, never panic, and leave identical health/acceptance state.
 func FuzzStreamerPush(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{125})
 	f.Add(uint8(1), int64(42), []byte{1, 0, 7, 250})
 	f.Add(uint8(2), int64(-3), []byte{40, 3, 90})
+	f.Add(uint8(0), int64(5), []byte{200, 25, 160})
 	f.Fuzz(func(t *testing.T, subject uint8, perturbSeed int64, chunks []byte) {
 		if err := fuzzSetup(); err != nil {
 			t.Skip("no device:", err)
@@ -85,7 +112,7 @@ func FuzzStreamerPush(f *testing.F) {
 				for pos < n {
 					c := 0 // empty pushes must be harmless
 					if len(chunks) > 0 {
-						c = int(chunks[ci%len(chunks)]) * 2
+						c = fuzzChunk(chunks[ci%len(chunks)], n)
 						ci++
 					}
 					if c == 0 && len(chunks) == 0 {
@@ -192,8 +219,8 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		if err := fuzzSetup(); err != nil {
 			t.Skip("no device:", err)
 		}
-		idx := int(subject) % len(fuzzEnv.base)
-		baseZ := fuzzEnv.base[idx][1]
+		idx := int(subject) % len(fuzzEnv.delin)
+		baseZ := fuzzEnv.delin[idx]
 		rs := fuzzEnv.rs[idx]
 		fs := fuzzEnv.dev.cfg.FS
 		rng := physio.NewRNG(perturbSeed)
@@ -212,7 +239,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
 		run := func(legacy, chunked bool) []icg.BeatAnalysis {
-			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6)
+			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6, &fuzzEnv.dev.arenas)
 			d.SetLegacyRefilter(legacy)
 			var out []icg.BeatAnalysis
 			if !chunked {
@@ -294,3 +321,8 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		}
 	})
 }
+
+// delinFuzzSeconds is the length of FuzzDelineatorRefilterCache's
+// recordings: short enough to fit the 6 s beat ring with its settling
+// contexts in one push.
+const delinFuzzSeconds = 8

@@ -33,7 +33,7 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	ar := d.getArena()
+	ar := d.arenas.Get()
 	defer d.arenas.Put(ar)
 
 	// --- ECG conditioning (the shared stage chain: morphological
@@ -93,7 +93,7 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	var sqis []quality.BeatSQI
 	acceptRate := 1.0
 	if gs := d.getGateStream(); gs != nil {
-		sqis = gs.Apply(make([]quality.BeatSQI, 0, len(beats)), acq.Z, beats, ptRes.RPeaks)
+		sqis = gs.Apply(ar, make([]quality.BeatSQI, 0, len(beats)), acq.Z, beats, ptRes.RPeaks)
 		// Same definition as Streamer.AcceptRate: failed delineations
 		// count as rejected, so both engines feed PMU.DecideGated the
 		// same number for the same data.

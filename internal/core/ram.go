@@ -51,19 +51,25 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 
 // StreamingRAM returns the working set of the incremental streaming
 // engine: no rolling windows are re-analyzed, but the detectors keep
-// bounded history rings (QRS search-back and refinement, ICG beat
-// history plus the per-beat refiltering context) whose sizes follow the
-// stream.go implementation at firmware float32 widths.
+// bounded history rings (QRS slope and refinement windows, ICG beat
+// history plus the per-beat refiltering context, the base-impedance
+// prefix sums) at firmware float32 widths. The ring horizons are read
+// off a streamer built for the profile, so they follow stream.go by
+// construction; fs must admit the device's filter designs.
 //
 // The model describes the MCU deployment profile, which pins the ECG
 // band-pass to the direct recurrence (StreamConfig.DirectFIR): the
-// server-side overlap-save engine adds an FFT working set (~10 KB of
-// carry block, spectra and twiddles per stream) that buys 2x throughput
-// on wide kernels but has no place in a 48 KB budget.
+// server-side overlap-save engine adds an FFT working set (~4 KB of
+// carry block and spectrum per stream, plus the kernel spectrum and
+// twiddles every stream shares) that buys 2x throughput on wide kernels
+// but has no place in a 48 KB budget.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes = 4
 	sc = sc.withDefaults()
-	sec := func(s float64) int { return int(s*fs) * sampleBytes }
+	sc.DirectFIR = true
+	st := profileStreamer(fs, sc)
+	samples := func(n int) int { return n * sampleBytes }
+	sec := func(s float64) int { return samples(int(s * fs)) }
 	return RAMBudget{
 		Mode:        "streaming",
 		SampleBytes: sampleBytes,
@@ -71,17 +77,32 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// Delay lines, monotonic deques and biquad registers of the
 			// conditioning chains and the QRS band-pass.
 			{Name: "filter-state", Bytes: 2 * 1024},
-			// Incremental Pan-Tompkins history (conditioned, band-passed,
-			// integrated) over the 6 s search-back horizon.
-			{Name: "qrs-history", Bytes: 3 * sec(6)},
+			// Incremental Pan-Tompkins history (conditioned and
+			// band-passed): the refractory period plus the slope and
+			// refinement windows each candidate is measured over.
+			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
 			// Raw -dZ/dt history: longest analyzable beat plus the
 			// refiltering context on both sides.
 			{Name: "icg-history", Bytes: sec(sc.WindowSeconds + 2*icgCtxSeconds)},
 			// Per-beat zero-phase refiltering scratch.
 			{Name: "refilter-scratch", Bytes: sec(3 + 2*icgCtxSeconds)},
-			// Base-impedance prefix sums for the causal Z0 estimate.
-			{Name: "z-prefix", Bytes: sec(8)},
+			// Base-impedance prefix sums for the causal Z0 estimate, back
+			// to the oldest R peak a beat can still be emitted for.
+			{Name: "z-prefix", Bytes: samples(st.zHorizon())},
 			{Name: "beat-queue", Bytes: 512},
 		},
 	}
+}
+
+// profileStreamer builds an ungated streamer of the default device at
+// rate fs, for reading ring horizons off.
+func profileStreamer(fs float64, sc StreamConfig) *Streamer {
+	d := &Device{cfg: DefaultConfig()}
+	d.cfg.FS = fs
+	bank, err := designBank(d.cfg, fs)
+	if err != nil {
+		panic("core: StreamingRAM: " + err.Error())
+	}
+	d.bank = bank
+	return d.NewStreamer(sc)
 }

@@ -27,6 +27,12 @@ import (
 // ICG side's 2.5 s settling context dominates at the paper's 250 Hz
 // configuration, matching the legacy engine's hop+margin worst case
 // while emitting per beat instead of per hop.
+//
+// Memory: the streamer holds only state that must survive between
+// pushes — filter registers and history rings sized to the horizons
+// their readers need. Per-beat scratch (the delineator's refiltering
+// and point detection, the gate's segment copy) is borrowed from the
+// device's arena pool for one beat and returned.
 type Streamer struct {
 	dev *Device
 	fs  float64
@@ -86,7 +92,8 @@ type Streamer struct {
 
 	// Causal base-impedance estimate: cumulative sums of the raw Z
 	// channel, so each beat reports the mean impedance of the session up
-	// to its closing R peak (deterministic regardless of chunking).
+	// to its closing R peak (deterministic regardless of chunking). The
+	// ring retains zHorizon samples.
 	zPrefix *dsp.Ring
 	zSum    float64
 
@@ -174,14 +181,14 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// The causal ablation conditions the stream itself: the chain's
 		// streaming form equals its batch form sample for sample.
 		icgStream = bank.icgChain.NewStream()
-		delin = icg.NewDelineator(dCfg, nil, nil, icgStream.Shift(), 0, sc.WindowSeconds)
+		delin = icg.NewDelineator(dCfg, nil, nil, icgStream.Shift(), 0, sc.WindowSeconds, &d.arenas)
 	} else {
 		// Zero-phase conditioning cannot be streamed causally; only the
 		// derivative runs per sample, and the delineator applies the
 		// Butterworth cascade forward-backward per beat segment with a
 		// settling context (see icg.Delineator).
 		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
-		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds)
+		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds, &d.arenas)
 		delin.SetLegacyRefilter(sc.LegacyRefilter)
 	}
 	var gate *quality.GateStream
@@ -195,7 +202,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// only the engine choice differs, never the alignment or edges.
 		ecgStream = Chain{baselineStage{cfg: bank.blCfg}, firZeroPhaseDirectStage{f: bank.ecgFIR}}.NewStream()
 	}
-	return &Streamer{
+	s := &Streamer{
 		belowSince: -1,
 		dev:        d,
 		fs:         fs,
@@ -204,10 +211,28 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		pt:         pt,
 		delin:      delin,
 		gate:       gate,
-		zPrefix:    dsp.NewRing(int(8 * fs)),
 		body:       d.cfg.Body,
 		cal:        cal,
 	}
+	s.zPrefix = dsp.NewRing(s.zHorizon())
+	return s
+}
+
+// streamSubChunk bounds how many samples Push feeds through the pipeline
+// per inner iteration, and so how far any history ring can run ahead of
+// the reader that consumes it: with it, every ring size is a function of
+// the configuration, never of the caller's chunk size.
+const streamSubChunk = 128
+
+// zHorizon is how many z-prefix samples emit can still read: a beat is
+// emitted at most the larger of the two sides' delays after its closing
+// R entered Push — the ECG chain's lookahead plus the QRS detector's
+// oldest possible emission (MaxLag: a search-back recovery), or the ICG
+// side's settling delay (as in Latency) — plus the sub-chunk that Push
+// appends ahead of the pipeline.
+func (s *Streamer) zHorizon() int {
+	ecgSide := s.ecgStream.Lookahead() + s.pt.MaxLag()
+	return max(ecgSide, s.icgSide()) + streamSubChunk
 }
 
 // icgCtxSeconds is the per-beat refiltering context. The zero-phase
@@ -223,11 +248,24 @@ const icgCtxSeconds = 2.5
 // When an event sink is armed (Emit) the beats are delivered as
 // KindBeat events instead and Push returns nil — the two delivery paths
 // carry byte-identical parameters in identical order (the event/legacy
-// parity law).
+// parity law). A chunk of any size runs through the pipeline in
+// streamSubChunk pieces, so the beats do not depend on the chunking.
 func (s *Streamer) Push(ecgSamples, zSamples []float64) []hemo.BeatParams {
 	if len(ecgSamples) != len(zSamples) {
 		panic("core: Streamer.Push requires equal-length channels")
 	}
+	var out []hemo.BeatParams
+	for len(zSamples) > 0 {
+		n := min(len(zSamples), streamSubChunk)
+		out = s.push(out, ecgSamples[:n], zSamples[:n])
+		ecgSamples, zSamples = ecgSamples[n:], zSamples[n:]
+	}
+	return out
+}
+
+// push runs one sub-chunk through the pipeline, appending the beats it
+// completes to out (or delivering them to the sink).
+func (s *Streamer) push(out []hemo.BeatParams, ecgSamples, zSamples []float64) []hemo.BeatParams {
 	s.nSamples += len(zSamples)
 	for _, v := range zSamples {
 		s.zSum += v
@@ -245,7 +283,7 @@ func (s *Streamer) Push(ecgSamples, zSamples []float64) []hemo.BeatParams {
 		s.rHist = append(s.rHist, r)
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
-	return s.emit(s.beatsBuf)
+	return s.emit(out, s.beatsBuf)
 }
 
 // Flush ends the session: the conditioning chains drain their lookahead
@@ -263,11 +301,12 @@ func (s *Streamer) Flush() []hemo.BeatParams {
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
 	s.beatsBuf = s.delin.Flush(s.beatsBuf)
-	return s.emit(s.beatsBuf)
+	return s.emit(nil, s.beatsBuf)
 }
 
 // emit converts completed beat analyses into hemodynamic parameters,
-// each scored by the quality gate as it completes. Beat k corresponds
+// each scored by the quality gate as it completes, appending them to out
+// (or delivering them to the sink). Beat k corresponds
 // to the R pair (rHist[beatIdx], rHist[beatIdx+1]); failed beats
 // consume their pair without emitting, exactly once (the gate counts
 // them against the acceptance rate).
@@ -277,8 +316,7 @@ func (s *Streamer) Flush() []hemo.BeatParams {
 // (floor transition), then at most one KindMode (governor flip) — all
 // stamped with the attempt index and the closing R's signal time, all
 // pure functions of the samples pushed so far.
-func (s *Streamer) emit(beats []icg.BeatAnalysis) []hemo.BeatParams {
-	var out []hemo.BeatParams
+func (s *Streamer) emit(out []hemo.BeatParams, beats []icg.BeatAnalysis) []hemo.BeatParams {
 	for i := range beats {
 		b := &beats[i]
 		rLo, rHi := s.rHist[s.beatIdx], s.rHist[s.beatIdx+1]
@@ -296,7 +334,9 @@ func (s *Streamer) emit(beats []icg.BeatAnalysis) []hemo.BeatParams {
 		z0 := s.zPrefix.At(rHi-1) / float64(rHi)
 		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, s.cal)
 		if s.gate != nil {
-			sqi := s.gate.PushBeat(rLo, rHi, b)
+			a := s.dev.arenas.Get()
+			sqi := s.gate.PushBeat(a, rLo, rHi, b)
+			s.dev.arenas.Put(a)
 			bp.Quality = sqi.Score
 			bp.Accepted = sqi.Accepted
 		}
@@ -410,12 +450,14 @@ func (s *Streamer) ArmGovernor(p PMU) {
 // cannot drift apart.
 func (s *Streamer) Latency() float64 {
 	ecgSide := s.ecgStream.Lookahead() + s.pt.Lookahead()
-	icgSide := s.icgStream.Lookahead() + s.icgStream.Shift() + s.delin.Lookahead()
-	n := ecgSide
-	if icgSide > n {
-		n = icgSide
-	}
-	return float64(n) / s.fs
+	return float64(max(ecgSide, s.icgSide())) / s.fs
+}
+
+// icgSide is the ICG side's emission delay in samples: the chain's
+// lookahead plus its group-delay re-alignment plus the delineator's
+// settling context.
+func (s *Streamer) icgSide() int {
+	return s.icgStream.Lookahead() + s.icgStream.Shift() + s.delin.Lookahead()
 }
 
 // AcceptRate returns the quality gate's acceptance rate over the beats

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/hemo"
 	"repro/internal/physio"
 )
@@ -273,5 +277,157 @@ func TestStreamerAcceptRateZeroBeats(t *testing.T) {
 		if h := st.Health(); h.SignalS != 0 || h.AcceptEWMA != 1 {
 			t.Fatalf("Reset did not clear health: %+v", h)
 		}
+	}
+}
+
+// streamChunked pushes the two channels through st in chunk-sample
+// pushes and returns every emitted beat, Flush included.
+func streamChunked(st *Streamer, ecg, z []float64, chunk int) []hemo.BeatParams {
+	var out []hemo.BeatParams
+	for pos := 0; pos < len(ecg); pos += chunk {
+		end := min(pos+chunk, len(ecg))
+		out = append(out, st.Push(ecg[pos:end], z[pos:end])...)
+	}
+	return append(out, st.Flush()...)
+}
+
+// TestStreamerLargeChunkParity pins chunk invariance for pushes longer
+// than the streamer's history rings: a push of any size runs through
+// the pipeline in bounded sub-chunks, so 1000-, 2000- and 5000-sample
+// pushes and a single push of the whole minute must emit the 50-sample
+// stream's beats bit for bit, and leave the same health state.
+func TestStreamerLargeChunkParity(t *testing.T) {
+	s, _ := physio.SubjectByID(1)
+	d := device(t, nil)
+	acq, err := d.Acquire(&s, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := d.NewStreamer(DefaultStreamConfig())
+	want := streamChunked(ref, acq.ECG, acq.Z, 50)
+	if len(want) < 50 {
+		t.Fatalf("reference stream emitted only %d beats", len(want))
+	}
+	for _, chunk := range []int{1000, 2000, 5000, len(acq.ECG)} {
+		st := d.NewStreamer(DefaultStreamConfig())
+		got := streamChunked(st, acq.ECG, acq.Z, chunk)
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: %d beats, 50-sample stream %d", chunk, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d: beat %d differs:\n got %+v\nwant %+v", chunk, i, got[i], want[i])
+			}
+		}
+		if st.Health() != ref.Health() {
+			t.Fatalf("chunk %d: health %+v, 50-sample stream %+v", chunk, st.Health(), ref.Health())
+		}
+	}
+}
+
+// zPrefixOracleInputs are the {ecg, z} recordings the z-prefix horizon
+// oracle runs on: study subjects, lifted-finger contact, flatlines,
+// streams shorter than the QRS detector's 2 s initialization window,
+// streams whose first R lands on that window's boundary, and missed
+// beats followed by a contact gap, which the detector recovers by
+// search-back seconds after they occurred.
+func zPrefixOracleInputs(t *testing.T, d *Device) map[string][2][]float64 {
+	t.Helper()
+	fs := d.cfg.FS
+	in := map[string][2][]float64{}
+	var ecg1, z1 []float64
+	for id := 1; id <= 5; id++ {
+		s, _ := physio.SubjectByID(id)
+		acq, err := d.Acquire(&s, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[fmt.Sprintf("subject%d", id)] = [2][]float64{acq.ECG, acq.Z}
+		if id == 1 {
+			ecg1, z1 = acq.ECG, acq.Z
+		}
+	}
+	de, dz := physio.DeadContact(5, int(20*fs))
+	in["dead-contact"] = [2][]float64{de, dz}
+	flatE, flatZ := make([]float64, int(10*fs)), make([]float64, int(10*fs))
+	for i := range flatZ {
+		flatZ[i] = 450
+	}
+	in["flatline"] = [2][]float64{flatE, flatZ}
+	for _, sec := range []float64{0.4, 1.5, 1.99} {
+		n := int(sec * fs)
+		in[fmt.Sprintf("short-%gs", sec)] = [2][]float64{ecg1[:n], z1[:n]}
+	}
+	out, err := d.Process(&Acquisition{FS: fs, ECG: ecg1, Z: z1})
+	if err != nil || len(out.RPeaks) < 12 {
+		t.Fatal("subject 1 needs a dozen batch R peaks")
+	}
+	rs := out.RPeaks
+	// prefix prepends n copies of the first samples.
+	prefix := func(n int, e, z []float64) [2][]float64 {
+		pe, pz := make([]float64, 0, n+len(e)), make([]float64, 0, n+len(z))
+		for i := 0; i < n; i++ {
+			pe, pz = append(pe, e[0]), append(pz, z[0])
+		}
+		return [2][]float64{append(pe, e...), append(pz, z...)}
+	}
+	for _, dd := range []int{-12, 0, 12} {
+		in[fmt.Sprintf("init-boundary%+d", dd)] = prefix(int(2*fs)+dd-rs[0], ecg1, z1)
+	}
+	// The missed beat: R 8 scaled to 40% around its baseline. The gap
+	// holds both channels flat after its T wave; a small bump half a
+	// second before the gap ends is the first candidate after it, and
+	// triggers the search-back.
+	r := rs[8]
+	base := ecg1[r-int(0.1*fs)]
+	amp := ecg1[r] - base
+	cut := r + int(0.45*fs)
+	for _, gap := range []float64{1.5, 3, 5} {
+		e := append([]float64(nil), ecg1[:cut]...)
+		z := append([]float64(nil), z1[:cut]...)
+		for i := r - int(0.1*fs); i < r+int(0.1*fs); i++ {
+			e[i] = base + 0.4*(e[i]-base)
+		}
+		for i := 0; i < int(gap*fs); i++ {
+			e, z = append(e, ecg1[cut]), append(z, z1[cut])
+		}
+		b := len(e) - int(0.5*fs)
+		e[b-1] += 0.1 * amp
+		e[b] += 0.2 * amp
+		e[b+1] += 0.1 * amp
+		in[fmt.Sprintf("missed-then-gap-%gs", gap)] = [2][]float64{append(e, ecg1[cut:]...), append(z, z1[cut:]...)}
+	}
+	return in
+}
+
+// TestStreamerZPrefixHorizon is the oracle for the z-prefix ring's
+// derived size: a streamer whose z-prefix ring holds the whole
+// recording must emit the same beats as one sized by zHorizon (which
+// must round to no more than an 8 s ring) on every oracle input and
+// chunking; the oracle must include beats recovered by search-back.
+func TestStreamerZPrefixHorizon(t *testing.T) {
+	d := device(t, nil)
+	fs := d.cfg.FS
+	if got, old := d.NewStreamer(DefaultStreamConfig()).zHorizon(), int(8*fs); dsp.NextPow2(got) > dsp.NextPow2(old) {
+		t.Fatalf("z-prefix ring %d samples exceeds the 8 s ring %d", dsp.NextPow2(got), dsp.NextPow2(old))
+	}
+	searchBacks := 0
+	for name, x := range zPrefixOracleInputs(t, d) {
+		for _, chunk := range []int{50, 1000, len(x[0])} {
+			oracle := d.NewStreamer(DefaultStreamConfig())
+			oracle.zPrefix = dsp.NewRing(len(x[1]) + 1)
+			want := streamChunked(oracle, x[0], x[1], chunk)
+			st := d.NewStreamer(DefaultStreamConfig())
+			got := streamChunked(st, x[0], x[1], chunk)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s chunk %d: beats differ from the whole-recording z-prefix ring", name, chunk)
+			}
+			if chunk == 50 && strings.Contains(name, "-then-gap-") {
+				searchBacks += st.pt.SearchBack
+			}
+		}
+	}
+	if searchBacks == 0 {
+		t.Fatal("no oracle input recovered a beat by search-back after a gap")
 	}
 }

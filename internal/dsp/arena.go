@@ -1,5 +1,7 @@
 package dsp
 
+import "sync"
+
 // Arena is a checkout-style scratch allocator for the in-place DSP
 // variants (the *With functions and the FIR/SOS *To methods). Each call to
 // F64/C128/Ints hands out the next buffer in sequence, growing it to the
@@ -10,7 +12,7 @@ package dsp
 //
 // Buffers returned by an arena are valid only until the next Reset, and
 // their contents are uninitialized. An Arena is not safe for concurrent
-// use; use one arena per goroutine (core.Device keeps a sync.Pool of
+// use; use one arena per goroutine (core.Device keeps an ArenaPool of
 // them).
 //
 // All arena-taking functions in this package accept a nil *Arena, in which
@@ -66,6 +68,26 @@ func (a *Arena) Ints(n int) []int {
 	a.ni++
 	return buf
 }
+
+// ArenaPool is a pool of arenas safe for concurrent use: Get hands out
+// a reset arena, Put returns it. The zero value is ready to use. It is
+// how scratch is shared instead of owned — a batch Process call or a
+// streaming beat borrows an arena for the duration of its work and puts
+// it back, so long-lived per-session state never pins scratch memory.
+type ArenaPool struct{ p sync.Pool }
+
+// Get checks out an arena with every buffer available.
+func (p *ArenaPool) Get() *Arena {
+	if a, ok := p.p.Get().(*Arena); ok {
+		a.Reset()
+		return a
+	}
+	return new(Arena)
+}
+
+// Put returns a borrowed arena; buffers checked out of it must no longer
+// be used.
+func (p *ArenaPool) Put(a *Arena) { p.p.Put(a) }
 
 // arenaF64 allocates from a when non-nil and from the heap otherwise.
 func arenaF64(a *Arena, n int) []float64 {

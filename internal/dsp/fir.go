@@ -21,8 +21,9 @@ import "math"
 type FIR struct {
 	Taps []float64
 
-	rev []float64 // taps reversed, for the branch-free dot-product engine
-	cp  *convPlan // overlap-save state, built on first FFT-path use
+	rev []float64        // taps reversed, for the branch-free dot-product engine
+	cp  *convPlan        // overlap-save state, built on first FFT-path use
+	zp  *zeroPhaseKernel // shared zero-phase stream kernel, built on first stream
 }
 
 // Order returns the filter order (len(taps)-1).
@@ -48,12 +49,23 @@ func (f *FIR) plan() *convPlan {
 	return f.cp
 }
 
-// Prepare eagerly builds the cached filtering state (reversed taps and,
-// for filters wide enough to use the FFT path, the overlap-save plan).
-// Call it once at construction when the filter will be applied from a
-// steady-state hot path or shared between goroutines.
+// zeroPhase returns the cached zero-phase stream kernel, building it on
+// first use.
+func (f *FIR) zeroPhase() *zeroPhaseKernel {
+	if f.zp == nil {
+		f.zp = newZeroPhaseKernel(f.Taps)
+	}
+	return f.zp
+}
+
+// Prepare eagerly builds the cached filtering state (reversed taps, the
+// zero-phase stream kernel and, for filters wide enough to use the FFT
+// path, the overlap-save plan). Call it once at construction when the
+// filter will be applied from a steady-state hot path, shared between
+// goroutines, or streamed by many sessions.
 func (f *FIR) Prepare() {
 	f.reversed()
+	f.zeroPhase()
 	if useFFTConv(1<<20, len(f.Taps)) {
 		f.plan()
 	}

@@ -149,8 +149,8 @@ func (r *Ring) Reset() { r.n = 0 }
 // every chunking of a stream — including 1-sample pushes — produces a
 // bit-identical output sequence.
 type FIRStream struct {
-	taps []float64 // effective kernel
-	rev  []float64 // kernel reversed, for the valid-mode correlation
+	taps []float64 // effective kernel (shared, read-only)
+	rev  []float64 // kernel reversed, for the valid-mode correlation (shared, read-only)
 	hist []float64 // the last k-1 fed samples (zero-initialized)
 	work []float64 // scratch: hist ++ chunk, reused across pushes
 
@@ -166,6 +166,45 @@ type FIRStream struct {
 	os *osState // overlap-save engine for wide kernels (nil = direct)
 }
 
+// osKernel is the immutable part of the streaming overlap-save engine
+// for one tap set: the block geometry, the tap half-spectrum and the
+// cached twiddle tables. Every stream of the same designed FIR shares
+// one kernel (see FIR.zeroPhase), like the twiddle plans themselves.
+type osKernel struct {
+	fftN int          // real block length
+	half int          // fftN/2: complex transform size
+	step int          // fresh outputs per block: fftN - (k-1)
+	km1  int          // len(taps) - 1
+	h    []complex128 // tap half-spectrum, inverse normalization folded in
+	w    []complex128 // butterfly twiddles for the half-size FFT
+	wr   []complex128 // split twiddles exp(-2*pi*i*k/fftN)
+}
+
+// newOSKernel transforms taps into an overlap-save kernel sized by
+// streamFFTSizeForTaps.
+func newOSKernel(taps []float64) *osKernel {
+	k := len(taps)
+	fftN := streamFFTSizeForTaps(k)
+	rp, _ := NewRFFTPlan(fftN) // power of two by construction
+	o := &osKernel{
+		fftN: fftN,
+		half: fftN / 2,
+		step: fftN - (k - 1),
+		km1:  k - 1,
+		h:    make([]complex128, fftN/2+1),
+		w:    rp.w,
+		wr:   rp.wr,
+	}
+	padded := make([]float64, fftN)
+	copy(padded, taps)
+	rp.Forward(o.h, padded)
+	inv := 1 / float64(o.half)
+	for i := range o.h {
+		o.h[i] = scaleC(o.h[i], inv)
+	}
+	return o
+}
+
 // osState is the streaming overlap-save engine: a carry buffer holding
 // the k-1 sample overlap followed by the pending (not yet transformed)
 // input, processed one fixed-size block at a time on an ABSOLUTE block
@@ -178,66 +217,50 @@ type FIRStream struct {
 // which is exact for the outputs it emits — a causal convolution output
 // never reads past its own index.
 type osState struct {
-	fftN int          // real block length
-	half int          // fftN/2: complex transform size
-	step int          // fresh outputs per block: fftN - (k-1)
-	km1  int          // len(taps) - 1
-	h    []complex128 // tap half-spectrum, inverse normalization folded in
-	w    []complex128 // butterfly twiddles for the half-size FFT
-	wr   []complex128 // split twiddles exp(-2*pi*i*k/fftN)
-	blk  []complex128 // half-size block workspace
+	*osKernel              // shared, read-only
+	blk       []complex128 // half-size block workspace
 
 	carry []float64 // fftN: [0,km1) overlap, [km1,km1+pend) pending input
 	pend  int       // pending samples not yet transformed
 	base  int       // raw output index of the next block's first output
 }
 
-// enableOS switches the stream's inner engine to overlap-save. Must be
-// called at construction time, before any samples are pushed.
-func (s *FIRStream) enableOS() {
-	k := len(s.taps)
-	fftN := streamFFTSizeForTaps(k)
-	rp, _ := NewRFFTPlan(fftN) // power of two by construction
-	o := &osState{
-		fftN:  fftN,
-		half:  fftN / 2,
-		step:  fftN - (k - 1),
-		km1:   k - 1,
-		h:     make([]complex128, fftN/2+1),
-		blk:   make([]complex128, fftN/2),
-		w:     rp.w,
-		wr:    rp.wr,
-		carry: make([]float64, fftN),
+// enableOS switches the stream's inner engine to overlap-save on the
+// shared kernel k. Must be called at construction time, before any
+// samples are pushed. The direct engine's delay line is dropped: under
+// overlap-save the carry buffer holds the history.
+func (s *FIRStream) enableOS(k *osKernel) {
+	s.os = &osState{
+		osKernel: k,
+		blk:      make([]complex128, k.half),
+		carry:    make([]float64, k.fftN),
 	}
-	padded := make([]float64, fftN)
-	copy(padded, s.taps)
-	rp.Forward(o.h, padded)
-	inv := 1 / float64(o.half)
-	for i := range o.h {
-		o.h[i] = scaleC(o.h[i], inv)
-	}
-	s.os = o
+	s.hist = nil
 }
 
 // NewFIRStream returns the causal streaming form of f.
-func NewFIRStream(f *FIR) *FIRStream { return newFIRStream(f.Taps, 0, 0, 0) }
+func NewFIRStream(f *FIR) *FIRStream { return newFIRStream(f.Taps, reversedTaps(f.Taps), 0, 0, 0) }
 
 // NewFIRSameStream returns the streaming form of the centered
 // zero-padded convolution FIR.Apply; output t is emitted once input
 // t+(k-1)/2 has arrived.
 func NewFIRSameStream(f *FIR) *FIRStream {
 	k := len(f.Taps)
-	return newFIRStream(f.Taps, (k-1)/2, (k-1)/2, 0)
+	return newFIRStream(f.Taps, reversedTaps(f.Taps), (k-1)/2, (k-1)/2, 0)
 }
 
 // NewZeroPhaseFIRStream returns a streaming filter whose output equals
 // dsp.FiltFiltFIR(f, x) exactly: the causal squared kernel delayed by
 // k-1 samples, with the batch path's odd-reflection padding synthesized
 // at the stream edges. Output t is emitted once input t+k-1 has arrived.
+// The composite kernel and its overlap-save spectrum are built once per
+// FIR and shared by every stream (call f.Prepare before constructing
+// streams from several goroutines).
 func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
-	s := newZeroPhaseFIRStream(f)
-	if useFFTStream(len(s.taps)) {
-		s.enableOS()
+	zp := f.zeroPhase()
+	s := newZeroPhaseFIRStream(zp)
+	if zp.os != nil {
+		s.enableOS(zp.os)
 	}
 	return s
 }
@@ -247,28 +270,42 @@ func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
 // MCU deployment profile (no FFT working set, see core's RAM model) and
 // the -direct-fir A/B baseline in cmd/icgstream.
 func NewZeroPhaseFIRStreamDirect(f *FIR) *FIRStream {
-	return newZeroPhaseFIRStream(f)
+	return newZeroPhaseFIRStream(f.zeroPhase())
 }
 
-func newZeroPhaseFIRStream(f *FIR) *FIRStream {
-	h := f.Taps
+// zeroPhaseKernel is the immutable state every zero-phase stream of one
+// FIR shares: the composite kernel g = h*reverse(h), its reversal for
+// the direct engine and, when the streaming crossover picks the FFT
+// engine, its overlap-save spectrum.
+type zeroPhaseKernel struct {
+	k    int       // len(h)
+	taps []float64 // g, 2k-1 taps
+	rev  []float64 // g reversed
+	os   *osKernel // nil when the direct engine is cheaper
+}
+
+func newZeroPhaseKernel(h []float64) *zeroPhaseKernel {
 	k := len(h)
-	// g = h convolved with reverse(h): the zero-phase composite kernel.
 	g := make([]float64, 2*k-1)
 	for i, a := range h {
 		for j, b := range h {
 			g[i+(k-1-j)] += a * b
 		}
 	}
-	return newFIRStream(g, 2*(k-1), k-1, k-1)
+	zp := &zeroPhaseKernel{k: k, taps: g, rev: reversedTaps(g)}
+	if useFFTStream(len(g)) {
+		zp.os = newOSKernel(g)
+	}
+	return zp
 }
 
-func newFIRStream(taps []float64, skip, tail, reflect int) *FIRStream {
+func newZeroPhaseFIRStream(zp *zeroPhaseKernel) *FIRStream {
+	k := zp.k
+	return newFIRStream(zp.taps, zp.rev, 2*(k-1), k-1, k-1)
+}
+
+func newFIRStream(taps, rev []float64, skip, tail, reflect int) *FIRStream {
 	k := len(taps)
-	rev := make([]float64, k)
-	for i, t := range taps {
-		rev[k-1-i] = t
-	}
 	s := &FIRStream{
 		taps:    taps,
 		rev:     rev,
@@ -282,6 +319,16 @@ func newFIRStream(taps []float64, skip, tail, reflect int) *FIRStream {
 		s.primed = true
 	}
 	return s
+}
+
+// reversedTaps returns taps in reverse order.
+func reversedTaps(taps []float64) []float64 {
+	k := len(taps)
+	rev := make([]float64, k)
+	for i, t := range taps {
+		rev[k-1-i] = t
+	}
+	return rev
 }
 
 // Lookahead returns the number of future input samples needed before

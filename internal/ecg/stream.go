@@ -1,6 +1,10 @@
 package ecg
 
-import "repro/internal/dsp"
+import (
+	"errors"
+
+	"repro/internal/dsp"
+)
 
 // Streaming forms of the ECG conditioning and detection stages. The
 // batch pipeline recomputes morphology, filtering and Pan-Tompkins over
@@ -111,15 +115,24 @@ func (s *BaselineStream) Reset() {
 // PTStream is the incremental Pan-Tompkins QRS detector: the band-pass,
 // five-point derivative, squaring and moving-window integration run as
 // per-sample state machines, and the dual adaptive thresholds, T-wave
-// discrimination, search-back and R-refinement operate on short ring
-// buffers. It replicates the stages of DetectQRS on the conditioned
-// stream, so the R peaks it emits agree with the batch detector away
-// from pathological peak chains.
+// discrimination, search-back and R-refinement operate on the finalized
+// candidate peaks. It replicates the stages of DetectQRS on the
+// conditioned stream, so the R peaks it emits agree with the batch
+// detector away from pathological peak chains.
+//
+// Every sample-window measurement a candidate needs — its max slope on
+// the band-passed signal and its refined R position on the conditioned
+// input — is taken once, when the candidate is finalized one refractory
+// period after it occurred (the windows have arrived by then), and
+// carried with it. The threshold logic, including the deferred
+// processing of the first two seconds' candidates and search-back over
+// the last six seconds, reads only those carried values, so the sample
+// rings cover just the refractory period plus the measurement windows
+// (see History), not the search-back horizon.
 //
 // R peaks are emitted exactly once, in strictly increasing order, as
-// soon as they are confirmed (accepted or recovered by search-back) and
-// the refinement window has arrived: about RefractMs + 100 ms after the
-// integrated-signal peak.
+// soon as they are confirmed (accepted or recovered by search-back):
+// about RefractMs after the integrated-signal peak.
 type PTStream struct {
 	cfg  PTConfig
 	fs   float64
@@ -131,11 +144,12 @@ type PTStream struct {
 	sqRing         []float64
 	win            int
 	acc            float64
+	prevGi         float64 // integrated value of the previous sample
 
-	// Short histories for slope checks, refinement and search-back.
-	filt  *dsp.Ring // band-passed
-	raw   *dsp.Ring // conditioned input
-	integ *dsp.Ring // integrated
+	// Short histories for the slope and refinement measurements taken
+	// when a candidate is finalized.
+	filt *dsp.Ring // band-passed
+	raw  *dsp.Ring // conditioned input
 
 	n int // samples consumed
 
@@ -152,7 +166,7 @@ type PTStream struct {
 	initN            int
 	initMax, initSum float64
 	inited           bool
-	early            []int // candidates finalized before initialization
+	early            []histPeak // candidates finalized before initialization
 
 	// Adaptive threshold state.
 	spki, npki, th1 float64
@@ -166,10 +180,13 @@ type PTStream struct {
 	rr              [8]float64
 	rrLen           int
 
-	// Finalized candidate peaks retained for search-back.
-	hist []histPeak
+	// Finalized candidate peaks retained for search-back (the last
+	// searchBackSeconds).
+	hist     []histPeak
+	sbWindow int // searchBackSeconds in samples
 
-	// Accepted peaks awaiting refinement, and emission bookkeeping.
+	// Refined positions of the peaks confirmed by the current sample,
+	// and emission bookkeeping.
 	accepted    []int
 	lastRefined int
 
@@ -178,15 +195,37 @@ type PTStream struct {
 	TWaveVeto  int
 }
 
+// histPeak is a finalized candidate with the measurements taken at
+// finalization: its integrated value, the max band-passed slope around
+// it and its refined R position.
 type histPeak struct {
-	idx int
-	val float64
+	idx   int
+	val   float64
+	slope float64
+	r     int
 }
+
+// searchBackSeconds is how far back search-back looks for a missed peak:
+// 1.66x the slowest physiological RR, with margin.
+const searchBackSeconds = 6
 
 // NewPTStream builds the incremental detector. cfg.BandSOS, when set,
 // is used directly (the core device caches it); otherwise the band-pass
 // is designed here.
 func NewPTStream(cfg PTConfig) (*PTStream, error) {
+	return newPTStream(cfg, 0)
+}
+
+// ErrRefractory rejects a streaming configuration whose refractory
+// period does not exceed the refinement and slope half-windows: the
+// stream measures each candidate when it is finalized, one refractory
+// period after it, and those windows must have arrived by then.
+var ErrRefractory = errors.New("ecg: streaming refractory period shorter than the refinement window")
+
+// newPTStream builds the detector with sample rings retaining ringN
+// samples, or the derived History when ringN is 0 (tests pass a
+// larger ring as an oracle for the horizon).
+func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 	cfg = cfg.normalized()
 	sos := cfg.BandSOS
 	if sos == nil {
@@ -200,35 +239,57 @@ func NewPTStream(cfg PTConfig) (*PTStream, error) {
 	if win < 1 {
 		win = 1
 	}
-	// Six seconds of history covers the search-back horizon (1.66x the
-	// slowest physiological RR) plus the refinement window; one extra
-	// sub-chunk absorbs the batched band-pass lookahead.
-	histN := int(6*fs) + ptSubChunk
 	s := &PTStream{
 		cfg:         cfg,
 		fs:          fs,
 		band:        dsp.NewSOSStream(sos, 0, false),
 		sqRing:      make([]float64, win),
 		win:         win,
-		filt:        dsp.NewRing(histN),
-		raw:         dsp.NewRing(histN),
-		integ:       dsp.NewRing(histN),
 		candStart:   -1,
 		initN:       int(2 * fs),
 		refractory:  int(cfg.RefractMs / 1000 * fs),
 		tWaveWin:    int(cfg.TWaveMs / 1000 * fs),
 		slopeR:      int(0.075 * fs),
 		halfRefine:  int(0.10 * fs),
+		sbWindow:    int(searchBackSeconds * fs),
 		lastQRS:     -int(cfg.RefractMs / 1000 * fs),
 		lastRefined: -1 << 30,
 	}
+	if s.refractory <= s.halfRefine || s.refractory <= s.slopeR {
+		return nil, ErrRefractory
+	}
+	if ringN == 0 {
+		ringN = s.History()
+	}
+	s.filt = dsp.NewRing(ringN)
+	s.raw = dsp.NewRing(ringN)
 	return s, nil
 }
 
-// Lookahead returns the worst-case confirmation delay in samples: an
-// integrated-signal peak is finalized one refractory period after it
-// occurs and refined once the +100 ms window has arrived.
+// History returns how many samples each sample ring retains (before
+// power-of-two rounding): how far back the rings are read. A candidate
+// is measured when it is finalized, a refractory period after it, over
+// a window reaching win+halfRefine samples further back (slopeR+1 on the
+// band-passed ring, never more); Push appends up to one sub-chunk ahead
+// of the sample being detected.
+func (s *PTStream) History() int {
+	return s.refractory + s.win + s.halfRefine + ptSubChunk
+}
+
+// Lookahead returns the confirmation delay in samples that
+// Streamer.Latency budgets for: the refractory period after which an
+// integrated-signal peak is finalized and refined, plus the refinement
+// half-window. Search-back recoveries and peaks deferred to threshold
+// initialization are emitted later; MaxLag bounds those.
 func (s *PTStream) Lookahead() int { return s.refractory + s.halfRefine }
+
+// MaxLag returns how old, in samples, an R peak can be when it is
+// emitted, counted back from the samples consumed so far: a search-back
+// recovery reaches searchBackSeconds back (the deferred first two
+// seconds are no older), and refinement moves the R up to
+// win+halfRefine earlier. Callers that must still hold data at an
+// emitted R size their history from it.
+func (s *PTStream) MaxLag() int { return max(s.sbWindow, s.initN) + s.win + s.halfRefine }
 
 // Push consumes conditioned ECG samples and returns the R peaks
 // confirmed by this chunk (absolute indices into the conditioned
@@ -259,9 +320,8 @@ func (s *PTStream) Push(rs []int, x []float64) []int {
 }
 
 // ptSubChunk bounds how far the raw/filtered rings run ahead of the
-// per-sample detection loop; the rings are sized for the search-back
-// horizon plus this lookahead, so batching never overwrites history the
-// detector can still read.
+// per-sample detection loop; History includes this lookahead, so
+// batching never overwrites history the detector can still read.
 const ptSubChunk = 256
 
 // pushSample advances the per-sample detection state machines with one
@@ -289,7 +349,8 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		den = i + 1
 	}
 	gi := s.acc / float64(den)
-	s.integ.Push(gi)
+	prev := s.prevGi
+	s.prevGi = gi
 	s.n++
 
 	// Threshold initialization statistics over the first two seconds.
@@ -300,8 +361,8 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		s.initSum += gi
 		if i == s.initN-1 {
 			s.initThresholds(s.initN)
-			for _, p := range s.early {
-				s.processPeak(p)
+			for _, hp := range s.early {
+				s.processPeak(hp)
 			}
 			s.early = s.early[:0]
 		}
@@ -309,7 +370,6 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 
 	// Candidate local-max detection on the integrated signal.
 	if i >= 1 {
-		prev := s.integ.At(i - 1)
 		if s.candStart >= 0 {
 			switch {
 			case gi == s.candVal:
@@ -337,7 +397,7 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		}
 	}
 
-	return s.drainRefined(rs, false)
+	return s.drainRefined(rs)
 }
 
 // offerCandidate applies the minDist suppression of dsp.FindPeaks
@@ -356,21 +416,35 @@ func (s *PTStream) offerCandidate(idx int, val float64) {
 	s.hasPending = true
 }
 
-// finalize records a suppressed-peak survivor and runs it through the
-// adaptive thresholds (or queues it until initialization completes).
+// finalize records a suppressed-peak survivor with its slope and refined
+// position, and runs it through the adaptive thresholds (or queues it
+// until initialization completes).
 func (s *PTStream) finalize(idx int, val float64) {
-	s.hist = append(s.hist, histPeak{idx: idx, val: val})
+	hp := histPeak{idx: idx, val: val, slope: s.maxSlope(idx), r: s.refine(idx)}
+	s.hist = append(s.hist, hp)
 	s.prune()
 	if !s.inited {
-		s.early = append(s.early, idx)
+		s.early = append(s.early, hp)
 		return
 	}
-	s.processPeak(idx)
+	s.processPeak(hp)
+}
+
+// refine returns the R position of the candidate at p: the conditioned
+// input's maximum over [p-win-halfRefine, p+halfRefine) when refining on
+// the raw signal, p itself otherwise.
+func (s *PTStream) refine(p int) int {
+	if s.cfg.RefineOnRaw {
+		if m := s.raw.ArgMax(p-s.win-s.halfRefine, p+s.halfRefine); m >= 0 {
+			return m
+		}
+	}
+	return p
 }
 
 // prune drops history peaks older than the search-back horizon.
 func (s *PTStream) prune() {
-	horizon := s.n - int(6*s.fs)
+	horizon := s.n - s.sbWindow
 	keep := 0
 	for keep < len(s.hist) && s.hist[keep].idx < horizon {
 		keep++
@@ -418,7 +492,8 @@ func (s *PTStream) maxSlope(p int) float64 {
 }
 
 // accept mirrors the batch acceptPeak: RR bookkeeping, slope capture.
-func (s *PTStream) accept(p int) {
+func (s *PTStream) accept(hp histPeak) {
+	p := hp.idx
 	if s.nQRS > 0 {
 		rrv := float64(p-s.lastQRS) / s.fs
 		if s.rrLen < len(s.rr) {
@@ -431,13 +506,13 @@ func (s *PTStream) accept(p int) {
 	}
 	s.nQRS++
 	s.lastQRS = p
-	s.lastSlope = s.maxSlope(p)
-	s.accepted = append(s.accepted, p)
+	s.lastSlope = hp.slope
+	s.accepted = append(s.accepted, hp.r)
 }
 
 // processPeak replicates one iteration of the batch threshold loop.
-func (s *PTStream) processPeak(p int) {
-	pk := s.integ.At(p)
+func (s *PTStream) processPeak(hp histPeak) {
+	p, pk := hp.idx, hp.val
 	if p-s.lastQRS < s.refractory {
 		s.npki = 0.125*pk + 0.875*s.npki
 		s.th1 = s.npki + 0.25*(s.spki-s.npki)
@@ -445,15 +520,14 @@ func (s *PTStream) processPeak(p int) {
 	}
 	if pk > s.th1 {
 		if s.nQRS > 0 && p-s.lastQRS < s.tWaveWin {
-			slope := s.maxSlope(p)
-			if slope < 0.5*s.lastSlope {
+			if hp.slope < 0.5*s.lastSlope {
 				s.TWaveVeto++
 				s.npki = 0.125*pk + 0.875*s.npki
 				s.th1 = s.npki + 0.25*(s.spki-s.npki)
 				return
 			}
 		}
-		s.accept(p)
+		s.accept(hp)
 		s.spki = 0.125*pk + 0.875*s.spki
 	} else {
 		s.npki = 0.125*pk + 0.875*s.npki
@@ -471,57 +545,44 @@ func (s *PTStream) processPeak(p int) {
 			lo := s.lastQRS + s.refractory
 			hi := p
 			best, bestV := -1, s.th1*0.5
-			for _, hp := range s.hist {
-				if hp.idx <= lo || hp.idx >= hi {
+			for k, h := range s.hist {
+				if h.idx <= lo || h.idx >= hi {
 					continue
 				}
-				if hp.val > bestV {
-					best, bestV = hp.idx, hp.val
+				if h.val > bestV {
+					best, bestV = k, h.val
 				}
 			}
-			if best > 0 {
-				s.accepted = append(s.accepted, best)
-				s.lastQRS = best
-				s.spki = 0.25*s.integ.At(best) + 0.75*s.spki
+			if best >= 0 && s.hist[best].idx > 0 {
+				s.accepted = append(s.accepted, s.hist[best].r)
+				s.lastQRS = s.hist[best].idx
+				s.spki = 0.25*bestV + 0.75*s.spki
 				s.SearchBack++
 			}
 		}
 	}
 }
 
-// drainRefined refines and emits every accepted peak whose refinement
-// window has arrived (or everything, at flush).
-func (s *PTStream) drainRefined(rs []int, flush bool) []int {
-	emitted := 0
-	for _, p := range s.accepted {
-		if !flush && p+s.halfRefine >= s.n {
-			break
-		}
-		r := p
+// drainRefined emits the refined positions of the peaks just confirmed,
+// dropping a refined duplicate within a refractory period of the last
+// emitted R (the batch detector's dedupeSorted).
+func (s *PTStream) drainRefined(rs []int) []int {
+	for _, r := range s.accepted {
 		if s.cfg.RefineOnRaw {
-			lo := p - s.win - s.halfRefine
-			hi := p + s.halfRefine
-			if m := s.raw.ArgMax(lo, hi); m >= 0 {
-				r = m
-			}
 			if r-s.lastRefined < s.refractory {
-				emitted++
-				continue // duplicate after refinement: drop (dedupeSorted)
+				continue
 			}
 			s.lastRefined = r
 		}
 		rs = append(rs, r)
-		emitted++
 	}
-	if emitted > 0 {
-		s.accepted = append(s.accepted[:0], s.accepted[emitted:]...)
-	}
+	s.accepted = s.accepted[:0]
 	return rs
 }
 
-// Flush ends the stream: the pending candidate is decided, a
-// shorter-than-2-s stream initializes from what arrived, and the
-// remaining accepted peaks are refined against the final samples.
+// Flush ends the stream: the pending candidate is decided (measured
+// against the final samples), a shorter-than-2-s stream initializes
+// from what arrived, and the remaining confirmed peaks are emitted.
 func (s *PTStream) Flush(rs []int) []int {
 	if s.hasPending {
 		s.finalize(s.pending, s.pendingVal)
@@ -529,12 +590,12 @@ func (s *PTStream) Flush(rs []int) []int {
 	}
 	if !s.inited {
 		s.initThresholds(s.n)
-		for _, p := range s.early {
-			s.processPeak(p)
+		for _, hp := range s.early {
+			s.processPeak(hp)
 		}
 		s.early = s.early[:0]
 	}
-	return s.drainRefined(rs, true)
+	return s.drainRefined(rs)
 }
 
 // Reset returns the detector to its initial state, keeping allocations.
@@ -545,9 +606,9 @@ func (s *PTStream) Reset() {
 		s.sqRing[i] = 0
 	}
 	s.acc = 0
+	s.prevGi = 0
 	s.filt.Reset()
 	s.raw.Reset()
-	s.integ.Reset()
 	s.n = 0
 	s.candStart = -1
 	s.hasPending = false

@@ -1,11 +1,15 @@
 package ecg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/physio"
 )
 
 func synthECG(n int, fs float64, seed int64) []float64 {
@@ -183,5 +187,161 @@ func TestPTBandPassStreamConsistency(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("sample %d differs", i)
 		}
+	}
+}
+
+// ptOracleInputs are the recordings the ring-horizon oracle runs on: the
+// study subjects, lifted-finger noise, flatlines, streams shorter than
+// the 2 s threshold-initialization window, streams whose first peaks
+// land on that window's boundary, and a missed beat followed by a
+// contact gap (search-back then recovers a peak several seconds old).
+func ptOracleInputs(t *testing.T, fs float64) map[string][]float64 {
+	t.Helper()
+	in := map[string][]float64{}
+	gen := physio.DefaultGenConfig()
+	gen.Duration = 40
+	gen.FS = fs
+	var subj1 []float64
+	for _, s := range physio.Subjects() {
+		rec := s.Generate(gen)
+		x, err := Clean(rec.ECG, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[fmt.Sprintf("subject%d", s.ID)] = x
+		if subj1 == nil {
+			subj1 = x
+		}
+	}
+	dead, _ := physio.DeadContact(3, int(20*fs))
+	in["dead-contact"] = dead
+	in["flat-zero"] = make([]float64, int(10*fs))
+	flat := make([]float64, int(10*fs))
+	for i := range flat {
+		flat[i] = 0.7
+	}
+	in["flat-const"] = flat
+	for _, sec := range []float64{0.3, 1.2, 1.99} {
+		in[fmt.Sprintf("short-%gs", sec)] = subj1[:int(sec*fs)]
+	}
+
+	// Shift subject 1 so its first R lands just before, on and just
+	// after the last sample of the initialization window.
+	first := -1
+	if res, err := DetectQRS(subj1, DefaultPT(fs)); err == nil && len(res.RPeaks) > 0 {
+		first = res.RPeaks[0]
+	}
+	if first < 0 {
+		t.Fatal("no R peak in subject 1")
+	}
+	initN := int(2 * fs)
+	for _, d := range []int{-40, -12, -1, 0, 1, 12, 40} {
+		pad := initN + d - first
+		x := make([]float64, 0, pad+len(subj1))
+		for i := 0; i < pad; i++ {
+			x = append(x, subj1[0])
+		}
+		in[fmt.Sprintf("init-boundary%+d", d)] = append(x, subj1...)
+	}
+
+	// A missed beat (one R attenuated below the detection threshold but
+	// above half of it) followed by a flat contact gap after its T wave:
+	// the first candidate after the gap (the next P wave) triggers
+	// search-back far behind the sample clock.
+	res, err := DetectQRS(subj1, DefaultPT(fs))
+	if err != nil || len(res.RPeaks) < 12 {
+		t.Fatal("subject 1 needs a dozen beats")
+	}
+	r := res.RPeaks[8]
+	cut := r + int(0.45*fs)
+	for _, a := range []float64{0.3, 0.4, 0.5} {
+		for _, gap := range []float64{0, 1.5, 3, 5} {
+			x := append([]float64(nil), subj1[:cut]...)
+			for i := r - int(0.1*fs); i < r+int(0.1*fs); i++ {
+				x[i] *= a
+			}
+			for i := 0; i < int(gap*fs); i++ {
+				x = append(x, subj1[cut])
+			}
+			in[fmt.Sprintf("missed%g-then-gap-%gs", a, gap)] = append(x, subj1[cut:]...)
+		}
+	}
+
+	// The same on a noise-free spike train at 60 bpm, where nothing but
+	// a late small bump follows the missed beat: search-back recovers it
+	// gap seconds after it occurred, far outside the sample rings.
+	for _, gap := range []float64{1.5, 2.5, 4} {
+		x := make([]float64, int(30*fs))
+		period := int(fs)
+		for k := 1; k*period < len(x)-2; k++ {
+			amp := 1.0
+			switch {
+			case k == 9:
+				amp = 0.4 // missed
+			case k > 9 && float64((k-9)*period) <= gap*fs:
+				continue // contact gap
+			}
+			x[k*period] += amp
+			x[k*period-1] += 0.4 * amp
+			x[k*period+1] += 0.4 * amp
+		}
+		bump := 9*period + int(gap*fs) - period/3
+		x[bump] += 0.15
+		in[fmt.Sprintf("sparse-missed-then-gap-%gs", gap)] = x
+	}
+	return in
+}
+
+// TestPTStreamRingHorizon is the oracle for the detector's sample-ring
+// horizon: a detector whose rings hold six seconds plus a sub-chunk
+// (the whole search-back horizon) must emit the same R peaks and count
+// the same search-backs and T-wave vetoes as the one sized by History,
+// on every oracle input and chunking.
+func TestPTStreamRingHorizon(t *testing.T) {
+	fs := 250.0
+	cfg := DefaultPT(fs)
+	oldRing := int(6*fs) + ptSubChunk
+	var searchBacks, vetoes, gapSB int
+	for name, x := range ptOracleInputs(t, fs) {
+		for _, chunk := range []int{1, 50, 256, 1000, len(x)} {
+			if chunk < 1 {
+				continue
+			}
+			run := func(ringN int) ([]int, *PTStream) {
+				s, err := newPTStream(cfg, ringN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rs []int
+				for pos := 0; pos < len(x); pos += chunk {
+					rs = s.Push(rs, x[pos:min(pos+chunk, len(x))])
+				}
+				return s.Flush(rs), s
+			}
+			want, ws := run(oldRing)
+			got, gs := run(0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s chunk %d: R peaks %v, six-second rings %v", name, chunk, got, want)
+			}
+			if gs.SearchBack != ws.SearchBack || gs.TWaveVeto != ws.TWaveVeto {
+				t.Fatalf("%s chunk %d: search-back/veto %d/%d, six-second rings %d/%d",
+					name, chunk, gs.SearchBack, gs.TWaveVeto, ws.SearchBack, ws.TWaveVeto)
+			}
+			if chunk == 1 {
+				searchBacks += gs.SearchBack
+				vetoes += gs.TWaveVeto
+				if strings.Contains(name, "-then-gap-") {
+					gapSB += gs.SearchBack
+				}
+			}
+		}
+	}
+	if gs, err := NewPTStream(cfg); err != nil || gs.History() >= oldRing/2 {
+		t.Fatalf("History %d is not below half the six-second ring %d", gs.History(), oldRing)
+	}
+	// The oracle must exercise the paths that read old peaks.
+	if searchBacks == 0 || vetoes == 0 || gapSB == 0 {
+		t.Fatalf("oracle inputs exercised %d search-backs (%d after a gap) and %d T-wave vetoes; want all > 0",
+			searchBacks, gapSB, vetoes)
 	}
 }

@@ -38,6 +38,11 @@ import "repro/internal/dsp"
 // zero-phase |H|^2 conditioning at roughly a third of the
 // biquad-samples per beat. SetLegacyRefilter restores the windowed
 // per-beat filtfilt for A/B comparison.
+//
+// Per-beat scratch (the segment copy, the refiltering passes and the
+// point detector's intermediates) is borrowed from a shared ArenaPool
+// for one beat and returned after it: nothing a beat's analysis returns
+// aliases the arena, so the delineator holds no scratch between beats.
 type Delineator struct {
 	cfg    DetectConfig
 	lp, hp dsp.SOS
@@ -49,12 +54,12 @@ type Delineator struct {
 	warmed bool           // forward pass started (reflected prefix consumed)
 	warm   []float64      // samples buffered before the forward pass starts
 
-	icg     *dsp.Ring // raw -dZ/dt, or its cached hp-forward pass in rolling mode
-	arena   dsp.Arena // per-beat refiltering scratch
-	pushBuf []float64 // forward-pass input scratch per push, reused
-	fltBuf  []float64 // forward-pass output scratch per push, reused
-	lastR   int       // previous confirmed R peak (ECG clock), -1 before the first
-	queue   []beatJob // R pairs waiting for their ICG samples
+	icg     *dsp.Ring      // raw -dZ/dt, or its cached hp-forward pass in rolling mode
+	scratch *dsp.ArenaPool // lends each beat its refiltering scratch
+	pushBuf []float64      // forward-pass input scratch per push, reused
+	fltBuf  []float64      // forward-pass output scratch per push, reused
+	lastR   int            // previous confirmed R peak (ECG clock), -1 before the first
+	queue   []beatJob      // R pairs waiting for their ICG samples
 }
 
 type beatJob struct {
@@ -66,8 +71,8 @@ type beatJob struct {
 // ctxSeconds is the transient-settling context on each side of the
 // segment. maxBeatSeconds bounds the longest analyzable RR interval;
 // longer "beats" are reported as failures rather than stalling the
-// queue.
-func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64) *Delineator {
+// queue. scratch lends each beat its scratch arena.
+func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64, scratch *dsp.ArenaPool) *Delineator {
 	fs := cfg.FS
 	if fs <= 0 {
 		fs = 250
@@ -84,13 +89,14 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 	}
 	n := int(maxBeatSeconds*fs) + 2*ctxN + align + 2
 	d := &Delineator{
-		cfg:   cfg,
-		lp:    lp,
-		hp:    hp,
-		align: align,
-		ctxN:  ctxN,
-		icg:   dsp.NewRing(n),
-		lastR: -1,
+		cfg:     cfg,
+		lp:      lp,
+		hp:      hp,
+		align:   align,
+		ctxN:    ctxN,
+		icg:     dsp.NewRing(n),
+		scratch: scratch,
+		lastR:   -1,
 	}
 	if hp != nil {
 		d.fwd = dsp.NewSOSStream(hp, 0, true)
@@ -224,38 +230,43 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 			done++
 			continue
 		}
-		d.arena.Reset()
-		buf := d.icg.CopyTo(d.arena.F64(hi - lo)[:0], lo, hi)
-		cond, trim := d.refilter(buf, segLo-lo, segHi-lo)
-		relLo := segLo - lo - trim
-		pts, err := DetectBeatWith(&d.arena, cond, relLo, segHi-lo-trim, -1, d.cfg)
-		if err != nil {
-			out = append(out, BeatAnalysis{Err: err})
-			done++
-			continue
-		}
-		// Morphology quality and shape signature on the conditioned
-		// segment, before the points leave its clock — the same calls
-		// the batch detector makes on the whole-recording conditioned
-		// signal.
-		ba := BeatAnalysis{Points: pts}
-		ba.Quality = MorphScore(cond, pts, segHi-lo-trim, d.cfg.FS)
-		ba.Shape, ba.ShapeOK = BeatShapeOf(cond, relLo, segHi-lo-trim)
-		// Back onto the ECG clock: conditioned index relLo == ECG index rLo.
-		off := j.rLo - relLo
-		pts.R += off
-		pts.B += off
-		pts.C += off
-		pts.X += off
-		pts.X0 += off
-		pts.B0 += float64(off)
-		out = append(out, ba)
+		a := d.scratch.Get()
+		out = append(out, d.analyze(a, j.rLo, lo, hi, segLo, segHi))
+		d.scratch.Put(a)
 		done++
 	}
 	if done > 0 {
 		d.queue = append(d.queue[:0], d.queue[done:]...)
 	}
 	return out
+}
+
+// analyze delineates one beat from the ring window [lo, hi), whose
+// segment is [segLo, segHi) on the ICG clock, with scratch drawn from a.
+// The result holds no reference into a.
+func (d *Delineator) analyze(a *dsp.Arena, rLo, lo, hi, segLo, segHi int) BeatAnalysis {
+	buf := d.icg.CopyTo(a.F64(hi - lo)[:0], lo, hi)
+	cond, trim := d.refilter(a, buf, segLo-lo, segHi-lo)
+	relLo := segLo - lo - trim
+	pts, err := DetectBeatWith(a, cond, relLo, segHi-lo-trim, -1, d.cfg)
+	if err != nil {
+		return BeatAnalysis{Err: err}
+	}
+	// Morphology quality and shape signature on the conditioned
+	// segment, before the points leave its clock — the same calls the
+	// batch detector makes on the whole-recording conditioned signal.
+	ba := BeatAnalysis{Points: pts}
+	ba.Quality = MorphScore(cond, pts, segHi-lo-trim, d.cfg.FS)
+	ba.Shape, ba.ShapeOK = BeatShapeOf(cond, relLo, segHi-lo-trim)
+	// Back onto the ECG clock: conditioned index relLo == ECG index rLo.
+	off := rLo - relLo
+	pts.R += off
+	pts.B += off
+	pts.C += off
+	pts.X += off
+	pts.X0 += off
+	pts.B0 += float64(off)
+	return ba
 }
 
 // refilter applies the conditioning cascades zero-phase over the
@@ -269,7 +280,7 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 // over just the segment plus a short guard. The order swap relative to
 // the batch lp-then-hp is exact for LTI cascades up to edge transients,
 // which both contexts absorb.
-func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) {
+func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]float64, int) {
 	if d.rolling() {
 		// buf already holds the cached forward pass; only the backward
 		// pass remains. Its zi-primed transient enters at the right edge
@@ -278,7 +289,7 @@ func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) 
 		d.hp.FilterZiInPlace(buf)
 		dsp.Reverse(buf)
 	} else if d.hp != nil {
-		buf = d.hp.FiltFiltWith(&d.arena, buf)
+		buf = d.hp.FiltFiltWith(a, buf)
 	}
 	if d.lp == nil {
 		return buf, 0
@@ -292,7 +303,7 @@ func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) 
 	if hi > len(buf) {
 		hi = len(buf)
 	}
-	return d.lp.FiltFiltWith(&d.arena, buf[lo:hi]), lo
+	return d.lp.FiltFiltWith(a, buf[lo:hi]), lo
 }
 
 // lpGuardSamples is the low-pass settling guard (~0.3 s): dozens of
@@ -311,7 +322,6 @@ func (d *Delineator) Pending() int { return len(d.queue) }
 // Reset returns the delineator to its initial state, keeping buffers.
 func (d *Delineator) Reset() {
 	d.icg.Reset()
-	d.arena.Reset()
 	if d.fwd != nil {
 		d.fwd.Reset()
 	}

@@ -3,6 +3,8 @@ package icg
 import (
 	"math"
 	"testing"
+
+	"repro/internal/dsp"
 )
 
 // synthICG builds a clean-ish -dZ/dt beat train with known R anchors.
@@ -37,7 +39,7 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 	// stream; keep it inside the delineator's 3 s history ring (the
 	// overlong-beat test covers the starved case).
 	for _, chunk := range []int{1, 7, 250, 600} {
-		d := NewDelineator(cfg, nil, nil, 0, 0, 3)
+		d := NewDelineator(cfg, nil, nil, 0, 0, 3, new(dsp.ArenaPool))
 		var got []BeatAnalysis
 		pos := 0
 		nextR := 0
@@ -87,7 +89,7 @@ func TestDelineatorAlignmentShift(t *testing.T) {
 	shift := 7
 	delayed := make([]float64, len(sig)+shift)
 	copy(delayed[shift:], sig)
-	d := NewDelineator(cfg, nil, nil, shift, 0, 3)
+	d := NewDelineator(cfg, nil, nil, shift, 0, 3, new(dsp.ArenaPool))
 	var got []BeatAnalysis
 	got = d.PushICG(got, delayed)
 	for _, r := range rPeaks {
@@ -110,7 +112,7 @@ func TestDelineatorAlignmentShift(t *testing.T) {
 func TestDelineatorOverlongBeatDoesNotStall(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultDetect(fs)
-	d := NewDelineator(cfg, nil, nil, 0, 0, 2) // 2 s ring
+	d := NewDelineator(cfg, nil, nil, 0, 0, 2, new(dsp.ArenaPool)) // 2 s ring
 	long := make([]float64, int(10*fs))
 	var got []BeatAnalysis
 	got = d.PushICG(got, long)
@@ -133,7 +135,7 @@ func TestDelineatorReset(t *testing.T) {
 	fs := 250.0
 	sig, rPeaks := synthICG(8, fs)
 	cfg := DefaultDetect(fs)
-	d := NewDelineator(cfg, nil, nil, 0, 0, 3)
+	d := NewDelineator(cfg, nil, nil, 0, 0, 3, new(dsp.ArenaPool))
 	run := func() []BeatAnalysis {
 		var got []BeatAnalysis
 		got = d.PushICG(got, sig)
@@ -177,7 +179,7 @@ func TestDelineatorRefilterMatchesWholeRecording(t *testing.T) {
 	cfg := DefaultDetect(fs)
 	want := DetectAll(whole, rPeaks, nil, cfg)
 
-	d := NewDelineator(cfg, lp, hp, 0, 1.0, 3)
+	d := NewDelineator(cfg, lp, hp, 0, 1.0, 3, new(dsp.ArenaPool))
 	var got []BeatAnalysis
 	pos, nextR := 0, 0
 	for pos < len(sig) {

@@ -114,7 +114,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 				if !flush && fx.rPeaks[next+1] > pushed {
 					return
 				}
-				got = append(got, gs.PushBeat(fx.rPeaks[next], fx.rPeaks[next+1], b))
+				got = append(got, gs.PushBeat(nil, fx.rPeaks[next], fx.rPeaks[next+1], b))
 				next++
 			}
 		}

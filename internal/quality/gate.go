@@ -91,7 +91,7 @@ type GateConfig struct {
 	// HistorySamples bounds the raw-sample ring (rounded up to a power
 	// of two). It must cover the longest beat plus however far the
 	// sample feed can run ahead of beat completion (the delineator's
-	// settling context plus one push chunk).
+	// settling context plus one streamer sub-chunk).
 	HistorySamples int
 }
 
@@ -209,7 +209,7 @@ func (g *BeatGate) NewStream() *GateStream {
 // The returned slice is aligned with beats; failed beats get a zero
 // BeatSQI. rPeaks must delimit the beats (len(beats)+1 peaks).
 func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
-	return g.NewStream().Apply(make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
+	return g.NewStream().Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
 }
 
 // GateStream carries the gate's per-stream state across pushes: the
@@ -239,8 +239,6 @@ type GateStream struct {
 	// the chunking-invariant health signal the serving layer evicts on:
 	// it advances only when a beat is pushed, never on raw samples.
 	rateEWMA float64
-
-	segBuf []float64 // per-beat scratch
 }
 
 // Push appends raw impedance samples to the gate's history. Call it
@@ -268,8 +266,9 @@ func (gs *GateStream) observe(accepted bool) {
 // clock, carrying the delineator's morphology score and conditioned
 // shape signature in b, updates the running ensemble and acceptance
 // counters, and returns the assessment. Beats must be pushed in order
-// of non-decreasing rHi.
-func (gs *GateStream) PushBeat(rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
+// of non-decreasing rHi. The beat's segment copy is drawn from a (nil
+// allocates); the assessment holds no reference into it.
+func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 	gs.total++
 	c := &gs.cfg
 
@@ -301,8 +300,11 @@ func (gs *GateStream) PushBeat(rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 		// segment: unanalyzable, reject deterministically.
 		return gs.record(BeatSQI{Flat: true})
 	}
-	seg := gs.ring.CopyTo(gs.segBuf[:0], rLo, rHi)
-	gs.segBuf = seg[:0]
+	var seg []float64
+	if a != nil {
+		seg = a.F64(rHi - rLo)[:0]
+	}
+	seg = gs.ring.CopyTo(seg, rLo, rHi)
 
 	sqi := BeatSQI{Morph: b.Quality, TemplateR: 1}
 
@@ -385,8 +387,9 @@ func (gs *GateStream) record(sqi BeatSQI) BeatSQI {
 
 // Apply drives the stream over a complete recording: raw samples are
 // fed exactly up to each beat's closing R before the beat is scored,
-// reproducing the streaming schedule. Results are appended to dst.
-func (gs *GateStream) Apply(dst []BeatSQI, z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
+// reproducing the streaming schedule. Results are appended to dst; the
+// per-beat segment copies are drawn from a (nil allocates).
+func (gs *GateStream) Apply(a *dsp.Arena, dst []BeatSQI, z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
 	pushed := 0
 	for i := range beats {
 		b := &beats[i]
@@ -401,7 +404,7 @@ func (gs *GateStream) Apply(dst []BeatSQI, z []float64, beats []icg.BeatAnalysis
 			dst = append(dst, BeatSQI{})
 			continue
 		}
-		dst = append(dst, gs.PushBeat(rPeaks[i], rPeaks[i+1], b))
+		dst = append(dst, gs.PushBeat(a, rPeaks[i], rPeaks[i+1], b))
 	}
 	return dst
 }

@@ -133,7 +133,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 					if !flush && f.rPeaks[next+1]+delay > pushed {
 						return
 					}
-					got = append(got, gs.PushBeat(f.rPeaks[next], f.rPeaks[next+1], b))
+					got = append(got, gs.PushBeat(nil, f.rPeaks[next], f.rPeaks[next+1], b))
 					next++
 				}
 			}
@@ -181,10 +181,10 @@ func TestGateArtifactsAndReset(t *testing.T) {
 		}
 	}
 	gs := g.NewStream()
-	first := gs.Apply(nil, f.z, f.beats, f.rPeaks)
+	first := gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	a1, t1 := gs.Counts()
 	gs.Reset()
-	second := gs.Apply(nil, f.z, f.beats, f.rPeaks)
+	second := gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	a2, t2 := gs.Counts()
 	if a1 != a2 || t1 != t2 {
 		t.Fatalf("Reset changes counts: %d/%d vs %d/%d", a1, t1, a2, t2)
@@ -211,7 +211,7 @@ func TestGateDegenerate(t *testing.T) {
 	}
 	// Beat scored with no samples at all.
 	b := &icg.BeatAnalysis{Points: &icg.BeatPoints{}, Quality: 1}
-	sqi := gs.PushBeat(0, 100, b)
+	sqi := gs.PushBeat(nil, 0, 100, b)
 	if sqi.Accepted {
 		t.Error("beat without samples accepted")
 	}
@@ -222,7 +222,7 @@ func TestGateDegenerate(t *testing.T) {
 		huge[i] = float64(i % 17)
 	}
 	gs.Push(huge)
-	sqi = gs.PushBeat(0, 200, b)
+	sqi = gs.PushBeat(nil, 0, 200, b)
 	if sqi.Accepted {
 		t.Error("beat with lost history accepted")
 	}
@@ -243,7 +243,7 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 	gs.Push(z)
 	b := &icg.BeatAnalysis{Points: &icg.BeatPoints{}, Quality: 1}
 	rLo := n - 300
-	sqi := gs.PushBeat(rLo, n-50, b)
+	sqi := gs.PushBeat(nil, rLo, n-50, b)
 	if gs.runLo < 29 {
 		t.Fatalf("phantom zero folded into running extremes: runLo = %g", gs.runLo)
 	}
@@ -277,7 +277,7 @@ func TestGateAcceptEWMAContract(t *testing.T) {
 	// Full recordings keep the EWMA in [0,1] and consistent with the
 	// parity law (Apply drives the same stream, so no separate check).
 	f := makeFixture(t)
-	gs.Apply(nil, f.z, f.beats, f.rPeaks)
+	gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	if e := gs.AcceptEWMA(); e < 0 || e > 1 {
 		t.Fatalf("AcceptEWMA out of range: %g", e)
 	}
@@ -334,7 +334,7 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 		if b >= 14 {
 			shapeB = ba.Shape
 		}
-		sqi := gs.PushBeat(lo, hi, ba)
+		sqi := gs.PushBeat(nil, lo, hi, ba)
 		if !sqi.Accepted {
 			t.Fatalf("beat %d rejected (%+v); fixture must keep re-lock beats acceptable", b, sqi)
 		}

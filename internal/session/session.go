@@ -682,6 +682,10 @@ func (s *Session) run(batch []chunk) []chunk {
 			return batch
 		}
 		batch = append(batch[:0], s.pending...)
+		// Drop the backlog's references: the pending array outlives
+		// this batch, and processed chunks must not stay reachable
+		// through it.
+		clear(s.pending)
 		s.pending = s.pending[:0]
 		s.cond.Broadcast()
 		s.mu.Unlock()
