@@ -42,18 +42,15 @@
 //
 //	icgstream [-subject 1] [-duration 30] [-loss 0.02] [-sessions 1] [-workers 0]
 //	          [-dead 0] [-evict-below 0] [-evict-after 20]
-//	          [-wal-dir DIR] [-kill-after 0] [-legacy-refilter] [-direct-fir]
+//	          [-wal-dir DIR] [-kill-after 0] [-direct-fir]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	icgstream -replay DIR [-prefix-of REF]
 //
-// -legacy-refilter selects the windowed per-beat zero-phase refilter
-// instead of the delineator's rolling filtfilt cache in every session's
-// streaming engine. The fleet summary reports per-hop ns and the
-// realtime multiple, so running the same fleet with and without the
-// flag demonstrates the cache win end-to-end. -direct-fir is the same
-// kind of A/B switch for the streaming ECG band-pass: it pins the
+// -direct-fir pins every session's streaming ECG band-pass to the
 // direct per-sample recurrence (the MCU deployment profile) instead of
-// the block-carried overlap-save engine.
+// the block-carried overlap-save engine. The fleet summary reports
+// per-hop ns and the realtime multiple, so running the same fleet with
+// and without the flag compares the two end-to-end.
 //
 // -cpuprofile/-memprofile write standard pprof profiles of the run, so
 // fleet-mode hot paths can be inspected with `go tool pprof` without a
@@ -62,6 +59,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -95,7 +93,6 @@ func main() {
 	replayDir := flag.String("replay", "", "replay a WAL directory and print its summary, then exit")
 	prefixOf := flag.String("prefix-of", "", "with -replay: verify the log is a per-session event prefix of this reference WAL directory")
 	killAfter := flag.Float64("kill-after", 0, "self-test: SIGKILL the process after this many wall seconds (models a power cut; use with -wal-dir)")
-	legacyRefilter := flag.Bool("legacy-refilter", false, "use the windowed per-beat refilter instead of the rolling filtfilt cache (A/B baseline)")
 	directFIR := flag.Bool("direct-fir", false, "pin the streaming ECG band-pass to the direct recurrence instead of overlap-save (MCU profile; A/B baseline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -177,9 +174,13 @@ func main() {
 			return
 		}
 		defer conn.Close()
+		sc := radio.NewScanner(conn)
 		n := 0
 		for {
-			f, err := radio.ReadFrame(conn)
+			f, err := sc.Next()
+			if errors.Is(err, radio.ErrBadCRC) || errors.Is(err, radio.ErrPayloadTooLarge) {
+				continue // the scanner resynchronized past a corrupt frame
+			}
 			if err != nil {
 				break // device closed the link
 			}
@@ -213,10 +214,10 @@ func main() {
 	}, sub.Seed)
 
 	if *sessions <= 1 {
-		runSingle(dev, &sub, *duration, link, conn, wlog, *legacyRefilter, *directFIR)
+		runSingle(dev, &sub, *duration, link, conn, wlog, *directFIR)
 	} else {
 		health := session.HealthConfig{EvictBelowRate: *evictBelow, EvictAfterS: *evictAfter}
-		runFleet(dev, *sessions, *workers, *dead, *duration, health, link, conn, wlog, *legacyRefilter, *directFIR)
+		runFleet(dev, *sessions, *workers, *dead, *duration, health, link, conn, wlog, *directFIR)
 	}
 	if wlog != nil {
 		walSummary(wlog)
@@ -237,14 +238,13 @@ func main() {
 // the end. The TCP write can block, so it lives on a consumer
 // goroutine behind an event.Chan — the non-blocking Sink contract: the
 // session worker never waits on the radio.
-func runSingle(dev *core.Device, sub *physio.Subject, duration float64, link *radio.Link, conn net.Conn, wlog *wal.Log, legacyRefilter, directFIR bool) {
+func runSingle(dev *core.Device, sub *physio.Subject, duration float64, link *radio.Link, conn net.Conn, wlog *wal.Log, directFIR bool) {
 	acq, err := dev.Acquire(sub, duration)
 	if err != nil {
 		log.Fatalf("icgstream: %v", err)
 	}
 	cfg := session.DefaultConfig()
 	cfg.WAL = wlog
-	cfg.Stream.LegacyRefilter = legacyRefilter
 	cfg.Stream.DirectFIR = directFIR
 	eng := session.NewEngine(dev, cfg)
 	ch := event.NewChan(1024)
@@ -295,7 +295,7 @@ func runSingle(dev *core.Device, sub *physio.Subject, duration float64, link *ra
 // over the radio link as they are emitted; every other session counts
 // toward the aggregate. With health eviction armed the engine cuts the
 // dead streams and the run reports the load it shed.
-func runFleet(dev *core.Device, n, workers, dead int, duration float64, health session.HealthConfig, link *radio.Link, conn net.Conn, wlog *wal.Log, legacyRefilter, directFIR bool) {
+func runFleet(dev *core.Device, n, workers, dead int, duration float64, health session.HealthConfig, link *radio.Link, conn net.Conn, wlog *wal.Log, directFIR bool) {
 	if dead > n {
 		dead = n
 	}
@@ -304,7 +304,6 @@ func runFleet(dev *core.Device, n, workers, dead int, duration float64, health s
 	cfg.Seed = 1
 	cfg.Health = health
 	cfg.WAL = wlog
-	cfg.Stream.LegacyRefilter = legacyRefilter
 	cfg.Stream.DirectFIR = directFIR
 
 	var countMu sync.Mutex
@@ -469,14 +468,9 @@ func runFleet(dev *core.Device, n, workers, dead int, duration float64, health s
 	close(radioCh.C) // all events delivered (engine closed)
 	<-radioDone
 	elapsed := time.Since(start)
-	engine := "rolling-cache refilter"
-	if legacyRefilter {
-		engine = "legacy windowed refilter"
-	}
+	engine := "overlap-save FIR"
 	if directFIR {
-		engine += ", direct FIR"
-	} else {
-		engine += ", overlap-save FIR"
+		engine = "direct FIR"
 	}
 	fmt.Printf("fleet: %d sessions x %.0f s processed in %.2f s wall (%.0fx realtime), %d beats (%.0f beats/s)\n",
 		n, duration, elapsed.Seconds(),
@@ -485,7 +479,7 @@ func runFleet(dev *core.Device, n, workers, dead int, duration float64, health s
 	if totalHops > 0 {
 		// Inputs are synthesized before the clock starts, so this is the
 		// serving engine's cost per 200 ms hop — the A/B figure for
-		// -legacy-refilter.
+		// -direct-fir.
 		fmt.Printf("fleet engine: %s, %d hops, %.0f ns/hop\n",
 			engine, totalHops, float64(elapsed.Nanoseconds())/float64(totalHops))
 	}

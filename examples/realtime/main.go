@@ -88,9 +88,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("realtime: %v", err)
 	}
-	// Worst-case beat latency of the incremental engine, straight from
-	// the stage lookaheads.
-	fmt.Printf("streaming session, worst-case beat latency %.1f s after the closing R\n\n", sess.Latency())
+	// Beat latency of the incremental engine for an ordinarily
+	// confirmed R, straight from the stage lookaheads; a beat the QRS
+	// detector recovers by search-back arrives later.
+	fmt.Printf("streaming session, typical beat latency %.1f s after the closing R (search-back beats arrive later)\n\n", sess.Latency())
 
 	// Feed 200 ms chunks, as a DMA double buffer would. Halfway through,
 	// a dashboard attaches late: SubscribeFrom replays the session's

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -34,8 +35,12 @@ func main() {
 	go func() {
 		defer wg.Done()
 		var hrs, peps, lvets []float64
+		sc := radio.NewScanner(monSide)
 		for {
-			f, err := radio.ReadFrame(monSide)
+			f, err := sc.Next()
+			if errors.Is(err, radio.ErrBadCRC) || errors.Is(err, radio.ErrPayloadTooLarge) {
+				continue // the scanner resynchronized past a corrupt frame
+			}
 			if err != nil {
 				break
 			}

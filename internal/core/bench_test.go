@@ -7,11 +7,9 @@ import (
 	"repro/internal/physio"
 )
 
-// Steady-state per-hop streaming benchmarks: the incremental engine
-// versus the retained window-recompute baseline, at the default
-// 6 s / 1 s configuration and at a doubled window. The headline claim
-// is that incremental per-hop cost does not scale with WindowSeconds
-// while the window engine's does; BENCHMARKS.md records the numbers.
+// Steady-state per-hop streaming benchmarks at the default 6 s window
+// and at a doubled one: the incremental engine's per-hop cost must not
+// scale with WindowSeconds. BENCHMARKS.md records the numbers.
 
 func benchAcq(b *testing.B, d *Device) *Acquisition {
 	b.Helper()
@@ -23,25 +21,32 @@ func benchAcq(b *testing.B, d *Device) *Acquisition {
 	return acq
 }
 
-// benchHops drives an engine steady-state: one 1 s hop per iteration,
-// cycling through a 30 s acquisition.
-func benchHops(b *testing.B, acq *Acquisition, push func(ecg, z []float64) int) {
+// benchHops drives st steady-state: one 1 s hop per iteration, cycling
+// through a 30 s acquisition, with its events delivered to a Buffer
+// sink drained into a reused slice each hop (the serving pattern).
+func benchHops(b *testing.B, acq *Acquisition, st *Streamer) {
 	hop := int(acq.FS)
 	n := len(acq.ECG) - hop
+	buf := event.NewBuffer(256)
+	st.Emit(buf, 1)
+	dst := make([]event.Event, 0, 256)
 	total := 0
-	// Warm up: fill windows/delay lines before measuring.
+	push := func(pos int) {
+		st.Push(acq.ECG[pos:pos+hop], acq.Z[pos:pos+hop])
+		dst = buf.Drain(dst[:0])
+		total += len(dst)
+	}
+	// Warm up: fill delay lines before measuring.
 	for i := 0; i < 8; i++ {
-		pos := (i * hop) % n
-		total += push(acq.ECG[pos:pos+hop], acq.Z[pos:pos+hop])
+		push((i * hop) % n)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pos := ((i + 8) * hop) % n
-		total += push(acq.ECG[pos:pos+hop], acq.Z[pos:pos+hop])
+		push(((i + 8) * hop) % n)
 	}
 	if b.N > 30 && total == 0 {
-		b.Fatal("no beats emitted")
+		b.Fatal("no events emitted")
 	}
 }
 
@@ -50,9 +55,7 @@ func BenchmarkStreamHopIncremental(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	acq := benchAcq(b, d)
-	st := d.NewStreamer(DefaultStreamConfig())
-	benchHops(b, acq, func(e, z []float64) int { return len(st.Push(e, z)) })
+	benchHops(b, benchAcq(b, d), d.NewStreamer(DefaultStreamConfig()))
 }
 
 // The same hop with per-beat quality gating disabled: the difference
@@ -66,65 +69,17 @@ func BenchmarkStreamHopIncrementalUngated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	acq := benchAcq(b, d)
-	st := d.NewStreamer(DefaultStreamConfig())
-	benchHops(b, acq, func(e, z []float64) int { return len(st.Push(e, z)) })
-}
-
-// The same steady-state hop delivered through the typed event path: a
-// pooled ring Buffer sink armed via Emit, drained into a reused slice
-// each hop (the serving pattern). BENCHMARKS.md compares this row
-// against BenchmarkStreamHopIncremental — per-beat event delivery must
-// cost nothing over the returned-slice path.
-func BenchmarkStreamHopIncrementalEvents(b *testing.B) {
-	d, err := NewDevice(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	acq := benchAcq(b, d)
-	st := d.NewStreamer(DefaultStreamConfig())
-	buf := event.NewBuffer(256)
-	st.Emit(buf, 1)
-	dst := make([]event.Event, 0, 256)
-	benchHops(b, acq, func(e, z []float64) int {
-		st.Push(e, z)
-		dst = buf.Drain(dst[:0])
-		return len(dst)
-	})
-}
-
-func BenchmarkStreamHopWindowed(b *testing.B) {
-	d, err := NewDevice(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	acq := benchAcq(b, d)
-	st := d.NewWindowStreamer(DefaultStreamConfig())
-	benchHops(b, acq, func(e, z []float64) int { return len(st.Push(e, z)) })
+	benchHops(b, benchAcq(b, d), d.NewStreamer(DefaultStreamConfig()))
 }
 
 // Doubled analysis window: the incremental engine's per-hop cost must
-// stay flat while the window engine's doubles.
+// stay flat.
 func BenchmarkStreamHopIncremental12s(b *testing.B) {
 	d, err := NewDevice(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	acq := benchAcq(b, d)
 	sc := DefaultStreamConfig()
 	sc.WindowSeconds = 12
-	st := d.NewStreamer(sc)
-	benchHops(b, acq, func(e, z []float64) int { return len(st.Push(e, z)) })
-}
-
-func BenchmarkStreamHopWindowed12s(b *testing.B) {
-	d, err := NewDevice(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	acq := benchAcq(b, d)
-	sc := DefaultStreamConfig()
-	sc.WindowSeconds = 12
-	st := d.NewWindowStreamer(sc)
-	benchHops(b, acq, func(e, z []float64) int { return len(st.Push(e, z)) })
+	benchHops(b, benchAcq(b, d), d.NewStreamer(sc))
 }

@@ -4,97 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/event"
-	"repro/internal/hemo"
 	"repro/internal/physio"
 )
 
 // Event-layer laws at the streamer level:
 //
-//   - Event/legacy parity: every BeatParams the returned-slice path
-//     yields appears exactly once as a KindBeat event with identical
-//     fields, in identical order — for every chunking including
-//     1-sample pushes.
 //   - Event-sequence chunk invariance: the FULL typed stream (beats,
 //     health-floor transitions, governor mode flips) is byte-identical
 //     for any chunking, because every event is emitted at the beat
 //     where it became true.
+//   - Stamps: every event carries the armed session, the beat index
+//     never decreases, and a beat's stamp (its closing R) comes after
+//     its anchor (the opening R).
 //   - Reset rewinds the per-session event state (sink, stamp, governor)
 //     so pooled streamers carry no residue.
-
-// pushAll drives a streamer over a whole two-channel recording in fixed
-// chunks and returns whatever the legacy path emitted.
-func pushAll(st *Streamer, ecg, z []float64, chunk int) []hemo.BeatParams {
-	var out []hemo.BeatParams
-	for pos := 0; pos < len(ecg); pos += chunk {
-		end := pos + chunk
-		if end > len(ecg) {
-			end = len(ecg)
-		}
-		out = append(out, st.Push(ecg[pos:end], z[pos:end])...)
-	}
-	return append(out, st.Flush()...)
-}
-
-func TestStreamerEventLegacyParity(t *testing.T) {
-	dev, err := NewDevice(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, _ := physio.SubjectByID(1)
-	acq, err := dev.Acquire(&sub, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 50, 250, len(acq.ECG)} {
-		legacy := dev.NewStreamer(StreamConfig{})
-		want := pushAll(legacy, acq.ECG, acq.Z, chunk)
-
-		buf := event.NewBuffer(4096)
-		st := dev.NewStreamer(StreamConfig{})
-		st.Emit(buf, 17)
-		for pos := 0; pos < len(acq.ECG); pos += chunk {
-			end := pos + chunk
-			if end > len(acq.ECG) {
-				end = len(acq.ECG)
-			}
-			if got := st.Push(acq.ECG[pos:end], acq.Z[pos:end]); got != nil {
-				t.Fatalf("chunk %d: Push returned %d beats with a sink armed", chunk, len(got))
-			}
-		}
-		if got := st.Flush(); got != nil {
-			t.Fatalf("chunk %d: Flush returned %d beats with a sink armed", chunk, len(got))
-		}
-		evs := buf.Drain(nil)
-		var beats []event.Event
-		lastBeatIdx := 0
-		for _, e := range evs {
-			if e.Session != 17 {
-				t.Fatalf("chunk %d: event stamped session %d, want 17", chunk, e.Session)
-			}
-			if e.Beat < lastBeatIdx {
-				t.Fatalf("chunk %d: beat index went backwards (%d after %d)", chunk, e.Beat, lastBeatIdx)
-			}
-			lastBeatIdx = e.Beat
-			if e.Kind == event.KindBeat {
-				beats = append(beats, e)
-			}
-		}
-		if len(beats) != len(want) {
-			t.Fatalf("chunk %d: %d beat events, legacy path emitted %d beats", chunk, len(beats), len(want))
-		}
-		for i, e := range beats {
-			if e.Params != want[i] {
-				t.Fatalf("chunk %d beat %d: event params differ from legacy\nevent:  %+v\nlegacy: %+v",
-					chunk, i, e.Params, want[i])
-			}
-			// The stamp: signal time of the closing R — strictly after
-			// the beat's own (opening) R anchor.
-			if e.TimeS <= e.Params.TimeS {
-				t.Fatalf("chunk %d beat %d: stamp %.3f s not after beat anchor %.3f s", chunk, i, e.TimeS, e.Params.TimeS)
-			}
-		}
-	}
-}
 
 // eventKey flattens an event for byte-comparison across runs.
 func eventKey(e event.Event) [10]float64 {
@@ -146,14 +69,7 @@ func eventRun(t *testing.T, dev *Device, ecg, z []float64, chunk int) []event.Ev
 	st.ArmGovernor(pmu)
 	buf := event.NewBuffer(1 << 14)
 	st.Emit(buf, 1)
-	for pos := 0; pos < len(ecg); pos += chunk {
-		end := pos + chunk
-		if end > len(ecg) {
-			end = len(ecg)
-		}
-		st.Push(ecg[pos:end], z[pos:end])
-	}
-	st.Flush()
+	pushChunks(st, ecg, z, every(chunk))
 	return buf.Drain(nil)
 }
 
@@ -195,7 +111,9 @@ func TestStreamerEventSequenceChunkInvariant(t *testing.T) {
 }
 
 // Per-attempt ordering law: KindBeat, then KindHealth, then KindMode —
-// never interleaved otherwise within one beat index.
+// never interleaved otherwise within one beat index. Every event is
+// stamped with the armed session, beat indices never decrease, and a
+// beat's stamp (its closing R) is strictly after its opening-R anchor.
 func TestStreamerEventOrderWithinBeat(t *testing.T) {
 	dev, err := NewDevice(DefaultConfig())
 	if err != nil {
@@ -204,11 +122,23 @@ func TestStreamerEventOrderWithinBeat(t *testing.T) {
 	ecg, z := dropoutTrace(t, dev)
 	evs := eventRun(t, dev, ecg, z, 125)
 	rank := map[event.Kind]int{event.KindBeat: 0, event.KindHealth: 1, event.KindMode: 2}
-	for i := 1; i < len(evs); i++ {
-		a, b := evs[i-1], evs[i]
-		if a.Beat == b.Beat && rank[a.Kind] >= rank[b.Kind] {
+	for i, e := range evs {
+		if e.Session != 1 {
+			t.Fatalf("event %d stamped session %d, want 1", i, e.Session)
+		}
+		if e.Kind == event.KindBeat && e.TimeS <= e.Params.TimeS {
+			t.Fatalf("beat event %d: stamp %.3f s not after beat anchor %.3f s", i, e.TimeS, e.Params.TimeS)
+		}
+		if i == 0 {
+			continue
+		}
+		a := evs[i-1]
+		if e.Beat < a.Beat {
+			t.Fatalf("event %d: beat index went backwards (%d after %d)", i, e.Beat, a.Beat)
+		}
+		if a.Beat == e.Beat && rank[a.Kind] >= rank[e.Kind] {
 			t.Fatalf("events %d,%d violate the per-beat order law: %v then %v at beat %d",
-				i-1, i, a.Kind, b.Kind, a.Beat)
+				i-1, i, a.Kind, e.Kind, a.Beat)
 		}
 	}
 }
@@ -236,11 +166,12 @@ func TestStreamerEventStateAcrossReset(t *testing.T) {
 	first := buf.Drain(nil)
 
 	st.Reset()
-	// After Reset the sink is disarmed: the legacy path returns beats.
-	if got := st.Push(acq.ECG, acq.Z); len(got) == 0 {
-		t.Fatal("Reset did not restore the returned-slice path")
-	}
+	// After Reset the sink is disarmed: events go to event.Discard.
+	st.Push(acq.ECG, acq.Z)
 	st.Flush()
+	if n := buf.Len(); n != 0 {
+		t.Fatalf("Reset streamer still delivered %d events to the old sink", n)
+	}
 
 	// Re-armed, the recycled streamer reproduces the event stream.
 	st.Reset()

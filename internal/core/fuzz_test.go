@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/ecg"
 	"repro/internal/hemo"
 	"repro/internal/icg"
@@ -102,42 +103,27 @@ func FuzzStreamerPush(f *testing.F) {
 			z[i] = base[1][i]*gain + offset
 		}
 
-		run := func(chunked bool) ([]hemo.BeatParams, StreamHealth, float64) {
+		run := func(next func() int) ([]hemo.BeatParams, StreamHealth, float64) {
 			st := fuzzEnv.dev.NewStreamer(StreamConfig{})
-			var beats []hemo.BeatParams
-			if !chunked {
-				beats = append(beats, st.Push(ecg, z)...)
-			} else {
-				ci, pos := 0, 0
-				for pos < n {
-					c := 0 // empty pushes must be harmless
-					if len(chunks) > 0 {
-						c = fuzzChunk(chunks[ci%len(chunks)], n)
-						ci++
-					}
-					if c == 0 && len(chunks) == 0 {
-						c = 1
-					}
-					end := pos + c
-					if end > n {
-						end = n
-					}
-					beats = append(beats, st.Push(ecg[pos:end], z[pos:end])...)
-					pos = end
-					if c == 0 {
-						// Still consume input eventually: alternate an
-						// empty push with a 1-sample push.
-						beats = append(beats, st.Push(ecg[pos:pos+min(1, n-pos)], z[pos:pos+min(1, n-pos)])...)
-						pos += min(1, n-pos)
-					}
-				}
-			}
-			beats = append(beats, st.Flush()...)
+			beats := streamBeats(st, ecg, z, next)
 			return beats, st.Health(), st.AcceptRate()
 		}
+		// Fuzz-chosen push sizes; an empty push (always harmless) is
+		// followed by a 1-sample push, so the input is still consumed.
+		ci, afterEmpty := 0, false
+		fuzzed := func() int {
+			if len(chunks) == 0 || afterEmpty {
+				afterEmpty = false
+				return 1
+			}
+			c := fuzzChunk(chunks[ci%len(chunks)], n)
+			ci++
+			afterEmpty = c == 0
+			return c
+		}
 
-		ref, refHealth, refRate := run(false)
-		got, gotHealth, gotRate := run(true)
+		ref, refHealth, refRate := run(every(n))
+		got, gotHealth, gotRate := run(fuzzed)
 		if len(got) != len(ref) {
 			t.Fatalf("chunked run emitted %d beats, whole-push %d", len(got), len(ref))
 		}
@@ -197,20 +183,59 @@ func beatDiff(a, b icg.BeatAnalysis) string {
 	return ""
 }
 
+// windowedRefilter is the law-2 oracle of FuzzDelineatorRefilterCache:
+// the delineator's original per-beat refilter, run on the whole -dZ/dt
+// recording. Each R pair's window — the segment plus the full settling
+// context on both sides, clamped to the recording — gets the high-pass
+// filtfilt, then the low-pass filtfilt over the segment plus the 0.3 s
+// low-pass guard, before the point detector runs on the segment. Only
+// the points (on the ECG clock) and the error are reported.
+func windowedRefilter(sig []float64, rs []int, cfg icg.DetectConfig, lp, hp dsp.SOS, ctxN int) []icg.BeatAnalysis {
+	guard := int(0.3 * cfg.FS)
+	var out []icg.BeatAnalysis
+	for k := 1; k < len(rs); k++ {
+		rLo, rHi := rs[k-1], rs[k]
+		lo, hi := max(rLo-ctxN, 0), min(rHi+ctxN, len(sig))
+		segHi := min(rHi, hi)
+		if rLo >= segHi {
+			out = append(out, icg.BeatAnalysis{Err: icg.ErrBeatTooShort})
+			continue
+		}
+		buf := hp.FiltFiltWith(nil, sig[lo:hi])
+		trim := max(rLo-lo-guard, 0)
+		cond := lp.FiltFiltWith(nil, buf[trim:min(segHi-lo+guard, len(buf))])
+		relLo := rLo - lo - trim
+		pts, err := icg.DetectBeatWith(nil, cond, relLo, segHi-lo-trim, -1, cfg)
+		if err != nil {
+			out = append(out, icg.BeatAnalysis{Err: err})
+			continue
+		}
+		off := rLo - relLo
+		pts.R += off
+		pts.B += off
+		pts.C += off
+		pts.X += off
+		pts.X0 += off
+		pts.B0 += float64(off)
+		out = append(out, icg.BeatAnalysis{Points: pts})
+	}
+	return out
+}
+
 // FuzzDelineatorRefilterCache pins the rolling filtfilt cache's laws
 // under fuzzing, on study-subject -dZ/dt streams with fuzz-chosen
 // gain/offset perturbations and chunkings:
 //
-//  1. Bit identity for every chunking: in rolling-cache mode, pushing
-//     the stream in any chunking — 1-sample, empty and fuzz-chosen
-//     pushes included — yields a beat stream bit-identical (every int
-//     and every float bit) to the whole-push full refilter of the same
-//     stream. The same law is pinned for the legacy windowed engine.
-//  2. Cache vs legacy full refilter: the two engines share the detected
-//     beat count and success pattern, and every characteristic point
-//     agrees within the detector's decision tolerance (±2 samples) —
-//     the residual being the windowed engine's re-grown edge
-//     transients, which the context absorbs below decision level.
+//  1. Bit identity for every chunking: pushing the stream in any
+//     chunking — 1-sample, empty and fuzz-chosen pushes included —
+//     yields a beat stream bit-identical (every int and every float
+//     bit) to the whole-push run of the same stream.
+//  2. Cache vs the windowed full refilter (windowedRefilter): the two
+//     share the detected beat count and success pattern, and every
+//     characteristic point agrees within the detector's decision
+//     tolerance (±2 samples) — the residual being the windowed
+//     refilter's re-grown edge transients, which the context absorbs
+//     below decision level.
 func FuzzDelineatorRefilterCache(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{125})
 	f.Add(uint8(1), int64(7), []byte{1})
@@ -238,13 +263,11 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
-		run := func(legacy, chunked bool) []icg.BeatAnalysis {
+		run := func(chunked bool) []icg.BeatAnalysis {
 			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6, &fuzzEnv.dev.arenas)
-			d.SetLegacyRefilter(legacy)
 			var out []icg.BeatAnalysis
 			if !chunked {
-				// The 8 s acquisition fits the history ring whole, so
-				// the full refilter can run with everything in view.
+				// The 8 s acquisition fits the history ring whole.
 				out = d.PushICG(out, sig)
 				for _, r := range rs {
 					out = d.PushR(out, r)
@@ -279,44 +302,33 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 			return d.Flush(out)
 		}
 
-		rollWhole := run(false, false)
-		for _, mode := range []struct {
-			name   string
-			legacy bool
-		}{{"rolling", false}, {"legacy", true}} {
-			want := rollWhole
-			if mode.legacy {
-				want = run(true, false)
+		want := run(false)
+		got := run(true)
+		if len(got) != len(want) {
+			t.Fatalf("chunked run emitted %d beats, whole-push %d", len(got), len(want))
+		}
+		for i := range want {
+			if d := beatDiff(got[i], want[i]); d != "" {
+				t.Fatalf("beat %d: chunked differs from whole-push on %s", i, d)
 			}
-			got := run(mode.legacy, true)
-			if len(got) != len(want) {
-				t.Fatalf("%s: chunked run emitted %d beats, whole-push %d", mode.name, len(got), len(want))
+		}
+		// Law 2: cache vs the windowed full refilter, decision level.
+		oracle := windowedRefilter(sig, rs, dCfg, lp, hp, int(icgCtxSeconds*fs))
+		if len(oracle) != len(want) {
+			t.Fatalf("windowed refilter emitted %d beats, rolling cache %d", len(oracle), len(want))
+		}
+		for i := range oracle {
+			l, r := oracle[i], want[i]
+			if (l.Err == nil) != (r.Err == nil) {
+				t.Fatalf("beat %d: windowed err %v, rolling err %v", i, l.Err, r.Err)
 			}
-			for i := range want {
-				if d := beatDiff(got[i], want[i]); d != "" {
-					t.Fatalf("%s beat %d: chunked differs from whole-push on %s", mode.name, i, d)
-				}
-			}
-			if !mode.legacy {
+			if l.Err != nil {
 				continue
 			}
-			// Law 2: cache vs the legacy full refilter, decision level.
-			if len(want) != len(rollWhole) {
-				t.Fatalf("legacy emitted %d beats, rolling cache %d", len(want), len(rollWhole))
-			}
-			for i := range want {
-				l, r := want[i], rollWhole[i]
-				if (l.Err == nil) != (r.Err == nil) {
-					t.Fatalf("beat %d: legacy err %v, rolling err %v", i, l.Err, r.Err)
-				}
-				if l.Err != nil {
-					continue
-				}
-				db, dc, dx := l.Points.B-r.Points.B, l.Points.C-r.Points.C, l.Points.X-r.Points.X
-				if db < -2 || db > 2 || dc < -2 || dc > 2 || dx < -2 || dx > 2 {
-					t.Fatalf("beat %d: legacy B/C/X %d/%d/%d vs rolling %d/%d/%d",
-						i, l.Points.B, l.Points.C, l.Points.X, r.Points.B, r.Points.C, r.Points.X)
-				}
+			db, dc, dx := l.Points.B-r.Points.B, l.Points.C-r.Points.C, l.Points.X-r.Points.X
+			if db < -2 || db > 2 || dc < -2 || dc > 2 || dx < -2 || dx > 2 {
+				t.Fatalf("beat %d: windowed B/C/X %d/%d/%d vs rolling %d/%d/%d",
+					i, l.Points.B, l.Points.C, l.Points.X, r.Points.B, r.Points.C, r.Points.X)
 			}
 		}
 	})

@@ -147,7 +147,7 @@ func TestGatingBatchStreamAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq, 250)
+		got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(250))
 		if len(got) != len(batch.Beats) {
 			t.Fatalf("subject %d: %d stream beats vs %d batch", sid, len(got), len(batch.Beats))
 		}
@@ -210,13 +210,13 @@ func TestGateToggleAndAcceptRate(t *testing.T) {
 	if r := st.AcceptRate(); r != 1 {
 		t.Errorf("fresh streamer accept rate %.3f, want 1", r)
 	}
-	streamBeats(st, acq, 250)
+	pushChunks(st, acq.ECG, acq.Z, every(250))
 	acc, total := st.AcceptCounts()
 	if total == 0 || acc > total {
 		t.Errorf("streamer counts %d/%d", acc, total)
 	}
 	stR := rawDev.NewStreamer(DefaultStreamConfig())
-	streamBeats(stR, acq, 250)
+	pushChunks(stR, acq.ECG, acq.Z, every(250))
 	if r := stR.AcceptRate(); r != 1 {
 		t.Errorf("ungated streamer accept rate %.3f, want 1", r)
 	}

@@ -64,20 +64,8 @@ func goldenRun(t *testing.T, dev *Device, subjectID int) (batch, stream []hemo.B
 	}
 	batch = out.Beats
 
-	runStream := func(chunk int) []hemo.BeatParams {
-		st := dev.NewStreamer(StreamConfig{})
-		var beats []hemo.BeatParams
-		for pos := 0; pos < len(acq.ECG); pos += chunk {
-			end := pos + chunk
-			if end > len(acq.ECG) {
-				end = len(acq.ECG)
-			}
-			beats = append(beats, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
-		}
-		return append(beats, st.Flush()...)
-	}
-	stream = runStream(125)
-	alt := runStream(250)
+	stream = streamBeats(dev.NewStreamer(StreamConfig{}), acq.ECG, acq.Z, every(125))
+	alt := streamBeats(dev.NewStreamer(StreamConfig{}), acq.ECG, acq.Z, every(250))
 	if len(alt) != len(stream) {
 		t.Fatalf("subject %d: chunk 250 emitted %d beats, chunk 125 %d", subjectID, len(alt), len(stream))
 	}
@@ -155,20 +143,9 @@ func TestGoldenPooledStreamerPath(t *testing.T) {
 	// Reset, run again) and check the SECOND pass — the recycled-state
 	// path — against the golden.
 	st := dev.NewStreamer(StreamConfig{})
-	push := func() []hemo.BeatParams {
-		var beats []hemo.BeatParams
-		for pos := 0; pos < len(acq.ECG); pos += 50 {
-			end := pos + 50
-			if end > len(acq.ECG) {
-				end = len(acq.ECG)
-			}
-			beats = append(beats, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
-		}
-		return append(beats, st.Flush()...)
-	}
-	push()
+	streamBeats(st, acq.ECG, acq.Z, every(50))
 	st.Reset()
-	beats := push()
+	beats := streamBeats(st, acq.ECG, acq.Z, every(50))
 	if len(beats) != len(want) {
 		t.Fatalf("session-path emitted %d beats, golden stream block has %d", len(beats), len(want))
 	}

@@ -4,22 +4,42 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/hemo"
 	"repro/internal/physio"
 )
 
-// streamBeats feeds an acquisition through the incremental streamer in
-// fixed-size chunks and returns every emitted beat.
-func streamBeats(st *Streamer, acq *Acquisition, chunk int) []hemo.BeatParams {
-	var out []hemo.BeatParams
-	for pos := 0; pos < len(acq.ECG); pos += chunk {
-		end := pos + chunk
-		if end > len(acq.ECG) {
-			end = len(acq.ECG)
-		}
-		out = append(out, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
+// beatSink collects the params of every KindBeat event it receives.
+type beatSink []hemo.BeatParams
+
+func (b *beatSink) Emit(e event.Event) {
+	if e.Kind == event.KindBeat {
+		*b = append(*b, e.Params)
 	}
-	return append(out, st.Flush()...)
+}
+
+// every is the chunk schedule of fixed n-sample pushes.
+func every(n int) func() int { return func() int { return n } }
+
+// pushChunks pushes ecg and z through st in the sizes next returns (0
+// is an empty push), then flushes.
+func pushChunks(st *Streamer, ecg, z []float64, next func() int) {
+	for pos := 0; pos < len(ecg); {
+		end := min(pos+next(), len(ecg))
+		st.Push(ecg[pos:end], z[pos:end])
+		pos = end
+	}
+	st.Flush()
+}
+
+// streamBeats arms st with a beatSink, streams ecg and z through it in
+// the sizes next returns, and returns every beat emitted, Flush's
+// included.
+func streamBeats(st *Streamer, ecg, z []float64, next func() int) []hemo.BeatParams {
+	var beats beatSink
+	st.Emit(&beats, 0)
+	pushChunks(st, ecg, z, next)
+	return beats
 }
 
 // The incremental engine must reproduce the batch pipeline beat for
@@ -49,7 +69,7 @@ func TestStreamingBatchParity(t *testing.T) {
 		}
 		for _, chunk := range chunks {
 			st := d.NewStreamer(DefaultStreamConfig())
-			got := streamBeats(st, acq, chunk)
+			got := streamBeats(st, acq.ECG, acq.Z, every(chunk))
 			if len(got) != len(batch.Beats) {
 				t.Fatalf("subject %d chunk %d: %d beats, batch %d",
 					sid, chunk, len(got), len(batch.Beats))
@@ -87,12 +107,12 @@ func TestStreamingChunkInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq, 250)
+	ref := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(250))
 	if len(ref) == 0 {
 		t.Fatal("no beats")
 	}
 	for _, chunk := range []int{1, 3, 77, 999} {
-		got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq, chunk)
+		got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(chunk))
 		if len(got) != len(ref) {
 			t.Fatalf("chunk %d: %d beats vs %d", chunk, len(got), len(ref))
 		}
@@ -114,9 +134,9 @@ func TestStreamerResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := d.NewStreamer(DefaultStreamConfig())
-	first := streamBeats(st, acq, 125)
+	first := streamBeats(st, acq.ECG, acq.Z, every(125))
 	st.Reset()
-	second := streamBeats(st, acq, 125)
+	second := streamBeats(st, acq.ECG, acq.Z, every(125))
 	if len(first) != len(second) {
 		t.Fatalf("Reset changes beat count: %d vs %d", len(first), len(second))
 	}
@@ -143,7 +163,7 @@ func TestStreamingBatchParityCausalFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq, 125)
+	got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(125))
 	if len(got) != len(batch.Beats) {
 		t.Fatalf("%d beats, batch %d", len(got), len(batch.Beats))
 	}
@@ -153,44 +173,5 @@ func TestStreamingBatchParityCausalFilters(t *testing.T) {
 			t.Errorf("beat %d: LVET %.4f/%.4f PEP %.4f/%.4f",
 				i, b.LVET, want.LVET, b.PEP, want.PEP)
 		}
-	}
-}
-
-// The retained window-recompute engine must still work (it is the
-// benchmark baseline) and stay in rough agreement with the batch means.
-func TestWindowStreamerStillWorks(t *testing.T) {
-	sub, _ := physio.SubjectByID(1)
-	d := device(t, nil)
-	acq, err := d.Acquire(&sub, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := d.Process(acq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := d.NewWindowStreamer(DefaultStreamConfig())
-	var beats []hemo.BeatParams
-	for pos := 0; pos < len(acq.ECG); pos += 250 {
-		end := pos + 250
-		if end > len(acq.ECG) {
-			end = len(acq.ECG)
-		}
-		beats = append(beats, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
-	}
-	beats = append(beats, st.Flush()...)
-	if len(beats) == 0 {
-		t.Fatal("no beats from window streamer")
-	}
-	var hr float64
-	for _, b := range beats {
-		hr += b.HR
-	}
-	hr /= float64(len(beats))
-	if math.Abs(hr-batch.Summary.HR.Mean) > 3 {
-		t.Errorf("window streamer HR %.1f vs batch %.1f", hr, batch.Summary.HR.Mean)
-	}
-	if l := st.Latency(); l <= 0 || l > 5 {
-		t.Errorf("window streamer latency %g", l)
 	}
 }

@@ -18,15 +18,21 @@ import (
 // window — and beats are emitted exactly once, in order, with absolute
 // session TimeS.
 //
+// Output: Push and Flush deliver every completed beat as a KindBeat
+// event to the sink armed with Emit (event.Discard until one is armed),
+// with KindHealth floor transitions and KindMode governor flips in
+// per-beat order.
+//
 // Reporting latency: a beat is emitted once its *closing* R peak is
-// confirmed and its ICG refiltering context has arrived, which happens
-// Latency() seconds after that R peak entered Push; the Latency method
-// computes the same per-stage sum the emission path implements, so the
-// value and the behavior cannot drift apart. End-to-end, a beat is
-// reported one RR interval plus Latency() after its own R peak — the
-// ICG side's 2.5 s settling context dominates at the paper's 250 Hz
-// configuration, matching the legacy engine's hop+margin worst case
-// while emitting per beat instead of per hop.
+// confirmed and its ICG refiltering context has arrived. For a beat the
+// QRS detector confirms in the ordinary way that happens Latency()
+// seconds after the closing R entered Push — the ICG side's 2.5 s
+// settling context dominates at the paper's 250 Hz configuration. It is
+// not a worst case: a beat closed by a search-back recovery, or by a
+// peak deferred to the detector's threshold initialization, is emitted
+// up to ecg.PTStream.MaxLag plus the ECG chain's lookahead after its
+// closing R; zHorizon is that true bound. End-to-end, a beat is
+// reported one RR interval plus that delay after its own R peak.
 //
 // Memory: the streamer holds only state that must survive between
 // pushes — filter registers and history rings sized to the horizons
@@ -79,12 +85,12 @@ type Streamer struct {
 	healthFloor float64
 	belowSince  int
 
-	// Typed event delivery (Emit): when sink is non-nil, Push/Flush
-	// deliver beats, floor transitions and governor mode changes as
-	// event.Events instead of returning beat slices. The sink and
-	// session stamp are per-session state (cleared by Reset); the armed
-	// governor, like healthFloor, is an engine-lifetime policy that
-	// survives Reset with its mutable state rewound.
+	// Typed event delivery (Emit): Push/Flush deliver beats, floor
+	// transitions and governor mode changes to sink (event.Discard until
+	// armed). The sink and session stamp are per-session state (Reset
+	// disarms them); the armed governor, like healthFloor, is an
+	// engine-lifetime policy that survives Reset with its mutable state
+	// rewound.
 	sink     event.Sink
 	sess     uint64
 	gov      *Governor
@@ -101,27 +107,14 @@ type Streamer struct {
 	cal  hemo.Calibration
 }
 
-// StreamConfig tunes the streaming engines.
+// StreamConfig tunes the streamer.
 type StreamConfig struct {
-	// WindowSeconds bounds the analysis history of the incremental
-	// engine (the longest analyzable RR segment) and is the rolling
-	// window of the legacy WindowStreamer (default 6 s).
+	// WindowSeconds bounds the analysis history of the streamer (the
+	// longest analyzable RR segment; default 6 s).
 	WindowSeconds float64
-	// HopSeconds is the re-analysis period of the legacy WindowStreamer
-	// (default 1 s); the incremental engine emits per beat and ignores it.
-	HopSeconds float64
-	// MarginSeconds is the legacy engine's trailing settling margin
-	// (default 1.5 s); the incremental engine has no unstable window
-	// tail and ignores it.
-	MarginSeconds float64
 	// Thoracic selects the identity calibration (direct thoracic
 	// measurement) instead of the touch-path calibration.
 	Thoracic bool
-	// LegacyRefilter selects the windowed per-beat high-pass filtfilt in
-	// the incremental delineator instead of the rolling forward-pass
-	// cache (icg.Delineator.SetLegacyRefilter) — the benchmark baseline
-	// for the cache, kept for A/B comparison.
-	LegacyRefilter bool
 	// DirectFIR pins the streaming zero-phase ECG band-pass to the
 	// direct per-sample recurrence instead of the block-carried
 	// overlap-save engine (dsp.NewZeroPhaseFIRStreamDirect): the MCU
@@ -132,18 +125,12 @@ type StreamConfig struct {
 
 // DefaultStreamConfig returns the firmware defaults.
 func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{WindowSeconds: 6, HopSeconds: 1, MarginSeconds: 1.5}
+	return StreamConfig{WindowSeconds: 6}
 }
 
 func (sc StreamConfig) withDefaults() StreamConfig {
 	if sc.WindowSeconds <= 0 {
 		sc.WindowSeconds = 6
-	}
-	if sc.HopSeconds <= 0 {
-		sc.HopSeconds = 1
-	}
-	if sc.MarginSeconds <= 0 {
-		sc.MarginSeconds = 1.5
 	}
 	return sc
 }
@@ -189,7 +176,6 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// settling context (see icg.Delineator).
 		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
 		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds, &d.arenas)
-		delin.SetLegacyRefilter(sc.LegacyRefilter)
 	}
 	var gate *quality.GateStream
 	if d.gate != nil {
@@ -211,6 +197,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		pt:         pt,
 		delin:      delin,
 		gate:       gate,
+		sink:       event.Discard,
 		body:       d.cfg.Body,
 		cal:        cal,
 	}
@@ -244,28 +231,24 @@ func (s *Streamer) zHorizon() int {
 const icgCtxSeconds = 2.5
 
 // Push appends simultaneously sampled ECG and impedance samples (equal
-// lengths) and returns the beats completed by this push, in order.
-// When an event sink is armed (Emit) the beats are delivered as
-// KindBeat events instead and Push returns nil — the two delivery paths
-// carry byte-identical parameters in identical order (the event/legacy
-// parity law). A chunk of any size runs through the pipeline in
-// streamSubChunk pieces, so the beats do not depend on the chunking.
-func (s *Streamer) Push(ecgSamples, zSamples []float64) []hemo.BeatParams {
+// lengths) and delivers the beats they complete, in order, as KindBeat
+// events to the armed sink. A chunk of any size runs through the
+// pipeline in streamSubChunk pieces, so the events do not depend on the
+// chunking.
+func (s *Streamer) Push(ecgSamples, zSamples []float64) {
 	if len(ecgSamples) != len(zSamples) {
 		panic("core: Streamer.Push requires equal-length channels")
 	}
-	var out []hemo.BeatParams
 	for len(zSamples) > 0 {
 		n := min(len(zSamples), streamSubChunk)
-		out = s.push(out, ecgSamples[:n], zSamples[:n])
+		s.push(ecgSamples[:n], zSamples[:n])
 		ecgSamples, zSamples = ecgSamples[n:], zSamples[n:]
 	}
-	return out
 }
 
-// push runs one sub-chunk through the pipeline, appending the beats it
-// completes to out (or delivering them to the sink).
-func (s *Streamer) push(out []hemo.BeatParams, ecgSamples, zSamples []float64) []hemo.BeatParams {
+// push runs one sub-chunk through the pipeline and emits the beats it
+// completes.
+func (s *Streamer) push(ecgSamples, zSamples []float64) {
 	s.nSamples += len(zSamples)
 	for _, v := range zSamples {
 		s.zSum += v
@@ -283,13 +266,13 @@ func (s *Streamer) push(out []hemo.BeatParams, ecgSamples, zSamples []float64) [
 		s.rHist = append(s.rHist, r)
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
-	return s.emit(out, s.beatsBuf)
+	s.emit(s.beatsBuf)
 }
 
 // Flush ends the session: the conditioning chains drain their lookahead
 // with the batch edge treatment, the detector confirms its tail peaks,
-// and the final completed beats are returned.
-func (s *Streamer) Flush() []hemo.BeatParams {
+// and the final completed beats are emitted.
+func (s *Streamer) Flush() {
 	s.condBuf = s.ecgStream.Flush(s.condBuf[:0])
 	s.rsBuf = s.pt.Push(s.rsBuf[:0], s.condBuf)
 	s.rsBuf = s.pt.Flush(s.rsBuf)
@@ -301,22 +284,21 @@ func (s *Streamer) Flush() []hemo.BeatParams {
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
 	s.beatsBuf = s.delin.Flush(s.beatsBuf)
-	return s.emit(nil, s.beatsBuf)
+	s.emit(s.beatsBuf)
 }
 
 // emit converts completed beat analyses into hemodynamic parameters,
-// each scored by the quality gate as it completes, appending them to out
-// (or delivering them to the sink). Beat k corresponds
-// to the R pair (rHist[beatIdx], rHist[beatIdx+1]); failed beats
-// consume their pair without emitting, exactly once (the gate counts
-// them against the acceptance rate).
+// each scored by the quality gate as it completes, and delivers them to
+// the sink. Beat k corresponds to the R pair (rHist[beatIdx],
+// rHist[beatIdx+1]); failed beats consume their pair without emitting,
+// exactly once (the gate counts them against the acceptance rate).
 //
-// Event ordering law (pinned by the parity tests): per beat attempt the
+// Event ordering law (pinned by the event tests): per beat attempt the
 // sink receives at most one KindBeat, then at most one KindHealth
 // (floor transition), then at most one KindMode (governor flip) — all
 // stamped with the attempt index and the closing R's signal time, all
 // pure functions of the samples pushed so far.
-func (s *Streamer) emit(out []hemo.BeatParams, beats []icg.BeatAnalysis) []hemo.BeatParams {
+func (s *Streamer) emit(beats []icg.BeatAnalysis) {
 	for i := range beats {
 		b := &beats[i]
 		rLo, rHi := s.rHist[s.beatIdx], s.rHist[s.beatIdx+1]
@@ -340,17 +322,13 @@ func (s *Streamer) emit(out []hemo.BeatParams, beats []icg.BeatAnalysis) []hemo.
 			bp.Quality = sqi.Score
 			bp.Accepted = sqi.Accepted
 		}
-		if s.sink != nil {
-			s.sink.Emit(event.Event{
-				Kind:    event.KindBeat,
-				Session: s.sess,
-				Beat:    s.beatBase + s.nBeats,
-				TimeS:   s.timeBase + float64(rHi)/s.fs,
-				Params:  bp,
-			})
-		} else {
-			out = append(out, bp)
-		}
+		s.sink.Emit(event.Event{
+			Kind:    event.KindBeat,
+			Session: s.sess,
+			Beat:    s.beatBase + s.nBeats,
+			TimeS:   s.timeBase + float64(rHi)/s.fs,
+			Params:  bp,
+		})
 		s.afterBeat(rHi)
 	}
 	// Compact the consumed R history so a long session stays O(1).
@@ -358,7 +336,6 @@ func (s *Streamer) emit(out []hemo.BeatParams, beats []icg.BeatAnalysis) []hemo.
 		s.rHist = append(s.rHist[:0], s.rHist[s.beatIdx:]...)
 		s.beatIdx = 0
 	}
-	return out
 }
 
 // afterBeat runs once per consumed beat attempt, after the gate state
@@ -371,7 +348,7 @@ func (s *Streamer) afterBeat(rHi int) {
 	s.observeHealth(rHi)
 	isBelow := s.belowSince >= 0
 	tS := s.timeBase + float64(rHi)/s.fs
-	if s.sink != nil && isBelow != wasBelow {
+	if isBelow != wasBelow {
 		s.sink.Emit(event.Event{
 			Kind:       event.KindHealth,
 			Session:    s.sess,
@@ -389,17 +366,15 @@ func (s *Streamer) afterBeat(rHi int) {
 		// caller, who has the battery state the stream does not.
 		mode := s.gov.Decide(tS, 100, 1, s.acceptEWMA())
 		if mode != s.lastMode {
-			if s.sink != nil {
-				s.sink.Emit(event.Event{
-					Kind:       event.KindMode,
-					Session:    s.sess,
-					Beat:       s.beatBase + s.nBeats,
-					TimeS:      tS,
-					AcceptEWMA: s.gov.AcceptEWMA(),
-					Mode:       int(mode),
-					PrevMode:   int(s.lastMode),
-				})
-			}
+			s.sink.Emit(event.Event{
+				Kind:       event.KindMode,
+				Session:    s.sess,
+				Beat:       s.beatBase + s.nBeats,
+				TimeS:      tS,
+				AcceptEWMA: s.gov.AcceptEWMA(),
+				Mode:       int(mode),
+				PrevMode:   int(s.lastMode),
+			})
 			s.lastMode = mode
 		}
 	}
@@ -415,15 +390,17 @@ func (s *Streamer) acceptEWMA() float64 {
 }
 
 // Emit arms typed event delivery: subsequent Push and Flush calls
-// return nil and instead deliver each completed beat as a KindBeat
-// event to sink, along with KindHealth floor transitions (when
-// SetHealthFloor armed a floor) and KindMode governor flips (when
-// ArmGovernor armed a policy) — at the point they become true, in
-// per-beat order, synchronously on the pushing goroutine. session
-// stamps every event (0 for a bare streamer). Passing a nil sink
-// disarms delivery and restores the returned-slice behavior. The sink
-// is per-session state: Reset clears it.
+// deliver each completed beat as a KindBeat event to sink, along with
+// KindHealth floor transitions (when SetHealthFloor armed a floor) and
+// KindMode governor flips (when ArmGovernor armed a policy) — at the
+// point they become true, in per-beat order, synchronously on the
+// pushing goroutine. session stamps every event (0 for a bare
+// streamer). A nil sink means event.Discard. The sink is per-session
+// state: Reset disarms it.
 func (s *Streamer) Emit(sink event.Sink, session uint64) {
+	if sink == nil {
+		sink = event.Discard
+	}
 	s.sink = sink
 	s.sess = session
 }
@@ -431,23 +408,26 @@ func (s *Streamer) Emit(sink event.Sink, session uint64) {
 // ArmGovernor attaches a PMU policy whose hysteresis governor is
 // stepped once per beat attempt on the gate's accept-rate EWMA (battery
 // and yield pinned to their best case — the stream has no battery);
-// quality-driven mode changes are delivered as KindMode events when a
-// sink is armed. Like the health floor, the policy is engine-lifetime
+// quality-driven mode changes are delivered as KindMode events. Like the health floor, the policy is engine-lifetime
 // configuration: it survives Reset with its mutable state rewound.
 func (s *Streamer) ArmGovernor(p PMU) {
 	s.gov = p.NewGovernor()
 	s.lastMode = ModeContinuous
 }
 
-// Latency returns the worst-case delay in seconds from a beat's closing
-// R peak entering Push to the beat being emitted: the conditioning
-// chains' lookahead plus the QRS detector's confirmation-and-refinement
-// lookahead on the ECG side, or the ICG chain's lookahead plus its
-// group-delay re-alignment on the impedance side, whichever is larger.
-// (End-to-end latency from the beat's own R peak adds one RR interval,
-// since the beat is delimited by the next R.) This is the same formula
-// the engine's emission path implements, so the value and the behavior
-// cannot drift apart.
+// Latency returns the delay in seconds from a beat's closing R peak
+// entering Push to the beat being emitted when the QRS detector
+// confirms that R in the ordinary way: the conditioning chains'
+// lookahead plus the detector's confirmation-and-refinement lookahead
+// on the ECG side, or the ICG chain's lookahead plus its group-delay
+// re-alignment and settling context on the impedance side, whichever
+// is larger. It is not a worst case: a beat whose closing R is
+// recovered by search-back (or deferred to the detector's threshold
+// initialization) is emitted up to ecg.PTStream.MaxLag plus the ECG
+// chain's lookahead after it (zHorizon bounds that). End-to-end latency
+// from the beat's own R peak adds one RR interval, since the beat is
+// delimited by the next R. Health windows subtract this value from the
+// signal clock.
 func (s *Streamer) Latency() float64 {
 	ecgSide := s.ecgStream.Lookahead() + s.pt.Lookahead()
 	return float64(max(ecgSide, s.icgSide())) / s.fs
@@ -585,8 +565,8 @@ func (s *Streamer) Reset() {
 	s.belowSince = -1 // healthFloor deliberately survives Reset
 	s.zPrefix.Reset()
 	s.zSum = 0
-	s.sink = nil // the sink and stamp are per-session; the armed
-	s.sess = 0   // governor POLICY survives, its state rewinds
+	s.sink = event.Discard // the sink and stamp are per-session; the
+	s.sess = 0             // armed governor POLICY survives, its state rewinds
 	if s.gov != nil {
 		s.gov.Reset()
 		s.lastMode = ModeContinuous

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/event"
 	"repro/internal/hemo"
 	"repro/internal/physio"
 )
@@ -26,18 +27,9 @@ func TestStreamerMatchesBatch(t *testing.T) {
 	}
 
 	// Feed the same samples in randomly sized chunks.
-	st := d.NewStreamer(DefaultStreamConfig())
 	rng := rand.New(rand.NewSource(42))
-	var streamed []hemo.BeatParams
-	for pos := 0; pos < len(acq.ECG); {
-		n := 50 + rng.Intn(400)
-		if pos+n > len(acq.ECG) {
-			n = len(acq.ECG) - pos
-		}
-		streamed = append(streamed, st.Push(acq.ECG[pos:pos+n], acq.Z[pos:pos+n])...)
-		pos += n
-	}
-	streamed = append(streamed, st.Flush()...)
+	streamed := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z,
+		func() int { return 50 + rng.Intn(400) })
 
 	if len(streamed) == 0 {
 		t.Fatal("no streamed beats")
@@ -80,18 +72,8 @@ func TestStreamerNoDuplicateBeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := d.NewStreamer(DefaultStreamConfig())
-	var all []hemo.BeatParams
-	// Single-sample pushes: the worst case for deduplication.
-	chunk := 25
-	for pos := 0; pos < len(acq.ECG); pos += chunk {
-		end := pos + chunk
-		if end > len(acq.ECG) {
-			end = len(acq.ECG)
-		}
-		all = append(all, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
-	}
-	all = append(all, st.Flush()...)
+	// Small pushes: the hard case for deduplication.
+	all := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(25))
 	seen := map[int]bool{}
 	for _, b := range all {
 		key := int(b.TimeS * 250)
@@ -128,16 +110,7 @@ func TestStreamerDirectFIRParity(t *testing.T) {
 	run := func(direct bool) []hemo.BeatParams {
 		sc := DefaultStreamConfig()
 		sc.DirectFIR = direct
-		st := d.NewStreamer(sc)
-		var out []hemo.BeatParams
-		for pos := 0; pos < len(acq.ECG); pos += 200 {
-			end := pos + 200
-			if end > len(acq.ECG) {
-				end = len(acq.ECG)
-			}
-			out = append(out, st.Push(acq.ECG[pos:end], acq.Z[pos:end])...)
-		}
-		return append(out, st.Flush()...)
+		return streamBeats(d.NewStreamer(sc), acq.ECG, acq.Z, every(200))
 	}
 	os, direct := run(false), run(true)
 	if len(os) == 0 || len(os) != len(direct) {
@@ -170,10 +143,9 @@ func TestStreamerPanicsOnLengthMismatch(t *testing.T) {
 
 func TestStreamerFlushShortBuffer(t *testing.T) {
 	d := device(t, nil)
-	st := d.NewStreamer(DefaultStreamConfig())
-	st.Push(make([]float64, 10), make([]float64, 10))
-	if got := st.Flush(); got != nil {
-		t.Errorf("flush of tiny buffer should be nil, got %d beats", len(got))
+	buf := make([]float64, 10)
+	if got := streamBeats(d.NewStreamer(DefaultStreamConfig()), buf, buf, every(10)); len(got) != 0 {
+		t.Errorf("flush of tiny buffer should emit nothing, got %d beats", len(got))
 	}
 }
 
@@ -280,17 +252,6 @@ func TestStreamerAcceptRateZeroBeats(t *testing.T) {
 	}
 }
 
-// streamChunked pushes the two channels through st in chunk-sample
-// pushes and returns every emitted beat, Flush included.
-func streamChunked(st *Streamer, ecg, z []float64, chunk int) []hemo.BeatParams {
-	var out []hemo.BeatParams
-	for pos := 0; pos < len(ecg); pos += chunk {
-		end := min(pos+chunk, len(ecg))
-		out = append(out, st.Push(ecg[pos:end], z[pos:end])...)
-	}
-	return append(out, st.Flush()...)
-}
-
 // TestStreamerLargeChunkParity pins chunk invariance for pushes longer
 // than the streamer's history rings: a push of any size runs through
 // the pipeline in bounded sub-chunks, so 1000-, 2000- and 5000-sample
@@ -304,13 +265,13 @@ func TestStreamerLargeChunkParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := d.NewStreamer(DefaultStreamConfig())
-	want := streamChunked(ref, acq.ECG, acq.Z, 50)
+	want := streamBeats(ref, acq.ECG, acq.Z, every(50))
 	if len(want) < 50 {
 		t.Fatalf("reference stream emitted only %d beats", len(want))
 	}
 	for _, chunk := range []int{1000, 2000, 5000, len(acq.ECG)} {
 		st := d.NewStreamer(DefaultStreamConfig())
-		got := streamChunked(st, acq.ECG, acq.Z, chunk)
+		got := streamBeats(st, acq.ECG, acq.Z, every(chunk))
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d beats, 50-sample stream %d", chunk, len(got), len(want))
 		}
@@ -416,9 +377,9 @@ func TestStreamerZPrefixHorizon(t *testing.T) {
 		for _, chunk := range []int{50, 1000, len(x[0])} {
 			oracle := d.NewStreamer(DefaultStreamConfig())
 			oracle.zPrefix = dsp.NewRing(len(x[1]) + 1)
-			want := streamChunked(oracle, x[0], x[1], chunk)
+			want := streamBeats(oracle, x[0], x[1], every(chunk))
 			st := d.NewStreamer(DefaultStreamConfig())
-			got := streamChunked(st, x[0], x[1], chunk)
+			got := streamBeats(st, x[0], x[1], every(chunk))
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s chunk %d: beats differ from the whole-recording z-prefix ring", name, chunk)
 			}
@@ -429,5 +390,41 @@ func TestStreamerZPrefixHorizon(t *testing.T) {
 	}
 	if searchBacks == 0 {
 		t.Fatal("no oracle input recovered a beat by search-back after a gap")
+	}
+}
+
+// TestStreamerEmissionDelayBound pins what Latency does and does not
+// promise: fed one sample per push, no beat on any z-prefix oracle
+// input arrives more than zHorizon samples after its closing R entered
+// Push, while the missed-then-gap inputs, whose beats are recovered by
+// search-back seconds late, deliver one later than Latency.
+func TestStreamerEmissionDelayBound(t *testing.T) {
+	d := device(t, nil)
+	fs := d.cfg.FS
+	gapWorst := 0
+	var st *Streamer
+	for name, x := range zPrefixOracleInputs(t, d) {
+		st = d.NewStreamer(DefaultStreamConfig())
+		pushed, worst := 0, 0
+		st.Emit(event.Func(func(e event.Event) {
+			if e.Kind == event.KindBeat {
+				worst = max(worst, pushed-int(math.Round(e.TimeS*fs))-1)
+			}
+		}), 0)
+		for i := range x[0] {
+			pushed++
+			st.Push(x[0][i:i+1], x[1][i:i+1])
+		}
+		if worst > st.zHorizon() {
+			t.Errorf("%s: a beat arrived %d samples after its closing R, zHorizon %d", name, worst, st.zHorizon())
+		}
+		if strings.Contains(name, "-then-gap-") {
+			gapWorst = max(gapWorst, worst)
+		}
+	}
+	if lat := st.Latency() * fs; float64(gapWorst) <= lat {
+		t.Errorf("missed-then-gap worst delay %d samples within Latency (%g samples)", gapWorst, lat)
+	} else {
+		t.Logf("missed-then-gap worst delay %d samples; Latency %g, zHorizon %d", gapWorst, lat, st.zHorizon())
 	}
 }

@@ -133,8 +133,9 @@ type Event struct {
 	// Accepted and Emitted are the session's final gate tally
 	// (KindEviction, KindSessionClosed).
 	Accepted, Emitted int
-	// Dropped counts beats the session's bounded Drain ring discarded
-	// (KindSessionClosed; 0 for subscribed and callback sessions).
+	// Dropped is always 0: the session engine no longer buffers beats
+	// for polling. The field keeps its slot in the event codec (WAL
+	// records and gateway event frames) until a format revision drops it.
 	Dropped uint64
 
 	// Restored reports whether a re-admitted session was rehydrated

@@ -184,28 +184,6 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrame reads the next valid frame from r, resynchronizing on the
-// sync byte. It is a thin wrapper over Scanner in exact-read mode: a
-// corrupt frame's bytes are rescanned for an embedded sync instead of
-// being discarded (the old implementation threw them away, permanently
-// desyncing the stream), and only io errors are surfaced — corrupt
-// candidates are skipped. Streaming consumers should hold a Scanner
-// instead: it keeps one persistent buffer across calls (0 allocs/frame
-// steady-state) where this per-call wrapper cannot.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	s := newScanner(r, MaxPayload, true)
-	for {
-		f, err := s.Next()
-		if err == nil {
-			return &Frame{Type: f.Type, Seq: f.Seq, Payload: append([]byte(nil), f.Payload...)}, nil
-		}
-		if errors.Is(err, ErrBadCRC) || errors.Is(err, ErrPayloadTooLarge) {
-			continue // resynchronize past the corrupt candidate
-		}
-		return nil, err
-	}
-}
-
 // BeatRecord is the per-beat result transmitted to the physician's side:
 // exactly the parameter set listed in Section V (Z0, LVET, PEP, HR).
 type BeatRecord struct {

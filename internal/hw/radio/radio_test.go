@@ -143,8 +143,9 @@ func TestStreamReadWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sc := NewScanner(&buf)
 	for i, want := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := nextValid(sc)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -154,14 +155,14 @@ func TestStreamReadWrite(t *testing.T) {
 	}
 }
 
-func TestReadFrameResynchronizes(t *testing.T) {
+func TestScannerResynchronizes(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0x00, 0x13, 0x77}) // garbage before the frame
 	f := &Frame{Type: TypeBeat, Seq: 9, Payload: []byte{42}}
 	if err := WriteFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := nextValid(NewScanner(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,7 @@ import (
 // discarded unexamined — a corrupt frame re-enters the sync hunt at the
 // next candidate sync byte inside its own span, so an embedded valid
 // frame (or the stream that resumes mid-garbage) is recovered instead
-// of lost. This is the streaming replacement for the old ReadFrame,
-// which allocated three buffers per frame and threw corrupt in-flight
-// bytes away, permanently desyncing on a single flipped length byte.
+// of lost.
 //
 // Garbage between frames is skipped silently (counted in Stats);
 // ErrBadCRC/ErrPayloadTooLarge are returned once per corrupt candidate
@@ -26,10 +24,6 @@ type Scanner struct {
 	start int // first unconsumed byte
 	end   int // one past the last buffered byte
 	frame Frame
-	// exact makes every fill read only what the current parse state
-	// strictly needs (ReadFrame wrapper: a per-call scanner must not
-	// consume reader bytes beyond the frame it returns).
-	exact bool
 
 	frames  uint64
 	resyncs uint64
@@ -40,7 +34,7 @@ type Scanner struct {
 const scannerBlock = 4096
 
 // NewScanner returns a scanner over BLE-limit frames (MaxPayload).
-func NewScanner(r io.Reader) *Scanner { return newScanner(r, MaxPayload, false) }
+func NewScanner(r io.Reader) *Scanner { return NewScannerLimit(r, MaxPayload) }
 
 // NewScannerLimit returns a scanner accepting payloads up to limit
 // (clamped to [0, MaxPayloadExt]) — the gateway runs the framing over
@@ -52,15 +46,8 @@ func NewScannerLimit(r io.Reader, limit int) *Scanner {
 	if limit > MaxPayloadExt {
 		limit = MaxPayloadExt
 	}
-	return newScanner(r, limit, false)
-}
-
-func newScanner(r io.Reader, limit int, exact bool) *Scanner {
-	size := frameOverhead + limit
-	if !exact && size < scannerBlock {
-		size = scannerBlock
-	}
-	return &Scanner{r: r, limit: limit, buf: make([]byte, size), exact: exact}
+	size := max(frameOverhead+limit, scannerBlock)
+	return &Scanner{r: r, limit: limit, buf: make([]byte, size)}
 }
 
 // ScanStats is the scanner's running tally.
@@ -138,11 +125,7 @@ func (s *Scanner) fill(need int) error {
 		s.start = 0
 	}
 	for s.end-s.start < need {
-		lim := len(s.buf)
-		if s.exact {
-			lim = s.start + need
-		}
-		n, err := s.r.Read(s.buf[s.end:lim])
+		n, err := s.r.Read(s.buf[s.end:])
 		s.end += n
 		if err != nil {
 			if s.end-s.start >= need {

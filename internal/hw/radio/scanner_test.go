@@ -132,61 +132,56 @@ func TestAppendToRoundTripWidePayload(t *testing.T) {
 	}
 }
 
-// Regression (pre-fix: ReadFrame discarded a corrupt frame's in-flight
-// bytes without rescanning them, permanently desyncing the stream): a
-// valid frame embedded in a corrupt candidate's claimed span must
-// still be read.
-func TestReadFrameRecoversEmbeddedFrame(t *testing.T) {
+// nextValid returns the scanner's next valid frame, continuing past
+// corrupt candidates (ErrBadCRC, ErrPayloadTooLarge) the way the radio
+// monitors do; any other error ends the stream.
+func nextValid(s *Scanner) (*Frame, error) {
+	for {
+		f, err := s.Next()
+		if errors.Is(err, ErrBadCRC) || errors.Is(err, ErrPayloadTooLarge) {
+			continue
+		}
+		return f, err
+	}
+}
+
+// Regression (pre-fix: the per-call frame reader discarded a corrupt
+// frame's in-flight bytes without rescanning them, permanently
+// desyncing the stream): a valid frame embedded in a corrupt
+// candidate's claimed span must still be read.
+func TestScannerRecoversEmbeddedFrame(t *testing.T) {
 	inner := mustEncode(t, TypeBeat, 42, []byte{8, 8})
 	outer := []byte{syncByte, TypeBeat, 3, byte(len(inner) + 2)}
 	outer = append(outer, inner...)
 	outer = append(outer, 0xDE, 0xAD, 0x13, 0x37)
-	got, err := ReadFrame(bytes.NewReader(outer))
+	got, err := nextValid(NewScanner(bytes.NewReader(outer)))
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Next: %v", err)
 	}
 	if got.Seq != 42 || !bytes.Equal(got.Payload, []byte{8, 8}) {
 		t.Errorf("embedded frame lost: %+v", got)
 	}
 }
 
-// ReadFrame now skips corrupt candidates instead of surfacing them:
-// corrupt, garbage, then valid must return the valid frame.
-func TestReadFrameSkipsCorruption(t *testing.T) {
+// Corrupt, garbage, then valid must yield the valid frame once the
+// corrupt candidate is skipped, and then a clean io.EOF.
+func TestScannerSkipsCorruption(t *testing.T) {
 	var stream bytes.Buffer
 	bad := mustEncode(t, TypeBeat, 1, []byte{1, 2, 3})
 	bad[4] ^= 0x40
 	stream.Write(bad)
 	stream.Write([]byte{0x99, 0x00})
 	stream.Write(mustEncode(t, TypeStatus, 2, []byte{4}))
-	got, err := ReadFrame(&stream)
+	sc := NewScanner(&stream)
+	got, err := nextValid(sc)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Next: %v", err)
 	}
 	if got.Type != TypeStatus || got.Seq != 2 {
 		t.Errorf("got %+v", got)
 	}
-	if _, err := ReadFrame(&stream); err != io.EOF {
+	if _, err := nextValid(sc); err != io.EOF {
 		t.Errorf("tail err = %v, want io.EOF", err)
-	}
-}
-
-// ReadFrame must not consume reader bytes beyond the frame it returns
-// (exact-read mode): back-to-back frames read via repeated per-call
-// ReadFrame all arrive.
-func TestReadFrameExactConsumption(t *testing.T) {
-	var stream bytes.Buffer
-	for i := 0; i < 20; i++ {
-		stream.Write(mustEncode(t, TypeBeat, byte(i), []byte{byte(i)}))
-	}
-	for i := 0; i < 20; i++ {
-		f, err := ReadFrame(&stream)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Seq != byte(i) {
-			t.Fatalf("frame %d: seq %d", i, f.Seq)
-		}
 	}
 }
 
@@ -260,8 +255,7 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// The Scanner hot path is allocation-free in steady state — the
-// property the old ReadFrame (three allocations per frame) lacked.
+// The Scanner hot path is allocation-free in steady state.
 func TestScannerZeroAllocSteadyState(t *testing.T) {
 	var pattern []byte
 	pattern = append(pattern, mustEncode(t, TypeBeat, 1, bytes.Repeat([]byte{7}, 14))...)
@@ -324,17 +318,6 @@ func TestExpectedTransmissions(t *testing.T) {
 	// p=0.5, retries=2: 1 + 0.5 + 0.25 = 1.75.
 	if got := ExpectedTransmissions(LinkConfig{LossProb: 0.5, MaxRetries: 2}); math.Abs(got-1.75) > 1e-12 {
 		t.Errorf("geometric sum = %g, want 1.75", got)
-	}
-}
-
-func BenchmarkReadFrame(b *testing.B) {
-	pattern := mustEncodeB(b, TypeBeat, 1, bytes.Repeat([]byte{7}, 14))
-	r := &loopReader{data: pattern}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadFrame(r); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

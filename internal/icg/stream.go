@@ -36,8 +36,7 @@ import "repro/internal/dsp"
 // matches; the leading context is not needed at all, because the cached
 // forward pass has no left-edge transient. The result is the same
 // zero-phase |H|^2 conditioning at roughly a third of the
-// biquad-samples per beat. SetLegacyRefilter restores the windowed
-// per-beat filtfilt for A/B comparison.
+// biquad-samples per beat.
 //
 // Per-beat scratch (the segment copy, the refiltering passes and the
 // point detector's intermediates) is borrowed from a shared ArenaPool
@@ -48,7 +47,6 @@ type Delineator struct {
 	lp, hp dsp.SOS
 	align  int
 	ctxN   int
-	legacy bool           // windowed per-beat hp filtfilt instead of the rolling cache
 	fwd    *dsp.SOSStream // persistent causal hp forward pass (rolling mode)
 	pad    int            // filtfilt's reflect-pad length for hp
 	warmed bool           // forward pass started (reflected prefix consumed)
@@ -105,14 +103,9 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 	return d
 }
 
-// SetLegacyRefilter selects the windowed per-beat high-pass filtfilt
-// (the pre-cache engine) instead of the rolling forward-pass cache. It
-// must be called before the first PushICG: the two modes store different
-// signals in the history ring.
-func (d *Delineator) SetLegacyRefilter(on bool) { d.legacy = on }
-
-// rolling reports whether the forward-pass cache is active.
-func (d *Delineator) rolling() bool { return d.hp != nil && !d.legacy }
+// rolling reports whether the forward-pass cache is active (a
+// high-pass cascade is configured).
+func (d *Delineator) rolling() bool { return d.hp != nil }
 
 // Lookahead returns how many ICG samples past a beat's closing R peak
 // must arrive before the beat can be analyzed (the refiltering context).
@@ -269,17 +262,18 @@ func (d *Delineator) analyze(a *dsp.Arena, rLo, lo, hi, segLo, segHi int) BeatAn
 	return ba
 }
 
-// refilter applies the conditioning cascades zero-phase over the
-// context-padded segment (no-op when the stream is already
-// conditioned). It returns the conditioned buffer and the offset of
-// buf[0] within it (the low-pass runs over a trimmed sub-span).
+// refilter completes the zero-phase conditioning of the window (no-op
+// when the stream is already conditioned). It returns the conditioned
+// buffer and the offset of buf[0] within it (the low-pass runs over a
+// trimmed sub-span).
 //
 // The slow filter — the band-edge high-pass, whose transients motivate
-// the long context — runs first over the whole padded window; the
-// low-pass's transients die within tens of milliseconds, so it runs
-// over just the segment plus a short guard. The order swap relative to
-// the batch lp-then-hp is exact for LTI cascades up to edge transients,
-// which both contexts absorb.
+// the long context — runs its backward pass first over the whole
+// window (its forward pass is the cached ring content); the low-pass's
+// transients die within tens of milliseconds, so it runs over just the
+// segment plus a short guard. The order swap relative to the batch
+// lp-then-hp is exact for LTI cascades up to edge transients, which the
+// contexts absorb.
 func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]float64, int) {
 	if d.rolling() {
 		// buf already holds the cached forward pass; only the backward
@@ -288,8 +282,6 @@ func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]
 		dsp.Reverse(buf)
 		d.hp.FilterZiInPlace(buf)
 		dsp.Reverse(buf)
-	} else if d.hp != nil {
-		buf = d.hp.FiltFiltWith(a, buf)
 	}
 	if d.lp == nil {
 		return buf, 0

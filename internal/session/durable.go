@@ -86,7 +86,7 @@ func (e *Engine) Reopen(id uint64, sink event.Sink, opts ReopenOptions) (*Sessio
 	if w == nil {
 		return nil, ErrNoWAL
 	}
-	s, err := e.open(id, sink, false)
+	s, err := e.open(id, sink)
 	if err != nil {
 		return nil, err
 	}

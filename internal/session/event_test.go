@@ -6,91 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/hemo"
 	"repro/internal/physio"
 )
-
-// Event/legacy parity at the serving layer: every BeatParams the legacy
-// surfaces deliver (Drain collection, per-beat callback) appears
-// exactly once as a KindBeat event with identical fields and ordering
-// on the Subscribe path — for every chunking including 1-sample pushes.
-func TestSessionEventLegacyParity(t *testing.T) {
-	dev, err := core.NewDevice(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := makeInputs(t, dev, 8)
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	cfg.Seed = 42
-	eng := NewEngine(dev, cfg)
-	defer eng.Close()
-
-	const id = 11 // same ID each pass: same seed, same data
-	feed := func(s *Session, chunk int) {
-		t.Helper()
-		ecg, z := in.channels(s.Seed(), s.ID)
-		for pos := 0; pos < len(ecg); pos += chunk {
-			end := pos + chunk
-			if end > len(ecg) {
-				end = len(ecg)
-			}
-			if err := s.Push(ecg[pos:end], z[pos:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, chunk := range []int{1, 40, 333} {
-		// Legacy Drain collection.
-		s, err := eng.Open(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(s, chunk)
-		drained := s.Drain()
-
-		// Legacy per-beat callback.
-		var viaCallback []hemo.BeatParams
-		s, err = eng.Open(id, func(b hemo.BeatParams) { viaCallback = append(viaCallback, b) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(s, chunk)
-
-		// The typed event stream.
-		buf := event.NewBuffer(4096)
-		s, err = eng.Subscribe(id, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(s, chunk)
-		var beats []hemo.BeatParams
-		for _, e := range buf.Drain(nil) {
-			if e.Kind == event.KindBeat {
-				beats = append(beats, e.Params)
-			}
-		}
-
-		if len(drained) == 0 {
-			t.Fatalf("chunk %d: no beats", chunk)
-		}
-		if len(beats) != len(drained) || len(viaCallback) != len(drained) {
-			t.Fatalf("chunk %d: %d beat events, %d callback beats, %d drained",
-				chunk, len(beats), len(viaCallback), len(drained))
-		}
-		for i := range drained {
-			if beats[i] != drained[i] {
-				t.Fatalf("chunk %d beat %d: event != drained\n%+v\n%+v", chunk, i, beats[i], drained[i])
-			}
-			if viaCallback[i] != drained[i] {
-				t.Fatalf("chunk %d beat %d: callback != drained", chunk, i)
-			}
-		}
-	}
-}
 
 // Lifecycle events: a client close ends the stream with exactly one
 // KindSessionClosed (ReasonClient) whose tallies match AcceptStats; a
@@ -239,62 +156,11 @@ func TestSessionModeEvents(t *testing.T) {
 	}
 }
 
-// The legacy Drain collection is a bounded ring: at most DrainCap beats
-// are retained (newest win), the overflow is counted, and the ring is
-// recycled by the first post-close Drain.
-func TestSessionDrainRingBounded(t *testing.T) {
-	dev, err := core.NewDevice(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := makeInputs(t, dev, 8)
-	cfg := DefaultConfig()
-	cfg.DrainCap = 3
-	eng := NewEngine(dev, cfg)
-	defer eng.Close()
-	s, err := eng.Open(21, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecg, z := in.channels(s.Seed(), s.ID)
-	for pos := 0; pos < len(ecg); pos += 250 {
-		end := min(pos+250, len(ecg))
-		if err := s.Push(ecg[pos:end], z[pos:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, em := s.AcceptStats()
-	if em <= cfg.DrainCap {
-		t.Fatalf("input too short to overflow the ring (%d beats)", em)
-	}
-	if got := s.DroppedBeats(); got != uint64(em-cfg.DrainCap) {
-		t.Fatalf("DroppedBeats = %d, want %d", got, em-cfg.DrainCap)
-	}
-	beats := s.Drain()
-	if len(beats) != cfg.DrainCap {
-		t.Fatalf("Drain returned %d beats, cap %d", len(beats), cfg.DrainCap)
-	}
-	// The ring keeps the NEWEST beats, still in order.
-	for i := 1; i < len(beats); i++ {
-		if beats[i].TimeS <= beats[i-1].TimeS {
-			t.Fatalf("drained beats out of order")
-		}
-	}
-	if again := s.Drain(); again != nil {
-		t.Fatalf("second post-close Drain returned %d beats", len(again))
-	}
-	// The final tally survives the post-close Drain recycling the ring.
-	if got := s.DroppedBeats(); got != uint64(em-cfg.DrainCap) {
-		t.Fatalf("DroppedBeats after recycle = %d, want %d", got, em-cfg.DrainCap)
-	}
-}
-
-// A subscriber must receive events for concurrent sessions without
-// interleaving violations: per-session beat indices strictly increase
-// and every session ends with KindSessionClosed.
+// Subscribers must receive events for concurrent sessions without
+// interleaving violations: every event carries its session's stamp,
+// per-session beat indices never decrease, a beat's stamp (its closing
+// R) comes after its anchor (the opening R), and every session ends
+// with KindSessionClosed.
 func TestSubscribeManySessions(t *testing.T) {
 	dev, err := core.NewDevice(core.DefaultConfig())
 	if err != nil {
@@ -311,23 +177,33 @@ func TestSubscribeManySessions(t *testing.T) {
 	var mu sync.Mutex
 	lastBeat := make(map[uint64]int)
 	closed := make(map[uint64]bool)
-	sink := event.Func(func(e event.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		if closed[e.Session] {
-			t.Errorf("session %d: event %v after session-closed", e.Session, e.Kind)
-		}
-		if e.Beat < lastBeat[e.Session] {
-			t.Errorf("session %d: beat index %d after %d", e.Session, e.Beat, lastBeat[e.Session])
-		}
-		lastBeat[e.Session] = e.Beat
-		if e.Kind == event.KindSessionClosed {
-			closed[e.Session] = true
-		}
-	})
+	sink := func(id uint64) event.Sink {
+		return event.Func(func(e event.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			if e.Session != id {
+				t.Errorf("session %d: event stamped session %d", id, e.Session)
+			}
+			if closed[id] {
+				t.Errorf("session %d: event %v after session-closed", id, e.Kind)
+			}
+			if e.Beat < lastBeat[id] {
+				t.Errorf("session %d: beat index %d after %d", id, e.Beat, lastBeat[id])
+			}
+			lastBeat[id] = e.Beat
+			switch e.Kind {
+			case event.KindBeat:
+				if e.TimeS <= e.Params.TimeS {
+					t.Errorf("session %d: beat stamp %.3f s not after its anchor %.3f s", id, e.TimeS, e.Params.TimeS)
+				}
+			case event.KindSessionClosed:
+				closed[id] = true
+			}
+		})
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		s, err := eng.Subscribe(uint64(i), sink)
+		s, err := eng.Subscribe(uint64(i), sink(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,5 @@
 package session
 
-import "repro/internal/core"
-
 // Session health management: the serving layer's answer to dead
 // contact. A lifted finger produces minutes of signal that still costs
 // full conditioning, detection and gating work per chunk while yielding
@@ -99,26 +97,16 @@ func (r CloseReason) String() string {
 	}
 }
 
-// CloseEvent describes one finished session; Config.OnClose receives it
-// exactly once per session, from the worker goroutine that finished it.
-type CloseEvent struct {
-	ID     uint64
-	Reason CloseReason
-	// Accepted and Emitted are the session's final gate tally
-	// (Session.AcceptStats).
-	Accepted, Emitted int
-	// Health is the streamer's final health snapshot — for an evicted
-	// session, the state that triggered the eviction.
-	Health core.StreamHealth
-}
-
 // healthCheck runs on the session's worker after each processed chunk
 // and reports whether the session should be evicted now. All windows
 // are measured on *analyzable* signal time — samples pushed minus the
 // streamer's structural reporting latency (the delineator's settling
-// context) — because a beat is only ever emitted Latency() seconds
-// after its closing R entered the stream; comparing the raw feed clock
-// against beat timestamps would count that lag as a drought. Both rules
+// context) — because an ordinarily confirmed beat is emitted Latency()
+// seconds after its closing R entered the stream; comparing the raw
+// feed clock against beat timestamps would count that lag as a drought.
+// Latency is not a worst case: a beat recovered by search-back arrives
+// up to the QRS detector's MaxLag after its closing R, so a drought that
+// such a beat ends can look up to that much longer than it was. Both rules
 // anchor to signal-clock events: the drought to the last beat (or the
 // stream start), and the below-floor window to the exact beat at which
 // the EWMA dropped under the floor — the streamer tracks that onset per

@@ -1,10 +1,10 @@
 package session
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/event"
 )
 
 // testHealth is the eviction policy used by the single-session tests:
@@ -32,9 +32,9 @@ func TestHealthConfigDefaults(t *testing.T) {
 }
 
 // A dead-contact session must be evicted: pushes start failing with
-// ErrSessionEvicted, the close event carries ReasonDeadContact with the
-// triggering health snapshot, and the beats emitted before the cut stay
-// drainable.
+// ErrSessionEvicted, and the subscriber's stream ends with exactly one
+// KindEviction and one KindSessionClosed carrying ReasonDeadContact and
+// the triggering health reading.
 func TestEvictionDeadContact(t *testing.T) {
 	dev, err := core.NewDevice(core.DefaultConfig())
 	if err != nil {
@@ -45,17 +45,11 @@ func TestEvictionDeadContact(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Seed = 42
 	cfg.Health = testHealth
-	var evMu sync.Mutex
-	var events []CloseEvent
-	cfg.OnClose = func(ev CloseEvent) {
-		evMu.Lock()
-		events = append(events, ev)
-		evMu.Unlock()
-	}
 	eng := NewEngine(dev, cfg)
 	defer eng.Close()
 
-	s, err := eng.Open(66, nil)
+	buf := event.NewBuffer(4096)
+	s, err := eng.Subscribe(66, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +87,28 @@ func TestEvictionDeadContact(t *testing.T) {
 	if eng.Len() != 0 {
 		t.Fatalf("evicted session still registered: %d", eng.Len())
 	}
-	_ = s.Drain() // must not panic; whatever was emitted stays available
 
-	evMu.Lock()
-	defer evMu.Unlock()
-	if len(events) != 1 {
-		t.Fatalf("%d close events, want 1", len(events))
+	var evictions, closes []event.Event
+	for _, e := range buf.Drain(nil) {
+		switch e.Kind {
+		case event.KindEviction:
+			evictions = append(evictions, e)
+		case event.KindSessionClosed:
+			closes = append(closes, e)
+		}
 	}
-	ev := events[0]
-	if ev.ID != 66 || ev.Reason != ReasonDeadContact {
-		t.Fatalf("bad close event: %+v", ev)
+	if len(evictions) != 1 || len(closes) != 1 {
+		t.Fatalf("%d eviction and %d close events, want 1 each", len(evictions), len(closes))
 	}
-	if ev.Health.SignalS <= 0 {
-		t.Fatalf("close event carries no health snapshot: %+v", ev)
+	ev := evictions[0]
+	if ev.Session != 66 || ev.Reason != int(ReasonDeadContact) || closes[0].Reason != int(ReasonDeadContact) {
+		t.Fatalf("bad lifecycle events: %+v, %+v", ev, closes[0])
 	}
-	if ev.Health.Beats > 0 && ev.Health.AcceptEWMA >= testHealth.EvictBelowRate {
-		t.Fatalf("evicted with healthy EWMA: %+v", ev.Health)
+	if ev.TimeS <= 0 {
+		t.Fatalf("eviction event carries no signal clock: %+v", ev)
+	}
+	if ev.Beat > 0 && ev.AcceptEWMA >= testHealth.EvictBelowRate {
+		t.Fatalf("evicted with healthy EWMA: %+v", ev)
 	}
 }
 
@@ -124,17 +124,11 @@ func TestHealthySessionSurvives(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Seed = 42
 	cfg.Health = testHealth
-	var evMu sync.Mutex
-	var reasons []CloseReason
-	cfg.OnClose = func(ev CloseEvent) {
-		evMu.Lock()
-		reasons = append(reasons, ev.Reason)
-		evMu.Unlock()
-	}
 	eng := NewEngine(dev, cfg)
 	defer eng.Close()
 
-	s, err := eng.Open(5, nil)
+	buf := event.NewBuffer(4096)
+	s, err := eng.Subscribe(5, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +148,21 @@ func TestHealthySessionSurvives(t *testing.T) {
 	if got := s.Reason(); got != ReasonClient {
 		t.Fatalf("Reason() = %v, want ReasonClient", got)
 	}
-	if len(s.Drain()) == 0 {
+	beats := 0
+	var reasons []int
+	for _, e := range buf.Drain(nil) {
+		switch e.Kind {
+		case event.KindBeat:
+			beats++
+		case event.KindEviction, event.KindSessionClosed:
+			reasons = append(reasons, e.Reason)
+		}
+	}
+	if beats == 0 {
 		t.Fatal("no beats from live session")
 	}
-	evMu.Lock()
-	defer evMu.Unlock()
-	if len(reasons) != 1 || reasons[0] != ReasonClient {
-		t.Fatalf("close reasons %v, want [client]", reasons)
+	if len(reasons) != 1 || reasons[0] != int(ReasonClient) {
+		t.Fatalf("lifecycle reasons %v, want [client]", reasons)
 	}
 }
 
@@ -175,7 +177,8 @@ func TestEvictedStreamerRecycledClean(t *testing.T) {
 	in := makeInputs(t, dev, 8)
 
 	runClean := func(eng *Engine, id uint64) uint64 {
-		s, err := eng.Open(id, nil)
+		h := newEvHasher()
+		s, err := eng.Subscribe(id, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +195,7 @@ func TestEvictedStreamerRecycledClean(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return hashBeats(s.Drain())
+		return h.h.Sum64()
 	}
 
 	cfg := DefaultConfig()
@@ -206,7 +209,7 @@ func TestEvictedStreamerRecycledClean(t *testing.T) {
 	want := runClean(eng, 3)
 
 	// Evict a dead session, then replay session 3 through the pool.
-	s, err := eng.Open(99, nil)
+	s, err := eng.Subscribe(99, event.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestSessionAcceptRateZeroBeats(t *testing.T) {
 	}
 	eng := NewEngine(dev, DefaultConfig())
 	defer eng.Close()
-	s, err := eng.Open(1, nil)
+	s, err := eng.Subscribe(1, event.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestSessionAcceptRateZeroBeats(t *testing.T) {
 		t.Fatalf("beatless session AcceptRate %g, want exactly 1", r)
 	}
 	in := makeInputs(t, dev, 8)
-	s2, err := eng.Open(2, nil)
+	s2, err := eng.Subscribe(2, event.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,8 @@
 // Output delivery is the typed event stream of internal/event: a
 // subscriber (Engine.Subscribe) receives every beat, health transition,
 // governor mode change, eviction and session close as event.Events, in
-// per-session FIFO order, synchronously on the session's worker. The
-// historical surfaces — Open's per-beat callback, the polled Drain, and
-// Config.OnClose — remain as thin adapters over that one path for one
-// release.
+// per-session FIFO order, synchronously on the session's worker. It is
+// the only output surface.
 //
 // Determinism contract: a session's emitted event stream is a pure
 // function of its own input chunks in arrival order — independent of
@@ -34,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/hemo"
 	"repro/internal/wal"
 )
 
@@ -59,22 +56,6 @@ type Config struct {
 	// the session's subscriber as KindMode events. The governor state
 	// rides the pooled streamers and rewinds between sessions.
 	PMU *core.PMU
-	// DrainCap bounds the Drain ring of legacy callback-less sessions:
-	// at most DrainCap beats are buffered between Drain calls, the
-	// oldest dropped and counted beyond it (Session.DroppedBeats, and
-	// Dropped on the final KindSessionClosed event). Subscribed and
-	// callback sessions deliver every event as it fires and buffer
-	// nothing. Default 4096.
-	DrainCap int
-	// OnClose, when non-nil, receives a CloseEvent exactly once per
-	// session as it finishes — client closes and evictions alike — from
-	// the worker goroutine that finished it. It must not call back into
-	// the engine or the session.
-	//
-	// Legacy adapter: subscribers get the same information as the
-	// session's final KindEviction/KindSessionClosed events.
-	OnClose func(CloseEvent)
-
 	// WAL, when non-nil, arms crash-safe durability: every event of
 	// every session is appended to the log — write-ahead, on the
 	// session's worker, before subscriber delivery, drop-counted on log
@@ -91,8 +72,8 @@ type Config struct {
 	// snapshot, at most this much signal time behind its logged events.
 	SnapshotEveryS float64
 	// QuarantineS arms the re-admit cool-down: a dead-contact-evicted
-	// session ID cannot be opened again (Subscribe, Open or Reopen
-	// return ErrQuarantined) until this many wall-clock seconds after
+	// session ID cannot be opened again (Subscribe or Reopen return
+	// ErrQuarantined) until this many wall-clock seconds after
 	// its eviction. 0 disables quarantine tracking entirely.
 	QuarantineS float64
 	// Clock injects the wall clock the quarantine uses (default
@@ -105,7 +86,7 @@ type Config struct {
 
 // DefaultConfig returns the serving defaults.
 func DefaultConfig() Config {
-	return Config{Workers: runtime.GOMAXPROCS(0), MaxPending: 64, DrainCap: 4096}
+	return Config{Workers: runtime.GOMAXPROCS(0), MaxPending: 64}
 }
 
 // Engine multiplexes concurrent device streams over a worker pool.
@@ -139,14 +120,10 @@ type Engine struct {
 
 	// streamers pools Reset streaming state across session lifetimes:
 	// a closed session's delay lines, rings and detector state are
-	// recycled into the next Open instead of being reallocated.
+	// recycled into the next session instead of being reallocated.
 	streamers sync.Pool
 	// chunks pools the copied input buffers.
 	chunks sync.Pool
-	// evbufs pools the bounded Drain rings (event.Buffer, DrainCap
-	// events each) of legacy callback-less sessions; a ring returns to
-	// the pool on the first Drain after the session finished.
-	evbufs sync.Pool
 }
 
 // Session is one device stream.
@@ -163,19 +140,10 @@ type Session struct {
 	closing   bool
 	done      chan struct{}
 
-	// sink is the session's event subscriber (Subscribe), or the thin
-	// Func adapter wrapping a legacy Open callback; nil for legacy
-	// callback-less sessions, which collect beats in buf instead. Both
-	// are set before the first chunk can be processed and never mutated
-	// afterwards, so the worker reads them without locking.
+	// sink is the session's event subscriber (Subscribe or Reopen). It
+	// is set before the first chunk can be processed and never mutated
+	// afterwards, so the worker reads it without locking.
 	sink event.Sink
-	// buf is the bounded Drain ring (Config.DrainCap beats, oldest
-	// dropped and counted) of a legacy callback-less session; pooled
-	// across sessions via Engine.evbufs. dropped is the ring's final
-	// overflow tally, snapshotted by finish before the ring can be
-	// recycled, so DroppedBeats stays correct after Close.
-	buf     *event.Buffer
-	dropped uint64
 
 	// Quality-gate accounting over the emitted beats (under mu):
 	// accepted/emitted are readable via AcceptStats even after Close.
@@ -235,7 +203,9 @@ var (
 	ErrDuplicateID   = errors.New("session: duplicate session id")
 	// ErrSessionEvicted is returned by Push/PushOwned/Close after the
 	// engine evicted the session for dead contact (HealthConfig); the
-	// beats emitted before the eviction stay available via Drain.
+	// subscriber still receives every event emitted before the eviction,
+	// then KindEviction and KindSessionClosed (Session.Done closes after
+	// them).
 	ErrSessionEvicted = errors.New("session: session evicted (dead contact)")
 	// ErrSessionFailed is returned by Push/PushOwned/Close after a
 	// worker panic closed the session (ReasonInternalError). The
@@ -264,9 +234,6 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
-	}
-	if cfg.DrainCap <= 0 {
-		cfg.DrainCap = 4096
 	}
 	if cfg.SnapshotEveryS <= 0 {
 		cfg.SnapshotEveryS = 10
@@ -312,7 +279,6 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 		}
 		return st
 	}
-	e.evbufs.New = func() any { return event.NewBuffer(cfg.DrainCap) }
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -340,36 +306,17 @@ func (e *Engine) SessionSeed(id uint64) int64 {
 // must not block and must not call back into the engine or the session
 // (the Sink contract); put a bounded event.Buffer or event.Chan in
 // front of slow consumers. A KindSessionClosed event is always the
-// session's last. This is THE output surface of the serving layer;
-// Open's callback, Drain and Config.OnClose are adapters over it.
+// session's last. This is the output surface of the serving layer.
 func (e *Engine) Subscribe(id uint64, sink event.Sink) (*Session, error) {
 	if sink == nil {
-		return nil, errors.New("session: Subscribe requires a sink (use Open for legacy Drain collection)")
+		return nil, errors.New("session: Subscribe requires a sink (event.Discard drops every event)")
 	}
-	return e.open(id, sink, false)
+	return e.open(id, sink)
 }
 
-// Open creates a session on the legacy beat-callback surface. onBeat,
-// when non-nil, is invoked for every emitted beat from a worker
-// goroutine (one call at a time per session, in order); when nil the
-// beats accumulate for Drain in a bounded ring of Config.DrainCap
-// beats (oldest dropped and counted beyond that). Both are thin
-// adapters over the typed event stream — prefer Subscribe.
-func (e *Engine) Open(id uint64, onBeat func(hemo.BeatParams)) (*Session, error) {
-	if onBeat == nil {
-		return e.open(id, nil, true)
-	}
-	return e.open(id, event.Func(func(ev event.Event) {
-		if ev.Kind == event.KindBeat {
-			onBeat(ev.Params)
-		}
-	}), false)
-}
-
-// open creates a session wired to the given sink (drain selects the
-// buffered legacy collection instead) and arms its pooled streamer to
-// emit typed events through the session's forwarder.
-func (e *Engine) open(id uint64, sink event.Sink, drain bool) (*Session, error) {
+// open creates a session wired to the given sink and arms its pooled
+// streamer to emit typed events through the session's forwarder.
+func (e *Engine) open(id uint64, sink event.Sink) (*Session, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -392,9 +339,6 @@ func (e *Engine) open(id uint64, sink event.Sink, drain bool) (*Session, error) 
 		done:      make(chan struct{}),
 		sink:      sink,
 		nextSnapS: e.snapEvery,
-	}
-	if drain {
-		s.buf = e.evbufs.Get().(*event.Buffer)
 	}
 	s.st.Emit(forwarder{s}, id)
 	s.cond = sync.NewCond(&s.mu)
@@ -435,7 +379,7 @@ func (e *Engine) Close() error {
 		e.mu.Unlock()
 		return ErrEngineClosed
 	}
-	// Mark closed before flushing so a racing Open cannot slip a new,
+	// Mark closed before flushing so a racing open cannot slip a new,
 	// never-flushed session in behind the snapshot.
 	e.closed = true
 	open := make([]*Session, 0, len(e.sessions))
@@ -490,7 +434,7 @@ func (s *Session) Seed() int64 { return s.seed }
 
 // Push copies the chunk (equal-length channels) into pooled buffers and
 // queues it; it blocks only when the session's backlog is full. Beats
-// appear at the session's callback or Drain asynchronously.
+// reach the session's subscriber asynchronously.
 //
 // Push is a network-facing boundary, so malformed input is a typed
 // error, never a panic: unequal lengths return ErrChannelMismatch, and
@@ -558,8 +502,8 @@ func (s *Session) PushOwned(ecgSamples, zSamples []float64) error {
 // ErrSessionEvicted when the engine evicted the session for dead
 // contact — including when the eviction overtakes an already-enqueued
 // flush (the evicted stream was never flushed, so its lookahead-tail
-// beats were dropped; reporting success there would be a lie). Drain
-// still works after an eviction.
+// beats were dropped; reporting success there would be a lie). The
+// subscriber has received every event either way.
 func (s *Session) Close() error {
 	if err := s.enqueue(chunk{flush: true}); err != nil {
 		return err
@@ -574,60 +518,6 @@ func (s *Session) Close() error {
 		return ErrSessionEvicted
 	}
 	return nil
-}
-
-// Drain returns the beats collected so far (legacy callback-less
-// sessions) and resets the collection. The collection is a bounded ring
-// (Config.DrainCap): beats beyond the cap were dropped oldest-first and
-// are counted by DroppedBeats. The first Drain after the session
-// finished recycles the ring into the engine pool; subscribed and
-// callback sessions always drain empty.
-func (s *Session) Drain() []hemo.BeatParams {
-	s.mu.Lock()
-	buf := s.buf
-	finished := false
-	select {
-	case <-s.done:
-		finished = true
-		// The worker is done emitting: this drain is the last, so the
-		// ring can go back to the pool afterwards.
-		s.buf = nil
-	default:
-	}
-	s.mu.Unlock()
-	if buf == nil {
-		return nil
-	}
-	evs := buf.Drain(nil)
-	var out []hemo.BeatParams
-	if len(evs) > 0 {
-		out = make([]hemo.BeatParams, len(evs))
-		for i := range evs {
-			out[i] = evs[i].Params
-		}
-	}
-	if finished {
-		buf.Reset()
-		s.eng.evbufs.Put(buf)
-	}
-	return out
-}
-
-// DroppedBeats returns how many beats the bounded Drain ring discarded
-// because Drain was not called often enough; 0 for subscribed and
-// callback sessions (they deliver every beat as it fires). While the
-// session is live it reads the ring's running counter; once the
-// session finished it returns the final tally snapshotted by the
-// close path, so the value survives the post-close Drain recycling the
-// ring. The same final count is stamped on the KindSessionClosed
-// event (Dropped) for subscribed consumers.
-func (s *Session) DroppedBeats() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.buf != nil && s.st != nil {
-		return s.buf.Dropped()
-	}
-	return s.dropped
 }
 
 // closedErr reports why the session no longer accepts input (callers
@@ -833,11 +723,10 @@ func (f forwarder) Emit(e event.Event) { f.s.forward(e) }
 
 // forward is the single delivery point of the session: it keeps the
 // quality-gate tally (every KindBeat carries its gate decision in
-// Params.Accepted), then hands the event to the subscriber sink, or
-// buffers beats in the bounded Drain ring for legacy callback-less
-// sessions. It runs on the session's worker — one event at a time, in
-// per-session FIFO order — and also carries the lifecycle events finish
-// emits from that same worker.
+// Params.Accepted), appends the event to the WAL, then hands it to the
+// subscriber sink and to any late subscribers. It runs on the session's
+// worker — one event at a time, in per-session FIFO order — and also
+// carries the lifecycle events finish emits from that same worker.
 func (s *Session) forward(e event.Event) {
 	if e.Kind == event.KindBeat {
 		s.mu.Lock()
@@ -854,11 +743,7 @@ func (s *Session) forward(e event.Event) {
 	if w := s.eng.cfg.WAL; w != nil {
 		w.AppendEvent(e)
 	}
-	if s.sink != nil {
-		s.sink.Emit(e)
-	} else if s.buf != nil && e.Kind == event.KindBeat {
-		s.buf.Emit(e)
-	}
+	s.sink.Emit(e)
 	for _, x := range s.extras {
 		x.Emit(e)
 	}
@@ -910,8 +795,8 @@ func (s *Session) Reason() CloseReason {
 
 // finish recycles the streamer, detaches the session and emits the
 // lifecycle events — KindEviction for any non-client close, then the
-// final KindSessionClosed, then the legacy OnClose adapter. It runs on
-// the session's worker, exactly once, after the session's last beat.
+// final KindSessionClosed. It runs on the session's worker, exactly
+// once, after the session's last beat.
 func (s *Session) finish(reason CloseReason) { s.finishWith(reason, false) }
 
 // finishWith is finish with the panic-close variant: corrupt marks the
@@ -924,14 +809,6 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 	s.st = nil
 	s.reason = reason
 	acc, em := s.accepted, s.emitted
-	if s.buf != nil {
-		// Snapshot the Drain ring's overflow tally before the ring can
-		// be recycled, in the same critical section that marks the
-		// session finished (st = nil), so DroppedBeats never races the
-		// post-close Drain.
-		s.dropped = s.buf.Dropped()
-	}
-	dropped := s.dropped
 	s.mu.Unlock()
 	// Snapshot the health signals and session clocks before Reset
 	// wipes them (defensively when the streamer is mid-panic).
@@ -956,7 +833,6 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 	if w := s.eng.cfg.WAL; w != nil && !corrupt {
 		s.snapshot(w, st)
 	}
-	ev := CloseEvent{ID: s.ID, Reason: reason, Accepted: acc, Emitted: em, Health: hs}
 	lifecycle := event.Event{
 		Session:    s.ID,
 		Beat:       beat,
@@ -979,7 +855,6 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 	}
 	closed := lifecycle
 	closed.Kind = event.KindSessionClosed
-	closed.Dropped = dropped
 	deliver(closed)
 	if !corrupt {
 		st.Reset()
@@ -996,14 +871,12 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 		}
 	}
 	e.mu.Unlock()
-	if e.cfg.OnClose != nil {
-		e.cfg.OnClose(ev)
-	}
 	close(s.done)
 }
 
-// Latency reports the session's worst-case beat-reporting latency in
-// seconds (core.Streamer.Latency); 0 after the session closed.
+// Latency reports the session's beat-reporting latency in seconds for
+// a normally confirmed R (core.Streamer.Latency, not a worst case: a
+// search-back beat can arrive later); 0 after the session closed.
 func (s *Session) Latency() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/hemo"
 	"repro/internal/physio"
 )
 
@@ -58,44 +57,17 @@ func (in *testInputs) deadChannels(seed int64, id uint64) (ecg, z []float64) {
 	return physio.DeadContact(seed, n)
 }
 
-func hashBeats(beats []hemo.BeatParams) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v float64) {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, b := range beats {
-		put(b.TimeS)
-		put(b.RR)
-		put(b.HR)
-		put(b.PEP)
-		put(b.LVET)
-		put(b.STR)
-		put(b.Z0)
-		put(b.Z0Thoracic)
-		put(b.DZdtMax)
-		put(b.SVKub)
-		put(b.SVSram)
-		put(b.CO)
-		put(b.TFC)
-	}
-	return h.Sum64()
-}
-
 // evHasher is the determinism test's subscriber: it folds EVERY field
 // of every event — beats, health transitions, mode flips, evictions,
-// the final close — into a running FNV hash (the same stdlib fold
-// hashBeats uses), so two runs agree iff their full typed event
-// sequences are byte-identical. Events arrive one at a time on the
+// the final close — into a running FNV hash, so two runs agree iff
+// their full typed event sequences are byte-identical. It also counts
+// the beats and notes an eviction. Events arrive one at a time on the
 // session's worker (the Sink contract), so no locking is needed; read
 // the hash only after the session finished.
 type evHasher struct {
-	h     hash.Hash64
-	beats int
+	h       hash.Hash64
+	beats   int
+	evicted bool
 }
 
 func newEvHasher() *evHasher { return &evHasher{h: fnv.New64a()} }
@@ -146,8 +118,11 @@ func (r *evHasher) Emit(e event.Event) {
 		restored = 1
 	}
 	r.word(restored)
-	if e.Kind == event.KindBeat {
+	switch e.Kind {
+	case event.KindBeat:
 		r.beats++
+	case event.KindEviction:
+		r.evicted = true
 	}
 }
 
@@ -155,7 +130,6 @@ func (r *evHasher) Emit(e event.Event) {
 type fleetOpts struct {
 	health  HealthConfig
 	deadMod uint64 // id%deadMod == deadMod-1 gets dead-contact input (0 = none)
-	onClose func(CloseEvent)
 }
 
 // isDead reports whether session id carries dead-contact input.
@@ -166,20 +140,20 @@ func (o *fleetOpts) isDead(id uint64) bool {
 // runFleet drives n concurrent sessions through an engine with the
 // given worker count, every session subscribed to the typed event
 // stream, and returns the per-session hashes of the FULL event
-// sequence (beats, health transitions, mode flips, evictions, close)
-// plus the per-session beat-event counts. Pushers tolerate health
-// evictions: an evicted session stops pushing and hashes whatever the
-// engine emitted before the cut — including the eviction events
-// themselves, so the eviction point and ordering are pinned, not just
-// the beats.
-func runFleet(t testing.TB, dev *core.Device, in *testInputs, n, workers, chunk int, opts *fleetOpts) ([]uint64, []int) {
+// sequence (beats, health transitions, mode flips, evictions, close),
+// the per-session beat-event counts and the IDs of the sessions that
+// received a KindEviction. Pushers tolerate health evictions: an
+// evicted session stops pushing and hashes whatever the engine emitted
+// before the cut — including the eviction events themselves, so the
+// eviction point and ordering are pinned, not just the beats. After
+// the engine closed, its Stats must agree with the events.
+func runFleet(t testing.TB, dev *core.Device, in *testInputs, n, workers, chunk int, opts *fleetOpts) ([]uint64, []int, map[uint64]bool) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.Seed = 42
 	if opts != nil {
 		cfg.Health = opts.health
-		cfg.OnClose = opts.onClose
 	}
 	eng := NewEngine(dev, cfg)
 	hashers := make([]*evHasher, n)
@@ -248,11 +222,19 @@ func runFleet(t testing.TB, dev *core.Device, in *testInputs, n, workers, chunk 
 	}
 	hashes := make([]uint64, n)
 	beats := make([]int, n)
+	evicted := make(map[uint64]bool)
 	for i, r := range hashers {
 		hashes[i] = r.h.Sum64()
 		beats[i] = r.beats
+		if r.evicted {
+			evicted[uint64(i)] = true
+		}
 	}
-	return hashes, beats
+	want := EngineStats{Open: 0, Opened: uint64(n), Finished: uint64(n), Evicted: uint64(len(evicted))}
+	if st := eng.Stats(); st != want {
+		t.Fatalf("engine stats %+v disagree with the events: want %+v", st, want)
+	}
+	return hashes, beats, evicted
 }
 
 // The headline scale/determinism test: >= 1000 concurrent sessions,
@@ -284,21 +266,7 @@ func TestEngineThousandSessionsDeterministic(t *testing.T) {
 	health := HealthConfig{EvictBelowRate: 0.45, EvictAfterS: 1.5, GraceS: 1, NoBeatS: 3}
 
 	run := func(workers int) ([]uint64, []int, map[uint64]bool) {
-		var mu sync.Mutex
-		evicted := make(map[uint64]bool)
-		opts := &fleetOpts{
-			health:  health,
-			deadMod: 8,
-			onClose: func(ev CloseEvent) {
-				if ev.Reason == ReasonDeadContact {
-					mu.Lock()
-					evicted[ev.ID] = true
-					mu.Unlock()
-				}
-			},
-		}
-		hashes, beats := runFleet(t, dev, in, n, workers, 125, opts)
-		return hashes, beats, evicted
+		return runFleet(t, dev, in, n, workers, 125, &fleetOpts{health: health, deadMod: 8})
 	}
 
 	ref, refBeats, refEvicted := run(1)
@@ -347,8 +315,8 @@ func TestEngineChunkInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := makeInputs(t, dev, 8)
-	a, _ := runFleet(t, dev, in, 32, 4, 50, nil)
-	b, _ := runFleet(t, dev, in, 32, 4, 501, nil)
+	a, _, _ := runFleet(t, dev, in, 32, 4, 50, nil)
+	b, _, _ := runFleet(t, dev, in, 32, 4, 501, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("session %d: chunk 50 hash %x != chunk 501 hash %x", i, a[i], b[i])
@@ -371,7 +339,8 @@ func TestEnginePooledStreamerReuse(t *testing.T) {
 	defer eng.Close()
 
 	run := func(id uint64) uint64 {
-		s, err := eng.Open(id, nil)
+		h := newEvHasher()
+		s, err := eng.Subscribe(id, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +357,7 @@ func TestEnginePooledStreamerReuse(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return hashBeats(s.Drain())
+		return h.h.Sum64()
 	}
 	// Same ID reopened after close: same seed, same data, same hash —
 	// through a recycled streamer.
@@ -409,11 +378,14 @@ func TestEngineCallbacksInOrder(t *testing.T) {
 	defer eng.Close()
 	var mu sync.Mutex
 	var times []float64
-	s, err := eng.Open(1, func(b hemo.BeatParams) {
+	s, err := eng.Subscribe(1, event.Func(func(e event.Event) {
+		if e.Kind != event.KindBeat {
+			return
+		}
 		mu.Lock()
-		times = append(times, b.TimeS)
+		times = append(times, e.Params.TimeS)
 		mu.Unlock()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +403,7 @@ func TestEngineCallbacksInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(times) == 0 {
-		t.Fatal("no beats via callback")
+		t.Fatal("no beat events")
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] <= times[i-1] {
@@ -446,16 +418,16 @@ func TestEngineLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(dev, DefaultConfig())
-	if _, err := eng.Open(1, nil); err != nil {
+	if _, err := eng.Subscribe(1, event.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Open(1, nil); err != ErrDuplicateID {
+	if _, err := eng.Subscribe(1, event.Discard); err != ErrDuplicateID {
 		t.Fatalf("duplicate open: %v", err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Open(2, nil); err != ErrEngineClosed {
+	if _, err := eng.Subscribe(2, event.Discard); err != ErrEngineClosed {
 		t.Fatalf("open after close: %v", err)
 	}
 	if err := eng.Close(); err != ErrEngineClosed {
@@ -470,7 +442,7 @@ func TestSessionPushAfterCloseFails(t *testing.T) {
 	}
 	eng := NewEngine(dev, DefaultConfig())
 	defer eng.Close()
-	s, err := eng.Open(9, nil)
+	s, err := eng.Subscribe(9, event.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +475,7 @@ func TestEngineCloseOpenRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; ; j++ {
-				s, err := eng.Open(uint64(j), nil)
+				s, err := eng.Subscribe(uint64(j), event.Discard)
 				if err != nil {
 					return // engine closed
 				}
@@ -537,7 +509,8 @@ func TestPushOwnedMatchesPush(t *testing.T) {
 	defer eng.Close()
 
 	run := func(id uint64, owned bool) (uint64, int, int) {
-		s, err := eng.Open(id, nil)
+		h := newEvHasher()
+		s, err := eng.Subscribe(id, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +536,7 @@ func TestPushOwnedMatchesPush(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc, emitted := s.AcceptStats()
-		return hashBeats(s.Drain()), acc, emitted
+		return h.h.Sum64(), acc, emitted
 	}
 	hCopy, accC, emC := run(3, false)
 	hOwn, accO, emO := run(3, true) // same ID after close: same seed and data
@@ -588,7 +561,7 @@ func TestPushOwnedAfterCloseFails(t *testing.T) {
 	}
 	eng := NewEngine(dev, DefaultConfig())
 	defer eng.Close()
-	s, err := eng.Open(1, nil)
+	s, err := eng.Subscribe(1, event.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,6 @@ type (
 	EngineConfig = session.Config
 	// HealthConfig arms engine-level eviction of dead-contact sessions.
 	HealthConfig = session.HealthConfig
-	// CloseEvent reports why a session ended (client close or
-	// dead-contact eviction) with its final health snapshot.
-	CloseEvent = session.CloseEvent
 	// StreamHealth is a streamer's contact-health snapshot.
 	StreamHealth = core.StreamHealth
 	// NonFinitePolicy selects how Push treats NaN/Inf samples
@@ -141,7 +138,7 @@ type (
 	EventChan = event.Chan
 )
 
-// Session close reasons (CloseEvent.Reason / Session.Reason).
+// Session close reasons (Session.Reason / Event.Reason).
 const (
 	ReasonClient        = session.ReasonClient
 	ReasonDeadContact   = session.ReasonDeadContact
