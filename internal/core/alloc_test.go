@@ -47,26 +47,66 @@ func TestProcessSteadyStateAllocations(t *testing.T) {
 // and analyzes each beat exactly once, so a steady-state 1 s hop must
 // allocate almost nothing. Events are its only output and are measured
 // as the engine serves them: a Buffer sink armed with the health floor,
-// drained into a reused slice each hop. An Event is a flat value built
-// on the stack and copied into the Buffer's preallocated ring, so
-// delivery itself allocates nothing. The rolling filtfilt cache (PR 7)
+// drained into a reused slice each hop. The rolling filtfilt cache (PR 7)
 // cut the per-beat refilter scratch to ~14 objects/hop measured; the
 // budget rides just above that.
 func TestStreamerSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
+	d, acq := allocFixture(t)
+	st := d.NewStreamer(DefaultStreamConfig())
+	buf := event.NewBuffer(256)
+	st.Emit(buf, 1)
+	st.SetHealthFloor(0.2)
+	dst := make([]event.Event, 0, 256)
+	allocs := hopAllocs(st, acq, func() { dst = buf.Drain(dst[:0]) })
+	if allocs > 20 {
+		t.Errorf("steady-state Push allocates %.0f objects/hop, budget 20", allocs)
+	}
+}
+
+// Typed event delivery must add ZERO allocations per beat on the
+// streaming hot path: an Event is a flat value built on the stack and
+// copied into the Buffer sink's preallocated ring, so a streamer armed
+// with a Buffer sink and the health floor allocates no more than one
+// delivering to event.Discard. Both streamers replay the identical hop
+// schedule, so the comparison is exact, not statistical.
+func TestStreamerEventDeliveryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	d, acq := allocFixture(t)
+	discardAllocs := hopAllocs(d.NewStreamer(DefaultStreamConfig()), acq, func() {})
+
+	st := d.NewStreamer(DefaultStreamConfig())
+	buf := event.NewBuffer(256)
+	st.Emit(buf, 1)
+	st.SetHealthFloor(0.2)
+	dst := make([]event.Event, 0, 256)
+	evAllocs := hopAllocs(st, acq, func() { dst = buf.Drain(dst[:0]) })
+	if evAllocs > discardAllocs {
+		t.Errorf("Buffer-armed Push allocates %.0f objects/hop, Discard sink %.0f — event delivery must be free",
+			evAllocs, discardAllocs)
+	}
+}
+
+// allocFixture returns a device and a 30 s acquisition of subject 1.
+func allocFixture(t *testing.T) (*Device, *Acquisition) {
+	t.Helper()
 	sub, _ := physio.SubjectByID(1)
 	d := device(t, nil)
 	acq, err := d.Acquire(&sub, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := d.NewStreamer(DefaultStreamConfig())
-	buf := event.NewBuffer(256)
-	st.Emit(buf, 1)
-	st.SetHealthFloor(0.2)
-	dst := make([]event.Event, 0, 256)
+	return d, acq
+}
+
+// hopAllocs pushes acq through st in 1 s hops, wrapping at the end, and
+// returns the objects allocated per hop after a 10-hop warm-up that fills
+// the delay lines and settles the detectors. after runs once per hop.
+func hopAllocs(st *Streamer, acq *Acquisition, after func()) float64 {
 	hop := 250
 	pos := 0
 	push := func() {
@@ -76,15 +116,11 @@ func TestStreamerSteadyStateAllocations(t *testing.T) {
 			end = hop
 		}
 		st.Push(acq.ECG[pos:end], acq.Z[pos:end])
-		dst = buf.Drain(dst[:0])
+		after()
 		pos = end
 	}
-	// Warm up: fill delay lines and settle the detectors.
 	for i := 0; i < 10; i++ {
 		push()
 	}
-	allocs := testing.AllocsPerRun(10, push)
-	if allocs > 20 {
-		t.Errorf("steady-state Push allocates %.0f objects/hop, budget 20", allocs)
-	}
+	return testing.AllocsPerRun(10, push)
 }
