@@ -46,7 +46,7 @@ func main() {
 	scfg.PMU = &pmu
 	// Crash-safe durability: every event the session emits is appended
 	// to a write-ahead log before delivery (here on an in-memory FS; a
-	// real deployment passes a directory on disk — see cmd/icgstream
+	// real deployment passes a directory on disk — see cmd/icgserve
 	// -wal-dir). The log is what lets a dashboard attach mid-session
 	// with full history (SubscribeFrom below) and a crashed process
 	// restore its sessions (Engine.Reopen).

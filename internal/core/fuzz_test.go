@@ -20,14 +20,37 @@ import (
 // every history ring the streamer holds (the 16 s gate and delineator
 // rings, the 8 s z-prefix ring): a recording that fits every ring
 // cannot catch a ring overrun by a large push. The delineator fuzzer
-// runs on its own delinFuzzSeconds acquisitions.
+// runs on its own delinFuzzSeconds acquisitions, plus the first
+// delinFuzzSeconds of subject 1's base recording.
 var fuzzEnv struct {
 	once  sync.Once
 	dev   *Device
 	base  [][2][]float64 // {ecg, z} per subject, fuzzBaseSeconds long
-	delin [][]float64    // z per subject, delinFuzzSeconds long
-	rs    [][]int        // R peaks detected on each delin recording's ECG
+	delin []delinRec
 	err   error
+}
+
+// delinRec is one FuzzDelineatorRefilterCache recording: the delineator
+// is fed the first n samples of z's -dZ/dt and the R peaks before n.
+type delinRec struct {
+	z  []float64
+	n  int
+	rs []int // R peaks detected on the recording's ECG, all below n
+}
+
+// delinFrom builds a delinRec cut to the first n samples of {ecg, z}.
+func delinFrom(ecgSig, z []float64, n int, fs float64) (delinRec, error) {
+	pt, err := ecg.NewPTStream(ecg.DefaultPT(fs))
+	if err != nil {
+		return delinRec{}, err
+	}
+	var rs []int
+	for _, r := range pt.Flush(pt.Push(nil, ecgSig)) {
+		if r < n {
+			rs = append(rs, r)
+		}
+	}
+	return delinRec{z: z, n: n, rs: rs}, nil
 }
 
 func fuzzSetup() error {
@@ -51,14 +74,23 @@ func fuzzSetup() error {
 				fuzzEnv.err = err
 				return
 			}
-			fuzzEnv.delin = append(fuzzEnv.delin, short.Z)
-			pt, err := ecg.NewPTStream(ecg.DefaultPT(dev.cfg.FS))
+			rec, err := delinFrom(short.ECG, short.Z, len(short.Z), dev.cfg.FS)
 			if err != nil {
 				fuzzEnv.err = err
 				return
 			}
-			fuzzEnv.rs = append(fuzzEnv.rs, pt.Flush(pt.Push(nil, short.ECG)))
+			fuzzEnv.delin = append(fuzzEnv.delin, rec)
 		}
+		// Cut mid-recording, the last beat's trailing context is clamped
+		// to 33 samples at the stream end: the edge law 2's oracle must
+		// treat the way the rolling cache does.
+		base := fuzzEnv.base[0]
+		rec, err := delinFrom(base[0], base[1], int(delinFuzzSeconds*dev.cfg.FS), dev.cfg.FS)
+		if err != nil {
+			fuzzEnv.err = err
+			return
+		}
+		fuzzEnv.delin = append(fuzzEnv.delin, rec)
 	})
 	return fuzzEnv.err
 }
@@ -190,6 +222,10 @@ func beatDiff(a, b icg.BeatAnalysis) string {
 // filtfilt, then the low-pass filtfilt over the segment plus the 0.3 s
 // low-pass guard, before the point detector runs on the segment. Only
 // the points (on the ECG clock) and the error are reported.
+//
+// Where the recording end clamps the trailing context, the high-pass
+// backward pass starts the way the rolling cache's does: zi-primed on
+// the last sample, with no reflected tail (clampedFiltFilt).
 func windowedRefilter(sig []float64, rs []int, cfg icg.DetectConfig, lp, hp dsp.SOS, ctxN int) []icg.BeatAnalysis {
 	guard := int(0.3 * cfg.FS)
 	var out []icg.BeatAnalysis
@@ -201,7 +237,12 @@ func windowedRefilter(sig []float64, rs []int, cfg icg.DetectConfig, lp, hp dsp.
 			out = append(out, icg.BeatAnalysis{Err: icg.ErrBeatTooShort})
 			continue
 		}
-		buf := hp.FiltFiltWith(nil, sig[lo:hi])
+		var buf []float64
+		if hi < rHi+ctxN {
+			buf = clampedFiltFilt(hp, sig[lo:hi])
+		} else {
+			buf = hp.FiltFiltWith(nil, sig[lo:hi])
+		}
 		trim := max(rLo-lo-guard, 0)
 		cond := lp.FiltFiltWith(nil, buf[trim:min(segHi-lo+guard, len(buf))])
 		relLo := rLo - lo - trim
@@ -222,6 +263,24 @@ func windowedRefilter(sig []float64, rs []int, cfg icg.DetectConfig, lp, hp dsp.
 	return out
 }
 
+// clampedFiltFilt is SOS.FiltFilt with the right edge clamped: the
+// forward pass runs over the odd-reflected head and x, the backward pass
+// starts at x's last sample, zi-primed, with no reflected tail.
+func clampedFiltFilt(s dsp.SOS, x []float64) []float64 {
+	pad := min(3*(2*len(s)+1), len(x)-1)
+	ext := make([]float64, 0, pad+len(x))
+	for i := pad; i >= 1; i-- {
+		ext = append(ext, 2*x[0]-x[i])
+	}
+	ext = append(ext, x...)
+	s.FilterZiInPlace(ext)
+	y := ext[pad:]
+	dsp.Reverse(y)
+	s.FilterZiInPlace(y)
+	dsp.Reverse(y)
+	return y
+}
+
 // FuzzDelineatorRefilterCache pins the rolling filtfilt cache's laws
 // under fuzzing, on study-subject -dZ/dt streams with fuzz-chosen
 // gain/offset perturbations and chunkings:
@@ -240,13 +299,13 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{125})
 	f.Add(uint8(1), int64(7), []byte{1})
 	f.Add(uint8(2), int64(-9), []byte{3, 0, 40, 250})
+	f.Add(uint8(3), int64(0), []byte{125})
 	f.Fuzz(func(t *testing.T, subject uint8, perturbSeed int64, chunks []byte) {
 		if err := fuzzSetup(); err != nil {
 			t.Skip("no device:", err)
 		}
-		idx := int(subject) % len(fuzzEnv.delin)
-		baseZ := fuzzEnv.delin[idx]
-		rs := fuzzEnv.rs[idx]
+		rec := fuzzEnv.delin[int(subject)%len(fuzzEnv.delin)]
+		baseZ, rs := rec.z, rec.rs
 		fs := fuzzEnv.dev.cfg.FS
 		rng := physio.NewRNG(perturbSeed)
 		gain := 1 + 0.02*(rng.Float64()-0.5)
@@ -259,7 +318,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		// chain's own chunk invariance is FuzzStreamerPush's law, so it
 		// runs whole here and only the delineator input is re-chunked.
 		deriv := Chain{icgDerivStage{fs: fs}}.NewStream()
-		sig := deriv.Flush(deriv.Push(nil, z))
+		sig := deriv.Flush(deriv.Push(nil, z))[:rec.n]
 
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP

@@ -268,7 +268,7 @@ func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
 // NewZeroPhaseFIRStreamDirect is NewZeroPhaseFIRStream pinned to the
 // direct (per-sample recurrence) engine regardless of kernel width: the
 // MCU deployment profile (no FFT working set, see core's RAM model) and
-// the -direct-fir A/B baseline in cmd/icgstream.
+// the A/B baseline of BenchmarkZeroPhaseFIRStream30sDirect.
 func NewZeroPhaseFIRStreamDirect(f *FIR) *FIRStream {
 	return newZeroPhaseFIRStream(f.zeroPhase())
 }

@@ -133,11 +133,6 @@ type Event struct {
 	// Accepted and Emitted are the session's final gate tally
 	// (KindEviction, KindSessionClosed).
 	Accepted, Emitted int
-	// Dropped is always 0: the session engine no longer buffers beats
-	// for polling. The field keeps its slot in the event codec (WAL
-	// records and gateway event frames) until a format revision drops it.
-	Dropped uint64
-
 	// Restored reports whether a re-admitted session was rehydrated
 	// from a durable snapshot rather than cold-started (KindReadmit).
 	Restored bool

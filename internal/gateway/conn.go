@@ -30,6 +30,11 @@ type outMsg struct {
 type srvStream struct {
 	sess *session.Session
 	dec  chunkDecoder
+	// ended is the code the session's last push failed with (eviction,
+	// engine close), 0 while it is live. An ended stream discards the
+	// chunks the device sent before its TypeErr notice arrived, and
+	// answers the device's close with the code.
+	ended byte
 }
 
 // conn is one gateway connection: a reader goroutine owning all ingest
@@ -273,6 +278,9 @@ func (c *conn) handleChunk(f *radio.Frame) error {
 	if !ok {
 		return ErrBadPayload // chunk for a stream that was never opened
 	}
+	if st.ended != 0 {
+		return nil
+	}
 	ecg, z, err := st.dec.decodeChunk(f)
 	if err != nil {
 		return err // seq gap or malformed payload: delta chain unsafe
@@ -288,9 +296,10 @@ func (c *conn) handleChunk(f *radio.Frame) error {
 	// handed to the engine outright.
 	if err := st.sess.PushOwned(ecg, z); err != nil {
 		// Evicted or engine-closed mid-stream: a per-stream notice, not
-		// a connection error. The stream is dead; drop it.
-		delete(c.streams, stream)
-		c.sendAck(TypeErr, stream, errCode(err))
+		// a connection error. The stream stays ended until the device
+		// closes it.
+		st.ended = errCode(err)
+		c.sendAck(TypeErr, stream, st.ended)
 	}
 	return nil
 }
@@ -306,6 +315,10 @@ func (c *conn) handleCloseStream(f *radio.Frame) error {
 		return nil
 	}
 	delete(c.streams, stream)
+	if st.ended != 0 {
+		c.sendAck(TypeCloseAck, stream, st.ended)
+		return nil
+	}
 	// Blocks until the flush has run and the final events (lookahead
 	// tail beats, KindSessionClosed) have been emitted — so the
 	// CloseAck is queued strictly after the session's last event.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func testStreams(t testing.TB, dev *core.Device, ids []uint64, seconds float64) 
 }
 
 // evHash folds an event's canonical wal encoding into a session hash —
-// the same 204 bytes the gateway puts on the wire, so two event streams
+// the same 196 bytes the gateway puts on the wire, so two event streams
 // hash equal iff they are field-identical in the same order.
 type evHash struct {
 	h   map[uint64]uint64
@@ -417,6 +418,43 @@ func TestGarbageKillsConnection(t *testing.T) {
 	}
 }
 
+// TestHelloVersion1Rejected pins the codec revision at the handshake: a
+// version-1 peer, which expects 204-byte event frames, is refused with
+// CodeBadVersion before any session opens.
+func TestHelloVersion1Rejected(t *testing.T) {
+	dev := testDevice(t)
+	g := New(dev, Config{Session: session.Config{Workers: 1}})
+	defer g.Close()
+	addr := startGateway(t, g)
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := putU64(putU16([]byte{1, HelloSubscribe}, 3), 42)
+	f := radio.Frame{Type: TypeHello, Payload: hello}
+	enc, err := f.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	sc := radio.NewScannerLimit(nc, radio.MaxPayloadExt)
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rf, err := sc.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf.Type != TypeHelloAck || getU16(rf.Payload) != 3 || rf.Payload[2] != CodeBadVersion {
+		t.Fatalf("unexpected ack: type %#x payload % x", rf.Type, rf.Payload)
+	}
+	if n := g.SessionsOpen(); n != 0 {
+		t.Fatalf("%d sessions opened for a version-1 hello", n)
+	}
+}
+
 // TestEventQueueBounded pins the egress backpressure contract at the
 // unit level: a subscriber queue never grows past its bound — overflow
 // is dropped and counted, and a worker emitting into it never blocks.
@@ -452,6 +490,51 @@ func TestEventQueueBounded(t *testing.T) {
 // TestConnDropFlushesSessions pins disconnect semantics: when a client
 // vanishes mid-stream, the gateway flush-closes its sessions (remaining
 // subscribers see the final events) instead of leaking them.
+// TestEvictedStreamKeepsConnection pins the per-stream stance of an
+// eviction: the chunks a device sent before the TypeErr notice reached
+// it are discarded, its close is answered with CodeEvicted, and the other
+// streams on the connection carry on.
+func TestEvictedStreamKeepsConnection(t *testing.T) {
+	dev := testDevice(t)
+	g := New(dev, Config{Session: session.Config{Workers: 1, MaxPending: 4,
+		Health: session.HealthConfig{EvictBelowRate: 0.45, EvictAfterS: 20}}})
+	defer g.Close()
+	addr := startGateway(t, g)
+	c, err := Dial(addr, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dead, err := c.Open(1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := c.Open(2, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One Push writes all 40 s at once, so chunks are in flight long
+	// after the eviction (about 25 s in).
+	ecg, z := physio.DeadContact(1, int(40*dev.Config().FS))
+	if err := dead.Push(ecg, z); err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.Close(); !errors.Is(err, ErrRejected) || !strings.HasSuffix(err.Error(), fmt.Sprintf("(code %d)", CodeEvicted)) {
+		t.Fatalf("close of the evicted stream: err=%v, want code %d", err, CodeEvicted)
+	}
+	in := testStreams(t, dev, []uint64{2}, 4)[2]
+	if err := live.Push(in[0], in[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatalf("live stream on the same connection: %v", err)
+	}
+	st := g.Stats()
+	if c.Err() != nil || st.ProtocolErrs != 0 || st.Shards[0].Evicted != 1 {
+		t.Fatalf("conn err %v, %d protocol errors, %d evicted", c.Err(), st.ProtocolErrs, st.Shards[0].Evicted)
+	}
+}
+
 func TestConnDropFlushesSessions(t *testing.T) {
 	dev := testDevice(t)
 	ids := []uint64{77}

@@ -20,7 +20,7 @@
 //	TypeCloseAck [stream:2][code:1]                     after final events delivered
 //	TypeSub      [session:8]                            join a live session's event stream
 //	TypeSubAck   [session:8][code:1]                    result
-//	TypeEvent    [event:204]                            one event, canonical wal codec
+//	TypeEvent    [event:196]                            one event, canonical wal codec
 //	TypeErr      [stream:2][code:1]                     stream notice; stream 0xFFFF = fatal
 //
 // Sample encoding (TypeChunk) is LOSSLESS: each channel is an
@@ -65,7 +65,9 @@ const (
 )
 
 // ProtocolVersion is the Hello version byte this implementation speaks.
-const ProtocolVersion = 1
+// Version 2 ships revision-2 event frames (196 bytes, no Dropped
+// field); a version-1 peer's Hello is answered with CodeBadVersion.
+const ProtocolVersion = 2
 
 // HelloSubscribe (Hello flags bit 0) subscribes the opening connection
 // to the session's event stream.

@@ -4,7 +4,7 @@ package physio
 // front end: the impedance channel flat at the open-circuit value with
 // sub-quantization dither, and an ECG lead carrying only noise.
 // Deterministic per seed. It is the shared lifted-finger model — the
-// session engine's eviction tests and the cmd/icgstream fleet benchmark
+// session engine's eviction tests and the cmd/icgserve fleet driver
 // must stress the health policy with the SAME signal, or the published
 // shedding numbers drift from what the tests pin.
 func DeadContact(seed int64, n int) (ecg, z []float64) {

@@ -50,8 +50,8 @@ func (in *testInputs) channels(seed int64, id uint64) (ecg, z []float64) {
 // deadChannels returns a dead-contact stream of the same length as the
 // session's live recording would have been: the shared lifted-finger
 // model (physio.DeadContact — flat impedance, noise-only ECG), so the
-// eviction tests and the cmd/icgstream fleet benchmark stress the
-// health policy with the same signal.
+// eviction tests and the cmd/icgserve fleet driver stress the health
+// policy with the same signal.
 func (in *testInputs) deadChannels(seed int64, id uint64) (ecg, z []float64) {
 	n := len(in.base[id%uint64(len(in.base))][0])
 	return physio.DeadContact(seed, n)
@@ -112,7 +112,6 @@ func (r *evHasher) Emit(e event.Event) {
 	r.word(uint64(e.Reason))
 	r.word(uint64(e.Accepted))
 	r.word(uint64(e.Emitted))
-	r.word(e.Dropped)
 	restored := uint64(0)
 	if e.Restored {
 		restored = 1

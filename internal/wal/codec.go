@@ -11,16 +11,20 @@ import (
 // union by design (the event contract), so it encodes to a fixed-width
 // little-endian layout with no lengths, no framing and no allocation —
 // the record CRC around it provides the integrity check. The canonical
-// byte form is also what the kill/restore tests and the icgstream
-// -replay prefix check hash, so "byte-identical" is literal.
+// byte form is also what the kill/restore tests and the icgserve
+// -replay prefix check compare, so "byte-identical" is literal.
 //
 // EventSize bytes, in field order: Kind u8 | Session u64 | Beat i64 |
 // TimeS f64 | Params (14 × f64, Accepted u8) | AcceptEWMA f64 |
 // Below u8 | Floor f64 | Mode i64 | PrevMode i64 | Reason i64 |
-// Accepted i64 | Emitted i64 | Dropped u64 | Restored u8.
+// Accepted i64 | Emitted i64 | Restored u8.
+//
+// This is revision 2 of the layout. Revision 1 (204 bytes) carried a
+// Dropped u64 before Restored; its records have their own record kind,
+// which recovery and replay skip (record.go).
 
 // EventSize is the exact encoded size of one event.
-const EventSize = 204
+const EventSize = 196
 
 // EncodeEvent appends the canonical encoding of e to dst.
 func EncodeEvent(dst []byte, e *event.Event) []byte {
@@ -60,8 +64,7 @@ func EncodeEvent(dst []byte, e *event.Event) []byte {
 	binary.LittleEndian.PutUint64(b[171:], uint64(int64(e.Reason)))
 	binary.LittleEndian.PutUint64(b[179:], uint64(int64(e.Accepted)))
 	binary.LittleEndian.PutUint64(b[187:], uint64(int64(e.Emitted)))
-	binary.LittleEndian.PutUint64(b[195:], e.Dropped)
-	b[203] = bit(e.Restored)
+	b[195] = bit(e.Restored)
 	return dst
 }
 
@@ -72,7 +75,7 @@ func DecodeEvent(b []byte) (e event.Event, ok bool) {
 	if len(b) != EventSize {
 		return event.Event{}, false
 	}
-	if b[137] > 1 || b[146] > 1 || b[203] > 1 {
+	if b[137] > 1 || b[146] > 1 || b[195] > 1 {
 		return event.Event{}, false
 	}
 	e.Kind = event.Kind(b[0])
@@ -103,8 +106,7 @@ func DecodeEvent(b []byte) (e event.Event, ok bool) {
 	e.Reason = int(int64(binary.LittleEndian.Uint64(b[171:])))
 	e.Accepted = int(int64(binary.LittleEndian.Uint64(b[179:])))
 	e.Emitted = int(int64(binary.LittleEndian.Uint64(b[187:])))
-	e.Dropped = binary.LittleEndian.Uint64(b[195:])
-	e.Restored = b[203] == 1
+	e.Restored = b[195] == 1
 	return e, true
 }
 

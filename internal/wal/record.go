@@ -22,7 +22,10 @@ const (
 	recHeader = 9
 	maxRecord = 1 << 20
 
-	recEvent    byte = 1
+	// recEvent is 3, not 1: kind 1 framed revision-1 events (codec.go),
+	// so a pre-revision record is skipped, never decoded under the new
+	// layout.
+	recEvent    byte = 3
 	recSnapshot byte = 2
 )
 

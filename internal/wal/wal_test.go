@@ -36,7 +36,6 @@ func mkEvent(i int) event.Event {
 		Reason:     i % 3,
 		Accepted:   i * 2,
 		Emitted:    i,
-		Dropped:    uint64(i % 5),
 		Restored:   i%4 == 0,
 	}
 	p := &e.Params
@@ -103,6 +102,32 @@ func TestEventCodecRoundtrip(t *testing.T) {
 	bad[137] = 2 // boolean byte out of range
 	if _, ok := DecodeEvent(bad); ok {
 		t.Fatal("decode accepted a malformed boolean byte")
+	}
+}
+
+// A revision-1 event record (record kind 1, the 204-byte layout with
+// Dropped) is a kind this log does not read: Open accepts the segment
+// and replay yields no event from it.
+func TestRevision1EventRecordSkipped(t *testing.T) {
+	e := mkEvent(3)
+	enc := EncodeEvent(nil, &e)
+	v1 := append(append(enc[:195:195], make([]byte, 8)...), enc[195])
+	if len(v1) != 204 {
+		t.Fatalf("revision-1 payload is %d bytes", len(v1))
+	}
+	fs := NewMemFS()
+	fs.SetBytes("d/"+segName(0), appendRecord(nil, 1, v1))
+	l, err := Open("d", Config{FS: fs})
+	if err != nil {
+		t.Fatalf("Open on a revision-1 segment: %v", err)
+	}
+	defer l.Close()
+	if got := replayAll(t, l); len(got) != 0 {
+		t.Fatalf("replayed %d events from a revision-1 record", len(got))
+	}
+	if st := l.Stats(); st.Recovered != 1 || st.TruncatedBytes != 0 || len(st.Sessions) != 0 {
+		t.Fatalf("recovered %d records (%d bytes truncated, %d sessions), want the 1 record kept and skipped",
+			st.Recovered, st.TruncatedBytes, len(st.Sessions))
 	}
 }
 
