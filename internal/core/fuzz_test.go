@@ -45,7 +45,7 @@ func delinFrom(ecgSig, z []float64, n int, fs float64) (delinRec, error) {
 		return delinRec{}, err
 	}
 	var rs []int
-	for _, r := range pt.Flush(pt.Push(nil, ecgSig)) {
+	for _, r := range pt.Flush(pt.Push(nil, nil, ecgSig)) {
 		if r < n {
 			rs = append(rs, r)
 		}
@@ -318,7 +318,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		// chain's own chunk invariance is FuzzStreamerPush's law, so it
 		// runs whole here and only the delineator input is re-chunked.
 		deriv := Chain{icgDerivStage{fs: fs}}.NewStream()
-		sig := deriv.Flush(deriv.Push(nil, z))[:rec.n]
+		sig := deriv.Flush(nil, deriv.Push(nil, nil, z))[:rec.n]
 
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
@@ -327,11 +327,11 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 			var out []icg.BeatAnalysis
 			if !chunked {
 				// The 8 s acquisition fits the history ring whole.
-				out = d.PushICG(out, sig)
+				out = d.PushICG(nil, out, sig)
 				for _, r := range rs {
 					out = d.PushR(out, r)
 				}
-				return d.Flush(out)
+				return d.Flush(nil, out)
 			}
 			ci, pos, nextR := 0, 0, 0
 			for pos < len(sig) {
@@ -344,10 +344,10 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 				if end > len(sig) {
 					end = len(sig)
 				}
-				out = d.PushICG(out, sig[pos:end])
+				out = d.PushICG(nil, out, sig[pos:end])
 				pos = end
 				if c == 0 && pos < len(sig) {
-					out = d.PushICG(out, sig[pos:pos+1])
+					out = d.PushICG(nil, out, sig[pos:pos+1])
 					pos++
 				}
 				for nextR < len(rs) && rs[nextR] < pos {
@@ -358,7 +358,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 			for ; nextR < len(rs); nextR++ {
 				out = d.PushR(out, rs[nextR])
 			}
-			return d.Flush(out)
+			return d.Flush(nil, out)
 		}
 
 		want := run(false)

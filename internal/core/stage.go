@@ -38,9 +38,12 @@ type Stage interface {
 // with the batch edge treatment, Lookahead is the pipeline latency in
 // samples, and Shift is the morphological delay of the output waveform
 // relative to the input timeline (non-zero only for causal IIR stages).
+// Like Apply, Push and Flush check the working memory they need only
+// while they run out of the arena (nil allocates): a stream holds its
+// state between pushes and nothing else.
 type StageStream interface {
-	Push(dst, x []float64) []float64
-	Flush(dst []float64) []float64
+	Push(a *dsp.Arena, dst, x []float64) []float64
+	Flush(a *dsp.Arena, dst []float64) []float64
 	Lookahead() int
 	Shift() int
 	Reset()
@@ -62,47 +65,46 @@ func (c Chain) NewStream() *ChainStream {
 	cs := &ChainStream{stages: make([]StageStream, len(c))}
 	for i, st := range c {
 		cs.stages[i] = st.NewStream()
+		cs.la += cs.stages[i].Lookahead()
 	}
 	return cs
 }
 
-// ChainStream pipes chunks through the stage streams, ping-ponging
-// between two persistent scratch buffers so steady state allocates
-// nothing once the buffers have grown to the chunk size.
+// ChainStream pipes chunks through the stage streams. It holds only the
+// stages' state: the inter-stage buffers are per-push scratch.
 type ChainStream struct {
 	stages []StageStream
-	b1, b2 []float64
+	la     int // total pipeline latency in samples
 }
 
-// Push consumes a chunk and appends the conditioned samples to dst.
-func (cs *ChainStream) Push(dst, x []float64) []float64 {
-	cur := x
-	useA := true
-	a, b := cs.b1, cs.b2
-	for _, st := range cs.stages {
-		if useA {
-			a = st.Push(a[:0], cur)
-			cur = a
-		} else {
-			b = st.Push(b[:0], cur)
-			cur = b
-		}
-		useA = !useA
-	}
-	cs.b1, cs.b2 = a, b
-	if len(cs.stages) == 0 {
+// Push consumes a chunk and appends the conditioned samples to dst. The
+// stages ping-pong between two buffers checked out of a, each sized for
+// the chunk plus the chain's lookahead (no stage emits more per push),
+// and the last stage appends straight to dst.
+func (cs *ChainStream) Push(a *dsp.Arena, dst, x []float64) []float64 {
+	last := len(cs.stages) - 1
+	if last < 0 {
 		return append(dst, x...)
 	}
-	return append(dst, cur...)
+	var bufs [2][]float64
+	cur := x
+	for i, st := range cs.stages[:last] {
+		b := &bufs[i&1]
+		if *b == nil {
+			*b = a.F64(len(x) + cs.la)
+		}
+		cur = st.Push(a, (*b)[:0], cur)
+	}
+	return cs.stages[last].Push(a, dst, cur)
 }
 
 // Flush drains every stage in order, piping each stage's tail through
 // the rest of the chain, and appends the final samples to dst.
-func (cs *ChainStream) Flush(dst []float64) []float64 {
+func (cs *ChainStream) Flush(a *dsp.Arena, dst []float64) []float64 {
 	for i := range cs.stages {
-		tail := cs.stages[i].Flush(nil)
+		tail := cs.stages[i].Flush(a, nil)
 		for j := i + 1; j < len(cs.stages); j++ {
-			tail = cs.stages[j].Push(nil, tail)
+			tail = cs.stages[j].Push(a, nil, tail)
 		}
 		dst = append(dst, tail...)
 	}
@@ -110,13 +112,7 @@ func (cs *ChainStream) Flush(dst []float64) []float64 {
 }
 
 // Lookahead returns the chain's total pipeline latency in samples.
-func (cs *ChainStream) Lookahead() int {
-	n := 0
-	for _, st := range cs.stages {
-		n += st.Lookahead()
-	}
-	return n
-}
+func (cs *ChainStream) Lookahead() int { return cs.la }
 
 // Shift returns the chain's total morphological delay in samples.
 func (cs *ChainStream) Shift() int {

@@ -36,9 +36,12 @@ import (
 //
 // Memory: the streamer holds only state that must survive between
 // pushes — filter registers and history rings sized to the horizons
-// their readers need. Per-beat scratch (the delineator's refiltering
-// and point detection, the gate's segment copy) is borrowed from the
-// device's arena pool for one beat and returned.
+// their readers need, with one raw impedance history that the quality
+// gate and the base-impedance estimate both read. Scratch is borrowed
+// from the device's arena pool and returned: per push (the conditioning
+// chains' inter-stage buffers, the detectors' working buffers, the
+// pipeline's outputs) and per beat (the delineator's refiltering and
+// point detection, the gate's segment copy).
 type Streamer struct {
 	dev *Device
 	fs  float64
@@ -49,13 +52,9 @@ type Streamer struct {
 	delin     *icg.Delineator
 	// gate is the per-beat quality gate state (nil when gating is
 	// disabled): the same quality.BeatGate the batch Process applies,
-	// in streaming form, scoring each beat as its delineation completes.
+	// in streaming form, scoring each beat from raw as its delineation
+	// completes.
 	gate *quality.GateStream
-
-	// Per-push scratch, reused across pushes.
-	condBuf, icgBuf []float64
-	rsBuf           []int
-	beatsBuf        []icg.BeatAnalysis
 
 	// Confirmed R peaks not yet consumed as beat boundaries: beat k is
 	// delimited by rHist[beatIdx], rHist[beatIdx+1].
@@ -96,12 +95,18 @@ type Streamer struct {
 	gov      *Governor
 	lastMode PowerMode
 
-	// Causal base-impedance estimate: cumulative sums of the raw Z
-	// channel, so each beat reports the mean impedance of the session up
-	// to its closing R peak (deterministic regardless of chunking). The
-	// ring retains zHorizon samples.
-	zPrefix *dsp.Ring
-	zSum    float64
+	// raw is the raw impedance history, by absolute sample index: the
+	// gate scores beats from it and the causal base-impedance estimate
+	// sums it. Each beat reports the mean impedance of the session up to
+	// its closing R peak: zSum is the sequential sum of raw samples
+	// [0, zNext), folded forward to each scored beat's closing R and,
+	// before an append would overwrite them, over the samples about to
+	// leave the ring — the same additions in the same order whatever
+	// the chunking. The ring retains the larger of the gate's
+	// HistorySamples and zHorizon.
+	raw   *dsp.Ring
+	zSum  float64
+	zNext int
 
 	body hemo.BodyConstants
 	cal  hemo.Calibration
@@ -177,10 +182,6 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
 		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds, &d.arenas)
 	}
-	var gate *quality.GateStream
-	if d.gate != nil {
-		gate = d.gate.NewStream()
-	}
 	ecgStream := bank.ecgChain.NewStream()
 	if sc.DirectFIR && !d.cfg.CausalFilters {
 		// MCU profile / A/B baseline: same chain, FIR stage pinned to the
@@ -196,12 +197,18 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		icgStream:  icgStream,
 		pt:         pt,
 		delin:      delin,
-		gate:       gate,
 		sink:       event.Discard,
 		body:       d.cfg.Body,
 		cal:        cal,
 	}
-	s.zPrefix = dsp.NewRing(s.zHorizon())
+	rawN := s.zHorizon()
+	if d.gate != nil {
+		rawN = max(rawN, d.gate.Config().HistorySamples)
+	}
+	s.raw = dsp.NewRing(rawN)
+	if d.gate != nil {
+		s.gate = d.gate.NewStream(s.raw)
+	}
 	return s
 }
 
@@ -211,7 +218,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 // the configuration, never of the caller's chunk size.
 const streamSubChunk = 128
 
-// zHorizon is how many z-prefix samples emit can still read: a beat is
+// zHorizon is how far back emit can still read the raw history: a beat is
 // emitted at most the larger of the two sides' delays after its closing
 // R entered Push — the ECG chain's lookahead plus the QRS detector's
 // oldest possible emission (MaxLag: a search-back recovery), or the ICG
@@ -239,52 +246,69 @@ func (s *Streamer) Push(ecgSamples, zSamples []float64) {
 	if len(ecgSamples) != len(zSamples) {
 		panic("core: Streamer.Push requires equal-length channels")
 	}
+	a := s.dev.arenas.Get()
 	for len(zSamples) > 0 {
 		n := min(len(zSamples), streamSubChunk)
-		s.push(ecgSamples[:n], zSamples[:n])
+		a.Reset()
+		s.push(a, ecgSamples[:n], zSamples[:n])
 		ecgSamples, zSamples = ecgSamples[n:], zSamples[n:]
 	}
+	s.dev.arenas.Put(a)
 }
 
 // push runs one sub-chunk through the pipeline and emits the beats it
-// completes.
-func (s *Streamer) push(ecgSamples, zSamples []float64) {
-	s.nSamples += len(zSamples)
-	for _, v := range zSamples {
-		s.zSum += v
-		s.zPrefix.Push(s.zSum)
-	}
-	if s.gate != nil {
-		s.gate.Push(zSamples)
-	}
-	s.condBuf = s.ecgStream.Push(s.condBuf[:0], ecgSamples)
-	s.icgBuf = s.icgStream.Push(s.icgBuf[:0], zSamples)
-
-	s.rsBuf = s.pt.Push(s.rsBuf[:0], s.condBuf)
-	s.beatsBuf = s.delin.PushICG(s.beatsBuf[:0], s.icgBuf)
-	for _, r := range s.rsBuf {
-		s.rHist = append(s.rHist, r)
-		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
-	}
-	s.emit(s.beatsBuf)
+// completes. Every buffer it needs only while it runs comes from a,
+// sized for the sub-chunk plus the producing chain's lookahead, so a
+// warm arena serves the push without allocating.
+func (s *Streamer) push(a *dsp.Arena, ecgSamples, zSamples []float64) {
+	n := len(zSamples)
+	s.nSamples += n
+	s.foldZ(s.raw.N() + n - s.raw.Cap())
+	s.raw.Append(zSamples)
+	cond := s.ecgStream.Push(a, a.F64(n + s.ecgStream.Lookahead())[:0], ecgSamples)
+	icgX := s.icgStream.Push(a, a.F64(n + s.icgStream.Lookahead())[:0], zSamples)
+	s.deliver(a, cond, icgX, false)
 }
 
 // Flush ends the session: the conditioning chains drain their lookahead
 // with the batch edge treatment, the detector confirms its tail peaks,
 // and the final completed beats are emitted.
 func (s *Streamer) Flush() {
-	s.condBuf = s.ecgStream.Flush(s.condBuf[:0])
-	s.rsBuf = s.pt.Push(s.rsBuf[:0], s.condBuf)
-	s.rsBuf = s.pt.Flush(s.rsBuf)
+	a := s.dev.arenas.Get()
+	cond := s.ecgStream.Flush(a, nil)
+	icgX := s.icgStream.Flush(a, nil)
+	s.deliver(a, cond, icgX, true)
+	s.dev.arenas.Put(a)
+}
 
-	s.icgBuf = s.icgStream.Flush(s.icgBuf[:0])
-	s.beatsBuf = s.delin.PushICG(s.beatsBuf[:0], s.icgBuf)
-	for _, r := range s.rsBuf {
-		s.rHist = append(s.rHist, r)
-		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
+// deliver feeds conditioned ECG and ICG samples to the detectors and
+// emits the beats they complete; last ends the session. The detectors'
+// outputs live in stack arrays unless a push completes more than they
+// hold.
+func (s *Streamer) deliver(a *dsp.Arena, cond, icgX []float64, last bool) {
+	var rsArr [8]int
+	var beatsArr [4]icg.BeatAnalysis
+	rs := s.pt.Push(a, rsArr[:0], cond)
+	if last {
+		rs = s.pt.Flush(rs)
 	}
-	s.beatsBuf = s.delin.Flush(s.beatsBuf)
-	s.emit(s.beatsBuf)
+	beats := s.delin.PushICG(a, beatsArr[:0], icgX)
+	for _, r := range rs {
+		s.rHist = append(s.rHist, r)
+		beats = s.delin.PushR(beats, r)
+	}
+	if last {
+		beats = s.delin.Flush(a, beats)
+	}
+	s.emit(a, beats)
+}
+
+// foldZ advances the running impedance sum over raw samples up to (not
+// including) index hi.
+func (s *Streamer) foldZ(hi int) {
+	for ; s.zNext < hi; s.zNext++ {
+		s.zSum += s.raw.At(s.zNext)
+	}
 }
 
 // emit converts completed beat analyses into hemodynamic parameters,
@@ -298,7 +322,7 @@ func (s *Streamer) Flush() {
 // (floor transition), then at most one KindMode (governor flip) — all
 // stamped with the attempt index and the closing R's signal time, all
 // pure functions of the samples pushed so far.
-func (s *Streamer) emit(beats []icg.BeatAnalysis) {
+func (s *Streamer) emit(a *dsp.Arena, beats []icg.BeatAnalysis) {
 	for i := range beats {
 		b := &beats[i]
 		rLo, rHi := s.rHist[s.beatIdx], s.rHist[s.beatIdx+1]
@@ -313,12 +337,11 @@ func (s *Streamer) emit(beats []icg.BeatAnalysis) {
 			continue
 		}
 		// Causal base impedance: session mean up to the closing R.
-		z0 := s.zPrefix.At(rHi-1) / float64(rHi)
+		s.foldZ(rHi)
+		z0 := s.zSum / float64(rHi)
 		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, s.cal)
 		if s.gate != nil {
-			a := s.dev.arenas.Get()
 			sqi := s.gate.PushBeat(a, rLo, rHi, b)
-			s.dev.arenas.Put(a)
 			bp.Quality = sqi.Score
 			bp.Accepted = sqi.Accepted
 		}
@@ -563,8 +586,9 @@ func (s *Streamer) Reset() {
 	s.beatBase = 0
 	s.timeBase = 0
 	s.belowSince = -1 // healthFloor deliberately survives Reset
-	s.zPrefix.Reset()
+	s.raw.Reset()
 	s.zSum = 0
+	s.zNext = 0
 	s.sink = event.Discard // the sink and stamp are per-session; the
 	s.sess = 0             // armed governor POLICY survives, its state rewinds
 	if s.gov != nil {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/dsp"
 	"repro/internal/event"
 	"repro/internal/hemo"
 	"repro/internal/physio"
@@ -286,13 +284,13 @@ func TestStreamerLargeChunkParity(t *testing.T) {
 	}
 }
 
-// zPrefixOracleInputs are the {ecg, z} recordings the z-prefix horizon
-// oracle runs on: study subjects, lifted-finger contact, flatlines,
+// z0OracleInputs are the {ecg, z} recordings the base-impedance
+// and emission-delay oracles run on: study subjects, lifted-finger contact, flatlines,
 // streams shorter than the QRS detector's 2 s initialization window,
 // streams whose first R lands on that window's boundary, and missed
 // beats followed by a contact gap, which the detector recovers by
 // search-back seconds after they occurred.
-func zPrefixOracleInputs(t *testing.T, d *Device) map[string][2][]float64 {
+func z0OracleInputs(t *testing.T, d *Device) map[string][2][]float64 {
 	t.Helper()
 	fs := d.cfg.FS
 	in := map[string][2][]float64{}
@@ -361,35 +359,59 @@ func zPrefixOracleInputs(t *testing.T, d *Device) map[string][2][]float64 {
 	return in
 }
 
-// TestStreamerZPrefixHorizon is the oracle for the z-prefix ring's
-// derived size: a streamer whose z-prefix ring holds the whole
-// recording must emit the same beats as one sized by zHorizon (which
-// must round to no more than an 8 s ring) on every oracle input and
-// chunking; the oracle must include beats recovered by search-back.
-func TestStreamerZPrefixHorizon(t *testing.T) {
-	d := device(t, nil)
-	fs := d.cfg.FS
-	if got, old := d.NewStreamer(DefaultStreamConfig()).zHorizon(), int(8*fs); dsp.NextPow2(got) > dsp.NextPow2(old) {
-		t.Fatalf("z-prefix ring %d samples exceeds the 8 s ring %d", dsp.NextPow2(got), dsp.NextPow2(old))
-	}
-	searchBacks := 0
-	for name, x := range zPrefixOracleInputs(t, d) {
-		for _, chunk := range []int{50, 1000, len(x[0])} {
-			oracle := d.NewStreamer(DefaultStreamConfig())
-			oracle.zPrefix = dsp.NewRing(len(x[1]) + 1)
-			want := streamBeats(oracle, x[0], x[1], every(chunk))
-			st := d.NewStreamer(DefaultStreamConfig())
-			got := streamBeats(st, x[0], x[1], every(chunk))
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s chunk %d: beats differ from the whole-recording z-prefix ring", name, chunk)
+// TestStreamerZ0Oracle pins the causal base-impedance estimate to a
+// whole-recording oracle: every emitted beat's Z0 is the sequential
+// prefix sum of the raw Z channel up to its closing R divided by that
+// R's index, bit for bit, and the beats' Z0, SV, CO and TFC do not
+// depend on the chunking — with the gate on and with DisableGate. The
+// inputs add a beat-less span longer than the raw ring (20 s of lost
+// contact, both channels held, then subject 1), so the first beat's sum
+// is mostly folded as samples are about to leave the ring.
+func TestStreamerZ0Oracle(t *testing.T) {
+	for _, gated := range []bool{true, false} {
+		d := device(t, func(c *Config) { c.DisableGate = !gated })
+		fs := d.cfg.FS
+		in := z0OracleInputs(t, d)
+		s1 := in["subject1"]
+		dead := int(20 * fs)
+		de, dz := make([]float64, dead, dead+len(s1[0])), make([]float64, dead, dead+len(s1[1]))
+		for i := range de {
+			de[i], dz[i] = s1[0][0], s1[1][0]
+		}
+		in["dead-then-subject1"] = [2][]float64{append(de, s1[0]...), append(dz, s1[1]...)}
+		for name, x := range in {
+			prefix := make([]float64, len(x[1])+1)
+			for i, v := range x[1] {
+				prefix[i+1] = prefix[i] + v
 			}
-			if chunk == 50 && strings.Contains(name, "-then-gap-") {
-				searchBacks += st.pt.SearchBack
+			var ref []hemo.BeatParams
+			for _, chunk := range []int{1, 50, 1000, len(x[0])} {
+				st := d.NewStreamer(DefaultStreamConfig())
+				got := streamBeats(st, x[0], x[1], every(chunk))
+				for i, b := range got {
+					rHi := int(math.Round((b.TimeS + b.RR) * fs)) // the closing R
+					if want := prefix[rHi] / float64(rHi); b.Z0 != want {
+						t.Fatalf("gated=%v %s chunk %d beat %d: Z0 %v, oracle %v", gated, name, chunk, i, b.Z0, want)
+					}
+					if name == "dead-then-subject1" && i == 0 && rHi <= st.raw.Cap() {
+						t.Fatalf("first beat at %d lies inside the %d-sample raw ring", rHi, st.raw.Cap())
+					}
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("gated=%v %s chunk %d: %d beats, 1-sample pushes %d", gated, name, chunk, len(got), len(ref))
+				}
+				for i := range ref {
+					g, w := got[i], ref[i]
+					if g.Z0 != w.Z0 || g.SVKub != w.SVKub || g.SVSram != w.SVSram || g.CO != w.CO || g.TFC != w.TFC {
+						t.Fatalf("gated=%v %s chunk %d beat %d: %+v, 1-sample pushes %+v", gated, name, chunk, i, g, w)
+					}
+				}
 			}
 		}
-	}
-	if searchBacks == 0 {
-		t.Fatal("no oracle input recovered a beat by search-back after a gap")
 	}
 }
 
@@ -403,7 +425,7 @@ func TestStreamerEmissionDelayBound(t *testing.T) {
 	fs := d.cfg.FS
 	gapWorst := 0
 	var st *Streamer
-	for name, x := range zPrefixOracleInputs(t, d) {
+	for name, x := range z0OracleInputs(t, d) {
 		st = d.NewStreamer(DefaultStreamConfig())
 		pushed, worst := 0, 0
 		st.Emit(event.Func(func(e event.Event) {

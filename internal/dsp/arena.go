@@ -17,7 +17,7 @@ import "sync"
 //
 // All arena-taking functions in this package accept a nil *Arena, in which
 // case they allocate from the heap exactly like their classic
-// counterparts.
+// counterparts; so do the checkout methods themselves.
 type Arena struct {
 	f64  [][]float64
 	c128 [][]complex128
@@ -33,8 +33,12 @@ func (a *Arena) Reset() {
 	a.nf, a.nc, a.ni = 0, 0, 0
 }
 
-// F64 checks out a float64 buffer of length n (contents undefined).
+// F64 checks out a float64 buffer of length n (contents undefined); a
+// nil arena allocates it from the heap.
 func (a *Arena) F64(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
 	if a.nf == len(a.f64) {
 		a.f64 = append(a.f64, make([]float64, n))
 	} else if cap(a.f64[a.nf]) < n {
@@ -45,8 +49,12 @@ func (a *Arena) F64(n int) []float64 {
 	return buf
 }
 
-// C128 checks out a complex128 buffer of length n (contents undefined).
+// C128 checks out a complex128 buffer of length n (contents undefined);
+// a nil arena allocates it from the heap.
 func (a *Arena) C128(n int) []complex128 {
+	if a == nil {
+		return make([]complex128, n)
+	}
 	if a.nc == len(a.c128) {
 		a.c128 = append(a.c128, make([]complex128, n))
 	} else if cap(a.c128[a.nc]) < n {
@@ -57,8 +65,12 @@ func (a *Arena) C128(n int) []complex128 {
 	return buf
 }
 
-// Ints checks out an int buffer of length n (contents undefined).
+// Ints checks out an int buffer of length n (contents undefined); a nil
+// arena allocates it from the heap.
 func (a *Arena) Ints(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
 	if a.ni == len(a.ints) {
 		a.ints = append(a.ints, make([]int, n))
 	} else if cap(a.ints[a.ni]) < n {
@@ -88,19 +100,3 @@ func (p *ArenaPool) Get() *Arena {
 // Put returns a borrowed arena; buffers checked out of it must no longer
 // be used.
 func (p *ArenaPool) Put(a *Arena) { p.p.Put(a) }
-
-// arenaF64 allocates from a when non-nil and from the heap otherwise.
-func arenaF64(a *Arena, n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.F64(n)
-}
-
-// arenaInts allocates from a when non-nil and from the heap otherwise.
-func arenaInts(a *Arena, n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.Ints(n)
-}

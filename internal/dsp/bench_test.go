@@ -63,6 +63,7 @@ func BenchmarkZeroPhaseFIRStream30s(b *testing.B) {
 	f := benchFIR(b, 33)
 	x := benchSignal(7500)
 	s := NewZeroPhaseFIRStream(f)
+	var a Arena
 	dst := make([]float64, 0, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,9 +71,10 @@ func BenchmarkZeroPhaseFIRStream30s(b *testing.B) {
 		s.Reset()
 		dst = dst[:0]
 		for pos := 0; pos < len(x); pos += 250 {
-			dst = s.Push(dst, x[pos:pos+250])
+			a.Reset()
+			dst = s.Push(&a, dst, x[pos:pos+250])
 		}
-		dst = s.Flush(dst)
+		dst = s.Flush(&a, dst)
 	}
 }
 
@@ -83,6 +85,7 @@ func BenchmarkZeroPhaseFIRStream30sDirect(b *testing.B) {
 	f := benchFIR(b, 33)
 	x := benchSignal(7500)
 	s := NewZeroPhaseFIRStreamDirect(f)
+	var a Arena
 	dst := make([]float64, 0, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -90,9 +93,10 @@ func BenchmarkZeroPhaseFIRStream30sDirect(b *testing.B) {
 		s.Reset()
 		dst = dst[:0]
 		for pos := 0; pos < len(x); pos += 250 {
-			dst = s.Push(dst, x[pos:pos+250])
+			a.Reset()
+			dst = s.Push(&a, dst, x[pos:pos+250])
 		}
-		dst = s.Flush(dst)
+		dst = s.Flush(&a, dst)
 	}
 }
 
@@ -175,7 +179,7 @@ func BenchmarkSOSStream30s(b *testing.B) {
 		st.Reset()
 		out := dst
 		for lo := 0; lo < len(x); lo += 250 {
-			out = st.Push(out[:0], x[lo:lo+250])
+			out = st.Push(nil, out[:0], x[lo:lo+250])
 		}
 	}
 }

@@ -100,12 +100,12 @@ func MovingAverageWith(a *Arena, x []float64, k int) []float64 {
 		return nil
 	}
 	// Prefix sums for O(n).
-	ps := arenaF64(a, n+1)
+	ps := a.F64(n + 1)
 	ps[0] = 0
 	for i, v := range x {
 		ps[i+1] = ps[i] + v
 	}
-	y := arenaF64(a, n)
+	y := a.F64(n)
 	for i := 0; i < n; i++ {
 		lo, hi := windowBounds(i, n, k)
 		y[i] = (ps[hi+1] - ps[lo]) / float64(hi-lo+1)

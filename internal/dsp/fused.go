@@ -51,7 +51,7 @@ func SmoothDeriv3MovAvgWith(a *Arena, x []float64, k int, fs float64) (d1, d2, d
 	if n == 0 || k < 1 {
 		return nil, nil, nil
 	}
-	ps := arenaF64(a, n+1)
+	ps := a.F64(n + 1)
 	ps[0] = 0
 	for i, v := range x {
 		ps[i+1] = ps[i] + v
@@ -62,9 +62,9 @@ func SmoothDeriv3MovAvgWith(a *Arena, x []float64, k int, fs float64) (d1, d2, d
 	// Specialized pipelined pass: same schedule as smoothDeriv3, but the
 	// smoothing accessor is a static inlinable call — an indirect
 	// per-sample closure call costs more than the fusion saves.
-	d1 = arenaF64(a, n)
-	d2 = arenaF64(a, n)
-	d3 = arenaF64(a, n)
+	d1 = a.F64(n)
+	d2 = a.F64(n)
+	d3 = a.F64(n)
 	half := fs / 2
 	pm2 := movAvgAt(ps, 0, n, k)
 	s := movAvgAt(ps, 1, n, k)
@@ -151,9 +151,9 @@ func SmoothDeriv3SavGolWith(a *Arena, x []float64, m int, fs float64) (d1, d2, d
 // when read, so the interleaving is bit-identical to three serial
 // passes.
 func smoothDeriv3(a *Arena, n int, fs float64, sm func(int) float64) (d1, d2, d3 []float64) {
-	d1 = arenaF64(a, n)
-	d2 = arenaF64(a, n)
-	d3 = arenaF64(a, n)
+	d1 = a.F64(n)
+	d2 = a.F64(n)
+	d3 = a.F64(n)
 	if n == 1 {
 		d1[0], d2[0], d3[0] = 0, 0, 0
 		return

@@ -44,7 +44,8 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		// chunked drives a stream through the fuzz-chosen chunking. A
 		// zero byte becomes an empty push (which must be harmless),
 		// followed by a 1-sample push so the loop still consumes input.
-		chunked := func(push func(dst, c []float64) []float64) []float64 {
+		chunked := func(push func(a *Arena, dst, c []float64) []float64) []float64 {
+			var a Arena
 			var out []float64
 			ci, pos := 0, 0
 			for pos < n {
@@ -57,10 +58,12 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 				if end > n {
 					end = n
 				}
-				out = push(out, x[pos:end])
+				a.Reset()
+				out = push(&a, out, x[pos:end])
 				pos = end
 				if c == 0 && pos < n {
-					out = push(out, x[pos:pos+1])
+					a.Reset()
+					out = push(&a, out, x[pos:pos+1])
 					pos++
 				}
 			}
@@ -80,7 +83,7 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 			scalar[i] = ref.PushSample(v)
 		}
 		whole := NewSOSStream(sos, 0, prime)
-		cmpExact("sos whole-push vs per-sample", whole.Push(nil, x), scalar)
+		cmpExact("sos whole-push vs per-sample", whole.Push(nil, nil, x), scalar)
 		st := NewSOSStream(sos, 0, prime)
 		cmpExact("sos chunked vs per-sample", chunked(st.Push), scalar)
 
@@ -92,16 +95,16 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 			t.Fatalf("FIR design(%d): %v", taps, err)
 		}
 		zw := NewZeroPhaseFIRStream(fir)
-		wantFIR := zw.Flush(zw.Push(nil, x))
+		wantFIR := zw.Flush(nil, zw.Push(nil, nil, x))
 		zc := NewZeroPhaseFIRStream(fir)
-		cmpExact("fir chunked vs whole-push", zc.Flush(chunked(zc.Push)), wantFIR)
+		cmpExact("fir chunked vs whole-push", zc.Flush(nil, chunked(zc.Push)), wantFIR)
 
 		// Moving extremum: fuzz-chosen asymmetric window, both polarities
 		// via prime.
 		left, right := int(widthSel)%30, int(orderSel)%30
 		mw := NewMovExtStream(left, right, prime)
-		wantExt := mw.Flush(mw.Push(nil, x))
+		wantExt := mw.Flush(nil, mw.Push(nil, nil, x))
 		mc := NewMovExtStream(left, right, prime)
-		cmpExact("movext chunked vs whole-push", mc.Flush(chunked(mc.Push)), wantExt)
+		cmpExact("movext chunked vs whole-push", mc.Flush(nil, chunked(mc.Push)), wantExt)
 	})
 }

@@ -46,7 +46,7 @@ func FitLineIndices(y []float64, idx []int) (Line, bool) {
 // from an arena (nil falls back to the heap). This runs on every beat
 // of the delineator's B rule.
 func FitLineIndicesWith(a *Arena, y []float64, idx []int) (Line, bool) {
-	buf := arenaF64(a, 2*len(idx))
+	buf := a.F64(2 * len(idx))
 	xs, ys := buf[:len(idx)], buf[len(idx):]
 	for i, j := range idx {
 		xs[i] = float64(j)

@@ -100,8 +100,8 @@ func slideDequeWith(a *Arena, x []float64, left, right int, min bool) []float64 
 	if n == 0 || left < 0 || right < 0 || left+right+1 < 1 {
 		return nil
 	}
-	y := arenaF64(a, n)
-	slideDequeInto(y, x, left, right, min, arenaInts(a, NextPow2(left+right+2)))
+	y := a.F64(n)
+	slideDequeInto(y, x, left, right, min, a.Ints(NextPow2(left+right+2)))
 	return y
 }
 

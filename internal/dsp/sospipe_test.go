@@ -131,7 +131,7 @@ func TestSOSStreamPushBitIdentical(t *testing.T) {
 					if hi > n {
 						hi = n
 					}
-					got = st.Push(got, x[lo:hi])
+					got = st.Push(nil, got, x[lo:hi])
 				}
 				if len(got) != n {
 					t.Fatalf("cascade %d chunk %d: %d outputs, want %d", ci, chunk, len(got), n)

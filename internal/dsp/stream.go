@@ -11,11 +11,14 @@ import "math"
 //
 // Conventions shared by every kernel:
 //
-//   - Push(dst, x) consumes the next chunk of the input stream and
+//   - Push(a, dst, x) consumes the next chunk of the input stream and
 //     appends the newly computable outputs to dst, returning the
 //     extended slice. Output index t always corresponds to input index
 //     t; a kernel that needs lookahead simply emits output t later.
-//   - Flush(dst) ends the stream: it appends the outputs that were
+//     Working memory the push needs only while it runs is checked out
+//     of a, as the batch *With kernels do (nil allocates), so a kernel
+//     holds nothing between pushes but its state.
+//   - Flush(a, dst) ends the stream: it appends the outputs that were
 //     waiting for future samples, using the same edge treatment as the
 //     batch kernel.
 //   - Lookahead reports how many future input samples the kernel needs
@@ -77,6 +80,10 @@ func (r *Ring) Append(xs []float64) {
 
 // N returns the total number of samples pushed so far.
 func (r *Ring) N() int { return r.n }
+
+// Cap returns how many samples the ring retains: its capacity rounded
+// up to a power of two.
+func (r *Ring) Cap() int { return len(r.buf) }
 
 // Start returns the oldest absolute index still retained.
 func (r *Ring) Start() int {
@@ -152,7 +159,6 @@ type FIRStream struct {
 	taps []float64 // effective kernel (shared, read-only)
 	rev  []float64 // kernel reversed, for the valid-mode correlation (shared, read-only)
 	hist []float64 // the last k-1 fed samples (zero-initialized)
-	work []float64 // scratch: hist ++ chunk, reused across pushes
 
 	skip    int       // leading raw outputs dropped (alignment)
 	tailN   int       // trailing outputs recovered by Flush
@@ -215,10 +221,10 @@ func newOSKernel(taps []float64) *osKernel {
 // cumulative input count: chunk boundaries cannot perturb the stream.
 // The final partial block (run by Flush) zero-pads the unfilled tail,
 // which is exact for the outputs it emits — a causal convolution output
-// never reads past its own index.
+// never reads past its own index. The half-size spectrum a block is
+// transformed in is per-push scratch, checked out of the push's arena.
 type osState struct {
-	*osKernel              // shared, read-only
-	blk       []complex128 // half-size block workspace
+	*osKernel // shared, read-only
 
 	carry []float64 // fftN: [0,km1) overlap, [km1,km1+pend) pending input
 	pend  int       // pending samples not yet transformed
@@ -232,7 +238,6 @@ type osState struct {
 func (s *FIRStream) enableOS(k *osKernel) {
 	s.os = &osState{
 		osKernel: k,
-		blk:      make([]complex128, k.half),
 		carry:    make([]float64, k.fftN),
 	}
 	s.hist = nil
@@ -352,19 +357,21 @@ func (s *FIRStream) Lookahead() int {
 func (s *FIRStream) Shift() int { return 0 }
 
 // run feeds a batch of samples through the filter: a linear work buffer
-// (the k-1 sample history followed by the chunk) turns the delay line
-// into valid-mode correlations over contiguous memory, which the
+// from a (the k-1 sample history followed by the chunk) turns the delay
+// line into valid-mode correlations over contiguous memory, which the
 // four-accumulator dot product chews through at full speed.
-func (s *FIRStream) run(dst []float64, xs []float64) []float64 {
+func (s *FIRStream) run(a *Arena, dst []float64, xs []float64) []float64 {
 	m := len(xs)
 	if m == 0 {
 		return dst
 	}
 	if s.os != nil {
-		return s.osRun(dst, xs)
+		return s.osRun(a, dst, xs)
 	}
 	k := len(s.rev)
-	s.work = append(append(s.work[:0], s.hist...), xs...)
+	work := a.F64(k - 1 + m)
+	copy(work, s.hist)
+	copy(work[k-1:], xs)
 	start := 0
 	if s.fed < s.skip {
 		start = s.skip - s.fed
@@ -380,25 +387,30 @@ func (s *FIRStream) run(dst []float64, xs []float64) []float64 {
 		dst = grown
 	}
 	dst = dst[:base+mm]
-	convSeqInto(dst[base:], s.rev, s.work[start:])
+	convSeqInto(dst[base:], s.rev, work[start:])
 	s.fed += m
-	s.hist = append(s.hist[:0], s.work[len(s.work)-(k-1):]...)
+	copy(s.hist, work[m:])
 	return dst
 }
 
 // osRun feeds samples into the overlap-save carry buffer, running one
 // block each time step pending samples have accumulated. Raw output
 // index == raw input index (causal alignment), so the absolute block
-// grid is a pure function of the cumulative fed count.
-func (s *FIRStream) osRun(dst []float64, xs []float64) []float64 {
+// grid is a pure function of the cumulative fed count. The block
+// spectrum is checked out of a once, by the first block the push runs.
+func (s *FIRStream) osRun(a *Arena, dst []float64, xs []float64) []float64 {
 	o := s.os
+	var blk []complex128
 	for len(xs) > 0 {
 		n := copy(o.carry[o.km1+o.pend:], xs)
 		o.pend += n
 		xs = xs[n:]
 		s.fed += n
 		if o.pend == o.step {
-			dst = s.osBlock(dst, o.step)
+			if blk == nil {
+				blk = a.C128(o.half)
+			}
+			dst = s.osBlock(blk, dst, o.step)
 			// Slide: the block's last km1 inputs become the next overlap.
 			copy(o.carry[:o.km1], o.carry[o.step:])
 			o.base += o.step
@@ -408,12 +420,12 @@ func (s *FIRStream) osRun(dst []float64, xs []float64) []float64 {
 	return dst
 }
 
-// osBlock transforms the current carry block and appends its first
-// emitN fresh outputs (raw indices [base, base+emitN)), dropping those
-// below the alignment skip. The carry buffer is left untouched.
-func (s *FIRStream) osBlock(dst []float64, emitN int) []float64 {
+// osBlock transforms the current carry block in blk (o.half complex
+// scratch) and appends its first emitN fresh outputs (raw indices
+// [base, base+emitN)), dropping those below the alignment skip. The
+// carry buffer is left untouched.
+func (s *FIRStream) osBlock(blk []complex128, dst []float64, emitN int) []float64 {
 	o := s.os
-	blk := o.blk
 	carry := o.carry
 	for c := range blk {
 		blk[c] = complex(carry[2*c], carry[2*c+1])
@@ -514,10 +526,11 @@ func dotSeq(rev, w []float64) float64 {
 	return a + b
 }
 
-// Push consumes a chunk and appends the newly computable outputs to dst.
-func (s *FIRStream) Push(dst, x []float64) []float64 {
+// Push consumes a chunk and appends the newly computable outputs to dst;
+// its working buffers are checked out of a (nil allocates).
+func (s *FIRStream) Push(a *Arena, dst, x []float64) []float64 {
 	if s.primed {
-		return s.run(dst, x)
+		return s.run(a, dst, x)
 	}
 	for len(x) > 0 && !s.primed {
 		take := s.preNeed - len(s.pre)
@@ -531,21 +544,21 @@ func (s *FIRStream) Push(dst, x []float64) []float64 {
 		}
 		// Synthesize the odd-reflection preamble ext[-reflect..-1]
 		// (ext[-i] = 2 x[0] - x[i]) and run it plus the buffered head.
-		pre := make([]float64, s.reflect)
+		pre := a.F64(s.reflect)
 		for i := 1; i <= s.reflect; i++ {
 			pre[s.reflect-i] = 2*s.pre[0] - s.pre[i]
 		}
-		dst = s.run(dst, pre)
-		dst = s.run(dst, s.pre)
+		dst = s.run(a, dst, pre)
+		dst = s.run(a, dst, s.pre)
 		s.primed = true
 	}
-	return s.run(dst, x)
+	return s.run(a, dst, x)
 }
 
 // Flush ends the stream, appending the outputs that were waiting on
 // future samples using the batch kernel's edge treatment (odd
 // reflection for the zero-phase alignment, zero padding otherwise).
-func (s *FIRStream) Flush(dst []float64) []float64 {
+func (s *FIRStream) Flush(a *Arena, dst []float64) []float64 {
 	if !s.primed {
 		// Degenerate stream shorter than the reflection preamble (only
 		// possible for the zero-phase alignment): approximate with the
@@ -560,7 +573,8 @@ func (s *FIRStream) Flush(dst []float64) []float64 {
 	if s.tailN == 0 {
 		return dst
 	}
-	post := make([]float64, s.tailN)
+	post := a.F64(s.tailN)
+	clear(post)
 	if s.reflect > 0 {
 		// ext[n+i] = 2 x[n-1] - x[n-2-i]; the raw tail is the history
 		// buffer's suffix. Under overlap-save the last k-1 fed samples
@@ -575,7 +589,7 @@ func (s *FIRStream) Flush(dst []float64) []float64 {
 			post[i] = 2*last - h[len(h)-2-i]
 		}
 	}
-	dst = s.run(dst, post)
+	dst = s.run(a, dst, post)
 	if o := s.os; o != nil && o.pend > 0 {
 		// Final partial block: zero-pad the unfilled tail (exact for the
 		// pend outputs emitted — causal outputs never read past their own
@@ -583,7 +597,7 @@ func (s *FIRStream) Flush(dst []float64) []float64 {
 		for i := o.km1 + o.pend; i < len(o.carry); i++ {
 			o.carry[i] = 0
 		}
-		dst = s.osBlock(dst, o.pend)
+		dst = s.osBlock(a.C128(o.half), dst, o.pend)
 		o.base += o.pend
 		o.pend = 0
 	}
@@ -663,8 +677,9 @@ func (s *SOSStream) PushSample(v float64) float64 {
 	return v
 }
 
-// Push consumes a chunk and appends the filtered samples to dst.
-func (s *SOSStream) Push(dst, x []float64) []float64 {
+// Push consumes a chunk and appends the filtered samples to dst. The
+// cascade runs in place in dst, so it needs no scratch from a.
+func (s *SOSStream) Push(a *Arena, dst, x []float64) []float64 {
 	if len(x) == 0 {
 		return dst
 	}
@@ -687,7 +702,7 @@ func (s *SOSStream) Push(dst, x []float64) []float64 {
 }
 
 // Flush is a no-op for a causal IIR: there is no pending output.
-func (s *SOSStream) Flush(dst []float64) []float64 { return dst }
+func (s *SOSStream) Flush(a *Arena, dst []float64) []float64 { return dst }
 
 // Reset zeroes the filter registers.
 func (s *SOSStream) Reset() {
@@ -765,8 +780,9 @@ func (s *DerivStream) Lookahead() int { return 1 }
 // Shift returns 0 (central differences are aligned).
 func (s *DerivStream) Shift() int { return 0 }
 
-// Push consumes a chunk and appends the computable derivatives to dst.
-func (s *DerivStream) Push(dst, x []float64) []float64 {
+// Push consumes a chunk and appends the computable derivatives to dst
+// (it needs no scratch from a).
+func (s *DerivStream) Push(a *Arena, dst, x []float64) []float64 {
 	i := 0
 	if s.n == 0 && i < len(x) {
 		s.x1 = x[i]
@@ -794,7 +810,7 @@ func (s *DerivStream) Push(dst, x []float64) []float64 {
 }
 
 // Flush appends the final one-sided difference.
-func (s *DerivStream) Flush(dst []float64) []float64 {
+func (s *DerivStream) Flush(a *Arena, dst []float64) []float64 {
 	switch s.n {
 	case 0:
 		return dst
@@ -875,8 +891,9 @@ func (s *MovExtStream) emit(dst []float64) []float64 {
 // window has arrived. The deque state lives in locals for the whole
 // chunk — the admit/emit helpers reload their fields through the
 // pointer on every call, which costs ~30% of the cascade's time at
-// this call rate — with the exact same operation sequence.
-func (s *MovExtStream) Push(dst, x []float64) []float64 {
+// this call rate — with the exact same operation sequence. It needs no
+// scratch from a.
+func (s *MovExtStream) Push(a *Arena, dst, x []float64) []float64 {
 	idx, val, mask := s.idx, s.val, s.mask
 	head, tail, size := s.head, s.tail, s.size
 	in, out := s.in, s.out
@@ -914,7 +931,7 @@ func (s *MovExtStream) Push(dst, x []float64) []float64 {
 
 // Flush appends the trailing outputs, whose windows clamp at the
 // stream's end.
-func (s *MovExtStream) Flush(dst []float64) []float64 {
+func (s *MovExtStream) Flush(a *Arena, dst []float64) []float64 {
 	for s.out < s.in {
 		dst = s.emit(dst)
 	}

@@ -49,13 +49,13 @@ func TestZeroPhaseFIRStreamOverlapSaveChunkInvariantBitwise(t *testing.T) {
 		if s.os == nil {
 			t.Fatal("overlap-save not engaged")
 		}
-		ref := pushChunked(t, n, n, s.Push, s.Flush, x)
+		ref := pushChunked(t, n, n, s, x)
 		if len(ref) != n {
 			t.Fatalf("n=%d: %d outputs from whole-stream push", n, len(ref))
 		}
 		for _, chunk := range chunkSizes {
 			s.Reset()
-			got := pushChunked(t, n, chunk, s.Push, s.Flush, x)
+			got := pushChunked(t, n, chunk, s, x)
 			if len(got) != n {
 				t.Fatalf("n=%d chunk %d: %d outputs", n, chunk, len(got))
 			}
@@ -75,9 +75,9 @@ func TestZeroPhaseFIRStreamOverlapSaveMatchesDirect(t *testing.T) {
 	}
 	x := randSignal(3000, 11)
 	sd := NewZeroPhaseFIRStreamDirect(f)
-	want := pushChunked(t, len(x), 250, sd.Push, sd.Flush, x)
+	want := pushChunked(t, len(x), 250, sd, x)
 	so := NewZeroPhaseFIRStream(f)
-	got := pushChunked(t, len(x), 250, so.Push, so.Flush, x)
+	got := pushChunked(t, len(x), 250, so, x)
 	if len(got) != len(want) {
 		t.Fatalf("%d outputs, want %d", len(got), len(want))
 	}
@@ -90,7 +90,7 @@ func TestZeroPhaseFIRStreamOverlapSaveMatchesDirect(t *testing.T) {
 		la := s.Lookahead()
 		emitted := 0
 		for i := 0; i < 1200; i++ {
-			out := s.Push(nil, x[i:i+1])
+			out := s.Push(nil, nil, x[i:i+1])
 			emitted += len(out)
 			if need := i + 1 - la; emitted < need {
 				t.Fatalf("after input %d only %d outputs emitted; Lookahead %d promises >= %d", i, emitted, la, need)

@@ -10,17 +10,30 @@ import (
 // worst case of 1-sample pushes.
 var chunkSizes = []int{1, 3, 17, 250, 4096}
 
-func pushChunked(t *testing.T, n, chunk int, push func(dst, x []float64) []float64, flush func(dst []float64) []float64, x []float64) []float64 {
+// kernel is the Push/Flush contract every streaming kernel shares.
+type kernel interface {
+	Push(a *Arena, dst, x []float64) []float64
+	Flush(a *Arena, dst []float64) []float64
+}
+
+// pushChunked streams x[:n] through s in chunk-sized pushes, lending
+// every push a reset arena the way the streaming engine does, so a
+// kernel that kept a reference into its scratch past the push would
+// read another push's data.
+func pushChunked(t *testing.T, n, chunk int, s kernel, x []float64) []float64 {
 	t.Helper()
+	var a Arena
 	var out []float64
 	for pos := 0; pos < n; pos += chunk {
 		end := pos + chunk
 		if end > n {
 			end = n
 		}
-		out = push(out, x[pos:end])
+		a.Reset()
+		out = s.Push(&a, out, x[pos:end])
 	}
-	return flush(out)
+	a.Reset()
+	return s.Flush(&a, out)
 }
 
 func randSignal(n int, seed int64) []float64 {
@@ -54,7 +67,7 @@ func TestFIRStreamCausalMatchesBatch(t *testing.T) {
 	want := f.ApplyCausal(x)
 	for _, chunk := range chunkSizes {
 		s := NewFIRStream(f)
-		got := pushChunked(t, len(x), chunk, s.Push, s.Flush, x)
+		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -73,7 +86,7 @@ func TestFIRStreamSameMatchesBatch(t *testing.T) {
 	want := f.Apply(x)
 	for _, chunk := range chunkSizes {
 		s := NewFIRSameStream(f)
-		got := pushChunked(t, len(x), chunk, s.Push, s.Flush, x)
+		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -92,7 +105,7 @@ func TestZeroPhaseFIRStreamMatchesFiltFilt(t *testing.T) {
 	want := FiltFiltFIR(f, x)
 	for _, chunk := range chunkSizes {
 		s := NewZeroPhaseFIRStream(f)
-		got := pushChunked(t, len(x), chunk, s.Push, s.Flush, x)
+		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -102,9 +115,9 @@ func TestZeroPhaseFIRStreamMatchesFiltFilt(t *testing.T) {
 	}
 	// Reset reuses the stream for a second identical pass.
 	s := NewZeroPhaseFIRStream(f)
-	_ = pushChunked(t, len(x), 7, s.Push, s.Flush, x)
+	_ = pushChunked(t, len(x), 7, s, x)
 	s.Reset()
-	got := pushChunked(t, len(x), 7, s.Push, s.Flush, x)
+	got := pushChunked(t, len(x), 7, s, x)
 	if d := maxAbsDiff(got, want); d > 1e-9 {
 		t.Errorf("after Reset: max diff %g", d)
 	}
@@ -119,7 +132,7 @@ func TestSOSStreamMatchesFilter(t *testing.T) {
 	want := sos.Filter(x)
 	for _, chunk := range chunkSizes {
 		s := NewSOSStream(sos, 0, false)
-		got := pushChunked(t, len(x), chunk, s.Push, s.Flush, x)
+		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -141,7 +154,7 @@ func TestSOSStreamPrimeSuppressesTransient(t *testing.T) {
 	for i := range x {
 		x[i] = 3.7
 	}
-	got := s.Push(nil, x)
+	got := s.Push(nil, nil, x)
 	for i, v := range got {
 		if math.Abs(v-3.7) > 1e-9 {
 			t.Fatalf("sample %d: %g, want 3.7", i, v)
@@ -193,7 +206,7 @@ func TestDerivStreamMatchesBatch(t *testing.T) {
 	}
 	for _, chunk := range chunkSizes {
 		s := NewDerivStream(fs, -1)
-		got := pushChunked(t, len(x), chunk, s.Push, s.Flush, x)
+		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -211,12 +224,12 @@ func TestMovExtStreamMatchesDeque(t *testing.T) {
 		wantMax := Dilate(x, k)
 		for _, chunk := range chunkSizes {
 			smin := NewMovExtStream(left, right, true)
-			gotMin := pushChunked(t, len(x), chunk, smin.Push, smin.Flush, x)
+			gotMin := pushChunked(t, len(x), chunk, smin, x)
 			if d := maxAbsDiff(gotMin, wantMin); len(gotMin) != len(wantMin) || d > 0 {
 				t.Errorf("k=%d chunk %d erode: len %d/%d diff %g", k, chunk, len(gotMin), len(wantMin), d)
 			}
 			smax := NewMovExtStream(left, right, false)
-			gotMax := pushChunked(t, len(x), chunk, smax.Push, smax.Flush, x)
+			gotMax := pushChunked(t, len(x), chunk, smax, x)
 			if d := maxAbsDiff(gotMax, wantMax); len(gotMax) != len(wantMax) || d > 0 {
 				t.Errorf("k=%d chunk %d dilate: len %d/%d diff %g", k, chunk, len(gotMax), len(wantMax), d)
 			}

@@ -29,7 +29,7 @@ func oddReflectPadWith(a *Arena, x []float64, pad int) []float64 {
 	if pad < 0 {
 		pad = 0
 	}
-	y := arenaF64(a, n+2*pad)
+	y := a.F64(n + 2*pad)
 	for i := 0; i < pad; i++ {
 		y[i] = 2*x[0] - x[pad-i]
 	}
@@ -176,12 +176,12 @@ func FiltFiltFIRWith(a *Arena, f *FIR, x []float64) []float64 {
 		return FiltFilt(f.Taps, []float64{1}, x)
 	}
 	ext := oddReflectPadWith(a, x, pad)
-	buf := arenaF64(a, len(ext))
+	buf := a.F64(len(ext))
 	f.applyCausalTo(buf, ext) // forward pass
 	Reverse(buf)
 	f.applyCausalTo(ext, buf) // backward pass, reusing ext as output
 	Reverse(ext)
-	y := arenaF64(a, n)
+	y := a.F64(n)
 	copy(y, ext[realPad:realPad+n])
 	return y
 }

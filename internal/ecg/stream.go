@@ -20,8 +20,7 @@ import (
 type BaselineStream struct {
 	stages [4]*dsp.MovExtStream
 	raw    *dsp.Ring
-	b1, b2 []float64 // inter-stage scratch, reused across pushes
-	out    int       // conditioned samples emitted
+	out    int // conditioned samples emitted
 	la     int
 }
 
@@ -59,11 +58,14 @@ func (s *BaselineStream) Lookahead() int { return s.la }
 func (s *BaselineStream) Shift() int { return 0 }
 
 // Push consumes raw ECG samples and appends the baseline-removed
-// samples whose estimate is complete. The two scratch buffers ping-pong
-// through the cascade: each stage fully consumes its input before the
-// buffer is rewritten two stages later, so steady state allocates
-// nothing once the buffers have grown to the chunk size.
-func (s *BaselineStream) Push(dst, x []float64) []float64 {
+// samples whose estimate is complete. Two scratch buffers from ar
+// ping-pong through the cascade: each stage fully consumes its input
+// before the buffer is rewritten two stages later. They are sized for
+// one sub-chunk plus the cascade's lookahead (no stage emits more per
+// push), so a warm arena serves every push without allocating.
+func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
+	n := min(len(x), baselineSubChunk) + s.la
+	b1, b2 := ar.F64(n)[:0], ar.F64(n)[:0]
 	for len(x) > 0 {
 		sub := x
 		if len(sub) > baselineSubChunk {
@@ -71,23 +73,22 @@ func (s *BaselineStream) Push(dst, x []float64) []float64 {
 		}
 		x = x[len(sub):]
 		s.raw.Append(sub)
-		a := s.stages[0].Push(s.b1[:0], sub)
-		b := s.stages[1].Push(s.b2[:0], a)
-		a = s.stages[2].Push(a[:0], b)
-		b = s.stages[3].Push(b[:0], a)
+		a := s.stages[0].Push(ar, b1[:0], sub)
+		b := s.stages[1].Push(ar, b2[:0], a)
+		a = s.stages[2].Push(ar, a[:0], b)
+		b = s.stages[3].Push(ar, b[:0], a)
 		dst = s.subtract(dst, b)
-		s.b1, s.b2 = a, b
 	}
 	return dst
 }
 
 // Flush drains the morphology cascade (end-of-stream window clamping)
 // and appends the final conditioned samples.
-func (s *BaselineStream) Flush(dst []float64) []float64 {
+func (s *BaselineStream) Flush(ar *dsp.Arena, dst []float64) []float64 {
 	for i := range s.stages {
-		est := s.stages[i].Flush(nil)
+		est := s.stages[i].Flush(ar, nil)
 		for j := i + 1; j < len(s.stages); j++ {
-			est = s.stages[j].Push(nil, est)
+			est = s.stages[j].Push(ar, nil, est)
 		}
 		dst = s.subtract(dst, est)
 	}
@@ -137,7 +138,6 @@ type PTStream struct {
 	cfg  PTConfig
 	fs   float64
 	band *dsp.SOSStream
-	fbuf []float64 // per-chunk band-pass scratch, reused across pushes
 
 	// Five-point derivative + squaring + moving integration state.
 	d0, d1, d2, d3 float64 // last four band-passed samples
@@ -295,25 +295,27 @@ func (s *PTStream) MaxLag() int { return max(s.sbWindow, s.initN) + s.win + s.ha
 // confirmed by this chunk (absolute indices into the conditioned
 // stream), appended to rs.
 //
-// The band-pass runs over the whole chunk through the pipelined SOS
-// kernel before the per-sample detection loop; a chunked causal Push is
-// bit-identical to the per-sample recurrence, so detection sees exactly
-// the samples it would have one at a time.
-func (s *PTStream) Push(rs []int, x []float64) []int {
+// The band-pass runs over each sub-chunk through the pipelined SOS
+// kernel, into a buffer checked out of a, before the per-sample
+// detection loop; a chunked causal Push is bit-identical to the
+// per-sample recurrence, so detection sees exactly the samples it would
+// have one at a time.
+func (s *PTStream) Push(a *dsp.Arena, rs []int, x []float64) []int {
 	if len(x) == 0 {
 		return rs
 	}
+	fbuf := a.F64(min(len(x), ptSubChunk))[:0]
 	for len(x) > 0 {
 		sub := x
 		if len(sub) > ptSubChunk {
 			sub = x[:ptSubChunk]
 		}
 		x = x[len(sub):]
-		s.fbuf = s.band.Push(s.fbuf[:0], sub)
+		fbuf = s.band.Push(a, fbuf[:0], sub)
 		s.raw.Append(sub)
-		s.filt.Append(s.fbuf)
+		s.filt.Append(fbuf)
 		for k := range sub {
-			rs = s.pushSample(rs, s.fbuf[k])
+			rs = s.pushSample(rs, fbuf[k])
 		}
 	}
 	return rs

@@ -41,15 +41,17 @@ func TestBaselineStreamMatchesBatch(t *testing.T) {
 	want := RemoveBaseline(x, cfg)
 	for _, chunk := range []int{1, 13, 250, 997, 3000} {
 		s := NewBaselineStream(cfg)
+		var a dsp.Arena
 		var got []float64
 		for pos := 0; pos < len(x); pos += chunk {
 			end := pos + chunk
 			if end > len(x) {
 				end = len(x)
 			}
-			got = s.Push(got, x[pos:end])
+			a.Reset()
+			got = s.Push(&a, got, x[pos:end])
 		}
-		got = s.Flush(got)
+		got = s.Flush(nil, got)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
 		}
@@ -66,9 +68,9 @@ func TestBaselineStreamReset(t *testing.T) {
 	cfg := DefaultBaseline(fs)
 	x := synthECG(1500, fs, 8)
 	s := NewBaselineStream(cfg)
-	first := s.Flush(s.Push(nil, x))
+	first := s.Flush(nil, s.Push(nil, nil, x))
 	s.Reset()
-	second := s.Flush(s.Push(nil, x))
+	second := s.Flush(nil, s.Push(nil, nil, x))
 	if len(first) != len(second) {
 		t.Fatalf("lengths differ after Reset: %d vs %d", len(first), len(second))
 	}
@@ -87,13 +89,15 @@ func streamRPeaks(t *testing.T, cfg PTConfig, x []float64, chunk int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var a dsp.Arena
 	var rs []int
 	for pos := 0; pos < len(x); pos += chunk {
 		end := pos + chunk
 		if end > len(x) {
 			end = len(x)
 		}
-		rs = s.Push(rs, x[pos:end])
+		a.Reset()
+		rs = s.Push(&a, rs, x[pos:end])
 	}
 	return s.Flush(rs)
 }
@@ -157,9 +161,9 @@ func TestPTStreamReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := s.Flush(s.Push(nil, x))
+	first := s.Flush(s.Push(nil, nil, x))
 	s.Reset()
-	second := s.Flush(s.Push(nil, x))
+	second := s.Flush(s.Push(nil, nil, x))
 	if len(first) != len(second) {
 		t.Fatalf("Reset changes peak count: %d vs %d", len(first), len(second))
 	}
@@ -182,7 +186,7 @@ func TestPTBandPassStreamConsistency(t *testing.T) {
 	x := synthECG(2000, fs, 13)
 	want := sos.Filter(x)
 	st := dsp.NewSOSStream(sos, 0, false)
-	got := st.Push(nil, x)
+	got := st.Push(nil, nil, x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("sample %d differs", i)
@@ -314,7 +318,7 @@ func TestPTStreamRingHorizon(t *testing.T) {
 				}
 				var rs []int
 				for pos := 0; pos < len(x); pos += chunk {
-					rs = s.Push(rs, x[pos:min(pos+chunk, len(x))])
+					rs = s.Push(nil, rs, x[pos:min(pos+chunk, len(x))])
 				}
 				return s.Flush(rs), s
 			}

@@ -118,7 +118,7 @@ func DetectBeatInto(bp *BeatPoints, a *dsp.Arena, icg []float64, rLo, rHi, tPeak
 	if rLo < 0 || rHi > len(icg) || rHi-rLo < int(0.3*fs) {
 		return ErrBeatTooShort
 	}
-	seg := arenaF64(a, rHi-rLo)
+	seg := a.F64(rHi - rLo)
 	copy(seg, icg[rLo:rHi])
 	// Per-beat baseline: the respiratory and motion components of -dZ/dt
 	// drift through the beat, so the "horizontal axis" of the B0 rule is
@@ -246,7 +246,7 @@ func detectB(a *dsp.Arena, seg, d1, d2, d3 []float64, c int, cAmp, fs float64, r
 	// Collect the 40-80% band of the upstroke between foot and C.
 	lo40 := 0.4 * cAmp
 	hi80 := 0.8 * cAmp
-	idx := arenaInts(a, c-foot+1)[:0]
+	idx := a.Ints(c - foot + 1)[:0]
 	for i := c; i >= foot; i-- {
 		v := seg[i]
 		if v < lo40 {
@@ -274,7 +274,7 @@ func detectB(a *dsp.Arena, seg, d1, d2, d3 []float64, c int, cAmp, fs float64, r
 	baseLo := maxInt(foot-int(0.05*fs), 0)
 	localBase := 0.0
 	if foot > baseLo+2 {
-		scratch := arenaF64(a, foot-baseLo)
+		scratch := a.F64(foot - baseLo)
 		copy(scratch, seg[baseLo:foot])
 		localBase = dsp.MedianInPlace(scratch)
 	}
@@ -435,7 +435,7 @@ func detrendAnchored(a *dsp.Arena, seg []float64, fs float64) {
 	// percentile, and the kept points — shares one scratch block: this
 	// runs on every beat of every window and dominated the pipeline's
 	// small-object churn.
-	buf := arenaF64(a, 4*n)
+	buf := a.F64(4 * n)
 	sorted := buf[n : 2*n]
 	copy(sorted, seg[:headLen])
 	headMed := dsp.MedianInPlace(sorted[:headLen])
@@ -483,20 +483,4 @@ func detrendAnchored(a *dsp.Arena, seg []float64, fs float64) {
 	for i := range seg {
 		seg[i] -= quad.YAt(float64(i))
 	}
-}
-
-// arenaF64 allocates from a when non-nil and from the heap otherwise.
-func arenaF64(a *dsp.Arena, n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.F64(n)
-}
-
-// arenaInts allocates from a when non-nil and from the heap otherwise.
-func arenaInts(a *dsp.Arena, n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.Ints(n)
 }

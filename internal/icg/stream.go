@@ -42,6 +42,8 @@ import "repro/internal/dsp"
 // point detector's intermediates) is borrowed from a shared ArenaPool
 // for one beat and returned after it: nothing a beat's analysis returns
 // aliases the arena, so the delineator holds no scratch between beats.
+// The forward pass's per-push buffers come from the arena PushICG is
+// lent, so it holds none between pushes either.
 type Delineator struct {
 	cfg    DetectConfig
 	lp, hp dsp.SOS
@@ -54,8 +56,6 @@ type Delineator struct {
 
 	icg     *dsp.Ring      // raw -dZ/dt, or its cached hp-forward pass in rolling mode
 	scratch *dsp.ArenaPool // lends each beat its refiltering scratch
-	pushBuf []float64      // forward-pass input scratch per push, reused
-	fltBuf  []float64      // forward-pass output scratch per push, reused
 	lastR   int            // previous confirmed R peak (ECG clock), -1 before the first
 	queue   []beatJob      // R pairs waiting for their ICG samples
 }
@@ -114,10 +114,11 @@ func (d *Delineator) Lookahead() int { return d.ctxN }
 // PushICG appends newly streamed ICG samples (on the filter-output
 // clock) and returns the beats they complete, appended to out. In
 // rolling mode each sample passes through the persistent high-pass
-// forward filter exactly once here, and the ring caches the result.
-func (d *Delineator) PushICG(out []BeatAnalysis, x []float64) []BeatAnalysis {
+// forward filter exactly once here, into a buffer checked out of a (nil
+// allocates), and the ring caches the result.
+func (d *Delineator) PushICG(a *dsp.Arena, out []BeatAnalysis, x []float64) []BeatAnalysis {
 	if d.rolling() {
-		d.pushRolling(x, false)
+		d.pushRolling(a, x, false)
 	} else {
 		d.icg.Append(x)
 	}
@@ -131,12 +132,11 @@ func (d *Delineator) PushICG(out []BeatAnalysis, x []float64) []BeatAnalysis {
 // batch filtfilt forward pass; the cached forward signal then matches
 // the batch one over the whole session, not just in steady state. last
 // clamps the pad for a sub-pad-length session the way FiltFilt clamps
-// on short inputs.
-func (d *Delineator) pushRolling(x []float64, last bool) {
+// on short inputs. The filter runs into scratch checked out of a.
+func (d *Delineator) pushRolling(a *dsp.Arena, x []float64, last bool) {
 	if d.warmed {
 		if len(x) > 0 {
-			d.fltBuf = d.fwd.Push(d.fltBuf[:0], x)
-			d.icg.Append(d.fltBuf)
+			d.icg.Append(d.fwd.Push(a, a.F64(len(x))[:0], x))
 		}
 		return
 	}
@@ -151,13 +151,12 @@ func (d *Delineator) pushRolling(x []float64, last bool) {
 	if pad >= len(d.warm) {
 		return // still buffering the reflected prefix
 	}
-	d.pushBuf = d.pushBuf[:0]
+	in := a.F64(pad + len(d.warm))
 	for i := pad; i >= 1; i-- {
-		d.pushBuf = append(d.pushBuf, 2*d.warm[0]-d.warm[i])
+		in[pad-i] = 2*d.warm[0] - d.warm[i]
 	}
-	d.pushBuf = append(d.pushBuf, d.warm...)
-	d.fltBuf = d.fwd.Push(d.fltBuf[:0], d.pushBuf)
-	d.icg.Append(d.fltBuf[pad:])
+	copy(in[pad:], d.warm)
+	d.icg.Append(d.fwd.Push(a, a.F64(len(in))[:0], in)[pad:])
 	d.warmed = true
 	d.warm = d.warm[:0]
 }
@@ -179,10 +178,11 @@ func (d *Delineator) PushR(out []BeatAnalysis, r int) []BeatAnalysis {
 
 // Flush analyzes the queued beats against whatever ICG samples arrived
 // (end of session), clamping the trailing context like the batch
-// filter clamps at the recording's end.
-func (d *Delineator) Flush(out []BeatAnalysis) []BeatAnalysis {
+// filter clamps at the recording's end; a lends the scratch PushICG
+// would.
+func (d *Delineator) Flush(a *dsp.Arena, out []BeatAnalysis) []BeatAnalysis {
 	if d.rolling() && !d.warmed {
-		d.pushRolling(nil, true) // drain a sub-pad-length session's buffer
+		d.pushRolling(a, nil, true) // drain a sub-pad-length session's buffer
 	}
 	return d.drain(out, true)
 }

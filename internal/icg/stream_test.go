@@ -48,7 +48,7 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 			if end > len(sig) {
 				end = len(sig)
 			}
-			got = d.PushICG(got, sig[pos:end])
+			got = d.PushICG(nil, got, sig[pos:end])
 			pos = end
 			// Deliver R peaks as soon as their sample time has passed,
 			// like the QRS detector would.
@@ -57,7 +57,7 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 				nextR++
 			}
 		}
-		got = d.Flush(got)
+		got = d.Flush(nil, got)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d beats, want %d", chunk, len(got), len(want))
 		}
@@ -91,11 +91,11 @@ func TestDelineatorAlignmentShift(t *testing.T) {
 	copy(delayed[shift:], sig)
 	d := NewDelineator(cfg, nil, nil, shift, 0, 3, new(dsp.ArenaPool))
 	var got []BeatAnalysis
-	got = d.PushICG(got, delayed)
+	got = d.PushICG(nil, got, delayed)
 	for _, r := range rPeaks {
 		got = d.PushR(got, r)
 	}
-	got = d.Flush(got)
+	got = d.Flush(nil, got)
 	if len(got) != len(want) {
 		t.Fatalf("%d beats, want %d", len(got), len(want))
 	}
@@ -115,11 +115,11 @@ func TestDelineatorOverlongBeatDoesNotStall(t *testing.T) {
 	d := NewDelineator(cfg, nil, nil, 0, 0, 2, new(dsp.ArenaPool)) // 2 s ring
 	long := make([]float64, int(10*fs))
 	var got []BeatAnalysis
-	got = d.PushICG(got, long)
+	got = d.PushICG(nil, got, long)
 	got = d.PushR(got, 0)
 	got = d.PushR(got, int(8*fs)) // 8 s "beat" exceeds the ring
 	got = d.PushR(got, int(8.8*fs))
-	got = d.Flush(got)
+	got = d.Flush(nil, got)
 	if len(got) != 2 {
 		t.Fatalf("%d beats reported, want 2", len(got))
 	}
@@ -138,11 +138,11 @@ func TestDelineatorReset(t *testing.T) {
 	d := NewDelineator(cfg, nil, nil, 0, 0, 3, new(dsp.ArenaPool))
 	run := func() []BeatAnalysis {
 		var got []BeatAnalysis
-		got = d.PushICG(got, sig)
+		got = d.PushICG(nil, got, sig)
 		for _, r := range rPeaks {
 			got = d.PushR(got, r)
 		}
-		return d.Flush(got)
+		return d.Flush(nil, got)
 	}
 	first := run()
 	d.Reset()
@@ -180,6 +180,7 @@ func TestDelineatorRefilterMatchesWholeRecording(t *testing.T) {
 	want := DetectAll(whole, rPeaks, nil, cfg)
 
 	d := NewDelineator(cfg, lp, hp, 0, 1.0, 3, new(dsp.ArenaPool))
+	var a dsp.Arena // lent per push, like the streamer's
 	var got []BeatAnalysis
 	pos, nextR := 0, 0
 	for pos < len(sig) {
@@ -187,14 +188,15 @@ func TestDelineatorRefilterMatchesWholeRecording(t *testing.T) {
 		if end > len(sig) {
 			end = len(sig)
 		}
-		got = d.PushICG(got, sig[pos:end])
+		a.Reset()
+		got = d.PushICG(&a, got, sig[pos:end])
 		pos = end
 		for nextR < len(rPeaks) && rPeaks[nextR] < pos {
 			got = d.PushR(got, rPeaks[nextR])
 			nextR++
 		}
 	}
-	got = d.Flush(got)
+	got = d.Flush(nil, got)
 	if len(got) != len(want) {
 		t.Fatalf("%d beats, want %d", len(got), len(want))
 	}

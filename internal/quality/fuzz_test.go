@@ -99,7 +99,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 		g := NewBeatGate(DefaultGate(250))
 		ref := g.Apply(fx.z, fx.beats, fx.rPeaks)
 
-		gs := g.NewStream()
+		gs := g.NewStream(g.NewHistory())
 		var got []BeatSQI
 		next, pushed := 0, 0
 		score := func(flush bool) {
@@ -130,7 +130,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 			if end > len(fx.z) {
 				end = len(fx.z)
 			}
-			gs.Push(fx.z[pushed:end])
+			gs.ring.Append(fx.z[pushed:end])
 			pushed = end
 			score(false)
 		}

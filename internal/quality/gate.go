@@ -15,9 +15,12 @@ import (
 //
 //   - BeatGate is immutable after construction and safe for concurrent
 //     use; it holds only thresholds and sizing.
-//   - All mutable state — the raw-sample history ring, the running
-//     session extremes, the ensemble template — lives in the GateStream
-//     returned by NewStream, a single-goroutine object with Reset.
+//   - All mutable state — the running session extremes, the ensemble
+//     template — lives in the GateStream returned by NewStream, a
+//     single-goroutine object with Reset. The raw-sample history it
+//     scores beats from is a ring the caller appends to and shares: the
+//     streaming engine keeps one raw impedance history per stream for
+//     the gate and its base-impedance estimate alike.
 //   - Parity is exact by construction: the batch form (Apply) drives a
 //     GateStream over the same per-beat inputs in the same order, and a
 //     streamed gate scores each beat from the same absolute raw-sample
@@ -88,10 +91,12 @@ type GateConfig struct {
 	// (icg.MorphScore) falls below it.
 	MinMorph float64
 
-	// HistorySamples bounds the raw-sample ring (rounded up to a power
-	// of two). It must cover the longest beat plus however far the
-	// sample feed can run ahead of beat completion (the delineator's
-	// settling context plus one streamer sub-chunk).
+	// HistorySamples is the raw-sample history the gate reads back
+	// from its ring's newest sample (rounded up to a power of two). It
+	// must cover the longest beat plus however far the sample feed can
+	// run ahead of beat completion (the delineator's settling context
+	// plus one streamer sub-chunk); a ring shared with a reader that
+	// needs more may hold more, and the gate still reads no further.
 	HistorySamples int
 }
 
@@ -194,14 +199,22 @@ func NewBeatGate(cfg GateConfig) *BeatGate {
 // Config returns the resolved gate configuration.
 func (g *BeatGate) Config() GateConfig { return g.cfg }
 
-// NewStream returns fresh streaming gate state.
-func (g *BeatGate) NewStream() *GateStream {
+// NewStream returns fresh streaming gate state that scores beats from
+// raw, the raw impedance history by absolute sample index. The caller
+// appends every sample to raw before scoring the beats it completes;
+// raw may be shared and larger than HistorySamples.
+func (g *BeatGate) NewStream(raw *dsp.Ring) *GateStream {
 	return &GateStream{
 		cfg:      g.cfg,
-		ring:     dsp.NewRing(g.cfg.HistorySamples),
+		ring:     raw,
+		hist:     dsp.NextPow2(g.cfg.HistorySamples),
 		rateEWMA: 1,
 	}
 }
+
+// NewHistory returns a raw-sample ring of the gate's own HistorySamples,
+// for a caller that has no history to share.
+func (g *BeatGate) NewHistory() *dsp.Ring { return dsp.NewRing(g.cfg.HistorySamples) }
 
 // Apply gates a whole recording: it drives a fresh GateStream over the
 // raw impedance channel and the delineated beats in order, so the batch
@@ -209,16 +222,18 @@ func (g *BeatGate) NewStream() *GateStream {
 // The returned slice is aligned with beats; failed beats get a zero
 // BeatSQI. rPeaks must delimit the beats (len(beats)+1 peaks).
 func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
-	return g.NewStream().Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
+	return g.NewStream(g.NewHistory()).Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
 }
 
 // GateStream carries the gate's per-stream state across pushes: the
-// raw-sample history, the running session extremes and the ensemble
-// template. It is a single-goroutine object; Reset returns it to the
-// initial state keeping allocations, so pooled engines can recycle it.
+// running session extremes and the ensemble template, scored against
+// the raw-sample history ring it reads. It is a single-goroutine
+// object; Reset returns it to the initial state keeping allocations, so
+// pooled engines can recycle it.
 type GateStream struct {
 	cfg  GateConfig
-	ring *dsp.Ring // raw impedance samples by absolute index
+	ring *dsp.Ring // raw impedance samples by absolute index (the caller appends)
+	hist int       // how far back from the ring's newest sample the gate reads
 
 	// Running session extremes over [0, cursor); the cursor advances to
 	// each beat's closing R when the beat is scored, never past it, so
@@ -240,10 +255,6 @@ type GateStream struct {
 	// it advances only when a beat is pushed, never on raw samples.
 	rateEWMA float64
 }
-
-// Push appends raw impedance samples to the gate's history. Call it
-// with every chunk, before scoring the beats the chunk completes.
-func (gs *GateStream) Push(z []float64) { gs.ring.Append(z) }
 
 // PushFailed records a beat that failed delineation: it counts against
 // the acceptance rate but is not scored and does not touch the template.
@@ -273,11 +284,13 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	c := &gs.cfg
 
 	// Advance the running extremes exactly to the beat's closing R.
-	if hi := gs.ring.N(); rHi > hi {
+	hi := gs.ring.N()
+	if rHi > hi {
 		rHi = hi
 	}
-	if gs.cursor < gs.ring.Start() {
-		gs.cursor = gs.ring.Start()
+	start := max(gs.ring.Start(), hi-gs.hist)
+	if gs.cursor < start {
+		gs.cursor = start
 	}
 	for ; gs.cursor < rHi; gs.cursor++ {
 		v := gs.ring.At(gs.cursor)
@@ -295,7 +308,7 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	}
 	span := gs.runHi - gs.runLo
 
-	if rLo < gs.ring.Start() || rHi-rLo < 4 {
+	if rLo < start || rHi-rLo < 4 {
 		// History lost (beat longer than the ring) or degenerate
 		// segment: unanalyzable, reject deterministically.
 		return gs.record(BeatSQI{Flat: true})
@@ -386,8 +399,8 @@ func (gs *GateStream) record(sqi BeatSQI) BeatSQI {
 }
 
 // Apply drives the stream over a complete recording: raw samples are
-// fed exactly up to each beat's closing R before the beat is scored,
-// reproducing the streaming schedule. Results are appended to dst; the
+// appended to its history exactly up to each beat's closing R before
+// the beat is scored, reproducing the streaming schedule. Results are appended to dst; the
 // per-beat segment copies are drawn from a (nil allocates).
 func (gs *GateStream) Apply(a *dsp.Arena, dst []BeatSQI, z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
 	pushed := 0
@@ -395,7 +408,7 @@ func (gs *GateStream) Apply(a *dsp.Arena, dst []BeatSQI, z []float64, beats []ic
 		b := &beats[i]
 		if i+1 < len(rPeaks) {
 			if need := min(rPeaks[i+1], len(z)); need > pushed {
-				gs.Push(z[pushed:need])
+				gs.ring.Append(z[pushed:need])
 				pushed = need
 			}
 		}
@@ -483,7 +496,8 @@ func (gs *GateStream) Restore(s GateSnapshot) {
 	gs.cursor = 0
 }
 
-// Reset returns the stream to its initial state, keeping allocations.
+// Reset returns the stream, and the history it reads, to the initial
+// state, keeping allocations.
 func (gs *GateStream) Reset() {
 	gs.ring.Reset()
 	gs.cursor = 0

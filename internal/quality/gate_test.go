@@ -117,7 +117,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 		// scored only after rHi + delay samples were pushed (varying
 		// per chunk size exercises feed-ahead invariance).
 		for _, delay := range []int{0, 100, 625} {
-			gs := g.NewStream()
+			gs := g.NewStream(g.NewHistory())
 			var got []BeatSQI
 			next := 0 // next beat to score
 			pushed := 0
@@ -142,7 +142,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 				if end > len(f.z) {
 					end = len(f.z)
 				}
-				gs.Push(f.z[pushed:end])
+				gs.ring.Append(f.z[pushed:end])
 				pushed = end
 				score(false)
 			}
@@ -180,7 +180,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 			t.Errorf("clean beat %d rejected: %+v", i, s)
 		}
 	}
-	gs := g.NewStream()
+	gs := g.NewStream(g.NewHistory())
 	first := gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	a1, t1 := gs.Counts()
 	gs.Reset()
@@ -205,7 +205,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 // Degenerate inputs must not panic and must reject deterministically.
 func TestGateDegenerate(t *testing.T) {
 	g := NewBeatGate(GateConfig{})
-	gs := g.NewStream()
+	gs := g.NewStream(g.NewHistory())
 	if r := gs.AcceptRate(); r != 1 {
 		t.Errorf("empty stream accept rate %g, want 1", r)
 	}
@@ -221,7 +221,7 @@ func TestGateDegenerate(t *testing.T) {
 	for i := range huge {
 		huge[i] = float64(i % 17)
 	}
-	gs.Push(huge)
+	gs.ring.Append(huge)
 	sqi = gs.PushBeat(nil, 0, 200, b)
 	if sqi.Accepted {
 		t.Error("beat with lost history accepted")
@@ -234,13 +234,13 @@ func TestGateDegenerate(t *testing.T) {
 // zero that would inflate the session span forever.
 func TestGateExtremesAfterRingWrap(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := g.NewStream()
+	gs := g.NewStream(g.NewHistory())
 	n := gs.cfg.HistorySamples * 2
 	z := make([]float64, n)
 	for i := range z {
 		z[i] = 30 + 0.5*math.Sin(float64(i)/40) // all samples near 30 Ohm
 	}
-	gs.Push(z)
+	gs.ring.Append(z)
 	b := &icg.BeatAnalysis{Points: &icg.BeatPoints{}, Quality: 1}
 	rLo := n - 300
 	sqi := gs.PushBeat(nil, rLo, n-50, b)
@@ -257,7 +257,7 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 // restores it.
 func TestGateAcceptEWMAContract(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := g.NewStream()
+	gs := g.NewStream(g.NewHistory())
 	if e := gs.AcceptEWMA(); e != 1 {
 		t.Fatalf("fresh stream AcceptEWMA %g, want exactly 1", e)
 	}
@@ -314,8 +314,8 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 		}
 	}
 	g := NewBeatGate(cfg)
-	gs = g.NewStream()
-	gs.Push(z)
+	gs = g.NewStream(g.NewHistory())
+	gs.ring.Append(z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
 		if b >= 6 && b < 14 {
