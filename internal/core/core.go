@@ -196,7 +196,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		gcfg.FS = cfg.FS
 		d.gate = quality.NewBeatGate(gcfg)
 		d.cfg.Gate = d.gate.Config()
-		d.gateStreams.New = func() any { return d.gate.NewStream(d.gate.NewHistory()) }
+		d.gateStreams.New = func() any {
+			raw := d.gate.NewHistory()
+			return d.gate.NewStream(raw, raw.Cap())
+		}
 	}
 	var err error
 	if d.bank, err = designBank(cfg, cfg.FS); err != nil {

@@ -17,11 +17,15 @@ import (
 // fuzz iteration.
 //
 // The streamer's base recordings are fuzzBaseSeconds long, longer than
-// every history ring the streamer holds (the 16 s gate and delineator
-// rings, the 8 s z-prefix ring): a recording that fits every ring
-// cannot catch a ring overrun by a large push. The delineator fuzzer
-// runs on its own delinFuzzSeconds acquisitions, plus the first
-// delinFuzzSeconds of subject 1's base recording.
+// every history ring the streamer holds (the 16 s raw-impedance and
+// delineator rings): a recording that fits every ring cannot catch a
+// ring overrun by a large push. One more base recording is subject 1
+// with a contact gap of fuzzGapSamples inserted after its ninth beat,
+// so the beat spanning the gap sits at the edge of those rings, where a
+// rule that asked the ring rather than the beat would depend on the
+// chunking. The delineator fuzzer runs on its own delinFuzzSeconds
+// acquisitions, plus the first delinFuzzSeconds of subject 1's base
+// recording.
 var fuzzEnv struct {
 	once  sync.Once
 	dev   *Device
@@ -81,10 +85,17 @@ func fuzzSetup() error {
 			}
 			fuzzEnv.delin = append(fuzzEnv.delin, rec)
 		}
+		base := fuzzEnv.base[0]
+		out, err := dev.Process(&Acquisition{FS: dev.cfg.FS, ECG: base[0], Z: base[1]})
+		if err != nil {
+			fuzzEnv.err = err
+			return
+		}
+		ge, gz := withContactGap(base[0], base[1], out.RPeaks[8]+60, fuzzGapSamples)
+		fuzzEnv.base = append(fuzzEnv.base, [2][]float64{ge, gz})
 		// Cut mid-recording, the last beat's trailing context is clamped
 		// to 33 samples at the stream end: the edge law 2's oracle must
 		// treat the way the rolling cache does.
-		base := fuzzEnv.base[0]
 		rec, err := delinFrom(base[0], base[1], int(delinFuzzSeconds*dev.cfg.FS), dev.cfg.FS)
 		if err != nil {
 			fuzzEnv.err = err
@@ -97,6 +108,10 @@ func fuzzSetup() error {
 
 // fuzzBaseSeconds is the length of FuzzStreamerPush's base recordings.
 const fuzzBaseSeconds = 30
+
+// fuzzGapSamples is the contact gap of the ring-edge base recording
+// (12.4 s at 250 Hz).
+const fuzzGapSamples = 3100
 
 // fuzzChunk maps one fuzz byte to a push size over an n-sample
 // recording: bytes below 128 give fine chunks of 0-254 samples, the rest
@@ -119,6 +134,7 @@ func FuzzStreamerPush(f *testing.F) {
 	f.Add(uint8(1), int64(42), []byte{1, 0, 7, 250})
 	f.Add(uint8(2), int64(-3), []byte{40, 3, 90})
 	f.Add(uint8(0), int64(5), []byte{200, 25, 160})
+	f.Add(uint8(3), int64(7), []byte{64, 25, 1, 48})
 	f.Fuzz(func(t *testing.T, subject uint8, perturbSeed int64, chunks []byte) {
 		if err := fuzzSetup(); err != nil {
 			t.Skip("no device:", err)
@@ -323,10 +339,11 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
 		run := func(chunked bool) []icg.BeatAnalysis {
-			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6, &fuzzEnv.dev.arenas)
+			// The whole run feeds the 8 s acquisition before any R: that
+			// is the lead its history ring must cover.
+			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6, len(sig), &fuzzEnv.dev.arenas)
 			var out []icg.BeatAnalysis
 			if !chunked {
-				// The 8 s acquisition fits the history ring whole.
 				out = d.PushICG(nil, out, sig)
 				for _, r := range rs {
 					out = d.PushR(out, r)

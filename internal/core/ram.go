@@ -8,6 +8,11 @@ package core
 // actually fits — this file quantifies both, and the tests pin the
 // conclusion.
 
+import (
+	"repro/internal/icg"
+	"repro/internal/quality"
+)
+
 // RAMBudget itemizes the working set of a processing mode.
 type RAMBudget struct {
 	Mode        string
@@ -52,9 +57,10 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // StreamingRAM returns the working set of the incremental streaming
 // engine: no rolling windows are re-analyzed, but the detectors keep
 // bounded history rings (QRS slope and refinement windows, ICG beat
-// history plus the per-beat refiltering context, the base-impedance
-// prefix sums) at firmware float32 widths. The ring horizons are read
-// off a streamer built for the profile, so they follow stream.go by
+// history plus the per-beat refiltering guard and lead, the raw
+// impedance history the quality gate and the base-impedance estimate
+// share) at firmware float32 widths. The ring horizons are read off a
+// streamer built for the profile, so they follow stream.go by
 // construction; fs must admit the device's filter designs.
 //
 // The model describes the MCU deployment profile, which pins the ECG
@@ -81,24 +87,30 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// band-passed): the refractory period plus the slope and
 			// refinement windows each candidate is measured over.
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
-			// Raw -dZ/dt history: longest analyzable beat plus the
-			// refiltering context on both sides.
-			{Name: "icg-history", Bytes: sec(sc.WindowSeconds + 2*icgCtxSeconds)},
+			// Cached -dZ/dt forward pass: the longest analyzable beat plus
+			// its low-pass guard, held until the feed's lead past its
+			// closing R.
+			{Name: "icg-history", Bytes: samples(st.delin.History())},
 			// Per-beat zero-phase refiltering scratch.
 			{Name: "refilter-scratch", Bytes: sec(3 + 2*icgCtxSeconds)},
-			// Base-impedance prefix sums for the causal Z0 estimate, back
-			// to the oldest R peak a beat can still be emitted for.
-			{Name: "z-prefix", Bytes: samples(st.zHorizon())},
+			// Raw impedance history, shared by the quality gate (the
+			// beat segment it scores) and the causal Z0 estimate (the
+			// running sum folded up to each closing R).
+			{Name: "raw-z-history", Bytes: samples(st.rawHistory())},
+			// Quality-gate state: the ensemble template plus the running
+			// extremes, acceptance tallies and EWMA.
+			{Name: "gate-state", Bytes: samples(icg.ShapeBins) + 32},
 			{Name: "beat-queue", Bytes: 512},
 		},
 	}
 }
 
-// profileStreamer builds an ungated streamer of the default device at
-// rate fs, for reading ring horizons off.
+// profileStreamer builds a streamer of the default device, with its
+// default quality gate, at rate fs, for reading ring horizons off.
 func profileStreamer(fs float64, sc StreamConfig) *Streamer {
 	d := &Device{cfg: DefaultConfig()}
 	d.cfg.FS = fs
+	d.gate = quality.NewBeatGate(quality.DefaultGate(fs))
 	bank, err := designBank(d.cfg, fs)
 	if err != nil {
 		panic("core: StreamingRAM: " + err.Error())

@@ -102,11 +102,15 @@ type Streamer struct {
 	// [0, zNext), folded forward to each scored beat's closing R and,
 	// before an append would overwrite them, over the samples about to
 	// leave the ring — the same additions in the same order whatever
-	// the chunking. The ring retains the larger of the gate's
-	// HistorySamples and zHorizon.
+	// the chunking. The ring retains the longest beat plus zHorizon, and
+	// at least the gate's HistorySamples.
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
+	// zHorizon bounds how many samples past a beat's closing R the feed
+	// has run when the beat is emitted (see NewStreamer); maxBeat is the
+	// longest analyzable beat (StreamConfig.WindowSeconds) in samples.
+	zHorizon, maxBeat int
 
 	body hemo.BodyConstants
 	cal  hemo.Calibration
@@ -166,21 +170,21 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// device configuration was tampered with after construction.
 		panic("core: streaming QRS detector: " + err.Error())
 	}
-	dCfg := defaultDetectFor(d.cfg, fs)
 	var icgStream *ChainStream
-	var delin *icg.Delineator
+	var lp, hp dsp.SOS
+	align, ctxSeconds := 0, 0.0
 	if d.cfg.CausalFilters {
 		// The causal ablation conditions the stream itself: the chain's
 		// streaming form equals its batch form sample for sample.
 		icgStream = bank.icgChain.NewStream()
-		delin = icg.NewDelineator(dCfg, nil, nil, icgStream.Shift(), 0, sc.WindowSeconds, &d.arenas)
+		align = icgStream.Shift()
 	} else {
 		// Zero-phase conditioning cannot be streamed causally; only the
 		// derivative runs per sample, and the delineator applies the
 		// Butterworth cascade forward-backward per beat segment with a
 		// settling context (see icg.Delineator).
 		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
-		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds, &d.arenas)
+		lp, hp, ctxSeconds = bank.icgLP, bank.icgHP, icgCtxSeconds
 	}
 	ecgStream := bank.ecgChain.NewStream()
 	if sc.DirectFIR && !d.cfg.CausalFilters {
@@ -189,6 +193,16 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// only the engine choice differs, never the alignment or edges.
 		ecgStream = Chain{baselineStage{cfg: bank.blCfg}, firZeroPhaseDirectStage{f: bank.ecgFIR}}.NewStream()
 	}
+	// How far the feed can run past a beat's closing R before the beat
+	// is emitted: the larger of the two sides' delays — the ECG chain's
+	// lookahead plus the QRS detector's oldest possible emission (MaxLag:
+	// a search-back recovery), or the ICG side's settling delay (as in
+	// Latency) — plus the sub-chunk Push appends ahead of the pipeline.
+	// Every history ring is sized from it, so a beat within the
+	// WindowSeconds bound is still held when it is analyzed, whatever
+	// the chunking.
+	ecgSide := ecgStream.Lookahead() + pt.MaxLag()
+	zHorizon := max(ecgSide, icgDelay(icgStream, int(ctxSeconds*fs))) + streamSubChunk
 	s := &Streamer{
 		belowSince: -1,
 		dev:        d,
@@ -196,20 +210,31 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		ecgStream:  ecgStream,
 		icgStream:  icgStream,
 		pt:         pt,
-		delin:      delin,
-		sink:       event.Discard,
-		body:       d.cfg.Body,
-		cal:        cal,
+		delin: icg.NewDelineator(defaultDetectFor(d.cfg, fs), lp, hp, align, ctxSeconds,
+			sc.WindowSeconds, zHorizon, &d.arenas),
+		zHorizon: zHorizon,
+		maxBeat:  int(sc.WindowSeconds * fs),
+		sink:     event.Discard,
+		body:     d.cfg.Body,
+		cal:      cal,
 	}
-	rawN := s.zHorizon()
+	s.raw = dsp.NewRing(s.rawHistory())
 	if d.gate != nil {
-		rawN = max(rawN, d.gate.Config().HistorySamples)
-	}
-	s.raw = dsp.NewRing(rawN)
-	if d.gate != nil {
-		s.gate = d.gate.NewStream(s.raw)
+		s.gate = d.gate.NewStream(s.raw, s.maxBeat)
 	}
 	return s
+}
+
+// rawHistory is how many raw impedance samples the streamer holds: the
+// gate reads a beat of up to maxBeat samples as late as zHorizon after
+// its closing R, and Z0 reads up to that R; a gated stream holds at
+// least the gate's HistorySamples.
+func (s *Streamer) rawHistory() int {
+	n := s.maxBeat + 1 + s.zHorizon
+	if g := s.dev.gate; g != nil {
+		n = max(n, g.Config().HistorySamples)
+	}
+	return n
 }
 
 // streamSubChunk bounds how many samples Push feeds through the pipeline
@@ -217,17 +242,6 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 // the reader that consumes it: with it, every ring size is a function of
 // the configuration, never of the caller's chunk size.
 const streamSubChunk = 128
-
-// zHorizon is how far back emit can still read the raw history: a beat is
-// emitted at most the larger of the two sides' delays after its closing
-// R entered Push — the ECG chain's lookahead plus the QRS detector's
-// oldest possible emission (MaxLag: a search-back recovery), or the ICG
-// side's settling delay (as in Latency) — plus the sub-chunk that Push
-// appends ahead of the pipeline.
-func (s *Streamer) zHorizon() int {
-	ecgSide := s.ecgStream.Lookahead() + s.pt.MaxLag()
-	return max(ecgSide, s.icgSide()) + streamSubChunk
-}
 
 // icgCtxSeconds is the per-beat refiltering context. The zero-phase
 // cascade's slowest mode (the 0.5 Hz band-edge high-pass) decays by
@@ -459,8 +473,12 @@ func (s *Streamer) Latency() float64 {
 // icgSide is the ICG side's emission delay in samples: the chain's
 // lookahead plus its group-delay re-alignment plus the delineator's
 // settling context.
-func (s *Streamer) icgSide() int {
-	return s.icgStream.Lookahead() + s.icgStream.Shift() + s.delin.Lookahead()
+func (s *Streamer) icgSide() int { return icgDelay(s.icgStream, s.delin.Lookahead()) }
+
+// icgDelay is the ICG side's emission delay for a conditioning stream
+// and a delineator settling context of ctxN samples.
+func icgDelay(icgStream *ChainStream, ctxN int) int {
+	return icgStream.Lookahead() + icgStream.Shift() + ctxN
 }
 
 // AcceptRate returns the quality gate's acceptance rate over the beats

@@ -437,8 +437,8 @@ func TestStreamerEmissionDelayBound(t *testing.T) {
 			pushed++
 			st.Push(x[0][i:i+1], x[1][i:i+1])
 		}
-		if worst > st.zHorizon() {
-			t.Errorf("%s: a beat arrived %d samples after its closing R, zHorizon %d", name, worst, st.zHorizon())
+		if worst > st.zHorizon {
+			t.Errorf("%s: a beat arrived %d samples after its closing R, zHorizon %d", name, worst, st.zHorizon)
 		}
 		if strings.Contains(name, "-then-gap-") {
 			gapWorst = max(gapWorst, worst)
@@ -447,6 +447,63 @@ func TestStreamerEmissionDelayBound(t *testing.T) {
 	if lat := st.Latency() * fs; float64(gapWorst) <= lat {
 		t.Errorf("missed-then-gap worst delay %d samples within Latency (%g samples)", gapWorst, lat)
 	} else {
-		t.Logf("missed-then-gap worst delay %d samples; Latency %g, zHorizon %d", gapWorst, lat, st.zHorizon())
+		t.Logf("missed-then-gap worst delay %d samples; Latency %g, zHorizon %d", gapWorst, lat, st.zHorizon)
+	}
+}
+
+// withContactGap returns copies of ecg and z with n samples of lost
+// contact inserted at cut: both channels held at their value there.
+func withContactGap(ecg, z []float64, cut, n int) (ge, gz []float64) {
+	ge = append(make([]float64, 0, len(ecg)+n), ecg[:cut]...)
+	gz = append(make([]float64, 0, len(z)+n), z[:cut]...)
+	for i := 0; i < n; i++ {
+		ge, gz = append(ge, ecg[cut]), append(gz, z[cut])
+	}
+	return append(ge, ecg[cut:]...), append(gz, z[cut:]...)
+}
+
+// TestStreamerLongBeatChunkInvariant pins the long-beat rule to the beat
+// itself: a beat longer than WindowSeconds fails whatever the chunking,
+// and one within it is analyzed, because whether its history is still
+// held must never depend on where the sub-chunk boundaries fell. The
+// inputs span a contact gap of 12.2-12.6 s inserted into subject 1, so
+// the beat around it sits at the edge of the 16 s rings.
+func TestStreamerLongBeatChunkInvariant(t *testing.T) {
+	d := device(t, nil)
+	sub, _ := physio.SubjectByID(1)
+	acq, err := d.Acquire(&sub, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Process(acq)
+	if err != nil || len(out.RPeaks) < 10 {
+		t.Fatal("subject 1 needs ten batch R peaks")
+	}
+	cut := out.RPeaks[8] + 60
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	for gap := 3062; gap <= 3160; gap += step {
+		e, z := withContactGap(acq.ECG, acq.Z, cut, gap)
+		var ref []event.Event
+		for _, chunk := range []int{1, 50, 97, 128} {
+			var got []event.Event
+			st := d.NewStreamer(DefaultStreamConfig())
+			st.Emit(event.Func(func(e event.Event) { got = append(got, e) }), 0)
+			pushChunks(st, e, z, every(chunk))
+			if chunk == 1 {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("gap %d chunk %d: %d events, 1-sample pushes %d", gap, chunk, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("gap %d chunk %d: event %d %+v, 1-sample pushes %+v", gap, chunk, i, got[i], ref[i])
+				}
+			}
+		}
 	}
 }

@@ -45,14 +45,16 @@ import "repro/internal/dsp"
 // The forward pass's per-push buffers come from the arena PushICG is
 // lent, so it holds none between pushes either.
 type Delineator struct {
-	cfg    DetectConfig
-	lp, hp dsp.SOS
-	align  int
-	ctxN   int
-	fwd    *dsp.SOSStream // persistent causal hp forward pass (rolling mode)
-	pad    int            // filtfilt's reflect-pad length for hp
-	warmed bool           // forward pass started (reflected prefix consumed)
-	warm   []float64      // samples buffered before the forward pass starts
+	cfg     DetectConfig
+	lp, hp  dsp.SOS
+	align   int
+	ctxN    int
+	maxBeat int            // longest analyzable RR interval, samples
+	history int            // ring horizon before power-of-two rounding
+	fwd     *dsp.SOSStream // persistent causal hp forward pass (rolling mode)
+	pad     int            // filtfilt's reflect-pad length for hp
+	warmed  bool           // forward pass started (reflected prefix consumed)
+	warm    []float64      // samples buffered before the forward pass starts
 
 	icg     *dsp.Ring      // raw -dZ/dt, or its cached hp-forward pass in rolling mode
 	scratch *dsp.ArenaPool // lends each beat its refiltering scratch
@@ -67,10 +69,16 @@ type beatJob struct {
 // NewDelineator builds a delineator. lp and hp (either may be nil) are
 // the pre-designed conditioning cascades applied zero-phase per beat;
 // ctxSeconds is the transient-settling context on each side of the
-// segment. maxBeatSeconds bounds the longest analyzable RR interval;
+// segment. maxBeatSeconds bounds the longest analyzable RR interval:
 // longer "beats" are reported as failures rather than stalling the
-// queue. scratch lends each beat its scratch arena.
-func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64, scratch *dsp.ArenaPool) *Delineator {
+// queue, a decision made from the beat's length alone. lead is how many
+// samples past a beat's closing R (ECG clock) the ICG feed may have
+// delivered when the beat is analyzed — for a streamer, how late its R
+// peaks are confirmed plus one push; the history ring holds the longest
+// beat's window at that lead, so every beat within the bound is
+// analyzed whatever the chunking. scratch lends each beat its scratch
+// arena.
+func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64, lead int, scratch *dsp.ArenaPool) *Delineator {
 	fs := cfg.FS
 	if fs <= 0 {
 		fs = 250
@@ -85,14 +93,13 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 	if lp != nil || hp != nil {
 		ctxN = int(ctxSeconds * fs)
 	}
-	n := int(maxBeatSeconds*fs) + 2*ctxN + align + 2
 	d := &Delineator{
 		cfg:     cfg,
 		lp:      lp,
 		hp:      hp,
 		align:   align,
 		ctxN:    ctxN,
-		icg:     dsp.NewRing(n),
+		maxBeat: int(maxBeatSeconds * fs),
 		scratch: scratch,
 		lastR:   -1,
 	}
@@ -100,8 +107,27 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 		d.fwd = dsp.NewSOSStream(hp, 0, true)
 		d.pad = 3 * (2*len(hp) + 1) // FiltFilt's reflect-pad formula
 	}
+	// A beat's window starts back samples before its segment and is
+	// analyzed once the feed has reached the end of its trailing
+	// context, or lead past its closing R if that is later.
+	d.history = d.maxBeat + d.back() + max(lead, align+ctxN)
+	d.icg = dsp.NewRing(d.history)
 	return d
 }
+
+// back is how many samples before its segment a beat's window starts:
+// the low-pass guard in rolling mode, whose cached forward pass has no
+// left-edge transient, and the full settling context otherwise.
+func (d *Delineator) back() int {
+	if d.rolling() {
+		return lpGuardSamples(d.cfg.FS)
+	}
+	return d.ctxN
+}
+
+// History returns how many ICG samples the delineator's ring holds,
+// before power-of-two rounding.
+func (d *Delineator) History() int { return d.history }
 
 // rolling reports whether the forward-pass cache is active (a
 // high-pass cascade is configured).
@@ -200,25 +226,14 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 			hi = d.icg.N()
 		}
 		segLo := j.rLo + d.align // absolute segment bounds on the ICG clock
-		segHi := j.rHi + d.align
-		var lo int
-		if d.rolling() {
-			// The cached forward pass has no left-edge transient, so the
-			// window starts at the low-pass guard instead of the full
-			// high-pass context.
-			lo = segLo - lpGuardSamples(d.cfg.FS)
-		} else {
-			lo = j.rLo + d.align - d.ctxN
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if segHi > hi {
-			segHi = hi
-		}
-		if lo < d.icg.Start() || segLo >= segHi {
-			// Beat longer than the history ring (or starved stream):
-			// report it as unanalyzable rather than stalling the queue.
+		segHi := min(j.rHi+d.align, hi)
+		lo := max(segLo-d.back(), 0)
+		// A beat longer than the bound (or a starved stream) is reported
+		// as unanalyzable rather than stalling the queue. The decision
+		// is the beat's own: within the bound, the ring holds the window
+		// whenever the feed keeps to the lead it was built for; the
+		// ring check only guards a feed that runs further ahead.
+		if j.rHi-j.rLo > d.maxBeat || segLo >= segHi || lo < d.icg.Start() {
 			out = append(out, BeatAnalysis{Err: ErrBeatTooShort})
 			done++
 			continue

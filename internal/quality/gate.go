@@ -91,12 +91,11 @@ type GateConfig struct {
 	// (icg.MorphScore) falls below it.
 	MinMorph float64
 
-	// HistorySamples is the raw-sample history the gate reads back
-	// from its ring's newest sample (rounded up to a power of two). It
-	// must cover the longest beat plus however far the sample feed can
+	// HistorySamples sizes the raw-sample ring (rounded up to a power
+	// of two): the longest beat plus however far the sample feed can
 	// run ahead of beat completion (the delineator's settling context
-	// plus one streamer sub-chunk); a ring shared with a reader that
-	// needs more may hold more, and the gate still reads no further.
+	// plus one streamer sub-chunk). A ring shared with a reader that
+	// needs more history may hold more.
 	HistorySamples int
 }
 
@@ -201,13 +200,15 @@ func (g *BeatGate) Config() GateConfig { return g.cfg }
 
 // NewStream returns fresh streaming gate state that scores beats from
 // raw, the raw impedance history by absolute sample index. The caller
-// appends every sample to raw before scoring the beats it completes;
-// raw may be shared and larger than HistorySamples.
-func (g *BeatGate) NewStream(raw *dsp.Ring) *GateStream {
+// appends every sample to raw before scoring the beats it completes,
+// and sizes raw to hold a beat of maxBeat samples for as long after its
+// closing R as the beat can be scored; longer beats are unanalyzable
+// (see PushBeat). raw may be shared.
+func (g *BeatGate) NewStream(raw *dsp.Ring, maxBeat int) *GateStream {
 	return &GateStream{
 		cfg:      g.cfg,
 		ring:     raw,
-		hist:     dsp.NextPow2(g.cfg.HistorySamples),
+		maxBeat:  maxBeat,
 		rateEWMA: 1,
 	}
 }
@@ -222,7 +223,8 @@ func (g *BeatGate) NewHistory() *dsp.Ring { return dsp.NewRing(g.cfg.HistorySamp
 // The returned slice is aligned with beats; failed beats get a zero
 // BeatSQI. rPeaks must delimit the beats (len(beats)+1 peaks).
 func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
-	return g.NewStream(g.NewHistory()).Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
+	raw := g.NewHistory()
+	return g.NewStream(raw, raw.Cap()).Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
 }
 
 // GateStream carries the gate's per-stream state across pushes: the
@@ -231,9 +233,9 @@ func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []
 // object; Reset returns it to the initial state keeping allocations, so
 // pooled engines can recycle it.
 type GateStream struct {
-	cfg  GateConfig
-	ring *dsp.Ring // raw impedance samples by absolute index (the caller appends)
-	hist int       // how far back from the ring's newest sample the gate reads
+	cfg     GateConfig
+	ring    *dsp.Ring // raw impedance samples by absolute index (the caller appends)
+	maxBeat int       // longest analyzable beat, samples
 
 	// Running session extremes over [0, cursor); the cursor advances to
 	// each beat's closing R when the beat is scored, never past it, so
@@ -277,20 +279,20 @@ func (gs *GateStream) observe(accepted bool) {
 // clock, carrying the delineator's morphology score and conditioned
 // shape signature in b, updates the running ensemble and acceptance
 // counters, and returns the assessment. Beats must be pushed in order
-// of non-decreasing rHi. The beat's segment copy is drawn from a (nil
+// of non-decreasing rHi. A beat longer than the stream's maxBeat is
+// flagged Flat without being read, so the decision never depends on
+// how far the sample feed ran ahead of it. The beat's segment copy is drawn from a (nil
 // allocates); the assessment holds no reference into it.
 func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 	gs.total++
 	c := &gs.cfg
 
 	// Advance the running extremes exactly to the beat's closing R.
-	hi := gs.ring.N()
-	if rHi > hi {
+	if hi := gs.ring.N(); rHi > hi {
 		rHi = hi
 	}
-	start := max(gs.ring.Start(), hi-gs.hist)
-	if gs.cursor < start {
-		gs.cursor = start
+	if gs.cursor < gs.ring.Start() {
+		gs.cursor = gs.ring.Start()
 	}
 	for ; gs.cursor < rHi; gs.cursor++ {
 		v := gs.ring.At(gs.cursor)
@@ -308,9 +310,11 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	}
 	span := gs.runHi - gs.runLo
 
-	if rLo < start || rHi-rLo < 4 {
-		// History lost (beat longer than the ring) or degenerate
-		// segment: unanalyzable, reject deterministically.
+	if rHi-rLo > gs.maxBeat || rHi-rLo < 4 || rLo < gs.ring.Start() {
+		// Beat longer than the bound, or degenerate segment:
+		// unanalyzable, reject deterministically. (History lost to a
+		// feed running further ahead than the ring was sized for is
+		// rejected the same way.)
 		return gs.record(BeatSQI{Flat: true})
 	}
 	var seg []float64

@@ -117,7 +117,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 		// scored only after rHi + delay samples were pushed (varying
 		// per chunk size exercises feed-ahead invariance).
 		for _, delay := range []int{0, 100, 625} {
-			gs := g.NewStream(g.NewHistory())
+			gs := newGateStream(g)
 			var got []BeatSQI
 			next := 0 // next beat to score
 			pushed := 0
@@ -180,7 +180,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 			t.Errorf("clean beat %d rejected: %+v", i, s)
 		}
 	}
-	gs := g.NewStream(g.NewHistory())
+	gs := newGateStream(g)
 	first := gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	a1, t1 := gs.Counts()
 	gs.Reset()
@@ -205,7 +205,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 // Degenerate inputs must not panic and must reject deterministically.
 func TestGateDegenerate(t *testing.T) {
 	g := NewBeatGate(GateConfig{})
-	gs := g.NewStream(g.NewHistory())
+	gs := newGateStream(g)
 	if r := gs.AcceptRate(); r != 1 {
 		t.Errorf("empty stream accept rate %g, want 1", r)
 	}
@@ -234,7 +234,7 @@ func TestGateDegenerate(t *testing.T) {
 // zero that would inflate the session span forever.
 func TestGateExtremesAfterRingWrap(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := g.NewStream(g.NewHistory())
+	gs := newGateStream(g)
 	n := gs.cfg.HistorySamples * 2
 	z := make([]float64, n)
 	for i := range z {
@@ -257,7 +257,7 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 // restores it.
 func TestGateAcceptEWMAContract(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := g.NewStream(g.NewHistory())
+	gs := newGateStream(g)
 	if e := gs.AcceptEWMA(); e != 1 {
 		t.Fatalf("fresh stream AcceptEWMA %g, want exactly 1", e)
 	}
@@ -314,7 +314,7 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 		}
 	}
 	g := NewBeatGate(cfg)
-	gs = g.NewStream(g.NewHistory())
+	gs = newGateStream(g)
 	gs.ring.Append(z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
@@ -380,4 +380,11 @@ func TestGateConfigDefaults(t *testing.T) {
 	if cfg.MaxSaturation != def.MaxSaturation || cfg.HistorySamples != def.HistorySamples {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
+}
+
+// newGateStream returns a stream over a fresh ring of the gate's own
+// history, bounded like the batch form's.
+func newGateStream(g *BeatGate) *GateStream {
+	raw := g.NewHistory()
+	return g.NewStream(raw, raw.Cap())
 }
