@@ -197,7 +197,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.gate = quality.NewBeatGate(gcfg)
 		d.cfg.Gate = d.gate.Config()
 		d.gateStreams.New = func() any {
-			raw := d.gate.NewHistory()
+			raw := dsp.NewRing(d.gate.Config().HistorySamples)
 			return d.gate.NewStream(raw, raw.Cap())
 		}
 	}

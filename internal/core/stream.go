@@ -40,8 +40,8 @@ import (
 // gate and the base-impedance estimate both read. Scratch is borrowed
 // from the device's arena pool and returned: per push (the conditioning
 // chains' inter-stage buffers, the detectors' working buffers, the
-// pipeline's outputs) and per beat (the delineator's refiltering and
-// point detection, the gate's segment copy).
+// pipeline's outputs, the gate's segment copies) and per beat (the
+// delineator's refiltering and point detection).
 type Streamer struct {
 	dev *Device
 	fs  float64
@@ -119,7 +119,8 @@ type Streamer struct {
 // StreamConfig tunes the streamer.
 type StreamConfig struct {
 	// WindowSeconds bounds the analysis history of the streamer (the
-	// longest analyzable RR segment; default 6 s).
+	// longest analyzable RR segment; default 6 s). A beat with a longer
+	// RR interval is a failed attempt, whatever the chunking.
 	WindowSeconds float64
 	// Thoracic selects the identity calibration (direct thoracic
 	// measurement) instead of the touch-path calibration.

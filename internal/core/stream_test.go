@@ -416,7 +416,7 @@ func TestStreamerZ0Oracle(t *testing.T) {
 }
 
 // TestStreamerEmissionDelayBound pins what Latency does and does not
-// promise: fed one sample per push, no beat on any z-prefix oracle
+// promise: fed one sample per push, no beat on any Z0 oracle
 // input arrives more than zHorizon samples after its closing R entered
 // Push, while the missed-then-gap inputs, whose beats are recovered by
 // search-back seconds late, deliver one later than Latency.

@@ -213,17 +213,13 @@ func (g *BeatGate) NewStream(raw *dsp.Ring, maxBeat int) *GateStream {
 	}
 }
 
-// NewHistory returns a raw-sample ring of the gate's own HistorySamples,
-// for a caller that has no history to share.
-func (g *BeatGate) NewHistory() *dsp.Ring { return dsp.NewRing(g.cfg.HistorySamples) }
-
 // Apply gates a whole recording: it drives a fresh GateStream over the
 // raw impedance channel and the delineated beats in order, so the batch
 // and streaming engines share one gate definition and match exactly.
 // The returned slice is aligned with beats; failed beats get a zero
 // BeatSQI. rPeaks must delimit the beats (len(beats)+1 peaks).
 func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
-	raw := g.NewHistory()
+	raw := dsp.NewRing(g.cfg.HistorySamples)
 	return g.NewStream(raw, raw.Cap()).Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
 }
 

@@ -385,6 +385,6 @@ func TestGateConfigDefaults(t *testing.T) {
 // newGateStream returns a stream over a fresh ring of the gate's own
 // history, bounded like the batch form's.
 func newGateStream(g *BeatGate) *GateStream {
-	raw := g.NewHistory()
+	raw := dsp.NewRing(g.cfg.HistorySamples)
 	return g.NewStream(raw, raw.Cap())
 }

@@ -11,10 +11,11 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 123-125 KB (2-vCPU Xeon, Go 1.24), plus 10%. Like the allocation
+// 95.3-96.1 KB (2-vCPU Xeon, Go 1.24), plus 10%. Like the allocation
 // budgets it only moves down — lower it when a change durably shrinks
 // the session; never raise it to let a change pass.
-const heapBudgetKB = 137
+// core.TestStreamerHeapPerStream ratchets the streamer alone.
+const heapBudgetKB = 106
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with
