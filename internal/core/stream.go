@@ -468,16 +468,12 @@ func (s *Streamer) ArmGovernor(p PMU) {
 // signal clock.
 func (s *Streamer) Latency() float64 {
 	ecgSide := s.ecgStream.Lookahead() + s.pt.Lookahead()
-	return float64(max(ecgSide, s.icgSide())) / s.fs
+	return float64(max(ecgSide, icgDelay(s.icgStream, s.delin.Lookahead()))) / s.fs
 }
 
-// icgSide is the ICG side's emission delay in samples: the chain's
+// icgDelay is the ICG side's emission delay in samples: the chain's
 // lookahead plus its group-delay re-alignment plus the delineator's
-// settling context.
-func (s *Streamer) icgSide() int { return icgDelay(s.icgStream, s.delin.Lookahead()) }
-
-// icgDelay is the ICG side's emission delay for a conditioning stream
-// and a delineator settling context of ctxN samples.
+// settling context of ctxN samples.
 func icgDelay(icgStream *ChainStream, ctxN int) int {
 	return icgStream.Lookahead() + icgStream.Shift() + ctxN
 }
