@@ -58,20 +58,6 @@ func BenchmarkStreamHopIncremental(b *testing.B) {
 	benchHops(b, benchAcq(b, d), d.NewStreamer(DefaultStreamConfig()))
 }
 
-// The same hop with per-beat quality gating disabled: the difference
-// against BenchmarkStreamHopIncremental is the gate's per-hop cost
-// (one ring append per sample plus one beat scoring per beat), which
-// BENCHMARKS.md pins within 15% of the ungated PR-2 numbers.
-func BenchmarkStreamHopIncrementalUngated(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.DisableGate = true
-	d, err := NewDevice(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchHops(b, benchAcq(b, d), d.NewStreamer(DefaultStreamConfig()))
-}
-
 // Doubled analysis window: the incremental engine's per-hop cost must
 // stay flat.
 func BenchmarkStreamHopIncremental12s(b *testing.B) {

@@ -34,21 +34,15 @@ type Config struct {
 	BRule         icg.BVariant    // B-point rule (ablation A1)
 	NaiveMorph    bool            // O(n*k) morphology engine (ablation A4)
 	CausalFilters bool            // single-pass filters (ablation A5)
-	// Ensemble additionally averages all beats (R-aligned) and detects
-	// the characteristic points on the averaged beat — the classic ICG
-	// noise-reduction mode used when beat-to-beat output is not needed.
-	Ensemble    bool
-	Body        hemo.BodyConstants
-	ECGFrontEnd afe.ECGConfig
-	ICGFrontEnd afe.ICGConfig
-	MCU         mcu.STM32L151
-	OutlierK    float64 // MAD multiplier for beat rejection (default 4)
+	Body          hemo.BodyConstants
+	ECGFrontEnd   afe.ECGConfig
+	ICGFrontEnd   afe.ICGConfig
+	MCU           mcu.STM32L151
+	OutlierK      float64 // MAD multiplier for beat rejection (default 4)
 	// Gate configures the per-beat signal-quality gate both engines
-	// route beats through (zero fields fall back to
-	// quality.DefaultGate(FS)); DisableGate turns gating off, emitting
-	// every analyzable beat as Accepted.
-	Gate        quality.GateConfig
-	DisableGate bool
+	// route every beat through (zero fields fall back to
+	// quality.DefaultGate(FS)).
+	Gate quality.GateConfig
 }
 
 // DefaultConfig returns the device configuration used throughout the
@@ -79,9 +73,9 @@ type Device struct {
 	cfg   Config
 	touch bioimp.Instrument
 	bank  *filterBank
-	// gate is the per-beat quality gate both engines share (nil when
-	// Config.DisableGate); gateStreams pools its Reset streaming state
-	// for concurrent batch Process calls.
+	// gate is the per-beat quality gate both engines share;
+	// gateStreams pools its Reset streaming state for concurrent batch
+	// Process calls.
 	gate        *quality.BeatGate
 	gateStreams sync.Pool
 
@@ -191,16 +185,11 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg.OutlierK = 4
 	}
 	d := &Device{cfg: cfg, touch: bioimp.TouchInstrument()}
-	if !cfg.DisableGate {
-		gcfg := cfg.Gate
-		gcfg.FS = cfg.FS
-		d.gate = quality.NewBeatGate(gcfg)
-		d.cfg.Gate = d.gate.Config()
-		d.gateStreams.New = func() any {
-			raw := dsp.NewRing(d.gate.Config().HistorySamples)
-			return d.gate.NewStream(raw, raw.Cap())
-		}
-	}
+	gcfg := cfg.Gate
+	gcfg.FS = cfg.FS
+	d.gate = quality.NewBeatGate(gcfg)
+	d.cfg.Gate = d.gate.Config()
+	d.gateStreams.New = func() any { return d.gate.NewBatchStream() }
 	var err error
 	if d.bank, err = designBank(cfg, cfg.FS); err != nil {
 		return nil, err
@@ -208,15 +197,11 @@ func NewDevice(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// Gate returns the device's per-beat quality gate (nil when disabled).
+// Gate returns the device's per-beat quality gate.
 func (d *Device) Gate() *quality.BeatGate { return d.gate }
 
-// getGateStream checks a reset gate stream out of the device pool; it
-// returns nil when gating is disabled.
+// getGateStream checks a reset gate stream out of the device pool.
 func (d *Device) getGateStream() *quality.GateStream {
-	if d.gate == nil {
-		return nil
-	}
 	gs := d.gateStreams.Get().(*quality.GateStream)
 	gs.Reset()
 	return gs
@@ -307,17 +292,14 @@ type Output struct {
 	// AcceptRate is the gate's acceptance over every delineated beat —
 	// failed delineations count as rejected, exactly like
 	// Streamer.AcceptRate, so both engines feed PMU.DecideGated the
-	// same number (1 when gating is disabled). Gated.AcceptRate is the
-	// narrower emitted-beat measure (accepted / analyzable).
+	// same number. Gated.AcceptRate is the narrower emitted-beat
+	// measure (accepted / analyzable).
 	AcceptRate float64
 	Yield      float64 // fraction of RR segments successfully analyzed
 	Z0         float64 // mean measured base impedance (Ohm)
 	Cost       *mcu.Counter
 	CondECG    []float64 // conditioned ECG (after the Section IV-A chain)
 	ICGTrack   []float64 // filtered ICG (-dZ/dt after 20 Hz low-pass)
-	// Ensemble carries the parameters measured on the R-aligned averaged
-	// beat when Config.Ensemble is set (RR and HR are session means).
-	Ensemble *hemo.BeatParams
 }
 
 // DutyCycle prices the processing of this output's window on the device

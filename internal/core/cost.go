@@ -151,12 +151,3 @@ func (c *costEstimator) radio(beats int) {
 	c.counter.Add("radio-frames", mcu.OpIntALU, 20*8*2*b)
 	c.counter.Add("radio-frames", mcu.OpMemory, 40*b)
 }
-
-// ensemble prices R-aligned beat averaging: one resample (2 mul + 1 add
-// per output sample) and one accumulate per beat.
-func (c *costEstimator) ensemble(beats, length int) {
-	ops := int64(beats) * int64(length)
-	c.counter.Add("icg-ensemble", mcu.OpFloatMul, 2*ops)
-	c.counter.Add("icg-ensemble", mcu.OpFloatAdd, 2*ops)
-	c.counter.Add("icg-ensemble", mcu.OpMemory, 3*ops)
-}

@@ -90,17 +90,14 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	// delineated beats run through the device gate in beat order — the
 	// same gate chain the incremental Streamer drives, so batch and
 	// streaming acceptance decisions share one definition.
-	var sqis []quality.BeatSQI
-	acceptRate := 1.0
-	if gs := d.getGateStream(); gs != nil {
-		sqis = gs.Apply(ar, make([]quality.BeatSQI, 0, len(beats)), acq.Z, beats, ptRes.RPeaks)
-		// Same definition as Streamer.AcceptRate: failed delineations
-		// count as rejected, so both engines feed PMU.DecideGated the
-		// same number for the same data.
-		acceptRate = gs.AcceptRate()
-		cost.gate(len(beats))
-		d.gateStreams.Put(gs)
-	}
+	gs := d.getGateStream()
+	sqis := gs.Apply(ar, make([]quality.BeatSQI, 0, len(beats)), acq.Z, beats, ptRes.RPeaks)
+	// Same definition as Streamer.AcceptRate: failed delineations count
+	// as rejected, so both engines feed PMU.DecideGated the same number
+	// for the same data.
+	acceptRate := gs.AcceptRate()
+	cost.gate(len(beats))
+	d.gateStreams.Put(gs)
 
 	// --- Hemodynamic parameters. Touch-path acquisitions apply the
 	// hand-to-hand -> thoracic calibration before the volume formulas.
@@ -117,7 +114,7 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	cost.hemo(len(params))
 	cost.radio(gated.Gated.Beats)
 
-	out := &Output{
+	return &Output{
 		RPeaks:     ptRes.RPeaks,
 		TPeaks:     tPeaks,
 		Beats:      params,
@@ -130,25 +127,5 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 		// The conditioned traces are arena-owned; the Output keeps copies.
 		CondECG:  dsp.Clone(condECG),
 		ICGTrack: dsp.Clone(icgF),
-	}
-
-	// --- Optional ensemble-averaged measurement: R-aligned averaging
-	// without resampling, so the intervals on the averaged beat keep
-	// their absolute time axis.
-	if d.cfg.Ensemble {
-		meanRR := dsp.Mean(ecg.RRIntervals(ptRes.RPeaks, fs))
-		ensLen := int(0.9 * meanRR * fs)
-		if maxLen := int(0.9 * fs); ensLen > maxLen {
-			ensLen = maxLen
-		}
-		ens := icg.EnsembleAligned(icgF, ptRes.RPeaks, ensLen)
-		cost.ensemble(len(ptRes.RPeaks), ensLen)
-		if ens != nil {
-			if pts, derr := icg.DetectBeat(ens, 0, len(ens), -1, dCfg); derr == nil {
-				bp := hemo.FromPoints(pts, int(meanRR*fs), z0, fs, d.cfg.Body, cal)
-				out.Ensemble = &bp
-			}
-		}
-	}
-	return out, nil
+	}, nil
 }

@@ -63,16 +63,15 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // streamer built for the profile, so they follow stream.go by
 // construction; fs must admit the device's filter designs.
 //
-// The model describes the MCU deployment profile, which pins the ECG
-// band-pass to the direct recurrence (StreamConfig.DirectFIR): the
-// server-side overlap-save engine adds an FFT working set (~4 KB of
-// carry block and spectrum per stream, plus the kernel spectrum and
-// twiddles every stream shares) that buys 2x throughput on wide kernels
-// but has no place in a 48 KB budget.
+// The horizons are those of the streamer the server runs, whose ECG
+// band-pass uses the block-carried overlap-save engine; its block lag
+// lengthens the feed's lead past a closing R, so firmware running the
+// direct recurrence needs slightly less. The engine's FFT working set
+// (~4 KB of carry block and spectrum per stream, plus the kernel
+// spectrum and twiddles every stream shares) is left out: the direct
+// recurrence holds only the kernel's delay line.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes = 4
-	sc = sc.withDefaults()
-	sc.DirectFIR = true
 	st := profileStreamer(fs, sc)
 	samples := func(n int) int { return n * sampleBytes }
 	sec := func(s float64) int { return samples(int(s * fs)) }

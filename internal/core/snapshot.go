@@ -25,8 +25,8 @@ type StreamSnapshot struct {
 	// LastMode is the armed governor's last delivered mode (meaningful
 	// with HasGov).
 	LastMode PowerMode
-	// Gate is the quality gate's durable state (HasGate guards it —
-	// gating may be disabled).
+	// Gate is the quality gate's durable state. Snapshot always sets
+	// HasGate; a restorer clears it to re-lock the gate cold.
 	HasGate bool
 	Gate    quality.GateSnapshot
 	// Gov is the armed governor's durable state (HasGov guards it).
@@ -46,11 +46,8 @@ func (s *Streamer) Clock() (beat int, timeS float64) {
 
 // Snapshot captures the streamer's durable state.
 func (s *Streamer) Snapshot() StreamSnapshot {
-	snap := StreamSnapshot{LastMode: s.lastMode}
+	snap := StreamSnapshot{LastMode: s.lastMode, HasGate: true, Gate: s.gate.Snapshot()}
 	snap.Beat, snap.TimeS = s.Clock()
-	if s.gate != nil {
-		snap.Gate, snap.HasGate = s.gate.Snapshot(), true
-	}
 	if s.gov != nil {
 		snap.Gov, snap.HasGov = s.gov.Snapshot(), true
 	}
@@ -66,7 +63,7 @@ func (s *Streamer) Snapshot() StreamSnapshot {
 func (s *Streamer) Restore(snap StreamSnapshot) {
 	s.beatBase = snap.Beat
 	s.timeBase = snap.TimeS
-	if s.gate != nil && snap.HasGate {
+	if snap.HasGate {
 		s.gate.Restore(snap.Gate)
 	}
 	if s.gov != nil && snap.HasGov {

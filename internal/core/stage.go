@@ -151,20 +151,6 @@ func (st firZeroPhaseStage) Apply(a *dsp.Arena, x []float64) []float64 {
 }
 func (st firZeroPhaseStage) NewStream() StageStream { return dsp.NewZeroPhaseFIRStream(st.f) }
 
-// firZeroPhaseDirectStage is firZeroPhaseStage with the streaming
-// engine pinned to the direct per-sample recurrence
-// (StreamConfig.DirectFIR): the MCU deployment profile and the A/B
-// baseline for the streaming overlap-save crossover. The batch form is
-// identical.
-type firZeroPhaseDirectStage struct{ f *dsp.FIR }
-
-func (st firZeroPhaseDirectStage) Apply(a *dsp.Arena, x []float64) []float64 {
-	return dsp.FiltFiltFIRWith(a, st.f, x)
-}
-func (st firZeroPhaseDirectStage) NewStream() StageStream {
-	return dsp.NewZeroPhaseFIRStreamDirect(st.f)
-}
-
 // firSameStage applies the FIR once with centered group-delay
 // compensation (the single-pass ablation A5).
 type firSameStage struct{ f *dsp.FIR }

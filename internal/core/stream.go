@@ -50,10 +50,9 @@ type Streamer struct {
 	icgStream *ChainStream // -dZ/dt + Butterworth conditioning
 	pt        *ecg.PTStream
 	delin     *icg.Delineator
-	// gate is the per-beat quality gate state (nil when gating is
-	// disabled): the same quality.BeatGate the batch Process applies,
-	// in streaming form, scoring each beat from raw as its delineation
-	// completes.
+	// gate is the per-beat quality gate state: the same
+	// quality.BeatGate the batch Process applies, in streaming form,
+	// scoring each beat from raw as its delineation completes.
 	gate *quality.GateStream
 
 	// Confirmed R peaks not yet consumed as beat boundaries: beat k is
@@ -102,8 +101,7 @@ type Streamer struct {
 	// [0, zNext), folded forward to each scored beat's closing R and,
 	// before an append would overwrite them, over the samples about to
 	// leave the ring — the same additions in the same order whatever
-	// the chunking. The ring retains the longest beat plus zHorizon, and
-	// at least the gate's HistorySamples.
+	// the chunking. The ring retains the longest beat plus zHorizon.
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
@@ -113,7 +111,6 @@ type Streamer struct {
 	zHorizon, maxBeat int
 
 	body hemo.BodyConstants
-	cal  hemo.Calibration
 }
 
 // StreamConfig tunes the streamer.
@@ -122,15 +119,6 @@ type StreamConfig struct {
 	// longest analyzable RR segment; default 6 s). A beat with a longer
 	// RR interval is a failed attempt, whatever the chunking.
 	WindowSeconds float64
-	// Thoracic selects the identity calibration (direct thoracic
-	// measurement) instead of the touch-path calibration.
-	Thoracic bool
-	// DirectFIR pins the streaming zero-phase ECG band-pass to the
-	// direct per-sample recurrence instead of the block-carried
-	// overlap-save engine (dsp.NewZeroPhaseFIRStreamDirect): the MCU
-	// deployment profile, which has no FFT working set in its RAM model
-	// (see StreamingRAM), and the A/B baseline for the crossover.
-	DirectFIR bool
 }
 
 // DefaultStreamConfig returns the firmware defaults.
@@ -158,10 +146,6 @@ func defaultDetectFor(cfg Config, fs float64) icg.DetectConfig {
 func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	sc = sc.withDefaults()
 	fs := d.cfg.FS
-	cal := hemo.TouchCal()
-	if sc.Thoracic {
-		cal = hemo.IdentityCal()
-	}
 	bank := d.bank
 	ptCfg := ecg.DefaultPT(fs)
 	ptCfg.BandSOS = bank.ptSOS
@@ -188,12 +172,6 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		lp, hp, ctxSeconds = bank.icgLP, bank.icgHP, icgCtxSeconds
 	}
 	ecgStream := bank.ecgChain.NewStream()
-	if sc.DirectFIR && !d.cfg.CausalFilters {
-		// MCU profile / A/B baseline: same chain, FIR stage pinned to the
-		// direct engine. The chain definition still lives in buildChains;
-		// only the engine choice differs, never the alignment or edges.
-		ecgStream = Chain{baselineStage{cfg: bank.blCfg}, firZeroPhaseDirectStage{f: bank.ecgFIR}}.NewStream()
-	}
 	// How far the feed can run past a beat's closing R before the beat
 	// is emitted: the larger of the two sides' delays — the ECG chain's
 	// lookahead plus the QRS detector's oldest possible emission (MaxLag:
@@ -217,26 +195,16 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		maxBeat:  int(sc.WindowSeconds * fs),
 		sink:     event.Discard,
 		body:     d.cfg.Body,
-		cal:      cal,
 	}
 	s.raw = dsp.NewRing(s.rawHistory())
-	if d.gate != nil {
-		s.gate = d.gate.NewStream(s.raw, s.maxBeat)
-	}
+	s.gate = d.gate.NewStream(s.raw, s.maxBeat)
 	return s
 }
 
 // rawHistory is how many raw impedance samples the streamer holds: the
 // gate reads a beat of up to maxBeat samples as late as zHorizon after
-// its closing R, and Z0 reads up to that R; a gated stream holds at
-// least the gate's HistorySamples.
-func (s *Streamer) rawHistory() int {
-	n := s.maxBeat + 1 + s.zHorizon
-	if g := s.dev.gate; g != nil {
-		n = max(n, g.Config().HistorySamples)
-	}
-	return n
-}
+// its closing R, and Z0 reads up to that R.
+func (s *Streamer) rawHistory() int { return s.maxBeat + 1 + s.zHorizon }
 
 // streamSubChunk bounds how many samples Push feeds through the pipeline
 // per inner iteration, and so how far any history ring can run ahead of
@@ -345,21 +313,19 @@ func (s *Streamer) emit(a *dsp.Arena, beats []icg.BeatAnalysis) {
 		s.nBeats++
 		s.lastBeatEnd = rHi
 		if b.Err != nil || b.Points == nil {
-			if s.gate != nil {
-				s.gate.PushFailed()
-			}
+			s.gate.PushFailed()
 			s.afterBeat(rHi)
 			continue
 		}
-		// Causal base impedance: session mean up to the closing R.
+		// Causal base impedance: session mean up to the closing R. The
+		// streamer serves the touch device, so it always applies the
+		// hand-to-hand calibration.
 		s.foldZ(rHi)
 		z0 := s.zSum / float64(rHi)
-		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, s.cal)
-		if s.gate != nil {
-			sqi := s.gate.PushBeat(a, rLo, rHi, b)
-			bp.Quality = sqi.Score
-			bp.Accepted = sqi.Accepted
-		}
+		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, hemo.TouchCal())
+		sqi := s.gate.PushBeat(a, rLo, rHi, b)
+		bp.Quality = sqi.Score
+		bp.Accepted = sqi.Accepted
 		s.sink.Emit(event.Event{
 			Kind:    event.KindBeat,
 			Session: s.sess,
@@ -392,7 +358,7 @@ func (s *Streamer) afterBeat(rHi int) {
 			Session:    s.sess,
 			Beat:       s.beatBase + s.nBeats,
 			TimeS:      tS,
-			AcceptEWMA: s.acceptEWMA(),
+			AcceptEWMA: s.gate.AcceptEWMA(),
 			Below:      isBelow,
 			Floor:      s.healthFloor,
 		})
@@ -402,7 +368,7 @@ func (s *Streamer) afterBeat(rHi int) {
 		// the mode is a pure function of the pushed samples (the gate's
 		// per-beat accept EWMA). Battery-aware policies belong to the
 		// caller, who has the battery state the stream does not.
-		mode := s.gov.Decide(tS, 100, 1, s.acceptEWMA())
+		mode := s.gov.Decide(tS, 100, 1, s.gate.AcceptEWMA())
 		if mode != s.lastMode {
 			s.sink.Emit(event.Event{
 				Kind:       event.KindMode,
@@ -416,15 +382,6 @@ func (s *Streamer) afterBeat(rHi int) {
 			s.lastMode = mode
 		}
 	}
-}
-
-// acceptEWMA is the gate's per-beat accept-rate EWMA, honoring the
-// zero-beats contract when gating is disabled.
-func (s *Streamer) acceptEWMA() float64 {
-	if s.gate == nil {
-		return 1
-	}
-	return s.gate.AcceptEWMA()
 }
 
 // Emit arms typed event delivery: subsequent Push and Flush calls
@@ -479,21 +436,16 @@ func icgDelay(icgStream *ChainStream, ctxN int) int {
 }
 
 // AcceptRate returns the quality gate's acceptance rate over the beats
-// processed so far — failed delineations count as rejected — or 1 when
-// gating is disabled. Feed it to PMU.DecideGated: sustained low
-// acceptance means bad contact is wasting processing energy.
+// processed so far — failed delineations count as rejected. Feed it to
+// PMU.DecideGated: sustained low acceptance means bad contact is
+// wasting processing energy.
 //
 // Zero-beats contract: before any beat has been processed the rate is
 // exactly 1 — never 0 or NaN — matching quality.GateStream.AcceptRate,
 // Output.AcceptRate and session.Session.AcceptRate. A fresh stream has
 // shown no evidence of bad contact; the optimistic default keeps PMU
 // policies in ModeContinuous through warmup.
-func (s *Streamer) AcceptRate() float64 {
-	if s.gate == nil {
-		return 1
-	}
-	return s.gate.AcceptRate()
-}
+func (s *Streamer) AcceptRate() float64 { return s.gate.AcceptRate() }
 
 // SetHealthFloor arms per-beat tracking of the accept-rate EWMA
 // sitting below floor (StreamHealth.RateBelowSinceS); 0 disarms it.
@@ -512,7 +464,7 @@ func (s *Streamer) SetHealthFloor(floor float64) {
 // gate state advanced: the only points where the EWMA can change, so
 // the below-floor onset is exact regardless of chunking.
 func (s *Streamer) observeHealth(rHi int) {
-	if s.healthFloor <= 0 || s.gate == nil {
+	if s.healthFloor <= 0 {
 		return
 	}
 	if s.gate.AcceptEWMA() < s.healthFloor {
@@ -531,8 +483,7 @@ func (s *Streamer) observeHealth(rHi int) {
 // same sample position (the gate parity law lifted to the health layer).
 type StreamHealth struct {
 	// AcceptEWMA is the per-beat accept-rate EWMA
-	// (quality.GateStream.AcceptEWMA); 1 before any beat or when gating
-	// is disabled.
+	// (quality.GateStream.AcceptEWMA); 1 before any beat.
 	AcceptEWMA float64
 	// Beats counts beat attempts consumed so far, scored and failed.
 	Beats int
@@ -549,8 +500,8 @@ type StreamHealth struct {
 	// the EWMA last dropped below the armed health floor
 	// (SetHealthFloor) and has stayed below since — updated per beat,
 	// the only points where the EWMA changes, so an intra-chunk
-	// recovery always resets it. -1 while at/above the floor, when no
-	// floor is armed, or when gating is disabled.
+	// recovery always resets it. -1 while at/above the floor or when no
+	// floor is armed.
 	RateBelowSinceS float64
 }
 
@@ -558,15 +509,12 @@ type StreamHealth struct {
 // engine's eviction policy (session.HealthConfig) is built on it.
 func (s *Streamer) Health() StreamHealth {
 	h := StreamHealth{
-		AcceptEWMA:      1,
+		AcceptEWMA:      s.gate.AcceptEWMA(),
 		Beats:           s.nBeats,
 		Samples:         s.nSamples,
 		LastBeatS:       float64(s.lastBeatEnd) / s.fs,
 		SignalS:         float64(s.nSamples) / s.fs,
 		RateBelowSinceS: -1,
-	}
-	if s.gate != nil {
-		h.AcceptEWMA = s.gate.AcceptEWMA()
 	}
 	if s.belowSince >= 0 {
 		h.RateBelowSinceS = float64(s.belowSince) / s.fs
@@ -575,13 +523,8 @@ func (s *Streamer) Health() StreamHealth {
 }
 
 // AcceptCounts returns how many beats the gate accepted out of all it
-// saw (0, 0 when gating is disabled).
-func (s *Streamer) AcceptCounts() (accepted, total int) {
-	if s.gate == nil {
-		return 0, 0
-	}
-	return s.gate.Counts()
-}
+// saw.
+func (s *Streamer) AcceptCounts() (accepted, total int) { return s.gate.Counts() }
 
 // Reset returns the streamer to its initial state, keeping every buffer
 // and filter allocation, so pooled engines can reuse it across sessions.
@@ -590,9 +533,7 @@ func (s *Streamer) Reset() {
 	s.icgStream.Reset()
 	s.pt.Reset()
 	s.delin.Reset()
-	if s.gate != nil {
-		s.gate.Reset()
-	}
+	s.gate.Reset()
 	s.rHist = s.rHist[:0]
 	s.beatIdx = 0
 	s.nSamples = 0

@@ -92,39 +92,14 @@ func TestStreamerLatency(t *testing.T) {
 	}
 }
 
-// TestStreamerDirectFIRParity pins the DirectFIR A/B switch: the direct
-// recurrence and the overlap-save engine compute the same conditioning
-// to FFT rounding, so the two configurations must deliver the same
-// beats; and the overlap-save engine's block-emission lag on the ECG
-// side must stay hidden behind the ICG delineation context, leaving the
-// reported Latency unchanged.
-func TestStreamerDirectFIRParity(t *testing.T) {
-	s, _ := physio.SubjectByID(3)
-	d := device(t, nil)
-	acq, err := d.Acquire(&s, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(direct bool) []hemo.BeatParams {
-		sc := DefaultStreamConfig()
-		sc.DirectFIR = direct
-		return streamBeats(d.NewStreamer(sc), acq.ECG, acq.Z, every(200))
-	}
-	os, direct := run(false), run(true)
-	if len(os) == 0 || len(os) != len(direct) {
-		t.Fatalf("overlap-save %d beats, direct %d", len(os), len(direct))
-	}
-	for i := range os {
-		if math.Abs(os[i].TimeS-direct[i].TimeS) > 1e-9 ||
-			math.Abs(os[i].PEP-direct[i].PEP) > 1e-9 ||
-			math.Abs(os[i].LVET-direct[i].LVET) > 1e-9 {
-			t.Fatalf("beat %d differs between engines: %+v vs %+v", i, os[i], direct[i])
-		}
-	}
-	scD := DefaultStreamConfig()
-	scD.DirectFIR = true
-	if lo, ld := d.NewStreamer(DefaultStreamConfig()).Latency(), d.NewStreamer(scD).Latency(); lo != ld {
-		t.Errorf("overlap-save changed Latency: %g vs direct %g", lo, ld)
+// The default streamer's raw-Z ring holds the longest beat plus the
+// feed's lead past its closing R, rounded up to a power of two. The
+// gate restarts its running extremes at the ring's start, so the ring
+// size is part of the output.
+func TestStreamerRawRingDefault(t *testing.T) {
+	st := device(t, nil).NewStreamer(DefaultStreamConfig())
+	if c := st.raw.Cap(); c != 4096 {
+		t.Fatalf("raw ring holds %d samples (need %d), want 4096", c, st.rawHistory())
 	}
 }
 
@@ -187,66 +162,36 @@ func TestSimulateSessionYieldDriven(t *testing.T) {
 	}
 }
 
-func TestEnsembleMode(t *testing.T) {
-	s, _ := physio.SubjectByID(3)
-	d := device(t, func(c *Config) { c.Ensemble = true })
-	_, out, err := d.Run(&s, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Ensemble == nil {
-		t.Fatal("ensemble mode produced no averaged beat")
-	}
-	// The ensemble measurement should agree with the beat-to-beat means.
-	if math.Abs(out.Ensemble.PEP-out.Summary.PEP.Mean) > 0.025 {
-		t.Errorf("ensemble PEP %.4f vs mean %.4f", out.Ensemble.PEP, out.Summary.PEP.Mean)
-	}
-	if math.Abs(out.Ensemble.LVET-out.Summary.LVET.Mean) > 0.04 {
-		t.Errorf("ensemble LVET %.4f vs mean %.4f", out.Ensemble.LVET, out.Summary.LVET.Mean)
-	}
-	// Without the flag there is no ensemble output.
-	d2 := device(t, nil)
-	_, out2, err := d2.Run(&s, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Ensemble != nil {
-		t.Error("ensemble output without the flag")
-	}
-}
-
 // The zero-beats contract: a streamer that has processed no beats —
 // fresh, or fed samples that complete none — reports AcceptRate exactly
-// 1 (never 0 or NaN) and an optimistic health snapshot, gated or not.
+// 1 (never 0 or NaN) and an optimistic health snapshot.
 func TestStreamerAcceptRateZeroBeats(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		d := device(t, func(c *Config) { c.DisableGate = disable })
-		st := d.NewStreamer(StreamConfig{})
-		if r := st.AcceptRate(); r != 1 {
-			t.Fatalf("fresh streamer (gate disabled=%v) AcceptRate %g, want exactly 1", disable, r)
-		}
-		h := st.Health()
-		if h.AcceptEWMA != 1 || h.Beats != 0 || h.SignalS != 0 || h.LastBeatS != 0 {
-			t.Fatalf("fresh health snapshot not zeroed/optimistic: %+v", h)
-		}
-		// A short beatless push keeps the contract and advances only the
-		// sample clock.
-		buf := make([]float64, 100)
-		st.Push(buf, buf)
-		if r := st.AcceptRate(); r != 1 {
-			t.Fatalf("beatless streamer AcceptRate %g, want exactly 1", r)
-		}
-		h = st.Health()
-		if h.Beats != 0 || h.AcceptEWMA != 1 {
-			t.Fatalf("beatless health snapshot changed: %+v", h)
-		}
-		if want := 100 / d.Config().FS; h.SignalS != want {
-			t.Fatalf("SignalS %g, want %g", h.SignalS, want)
-		}
-		st.Reset()
-		if h := st.Health(); h.SignalS != 0 || h.AcceptEWMA != 1 {
-			t.Fatalf("Reset did not clear health: %+v", h)
-		}
+	d := device(t, nil)
+	st := d.NewStreamer(StreamConfig{})
+	if r := st.AcceptRate(); r != 1 {
+		t.Fatalf("fresh streamer AcceptRate %g, want exactly 1", r)
+	}
+	h := st.Health()
+	if h.AcceptEWMA != 1 || h.Beats != 0 || h.SignalS != 0 || h.LastBeatS != 0 {
+		t.Fatalf("fresh health snapshot not zeroed/optimistic: %+v", h)
+	}
+	// A short beatless push keeps the contract and advances only the
+	// sample clock.
+	buf := make([]float64, 100)
+	st.Push(buf, buf)
+	if r := st.AcceptRate(); r != 1 {
+		t.Fatalf("beatless streamer AcceptRate %g, want exactly 1", r)
+	}
+	h = st.Health()
+	if h.Beats != 0 || h.AcceptEWMA != 1 {
+		t.Fatalf("beatless health snapshot changed: %+v", h)
+	}
+	if want := 100 / d.Config().FS; h.SignalS != want {
+		t.Fatalf("SignalS %g, want %g", h.SignalS, want)
+	}
+	st.Reset()
+	if h := st.Health(); h.SignalS != 0 || h.AcceptEWMA != 1 {
+		t.Fatalf("Reset did not clear health: %+v", h)
 	}
 }
 
@@ -363,52 +308,50 @@ func z0OracleInputs(t *testing.T, d *Device) map[string][2][]float64 {
 // whole-recording oracle: every emitted beat's Z0 is the sequential
 // prefix sum of the raw Z channel up to its closing R divided by that
 // R's index, bit for bit, and the beats' Z0, SV, CO and TFC do not
-// depend on the chunking — with the gate on and with DisableGate. The
-// inputs add a beat-less span longer than the raw ring (20 s of lost
-// contact, both channels held, then subject 1), so the first beat's sum
-// is mostly folded as samples are about to leave the ring.
+// depend on the chunking. The inputs add a beat-less span longer than
+// the raw ring (20 s of lost contact, both channels held, then
+// subject 1), so the first beat's sum is mostly folded as samples are
+// about to leave the ring.
 func TestStreamerZ0Oracle(t *testing.T) {
-	for _, gated := range []bool{true, false} {
-		d := device(t, func(c *Config) { c.DisableGate = !gated })
-		fs := d.cfg.FS
-		in := z0OracleInputs(t, d)
-		s1 := in["subject1"]
-		dead := int(20 * fs)
-		de, dz := make([]float64, dead, dead+len(s1[0])), make([]float64, dead, dead+len(s1[1]))
-		for i := range de {
-			de[i], dz[i] = s1[0][0], s1[1][0]
+	d := device(t, nil)
+	fs := d.cfg.FS
+	in := z0OracleInputs(t, d)
+	s1 := in["subject1"]
+	dead := int(20 * fs)
+	de, dz := make([]float64, dead, dead+len(s1[0])), make([]float64, dead, dead+len(s1[1]))
+	for i := range de {
+		de[i], dz[i] = s1[0][0], s1[1][0]
+	}
+	in["dead-then-subject1"] = [2][]float64{append(de, s1[0]...), append(dz, s1[1]...)}
+	for name, x := range in {
+		prefix := make([]float64, len(x[1])+1)
+		for i, v := range x[1] {
+			prefix[i+1] = prefix[i] + v
 		}
-		in["dead-then-subject1"] = [2][]float64{append(de, s1[0]...), append(dz, s1[1]...)}
-		for name, x := range in {
-			prefix := make([]float64, len(x[1])+1)
-			for i, v := range x[1] {
-				prefix[i+1] = prefix[i] + v
+		var ref []hemo.BeatParams
+		for _, chunk := range []int{1, 50, 1000, len(x[0])} {
+			st := d.NewStreamer(DefaultStreamConfig())
+			got := streamBeats(st, x[0], x[1], every(chunk))
+			for i, b := range got {
+				rHi := int(math.Round((b.TimeS + b.RR) * fs)) // the closing R
+				if want := prefix[rHi] / float64(rHi); b.Z0 != want {
+					t.Fatalf("%s chunk %d beat %d: Z0 %v, oracle %v", name, chunk, i, b.Z0, want)
+				}
+				if name == "dead-then-subject1" && i == 0 && rHi <= st.raw.Cap() {
+					t.Fatalf("first beat at %d lies inside the %d-sample raw ring", rHi, st.raw.Cap())
+				}
 			}
-			var ref []hemo.BeatParams
-			for _, chunk := range []int{1, 50, 1000, len(x[0])} {
-				st := d.NewStreamer(DefaultStreamConfig())
-				got := streamBeats(st, x[0], x[1], every(chunk))
-				for i, b := range got {
-					rHi := int(math.Round((b.TimeS + b.RR) * fs)) // the closing R
-					if want := prefix[rHi] / float64(rHi); b.Z0 != want {
-						t.Fatalf("gated=%v %s chunk %d beat %d: Z0 %v, oracle %v", gated, name, chunk, i, b.Z0, want)
-					}
-					if name == "dead-then-subject1" && i == 0 && rHi <= st.raw.Cap() {
-						t.Fatalf("first beat at %d lies inside the %d-sample raw ring", rHi, st.raw.Cap())
-					}
-				}
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if len(got) != len(ref) {
-					t.Fatalf("gated=%v %s chunk %d: %d beats, 1-sample pushes %d", gated, name, chunk, len(got), len(ref))
-				}
-				for i := range ref {
-					g, w := got[i], ref[i]
-					if g.Z0 != w.Z0 || g.SVKub != w.SVKub || g.SVSram != w.SVSram || g.CO != w.CO || g.TFC != w.TFC {
-						t.Fatalf("gated=%v %s chunk %d beat %d: %+v, 1-sample pushes %+v", gated, name, chunk, i, g, w)
-					}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("%s chunk %d: %d beats, 1-sample pushes %d", name, chunk, len(got), len(ref))
+			}
+			for i := range ref {
+				g, w := got[i], ref[i]
+				if g.Z0 != w.Z0 || g.SVKub != w.SVKub || g.SVSram != w.SVSram || g.CO != w.CO || g.TFC != w.TFC {
+					t.Fatalf("%s chunk %d beat %d: %+v, 1-sample pushes %+v", name, chunk, i, g, w)
 				}
 			}
 		}

@@ -79,12 +79,12 @@ func BenchmarkZeroPhaseFIRStream30s(b *testing.B) {
 }
 
 // BenchmarkZeroPhaseFIRStream30sDirect is the same path pinned to the
-// direct per-sample recurrence (the pre-PR-8 engine and the MCU
-// profile): the A/B baseline for the streaming overlap-save crossover.
+// direct per-sample recurrence: the A/B baseline for the streaming
+// overlap-save crossover.
 func BenchmarkZeroPhaseFIRStream30sDirect(b *testing.B) {
 	f := benchFIR(b, 33)
 	x := benchSignal(7500)
-	s := NewZeroPhaseFIRStreamDirect(f)
+	s := newZeroPhaseFIRStream(f.zeroPhase())
 	var a Arena
 	dst := make([]float64, 0, len(x))
 	b.ReportAllocs()

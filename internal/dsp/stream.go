@@ -270,14 +270,6 @@ func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
 	return s
 }
 
-// NewZeroPhaseFIRStreamDirect is NewZeroPhaseFIRStream pinned to the
-// direct (per-sample recurrence) engine regardless of kernel width: the
-// MCU deployment profile (no FFT working set, see core's RAM model) and
-// the A/B baseline of BenchmarkZeroPhaseFIRStream30sDirect.
-func NewZeroPhaseFIRStreamDirect(f *FIR) *FIRStream {
-	return newZeroPhaseFIRStream(f.zeroPhase())
-}
-
 // zeroPhaseKernel is the immutable state every zero-phase stream of one
 // FIR shares: the composite kernel g = h*reverse(h), its reversal for
 // the direct engine and, when the streaming crossover picks the FFT
@@ -304,6 +296,10 @@ func newZeroPhaseKernel(h []float64) *zeroPhaseKernel {
 	return zp
 }
 
+// newZeroPhaseFIRStream returns a zero-phase stream on the direct
+// (per-sample recurrence) engine whatever the kernel width: the engine
+// narrow kernels run on, and the in-package reference the overlap-save
+// engine is tested and benchmarked against.
 func newZeroPhaseFIRStream(zp *zeroPhaseKernel) *FIRStream {
 	k := zp.k
 	return newFIRStream(zp.taps, zp.rev, 2*(k-1), k-1, k-1)

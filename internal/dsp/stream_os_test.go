@@ -21,9 +21,6 @@ func TestZeroPhaseFIRStreamOverlapSaveEngages(t *testing.T) {
 	if s := NewZeroPhaseFIRStream(f); s.os == nil {
 		t.Fatalf("65-tap composite kernel did not engage overlap-save")
 	}
-	if s := NewZeroPhaseFIRStreamDirect(f); s.os != nil {
-		t.Fatalf("Direct constructor engaged overlap-save")
-	}
 	// Narrow kernels stay on the direct engine: the 9-tap design's
 	// 17-tap composite is far below the crossover.
 	nf, err := DesignLowPass(8, 30, 250, WindowHamming)
@@ -74,7 +71,7 @@ func TestZeroPhaseFIRStreamOverlapSaveMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randSignal(3000, 11)
-	sd := NewZeroPhaseFIRStreamDirect(f)
+	sd := newZeroPhaseFIRStream(f.zeroPhase())
 	want := pushChunked(t, len(x), 250, sd, x)
 	so := NewZeroPhaseFIRStream(f)
 	got := pushChunked(t, len(x), 250, so, x)
@@ -86,7 +83,7 @@ func TestZeroPhaseFIRStreamOverlapSaveMatchesDirect(t *testing.T) {
 	}
 	// Both engines must also report a Lookahead that bounds their true
 	// worst-case emission lag over a 1-sample-push stream.
-	for _, s := range []*FIRStream{NewZeroPhaseFIRStream(f), NewZeroPhaseFIRStreamDirect(f)} {
+	for _, s := range []*FIRStream{NewZeroPhaseFIRStream(f), newZeroPhaseFIRStream(f.zeroPhase())} {
 		la := s.Lookahead()
 		emitted := 0
 		for i := 0; i < 1200; i++ {

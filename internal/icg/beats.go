@@ -135,62 +135,3 @@ func YieldRate(beats []BeatAnalysis) float64 {
 	}
 	return float64(good) / float64(len(beats))
 }
-
-// EnsembleAligned averages fixed-duration windows anchored at each R peak
-// without resampling, preserving the absolute time axis so intervals
-// measured on the averaged beat (PEP, LVET) remain meaningful. length is
-// the window in samples; windows extending past the signal are skipped.
-func EnsembleAligned(icg []float64, rPeaks []int, length int) []float64 {
-	if len(rPeaks) < 2 || length < 2 {
-		return nil
-	}
-	acc := make([]float64, length)
-	count := 0
-	for _, r := range rPeaks {
-		if r < 0 || r+length > len(icg) {
-			continue
-		}
-		for j := 0; j < length; j++ {
-			acc[j] += icg[r+j]
-		}
-		count++
-	}
-	if count == 0 {
-		return nil
-	}
-	for j := range acc {
-		acc[j] /= float64(count)
-	}
-	return acc
-}
-
-// EnsembleAverage aligns the ICG beats at their R peaks, resamples each RR
-// segment to a common length and averages them. The time axis is
-// normalized to the cardiac phase (use EnsembleAligned when absolute
-// intervals must survive); this variant is the right tool for
-// shape-consistency metrics.
-func EnsembleAverage(icg []float64, rPeaks []int, length int) []float64 {
-	if len(rPeaks) < 2 || length < 2 {
-		return nil
-	}
-	acc := make([]float64, length)
-	count := 0
-	for i := 0; i+1 < len(rPeaks); i++ {
-		lo, hi := rPeaks[i], rPeaks[i+1]
-		if lo < 0 || hi > len(icg) || hi-lo < 2 {
-			continue
-		}
-		beat := dsp.ResampleN(icg[lo:hi], length)
-		for j := range acc {
-			acc[j] += beat[j]
-		}
-		count++
-	}
-	if count == 0 {
-		return nil
-	}
-	for j := range acc {
-		acc[j] /= float64(count)
-	}
-	return acc
-}

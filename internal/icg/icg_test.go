@@ -261,28 +261,6 @@ func TestBVariantsOrdering(t *testing.T) {
 	}
 }
 
-func TestEnsembleAverageSharpensSNR(t *testing.T) {
-	cfg := physio.DefaultGenConfig()
-	cfg.ICGNoiseStd = 0.15
-	rec, filt := prep(t, 2, cfg)
-	avg := EnsembleAverage(filt, rec.Truth.RPeaks, 200)
-	if len(avg) != 200 {
-		t.Fatalf("len = %d", len(avg))
-	}
-	// The averaged beat must show the C wave prominently: max well above
-	// the noise level of a single beat segment.
-	_, hi := dsp.MinMax(avg)
-	if hi < 0.5 {
-		t.Errorf("ensemble C amplitude = %g", hi)
-	}
-	if EnsembleAverage(filt, []int{1}, 100) != nil {
-		t.Error("single peak should give nil")
-	}
-	if EnsembleAverage(filt, rec.Truth.RPeaks, 1) != nil {
-		t.Error("length 1 should give nil")
-	}
-}
-
 func TestHasSignPattern(t *testing.T) {
 	// Construct a d2 sequence with runs +,+,-,-,+,+,-,-.
 	d2 := []float64{1, 1, -1, -1, 1, 1, -1, -1}
@@ -361,32 +339,6 @@ func TestDetectBeatExtremeAmplitudes(t *testing.T) {
 		if frac := float64(ok) / float64(tr.Beats()-1); frac < 0.9 {
 			t.Errorf("scale %g: C accuracy %.2f", scale, frac)
 		}
-	}
-}
-
-func TestEnsembleAligned(t *testing.T) {
-	rec, filt := prep(t, 1, physio.DefaultGenConfig())
-	length := int(0.8 * rec.FS)
-	avg := EnsembleAligned(filt, rec.Truth.RPeaks, length)
-	if len(avg) != length {
-		t.Fatalf("len = %d", len(avg))
-	}
-	// The averaged beat keeps absolute timing: its C peak must sit near
-	// the mean C latency of the truth.
-	var meanC float64
-	for i, c := range rec.Truth.CPoints {
-		meanC += float64(c - rec.Truth.RPeaks[i])
-	}
-	meanC /= float64(rec.Truth.Beats())
-	peak := dsp.ArgMax(avg, 0, len(avg))
-	if d := float64(peak) - meanC; d < -5 || d > 5 {
-		t.Errorf("ensemble C at %d, mean truth latency %.1f", peak, meanC)
-	}
-	if EnsembleAligned(filt, []int{1}, 100) != nil {
-		t.Error("single peak")
-	}
-	if EnsembleAligned(filt, rec.Truth.RPeaks, 1) != nil {
-		t.Error("length 1")
 	}
 }
 

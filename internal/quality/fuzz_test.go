@@ -99,7 +99,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 		g := NewBeatGate(DefaultGate(250))
 		ref := g.Apply(fx.z, fx.beats, fx.rPeaks)
 
-		gs := newGateStream(g)
+		gs := g.NewBatchStream()
 		var got []BeatSQI
 		next, pushed := 0, 0
 		score := func(flush bool) {

@@ -90,13 +90,6 @@ type GateConfig struct {
 	// MinMorph rejects beats whose delineator morphology score
 	// (icg.MorphScore) falls below it.
 	MinMorph float64
-
-	// HistorySamples sizes the raw-sample ring (rounded up to a power
-	// of two): the longest beat plus however far the sample feed can
-	// run ahead of beat completion (the delineator's settling context
-	// plus one streamer sub-chunk). A ring shared with a reader that
-	// needs more history may hold more.
-	HistorySamples int
 }
 
 // DefaultGate returns the gate configuration used by the device:
@@ -121,7 +114,6 @@ func DefaultGate(fs float64) GateConfig {
 		MaxFlatRun:        0.25,
 		MinSNR:            0.5,
 		MinMorph:          0.1,
-		HistorySamples:    int(16 * fs),
 	}
 }
 
@@ -163,9 +155,6 @@ func (c GateConfig) withDefaults() GateConfig {
 	}
 	if c.MinMorph == 0 {
 		c.MinMorph = d.MinMorph
-	}
-	if c.HistorySamples <= 0 {
-		c.HistorySamples = d.HistorySamples
 	}
 	c.FS = d.FS
 	return c
@@ -219,8 +208,21 @@ func (g *BeatGate) NewStream(raw *dsp.Ring, maxBeat int) *GateStream {
 // The returned slice is aligned with beats; failed beats get a zero
 // BeatSQI. rPeaks must delimit the beats (len(beats)+1 peaks).
 func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
-	raw := dsp.NewRing(g.cfg.HistorySamples)
-	return g.NewStream(raw, raw.Cap()).Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
+	return g.NewBatchStream().Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
+}
+
+// batchHistorySeconds sizes the raw-sample ring of a batch gate stream
+// (rounded up to a power of two). GateStream.Apply feeds the ring
+// exactly up to each beat's closing R, so it only has to hold the beat.
+const batchHistorySeconds = 16
+
+// NewBatchStream returns fresh gate state over a ring of its own, for
+// whole-recording scoring with GateStream.Apply: batchHistorySeconds of
+// raw history, and any beat the ring holds is analyzable. Apply and the
+// device's pooled batch streams both build their state here.
+func (g *BeatGate) NewBatchStream() *GateStream {
+	raw := dsp.NewRing(int(batchHistorySeconds * g.cfg.FS))
+	return g.NewStream(raw, raw.Cap())
 }
 
 // GateStream carries the gate's per-stream state across pushes: the

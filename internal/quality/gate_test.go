@@ -117,7 +117,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 		// scored only after rHi + delay samples were pushed (varying
 		// per chunk size exercises feed-ahead invariance).
 		for _, delay := range []int{0, 100, 625} {
-			gs := newGateStream(g)
+			gs := g.NewBatchStream()
 			var got []BeatSQI
 			next := 0 // next beat to score
 			pushed := 0
@@ -180,7 +180,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 			t.Errorf("clean beat %d rejected: %+v", i, s)
 		}
 	}
-	gs := newGateStream(g)
+	gs := g.NewBatchStream()
 	first := gs.Apply(nil, nil, f.z, f.beats, f.rPeaks)
 	a1, t1 := gs.Counts()
 	gs.Reset()
@@ -205,7 +205,7 @@ func TestGateArtifactsAndReset(t *testing.T) {
 // Degenerate inputs must not panic and must reject deterministically.
 func TestGateDegenerate(t *testing.T) {
 	g := NewBeatGate(GateConfig{})
-	gs := newGateStream(g)
+	gs := g.NewBatchStream()
 	if r := gs.AcceptRate(); r != 1 {
 		t.Errorf("empty stream accept rate %g, want 1", r)
 	}
@@ -217,7 +217,7 @@ func TestGateDegenerate(t *testing.T) {
 	}
 	// Beat whose history fell out of the ring.
 	gs.Reset()
-	huge := make([]float64, gs.cfg.HistorySamples*3)
+	huge := make([]float64, gs.ring.Cap()*3)
 	for i := range huge {
 		huge[i] = float64(i % 17)
 	}
@@ -234,8 +234,8 @@ func TestGateDegenerate(t *testing.T) {
 // zero that would inflate the session span forever.
 func TestGateExtremesAfterRingWrap(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := newGateStream(g)
-	n := gs.cfg.HistorySamples * 2
+	gs := g.NewBatchStream()
+	n := gs.ring.Cap() * 2
 	z := make([]float64, n)
 	for i := range z {
 		z[i] = 30 + 0.5*math.Sin(float64(i)/40) // all samples near 30 Ohm
@@ -257,7 +257,7 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 // restores it.
 func TestGateAcceptEWMAContract(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
-	gs := newGateStream(g)
+	gs := g.NewBatchStream()
 	if e := gs.AcceptEWMA(); e != 1 {
 		t.Fatalf("fresh stream AcceptEWMA %g, want exactly 1", e)
 	}
@@ -314,7 +314,7 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 		}
 	}
 	g := NewBeatGate(cfg)
-	gs = newGateStream(g)
+	gs = g.NewBatchStream()
 	gs.ring.Append(z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
@@ -377,14 +377,7 @@ func TestGateConfigDefaults(t *testing.T) {
 		t.Errorf("explicit MinMorph overridden: %g", cfg.MinMorph)
 	}
 	def := DefaultGate(500)
-	if cfg.MaxSaturation != def.MaxSaturation || cfg.HistorySamples != def.HistorySamples {
+	if cfg.MaxSaturation != def.MaxSaturation || cfg.MinSNR != def.MinSNR {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
-}
-
-// newGateStream returns a stream over a fresh ring of the gate's own
-// history, bounded like the batch form's.
-func newGateStream(g *BeatGate) *GateStream {
-	raw := dsp.NewRing(g.cfg.HistorySamples)
-	return g.NewStream(raw, raw.Cap())
 }

@@ -297,23 +297,3 @@ func TestSessionAcceptRateZeroBeats(t *testing.T) {
 		t.Fatalf("AcceptRate %g, want %g", r, want)
 	}
 }
-
-// Rate-based eviction is meaningless without the quality gate (the
-// EWMA would be pinned to 1); the engine must refuse the combination
-// loudly instead of silently never evicting.
-func TestHealthRequiresGate(t *testing.T) {
-	c := core.DefaultConfig()
-	c.DisableGate = true
-	dev, err := core.NewDevice(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEngine with DisableGate + EvictBelowRate did not panic")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Health = HealthConfig{EvictBelowRate: 0.4}
-	NewEngine(dev, cfg)
-}

@@ -257,13 +257,6 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 	if cfg.Health.Enabled() {
 		h := cfg.Health.withDefaults()
 		e.health = &h
-		if h.EvictBelowRate > 0 && dev.Gate() == nil {
-			// With the quality gate disabled the accept-rate EWMA is
-			// pinned to 1, so the rate rule could never fire: the
-			// operator would believe eviction is armed while dead
-			// sessions run forever. Refuse the combination loudly.
-			panic("session: HealthConfig.EvictBelowRate requires the device quality gate (core.Config.DisableGate must be false)")
-		}
 	}
 	e.streamers.New = func() any {
 		st := dev.NewStreamer(cfg.Stream)

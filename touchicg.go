@@ -228,7 +228,7 @@ func RunStudy(cfg StudyConfig) (*StudyResults, error) { return study.Run(cfg) }
 func StudyFrequencies() []float64 { return bioimp.StudyFrequencies() }
 
 // DefaultGate returns the per-beat quality-gate thresholds the device
-// applies by default (see Config.Gate / Config.DisableGate).
+// applies by default; Config.Gate overrides them. Every beat is gated.
 func DefaultGate(fs float64) GateConfig { return quality.DefaultGate(fs) }
 
 // NewEngine starts a multi-session serving engine for the device.
