@@ -3,6 +3,7 @@ package gateway
 import (
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,12 +19,6 @@ func fuzzFrame(typ, seq byte, payload []byte) []byte {
 		panic(err)
 	}
 	return enc
-}
-
-// fuzzHello encodes a version-current Hello opening stream for session
-// id, subscribed to its events.
-func fuzzHello(stream uint16, id uint64) []byte {
-	return fuzzFrame(TypeHello, 0, putU64(putU16([]byte{ProtocolVersion, HelloSubscribe}, stream), id))
 }
 
 // fuzzPipe is one end of a net.Pipe whose write deadline is a no-op.
@@ -48,23 +43,17 @@ func FuzzGatewayConn(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hello := fuzzHello(1, 7)
+	hello := fuzzFrame(TypeHello, 0, putU64(putU16([]byte{ProtocolVersion, HelloSubscribe}, 1), 7))
 	closeStream := fuzzFrame(TypeCloseStream, 0, putU16(nil, 1))
-	cat := func(parts ...[]byte) []byte {
-		var b []byte
-		for _, p := range parts {
-			b = append(b, p...)
-		}
-		return b
-	}
-	firstChunk := chunks[:4+int(chunks[3])+2]
+	frameLen := func(b []byte) int { return 4 + int(b[3]) + 2 } // header, payload, CRC
+	firstChunk := chunks[:frameLen(chunks)]
 
 	// A well-formed session: open, stream, close.
-	f.Add(cat(hello, chunks, closeStream))
+	f.Add(slices.Concat(hello, chunks, closeStream))
 	// Truncated mid-frame.
-	f.Add(cat(hello, chunks[:len(chunks)/2]))
+	f.Add(slices.Concat(hello, chunks[:len(chunks)/2]))
 	// Bad CRC.
-	bad := append([]byte(nil), hello...)
+	bad := slices.Clone(hello)
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
 	// An oversize Hello payload: the full 255-byte frame.
@@ -72,11 +61,10 @@ func FuzzGatewayConn(f *testing.F) {
 	// A chunk for a stream that was never opened.
 	f.Add(firstChunk)
 	// A duplicate Hello on one stream id.
-	f.Add(cat(hello, hello))
+	f.Add(slices.Concat(hello, hello))
 	// A sequence gap: the second chunk frame skipped.
-	second := chunks[len(firstChunk):]
-	second = second[4+int(second[3])+2:]
-	f.Add(cat(hello, firstChunk, second))
+	rest := chunks[len(firstChunk):]
+	f.Add(slices.Concat(hello, firstChunk, rest[frameLen(rest):]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := New(dev, Config{Session: session.Config{Workers: 1, MaxPending: 4}})
