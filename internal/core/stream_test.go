@@ -84,11 +84,21 @@ func TestStreamerNoDuplicateBeats(t *testing.T) {
 	}
 }
 
+// The ICG side's settling context sets Latency: the ECG side's lag,
+// overlap-save block lag included, stays hidden behind it, so the
+// default streamer reports 626 samples at 250 Hz.
 func TestStreamerLatency(t *testing.T) {
 	d := device(t, nil)
 	st := d.NewStreamer(DefaultStreamConfig())
 	if l := st.Latency(); l <= 0 || l > 5 {
 		t.Errorf("latency = %g s", l)
+	}
+	ecgSide := st.ecgStream.Lookahead() + st.pt.Lookahead()
+	if icgSide := icgDelay(st.icgStream, st.delin.Lookahead()); ecgSide > icgSide {
+		t.Errorf("ECG side lag %d samples exceeds the ICG side's %d", ecgSide, icgSide)
+	}
+	if n := math.Round(st.Latency() * st.fs); n != 626 {
+		t.Errorf("latency = %g samples, want 626", n)
 	}
 }
 

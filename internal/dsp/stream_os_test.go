@@ -21,6 +21,11 @@ func TestZeroPhaseFIRStreamOverlapSaveEngages(t *testing.T) {
 	if s := NewZeroPhaseFIRStream(f); s.os == nil {
 		t.Fatalf("65-tap composite kernel did not engage overlap-save")
 	}
+	// The direct engine is the reference the parity test and the
+	// benchmark compare against: it must stay direct at any width.
+	if s := newZeroPhaseFIRStream(f.zeroPhase()); s.os != nil {
+		t.Fatalf("direct reference engaged overlap-save")
+	}
 	// Narrow kernels stay on the direct engine: the 9-tap design's
 	// 17-tap composite is far below the crossover.
 	nf, err := DesignLowPass(8, 30, 250, WindowHamming)
