@@ -101,7 +101,9 @@ type Streamer struct {
 	// [0, zNext), folded forward to each scored beat's closing R and,
 	// before an append would overwrite them, over the samples about to
 	// leave the ring — the same additions in the same order whatever
-	// the chunking. The ring retains the longest beat plus zHorizon.
+	// the chunking. The ring retains the longest beat plus zHorizon. It
+	// stores float32 while every sample is on the ADC grid and widens
+	// to float64 at the first sample that is not (dsp.NewNarrowRing).
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
@@ -196,7 +198,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		sink:     event.Discard,
 		body:     d.cfg.Body,
 	}
-	s.raw = dsp.NewRing(s.rawHistory())
+	s.raw = dsp.NewNarrowRing(s.rawHistory())
 	s.gate = d.gate.NewStream(s.raw, s.maxBeat)
 	return s
 }

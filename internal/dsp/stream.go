@@ -33,43 +33,96 @@ import "math"
 
 // Ring retains the most recent samples of a stream, addressed by
 // absolute sample index. It backs the history-dependent streaming
-// stages (R-peak refinement, beat delineation) with O(1) memory.
+// stages (R-peak refinement, beat delineation, the gate's raw
+// impedance) with O(1) memory.
 //
-// Aliasing invariant: r.buf is allocated once and never reallocated or
-// resized, so the power-of-two index masking in At/CopyTo/ArgMax always
-// lands inside the same backing array for the life of the ring; Reset
-// rewinds the logical stream without touching the storage, which is
-// what lets pooled engines hand rings across sessions while old
-// absolute indices go stale rather than dangle. Any future widening of
-// this contract — e.g. unsafe reinterpretation of the ring storage as
-// raw bytes for WAL spills — is confined to this file: it is one of the
-// two files on the unsafeguard analyzer's safelist, and the invariant
-// it would lean on (stable, never-reallocated backing array) is the one
-// stated here.
+// Storage width: a ring built by NewRing stores float64. One built by
+// NewNarrowRing stores float32 while every sample it has taken is
+// float32-exact — converting it to float32 and back reproduces its
+// float64 bits — which every ADC code on the front end's 16-bit grids
+// is. The first sample that is not (a dithered or computed value, a
+// float64 subnormal, a magnitude beyond float32's range, most NaNs)
+// widens the ring to float64 for good: the float32 contents are
+// converted over exactly and the float32 buffer is dropped, so a
+// widened ring holds what a NewRing ring holds and never two buffers.
+// Every reader (At, CopyTo, ArgMax, Start, N, Cap) returns bit-identical
+// values in either width, so the width is invisible downstream.
+//
+// Aliasing invariant: the storage is replaced at most once in the
+// ring's life, narrow to wide, and only inside Push/Append; it is never
+// resized, so the power-of-two index masking always lands inside the
+// current backing array. No reader keeps a slice into the storage —
+// CopyTo copies out — so the replacement cannot leave a stale view.
+// Reset rewinds the logical stream without touching the storage (a
+// widened ring stays wide), which is what lets pooled engines hand
+// rings across sessions while old absolute indices go stale rather
+// than dangle.
 type Ring struct {
-	buf  []float64
+	buf  []float64 // wide storage; nil while the ring is narrow
+	b32  []float32 // narrow storage; nil once the ring is wide
 	mask int
 	n    int // total samples pushed
 }
 
-// NewRing returns a ring that retains at least capacity samples
-// (rounded up to a power of two).
+// NewRing returns a float64 ring that retains at least capacity
+// samples (rounded up to a power of two). Rings of filter outputs use
+// it: their samples are rarely float32-exact.
 func NewRing(capacity int) *Ring {
+	size := ringSize(capacity)
+	return &Ring{buf: make([]float64, size), mask: size - 1}
+}
+
+// NewNarrowRing returns a ring like NewRing's that stores float32 until
+// its first sample that is not float32-exact. Rings of raw ADC samples
+// use it.
+func NewNarrowRing(capacity int) *Ring {
+	size := ringSize(capacity)
+	return &Ring{b32: make([]float32, size), mask: size - 1}
+}
+
+func ringSize(capacity int) int {
 	if capacity < 2 {
 		capacity = 2
 	}
-	size := NextPow2(capacity)
-	return &Ring{buf: make([]float64, size), mask: size - 1}
+	return NextPow2(capacity)
+}
+
+// Narrow reports whether the ring still stores float32.
+func (r *Ring) Narrow() bool { return r.buf == nil }
+
+// widen moves a narrow ring to float64 storage, converting every
+// stored sample exactly.
+func (r *Ring) widen() {
+	r.buf = make([]float64, len(r.b32))
+	for i, f := range r.b32 {
+		r.buf[i] = float64(f)
+	}
+	r.b32 = nil
 }
 
 // Push appends one sample.
 func (r *Ring) Push(v float64) {
+	if r.buf == nil {
+		if f := float32(v); math.Float64bits(float64(f)) == math.Float64bits(v) {
+			r.b32[r.n&r.mask] = f
+			r.n++
+			return
+		}
+		r.widen()
+	}
 	r.buf[r.n&r.mask] = v
 	r.n++
 }
 
-// Append appends a chunk with at most two bulk copies per ring lap.
+// Append appends a chunk with at most two bulk copies per ring lap
+// (per-sample conversions while the ring is narrow).
 func (r *Ring) Append(xs []float64) {
+	if r.buf == nil {
+		if xs = r.appendNarrow(xs); len(xs) == 0 {
+			return
+		}
+		r.widen()
+	}
 	for len(xs) > 0 {
 		p := r.n & r.mask
 		n := copy(r.buf[p:], xs)
@@ -78,36 +131,60 @@ func (r *Ring) Append(xs []float64) {
 	}
 }
 
+// appendNarrow stores the leading float32-exact samples of xs in the
+// narrow storage and returns the rest, which starts at the first
+// sample that is not float32-exact.
+func (r *Ring) appendNarrow(xs []float64) []float64 {
+	for len(xs) > 0 {
+		dst := r.b32[r.n&r.mask:]
+		m := min(len(dst), len(xs))
+		for i, v := range xs[:m] {
+			f := float32(v)
+			if math.Float64bits(float64(f)) != math.Float64bits(v) {
+				r.n += i
+				return xs[i:]
+			}
+			dst[i] = f
+		}
+		r.n += m
+		xs = xs[m:]
+	}
+	return nil
+}
+
 // N returns the total number of samples pushed so far.
 func (r *Ring) N() int { return r.n }
 
 // Cap returns how many samples the ring retains: its capacity rounded
 // up to a power of two.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.mask + 1 }
 
 // Start returns the oldest absolute index still retained.
-func (r *Ring) Start() int {
-	s := r.n - len(r.buf)
-	if s < 0 {
-		s = 0
-	}
-	return s
-}
+func (r *Ring) Start() int { return max(r.n-r.Cap(), 0) }
 
 // At returns the sample at absolute index i, which must be in
 // [Start(), N()).
-func (r *Ring) At(i int) float64 { return r.buf[i&r.mask] }
+func (r *Ring) At(i int) float64 {
+	if r.buf == nil {
+		return float64(r.b32[i&r.mask])
+	}
+	return r.buf[i&r.mask]
+}
 
 // CopyTo appends the samples of [lo, hi) to dst with at most two bulk
-// copies. The range must be retained.
+// copies (per-sample conversions while the ring is narrow). The range
+// must be retained.
 func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 	for lo < hi {
 		p := lo & r.mask
-		end := p + (hi - lo)
-		if end > len(r.buf) {
-			end = len(r.buf)
+		end := min(p+(hi-lo), r.Cap())
+		if r.buf != nil {
+			dst = append(dst, r.buf[p:end]...)
+		} else {
+			for _, f := range r.b32[p:end] {
+				dst = append(dst, float64(f))
+			}
 		}
-		dst = append(dst, r.buf[p:end]...)
 		lo += end - p
 	}
 	return dst
@@ -116,7 +193,9 @@ func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 // ArgMax returns the absolute index of the maximum over [lo, hi)
 // clamped to the retained window, mirroring dsp.ArgMax's clamp-to-signal
 // semantics for a stream whose ring covers the requested range; it
-// returns -1 for an empty range.
+// returns -1 for an empty range. float32 to float64 conversion is exact
+// and order-preserving, so a narrow ring compares its float32 samples
+// directly.
 func (r *Ring) ArgMax(lo, hi int) int {
 	lo = ClampInt(lo, r.Start(), r.n)
 	hi = ClampInt(hi, r.Start(), r.n)
@@ -124,6 +203,14 @@ func (r *Ring) ArgMax(lo, hi int) int {
 		return -1
 	}
 	best := lo
+	if r.buf == nil {
+		for i := lo + 1; i < hi; i++ {
+			if r.b32[i&r.mask] > r.b32[best&r.mask] {
+				best = i
+			}
+		}
+		return best
+	}
 	for i := lo + 1; i < hi; i++ {
 		if r.buf[i&r.mask] > r.buf[best&r.mask] {
 			best = i
@@ -132,7 +219,7 @@ func (r *Ring) ArgMax(lo, hi int) int {
 	return best
 }
 
-// Reset forgets all samples, keeping the allocation.
+// Reset forgets all samples, keeping the storage and its width.
 func (r *Ring) Reset() { r.n = 0 }
 
 // FIRStream applies an FIR filter one sample at a time, carrying the

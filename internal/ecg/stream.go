@@ -42,7 +42,7 @@ func NewBaselineStream(cfg BaselineConfig) *BaselineStream {
 	for _, st := range s.stages {
 		s.la += st.Lookahead()
 	}
-	s.raw = dsp.NewRing(s.la + baselineSubChunk + 2)
+	s.raw = dsp.NewNarrowRing(s.la + baselineSubChunk + 2)
 	return s
 }
 
@@ -112,6 +112,10 @@ func (s *BaselineStream) Reset() {
 	s.raw.Reset()
 	s.out = 0
 }
+
+// Narrow reports whether the raw-ECG history still stores float32:
+// true while every sample pushed is float32-exact (dsp.NewNarrowRing).
+func (s *BaselineStream) Narrow() bool { return s.raw.Narrow() }
 
 // PTStream is the incremental Pan-Tompkins QRS detector: the band-pass,
 // five-point derivative, squaring and moving-window integration run as
