@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` text output into a
 // machine-readable JSON snapshot, so CI can archive the perf trajectory
-// across PRs (BENCH_PR8.json and successors) without scraping logs.
+// across changes (CI's BENCH_smoke.json artifact) without scraping logs.
 //
 // Usage:
 //

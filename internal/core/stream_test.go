@@ -1,15 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/ecg"
 	"repro/internal/event"
 	"repro/internal/hemo"
 	"repro/internal/physio"
+	"repro/internal/wal"
 )
 
 func TestStreamerMatchesBatch(t *testing.T) {
@@ -106,10 +109,83 @@ func TestStreamerLatency(t *testing.T) {
 // feed's lead past its closing R, rounded up to a power of two. The
 // gate restarts its running extremes at the ring's start, so the ring
 // size is part of the output.
+//
+// The raw-Z and ECG baseline rings store float32 while every sample is
+// float32-exact: Acquire's ADC-grid samples keep them narrow for a whole
+// recording, DeadContact's dithered samples widen them, and a recording
+// that turns dead partway emits the same events whichever push and
+// sub-chunk the widening sample lands in.
 func TestStreamerRawRingDefault(t *testing.T) {
-	st := device(t, nil).NewStreamer(DefaultStreamConfig())
+	d := device(t, nil)
+	st := d.NewStreamer(DefaultStreamConfig())
 	if c := st.raw.Cap(); c != 4096 {
 		t.Fatalf("raw ring holds %d samples (need %d), want 4096", c, st.rawHistory())
+	}
+
+	fs := d.cfg.FS
+	narrow := func(st *Streamer) (z, ecgRaw bool) {
+		return st.raw.Narrow(), st.ecgStream.stages[0].(*ecg.BaselineStream).Narrow()
+	}
+	for id := 1; id <= 5; id++ {
+		sub, _ := physio.SubjectByID(id)
+		acq, err := d.Acquire(&sub, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := d.NewStreamer(DefaultStreamConfig())
+		for pos := 0; pos < len(acq.Z); pos += 50 {
+			end := min(pos+50, len(acq.Z))
+			st.Push(acq.ECG[pos:end], acq.Z[pos:end])
+			if z, e := narrow(st); !z || !e {
+				t.Fatalf("subject %d: rings widened by sample %d (raw-Z narrow %v, baseline narrow %v)", id, end, z, e)
+			}
+		}
+	}
+	de, dz := physio.DeadContact(5, int(10*fs))
+	st = d.NewStreamer(DefaultStreamConfig())
+	pushChunks(st, de, dz, every(50))
+	if z, e := narrow(st); z || e {
+		t.Fatalf("dead contact left a ring narrow (raw-Z %v, baseline %v)", z, e)
+	}
+
+	// Subject 1, dead contact from a sample that falls inside a push
+	// and a sub-chunk for every push size below, then subject 1 again:
+	// the beats after the dead span read samples from both widths.
+	sub, _ := physio.SubjectByID(1)
+	acq, err := d.Acquire(&sub, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, dead := int(10*fs)+3, int(2*fs)
+	e := append(append(append([]float64(nil), acq.ECG[:cut]...), de[:dead]...), acq.ECG[cut:]...)
+	z := append(append(append([]float64(nil), acq.Z[:cut]...), dz[:dead]...), acq.Z[cut:]...)
+	var want [sha256.Size]byte
+	for _, chunk := range []int{1, 50, 97, 128} {
+		st := d.NewStreamer(DefaultStreamConfig())
+		h := sha256.New()
+		var buf []byte
+		beats := 0
+		st.Emit(event.Func(func(ev event.Event) {
+			buf = wal.EncodeEvent(buf[:0], &ev)
+			h.Write(buf)
+			if ev.Kind == event.KindBeat {
+				beats++
+			}
+		}), 1)
+		pushChunks(st, e, z, every(chunk))
+		if zn, en := narrow(st); zn || en {
+			t.Fatalf("chunk %d: a ring is still narrow after the dead span (raw-Z %v, baseline %v)", chunk, zn, en)
+		}
+		var got [sha256.Size]byte
+		h.Sum(got[:0])
+		if chunk == 1 {
+			if beats < 20 {
+				t.Fatalf("only %d beats around the dead span", beats)
+			}
+			want = got
+		} else if got != want {
+			t.Fatalf("chunk %d: event hash %x, 1-sample pushes %x", chunk, got, want)
+		}
 	}
 }
 

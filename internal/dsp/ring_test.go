@@ -1,0 +1,217 @@
+package dsp
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// wideRing is the plain float64 ring every Ring must be bit-identical
+// to, whatever its storage width: the oracle of FuzzRingStorage.
+type wideRing struct {
+	buf  []float64
+	mask int
+	n    int
+}
+
+func newWideRing(capacity int) *wideRing {
+	size := NextPow2(max(capacity, 2))
+	return &wideRing{buf: make([]float64, size), mask: size - 1}
+}
+
+func (r *wideRing) push(v float64) {
+	r.buf[r.n&r.mask] = v
+	r.n++
+}
+
+func (r *wideRing) start() int { return max(r.n-len(r.buf), 0) }
+
+func (r *wideRing) at(i int) float64 { return r.buf[i&r.mask] }
+
+func (r *wideRing) argMax(lo, hi int) int {
+	lo = ClampInt(lo, r.start(), r.n)
+	hi = ClampInt(hi, r.start(), r.n)
+	if lo >= hi {
+		return -1
+	}
+	best := lo
+	for i := lo + 1; i < hi; i++ {
+		if r.at(i) > r.at(best) {
+			best = i
+		}
+	}
+	return best
+}
+
+// float32Exact is the narrow-storage law: v survives a round trip
+// through float32 bit for bit.
+func float32Exact(v float64) bool {
+	return math.Float64bits(float64(float32(v))) == math.Float64bits(v)
+}
+
+// ringSamples decodes fuzz bytes into samples: a tag byte, then four
+// bytes of float32 bits (tag even) or eight bytes of float64 bits (tag
+// odd), so inputs mix on-grid and off-grid samples.
+func ringSamples(data []byte) []float64 {
+	var xs []float64
+	for len(data) > 0 {
+		tag := data[0]
+		data = data[1:]
+		if tag&1 == 0 && len(data) >= 4 {
+			xs = append(xs, float64(math.Float32frombits(binary.LittleEndian.Uint32(data))))
+			data = data[4:]
+		} else if tag&1 == 1 && len(data) >= 8 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		} else {
+			break
+		}
+	}
+	return xs
+}
+
+// encodeRingSamples is ringSamples' inverse for seeds: every sample is
+// written as float64 bits.
+func encodeRingSamples(xs ...float64) []byte {
+	var b []byte
+	for _, v := range xs {
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzRingStorage pins the narrow ring against the plain float64 ring:
+// for arbitrary float64 bit patterns fed through arbitrary Push/Append
+// chunkings (and Resets), At, CopyTo, ArgMax, Start, N and Cap must be
+// bit-identical; the ring must store float32 exactly while every sample
+// so far was float32-exact; and it must widen at most once, keeping one
+// buffer and never narrowing again.
+func FuzzRingStorage(f *testing.F) {
+	f.Add(uint8(7), encodeRingSamples(1, 2.5, -3, 4096.000244140625), []byte{0, 3, 9})
+	f.Add(uint8(4), encodeRingSamples(0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-40), []byte{2, 0, 1})
+	f.Add(uint8(5), encodeRingSamples(1, 2, math.NaN(), 3, 4), []byte{5})
+	f.Add(uint8(3), encodeRingSamples(1, 2, 5e-324, 3), []byte{0, 0, 2})
+	f.Add(uint8(9), encodeRingSamples(1, math.MaxFloat32*2, -1e300, 2), []byte{4})
+	// The widening sample sits in the middle of one Append that also
+	// wraps the ring.
+	f.Add(uint8(3), encodeRingSamples(1, 2, 3, 4, 5, 6, 0.1, 7, 8, 9, 10, 11), []byte{12})
+	// A quiet NaN read from float32 bits is float32-exact: it stays
+	// narrow, across a Reset.
+	f.Add(uint8(16), append(encodeRingSamples(1, 2, 3), 0, 0, 0, 0xc0, 0x7f), []byte{255, 1, 2})
+	f.Fuzz(func(t *testing.T, capSel uint8, data, ops []byte) {
+		xs := ringSamples(data)
+		capacity := int(capSel%40) + 1
+		r, ref := NewNarrowRing(capacity), newWideRing(capacity)
+		exact, widened := true, false
+		var wide *float64 // the wide storage, once widened
+		check := func(op int) {
+			t.Helper()
+			if r.N() != ref.n || r.Start() != ref.start() || r.Cap() != len(ref.buf) {
+				t.Fatalf("op %d: N/Start/Cap %d/%d/%d, want %d/%d/%d",
+					op, r.N(), r.Start(), r.Cap(), ref.n, ref.start(), len(ref.buf))
+			}
+			if r.Narrow() != exact {
+				t.Fatalf("op %d: narrow %v, want %v", op, r.Narrow(), exact)
+			}
+			if r.Narrow() {
+				if widened {
+					t.Fatalf("op %d: narrow again after widening", op)
+				}
+			} else {
+				if r.b32 != nil {
+					t.Fatalf("op %d: widened ring kept its float32 buffer", op)
+				}
+				if widened && &r.buf[0] != wide {
+					t.Fatalf("op %d: widened more than once", op)
+				}
+				widened, wide = true, &r.buf[0]
+			}
+			lo, hi := ref.start(), ref.n
+			got := r.CopyTo(nil, lo, hi)
+			if len(got) != hi-lo {
+				t.Fatalf("op %d: CopyTo returned %d samples, want %d", op, len(got), hi-lo)
+			}
+			for i := lo; i < hi; i++ {
+				want := math.Float64bits(ref.at(i))
+				if b := math.Float64bits(r.At(i)); b != want {
+					t.Fatalf("op %d: At(%d) = %x, want %x", op, i, b, want)
+				}
+				if b := math.Float64bits(got[i-lo]); b != want {
+					t.Fatalf("op %d: CopyTo sample %d = %x, want %x", op, i, b, want)
+				}
+			}
+			for _, span := range [][2]int{{lo, hi}, {lo - 3, hi + 3}, {(lo + hi) / 2, hi}, {lo + 1, hi - 1}} {
+				if g, w := r.ArgMax(span[0], span[1]), ref.argMax(span[0], span[1]); g != w {
+					t.Fatalf("op %d: ArgMax(%d, %d) = %d, want %d", op, span[0], span[1], g, w)
+				}
+			}
+		}
+		check(-1)
+		for op := 0; len(xs) > 0; op++ {
+			c := 1
+			if len(ops) > 0 {
+				c = int(ops[op%len(ops)])
+			}
+			if c == 255 { // Reset, then a 1-sample push so the loop still consumes input
+				r.Reset()
+				ref.n = 0
+				c = 0
+			}
+			switch {
+			case c == 0:
+				r.Push(xs[0])
+				ref.push(xs[0])
+				exact = exact && float32Exact(xs[0])
+				xs = xs[1:]
+			default:
+				chunk := xs[:min(c, len(xs))]
+				r.Append(chunk)
+				for _, v := range chunk {
+					ref.push(v)
+					exact = exact && float32Exact(v)
+				}
+				xs = xs[len(chunk):]
+			}
+			check(op)
+		}
+	})
+}
+
+// BenchmarkRing30s streams 30 s of on-grid impedance (250 Hz, a 2⁻¹² Ω
+// grid) through a 4096-sample ring the way the streamer's raw-Z ring is
+// used: 128-sample appends, every sample read back once with At, and a
+// one-beat CopyTo per second. "narrow" is the float32 storage on
+// float32-exact input, "wide" the float64 storage.
+func BenchmarkRing30s(b *testing.B) {
+	x := make([]float64, 7500)
+	for i := range x {
+		x[i] = 400 + float64(int(4096*math.Sin(float64(i)/40)))/4096
+	}
+	for _, c := range []struct {
+		name string
+		mk   func(int) *Ring
+	}{{"wide", NewRing}, {"narrow", NewNarrowRing}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := c.mk(4096)
+			seg := make([]float64, 0, 250)
+			var sum float64
+			for b.Loop() {
+				r.Reset()
+				next := 0
+				for pos := 0; pos < len(x); pos += 128 {
+					r.Append(x[pos:min(pos+128, len(x))])
+					for ; next < r.N(); next++ {
+						sum += r.At(next)
+					}
+					if r.N() >= 250 && r.N()%250 < 128 {
+						seg = r.CopyTo(seg[:0], r.N()-250, r.N())
+					}
+				}
+			}
+			if !r.Narrow() && c.name == "narrow" || sum == 0 || len(seg) == 0 {
+				b.Fatal("ring widened or read nothing")
+			}
+		})
+	}
+}

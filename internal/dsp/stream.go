@@ -101,18 +101,7 @@ func (r *Ring) widen() {
 }
 
 // Push appends one sample.
-func (r *Ring) Push(v float64) {
-	if r.buf == nil {
-		if f := float32(v); math.Float64bits(float64(f)) == math.Float64bits(v) {
-			r.b32[r.n&r.mask] = f
-			r.n++
-			return
-		}
-		r.widen()
-	}
-	r.buf[r.n&r.mask] = v
-	r.n++
-}
+func (r *Ring) Push(v float64) { r.Append([]float64{v}) }
 
 // Append appends a chunk with at most two bulk copies per ring lap
 // (per-sample conversions while the ring is narrow).

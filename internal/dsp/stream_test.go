@@ -238,26 +238,28 @@ func TestMovExtStreamMatchesDeque(t *testing.T) {
 }
 
 func TestRingBasics(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 20; i++ {
-		r.Push(float64(i))
-	}
-	if r.N() != 20 {
-		t.Fatalf("N=%d", r.N())
-	}
-	if r.Start() > 12 {
-		t.Fatalf("Start=%d retains too little", r.Start())
-	}
-	for i := r.Start(); i < r.N(); i++ {
-		if r.At(i) != float64(i) {
-			t.Fatalf("At(%d)=%g", i, r.At(i))
+	for _, mk := range []func(int) *Ring{NewRing, NewNarrowRing} {
+		r := mk(8)
+		for i := 0; i < 20; i++ {
+			r.Push(float64(i))
 		}
-	}
-	got := r.CopyTo(nil, 15, 19)
-	if len(got) != 4 || got[0] != 15 || got[3] != 18 {
-		t.Fatalf("CopyTo: %v", got)
-	}
-	if m := r.ArgMax(13, 20); m != 19 {
-		t.Fatalf("ArgMax=%d", m)
+		if r.N() != 20 {
+			t.Fatalf("N=%d", r.N())
+		}
+		if r.Start() > 12 {
+			t.Fatalf("Start=%d retains too little", r.Start())
+		}
+		for i := r.Start(); i < r.N(); i++ {
+			if r.At(i) != float64(i) {
+				t.Fatalf("At(%d)=%g", i, r.At(i))
+			}
+		}
+		got := r.CopyTo(nil, 15, 19)
+		if len(got) != 4 || got[0] != 15 || got[3] != 18 {
+			t.Fatalf("CopyTo: %v", got)
+		}
+		if m := r.ArgMax(13, 20); m != 19 {
+			t.Fatalf("ArgMax=%d", m)
+		}
 	}
 }

@@ -35,11 +35,11 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 	want := DetectAll(sig, rPeaks, nil, cfg)
 
 	// R peaks are delivered as their sample time passes, so the chunk
-	// size also bounds how far the ICG stream runs ahead of the R
-	// stream; keep it inside the delineator's 3 s history ring (the
+	// size bounds how far the ICG stream runs ahead of the R stream:
+	// that is the delineator's lead, which sizes its history ring (the
 	// overlong-beat test covers the starved case).
 	for _, chunk := range []int{1, 7, 250, 600} {
-		d := NewDelineator(cfg, nil, nil, 0, 0, 3, 0, new(dsp.ArenaPool))
+		d := NewDelineator(cfg, nil, nil, 0, 0, 3, chunk, new(dsp.ArenaPool))
 		var got []BeatAnalysis
 		pos := 0
 		nextR := 0

@@ -5,8 +5,7 @@ import "strconv"
 // UnsafeGuard pins the aliasing safelist: the `unsafe` package may be
 // imported only from the files whose aliasing/lifetime invariants are
 // documented in place — internal/gateway/conn.go (wire payloads alias
-// the connection's scanner buffer) and internal/dsp/stream.go (ring
-// views alias the persistent ring storage). Any new unsafe import
+// the connection's scanner buffer). Any new unsafe import
 // lands here first: either the file joins the safelist in the same
 // change that documents its invariants, or the import goes.
 var UnsafeGuard = &Analyzer{
@@ -21,7 +20,6 @@ var UnsafeGuard = &Analyzer{
 // the files themselves.
 var unsafeSafelist = map[string]bool{
 	"internal/gateway/conn.go": true,
-	"internal/dsp/stream.go":   true,
 }
 
 func runUnsafeGuard(pass *Pass) {
