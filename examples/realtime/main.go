@@ -103,9 +103,7 @@ func main() {
 	late := 0
 	for pos := 0; pos < len(acq.ECG); pos += chunk {
 		if pos == half {
-			err := eng.SubscribeFrom(1, event.Func(func(event.Event) { late++ }),
-				session.SubscribeOptions{})
-			if err != nil {
+			if err := eng.SubscribeFrom(1, event.Func(func(event.Event) { late++ })); err != nil {
 				log.Fatalf("realtime: %v", err)
 			}
 		}

@@ -95,7 +95,7 @@ type filterBank struct {
 	fs      float64
 	ecgFIR  *dsp.FIR // 32nd-order 0.05-40 Hz band-pass (Section IV-A.1)
 	icgLP   dsp.SOS  // 20 Hz Butterworth low-pass (Section IV-A.2)
-	icgHP   dsp.SOS  // band-edge high-pass; nil when disabled
+	icgHP   dsp.SOS  // 0.5 Hz band-edge high-pass (icg.DefaultFilter)
 	twaveLP dsp.SOS  // 10 Hz T-wave low-pass (Carvalho X variant)
 	ptSOS   dsp.SOS  // Pan-Tompkins QRS band-pass
 

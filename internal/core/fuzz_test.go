@@ -341,7 +341,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		run := func(chunked bool) []icg.BeatAnalysis {
 			// The whole run feeds the 8 s acquisition before any R: that
 			// is the lead its history ring must cover.
-			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6, len(sig), &fuzzEnv.dev.arenas)
+			d := icg.NewDelineator(dCfg, lp, hp, icgCtxSeconds, 6, len(sig), &fuzzEnv.dev.arenas)
 			var out []icg.BeatAnalysis
 			if !chunked {
 				out = d.PushICG(nil, out, sig)

@@ -148,30 +148,37 @@ func TestStreamerResetReuse(t *testing.T) {
 }
 
 // The causal-filter ablation conditions its stream sample for sample
-// like the batch causal path, so parity must hold there too.
+// like the batch causal path, on the same clock, so every per-beat
+// timing, amplitude and gate field must match the batch beat exactly:
+// a one-sample slip between the ECG and ICG clocks would move PEP and
+// LVET by 4 ms.
 func TestStreamingBatchParityCausalFilters(t *testing.T) {
-	sub, _ := physio.SubjectByID(1)
 	d := device(t, func(c *Config) {
 		c.CausalFilters = true
 		c.OutlierK = 1e9
 	})
-	acq, err := d.Acquire(&sub, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := d.Process(acq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(125))
-	if len(got) != len(batch.Beats) {
-		t.Fatalf("%d beats, batch %d", len(got), len(batch.Beats))
-	}
-	for i, b := range got {
-		want := batch.Beats[i]
-		if math.Abs(b.LVET-want.LVET) > 0.008 || math.Abs(b.PEP-want.PEP) > 0.008 {
-			t.Errorf("beat %d: LVET %.4f/%.4f PEP %.4f/%.4f",
-				i, b.LVET, want.LVET, b.PEP, want.PEP)
+	for sid := 1; sid <= 5; sid++ {
+		sub, _ := physio.SubjectByID(sid)
+		acq, err := d.Acquire(&sub, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := d.Process(acq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 125} {
+			got := streamBeats(d.NewStreamer(DefaultStreamConfig()), acq.ECG, acq.Z, every(chunk))
+			if len(got) != len(batch.Beats) {
+				t.Fatalf("subject %d chunk %d: %d beats, batch %d", sid, chunk, len(got), len(batch.Beats))
+			}
+			for i, b := range got {
+				w := batch.Beats[i]
+				if b.TimeS != w.TimeS || b.RR != w.RR || b.PEP != w.PEP || b.LVET != w.LVET ||
+					b.DZdtMax != w.DZdtMax || b.Quality != w.Quality || b.Accepted != w.Accepted {
+					t.Errorf("subject %d chunk %d beat %d: stream %+v, batch %+v", sid, chunk, i, b, w)
+				}
+			}
 		}
 	}
 }

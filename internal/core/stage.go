@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/bioimp"
 	"repro/internal/dsp"
 	"repro/internal/ecg"
@@ -33,11 +31,11 @@ type Stage interface {
 }
 
 // StageStream is the stateful streaming form of a Stage. Push appends
-// the newly computable outputs for a chunk (output index t corresponds
-// to input index t), Flush drains outputs waiting on future samples
-// with the batch edge treatment, Lookahead is the pipeline latency in
-// samples, and Shift is the morphological delay of the output waveform
-// relative to the input timeline (non-zero only for causal IIR stages).
+// the newly computable outputs for a chunk, Flush drains outputs
+// waiting on future samples with the batch edge treatment, and
+// Lookahead is the pipeline latency in samples. Output t is on input
+// t's timeline: a stage may emit it late, never displaced, so a chain's
+// outputs need no re-alignment.
 // Like Apply, Push and Flush check the working memory they need only
 // while they run out of the arena (nil allocates): a stream holds its
 // state between pushes and nothing else.
@@ -45,7 +43,6 @@ type StageStream interface {
 	Push(a *dsp.Arena, dst, x []float64) []float64
 	Flush(a *dsp.Arena, dst []float64) []float64
 	Lookahead() int
-	Shift() int
 	Reset()
 }
 
@@ -114,15 +111,6 @@ func (cs *ChainStream) Flush(a *dsp.Arena, dst []float64) []float64 {
 // Lookahead returns the chain's total pipeline latency in samples.
 func (cs *ChainStream) Lookahead() int { return cs.la }
 
-// Shift returns the chain's total morphological delay in samples.
-func (cs *ChainStream) Shift() int {
-	n := 0
-	for _, st := range cs.stages {
-		n += st.Shift()
-	}
-	return n
-}
-
 // Reset returns every stage to its initial state, keeping buffers.
 func (cs *ChainStream) Reset() {
 	for _, st := range cs.stages {
@@ -179,18 +167,15 @@ func (st icgDerivStage) Apply(a *dsp.Arena, x []float64) []float64 {
 func (st icgDerivStage) NewStream() StageStream { return dsp.NewDerivStream(st.fs, -1) }
 
 // sosZeroPhaseStage applies the biquad cascade forward-backward in
-// batch; its stream is the causal cascade with steady-state priming,
-// whose in-band group delay is declared as the stream's Shift so
-// downstream consumers re-align the waveform.
-type sosZeroPhaseStage struct {
-	s     dsp.SOS
-	shift int
-}
+// batch. No streamer builds its stream (the delineator refilters the
+// zero-phase cascade per beat); the Stage contract still requires one,
+// the causal cascade with steady-state priming.
+type sosZeroPhaseStage struct{ s dsp.SOS }
 
 func (st sosZeroPhaseStage) Apply(a *dsp.Arena, x []float64) []float64 {
 	return st.s.FiltFiltWith(a, x)
 }
-func (st sosZeroPhaseStage) NewStream() StageStream { return dsp.NewSOSStream(st.s, st.shift, true) }
+func (st sosZeroPhaseStage) NewStream() StageStream { return dsp.NewSOSStream(st.s, true) }
 
 // sosCausalStage applies the cascade once, causally, in both engines
 // (ablation A5); batch and stream match sample for sample.
@@ -202,12 +187,7 @@ func (st sosCausalStage) Apply(a *dsp.Arena, x []float64) []float64 {
 	}
 	return st.s.Filter(x)
 }
-func (st sosCausalStage) NewStream() StageStream { return dsp.NewSOSStream(st.s, 0, false) }
-
-// icgAlignHz is the reference frequency for the causal ICG cascade's
-// group-delay compensation: the systolic B-C-X complex concentrates its
-// energy around a few hertz.
-const icgAlignHz = 4.0
+func (st sosCausalStage) NewStream() StageStream { return dsp.NewSOSStream(st.s, false) }
 
 // buildChains assembles the conditioning chains for a designed bank.
 func buildChains(cfg Config, fs float64, b *filterBank) {
@@ -216,10 +196,7 @@ func buildChains(cfg Config, fs float64, b *filterBank) {
 	b.blCfg = blCfg
 	if cfg.CausalFilters {
 		b.ecgChain = Chain{baselineStage{cfg: blCfg}, firSameStage{f: b.ecgFIR}}
-		b.icgChain = Chain{icgDerivStage{fs: fs}, sosCausalStage{s: b.icgLP}}
-		if b.icgHP != nil {
-			b.icgChain = append(b.icgChain, sosCausalStage{s: b.icgHP})
-		}
+		b.icgChain = Chain{icgDerivStage{fs: fs}, sosCausalStage{s: b.icgLP}, sosCausalStage{s: b.icgHP}}
 		return
 	}
 	b.ecgChain = Chain{baselineStage{cfg: blCfg}, firZeroPhaseStage{f: b.ecgFIR}}
@@ -228,21 +205,5 @@ func buildChains(cfg Config, fs float64, b *filterBank) {
 	// high-pass over the full settling context, the fast low-pass over a
 	// short guard), and keeping batch and stream on the same order keeps
 	// them numerically identical beat for beat.
-	//
-	// The chains' streaming forms are causal with steady-state priming;
-	// compensate the cascade's combined in-band group delay with one
-	// integer shift (rounded once, on the low-pass stage).
-	gd := b.icgLP.GroupDelaySamples(icgAlignHz, fs)
-	if b.icgHP != nil {
-		gd += b.icgHP.GroupDelaySamples(icgAlignHz, fs)
-	}
-	shift := int(math.Round(gd))
-	if shift < 0 {
-		shift = 0
-	}
-	b.icgChain = Chain{icgDerivStage{fs: fs}}
-	if b.icgHP != nil {
-		b.icgChain = append(b.icgChain, sosZeroPhaseStage{s: b.icgHP, shift: 0})
-	}
-	b.icgChain = append(b.icgChain, sosZeroPhaseStage{s: b.icgLP, shift: shift})
+	b.icgChain = Chain{icgDerivStage{fs: fs}, sosZeroPhaseStage{s: b.icgHP}, sosZeroPhaseStage{s: b.icgLP}}
 }

@@ -159,12 +159,11 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	}
 	var icgStream *ChainStream
 	var lp, hp dsp.SOS
-	align, ctxSeconds := 0, 0.0
+	ctxSeconds := 0.0
 	if d.cfg.CausalFilters {
 		// The causal ablation conditions the stream itself: the chain's
 		// streaming form equals its batch form sample for sample.
 		icgStream = bank.icgChain.NewStream()
-		align = icgStream.Shift()
 	} else {
 		// Zero-phase conditioning cannot be streamed causally; only the
 		// derivative runs per sample, and the delineator applies the
@@ -191,7 +190,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		ecgStream:  ecgStream,
 		icgStream:  icgStream,
 		pt:         pt,
-		delin: icg.NewDelineator(defaultDetectFor(d.cfg, fs), lp, hp, align, ctxSeconds,
+		delin: icg.NewDelineator(defaultDetectFor(d.cfg, fs), lp, hp, ctxSeconds,
 			sc.WindowSeconds, zHorizon, &d.arenas),
 		zHorizon: zHorizon,
 		maxBeat:  int(sc.WindowSeconds * fs),
@@ -416,9 +415,10 @@ func (s *Streamer) ArmGovernor(p PMU) {
 // entering Push to the beat being emitted when the QRS detector
 // confirms that R in the ordinary way: the conditioning chains'
 // lookahead plus the detector's confirmation-and-refinement lookahead
-// on the ECG side, or the ICG chain's lookahead plus its group-delay
-// re-alignment and settling context on the impedance side, whichever
-// is larger. It is not a worst case: a beat whose closing R is
+// on the ECG side, or the ICG chain's lookahead plus the delineator's
+// settling context on the impedance side, whichever is larger. Both
+// sides run on one clock: no stage displaces its output, so nothing is
+// re-aligned. It is not a worst case: a beat whose closing R is
 // recovered by search-back (or deferred to the detector's threshold
 // initialization) is emitted up to ecg.PTStream.MaxLag plus the ECG
 // chain's lookahead after it (zHorizon bounds that). End-to-end latency
@@ -431,10 +431,9 @@ func (s *Streamer) Latency() float64 {
 }
 
 // icgDelay is the ICG side's emission delay in samples: the chain's
-// lookahead plus its group-delay re-alignment plus the delineator's
-// settling context of ctxN samples.
+// lookahead plus the delineator's settling context of ctxN samples.
 func icgDelay(icgStream *ChainStream, ctxN int) int {
-	return icgStream.Lookahead() + icgStream.Shift() + ctxN
+	return icgStream.Lookahead() + ctxN
 }
 
 // AcceptRate returns the quality gate's acceptance rate over the beats

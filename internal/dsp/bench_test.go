@@ -171,7 +171,7 @@ func BenchmarkSOSFiltFilt(b *testing.B) {
 func BenchmarkSOSStream30s(b *testing.B) {
 	s := benchSOS(b)
 	x := benchSignal(7500)
-	st := NewSOSStream(s, 0, true)
+	st := NewSOSStream(s, true)
 	dst := make([]float64, 0, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()

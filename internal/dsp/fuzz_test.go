@@ -77,14 +77,14 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		if err != nil {
 			t.Fatalf("lowpass design(%d, %g): %v", order, cutoff, err)
 		}
-		ref := NewSOSStream(sos, 0, prime)
+		ref := NewSOSStream(sos, prime)
 		scalar := make([]float64, n)
 		for i, v := range x {
 			scalar[i] = ref.PushSample(v)
 		}
-		whole := NewSOSStream(sos, 0, prime)
+		whole := NewSOSStream(sos, prime)
 		cmpExact("sos whole-push vs per-sample", whole.Push(nil, nil, x), scalar)
-		st := NewSOSStream(sos, 0, prime)
+		st := NewSOSStream(sos, prime)
 		cmpExact("sos chunked vs per-sample", chunked(st.Push), scalar)
 
 		// Zero-phase FIR: odd tap count 9-65, whole-push vs chunked

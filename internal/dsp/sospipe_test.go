@@ -118,13 +118,13 @@ func TestSOSStreamPushBitIdentical(t *testing.T) {
 	}
 	for ci, s := range testCascades(t) {
 		for _, prime := range []bool{false, true} {
-			ref := NewSOSStream(s, 0, prime)
+			ref := NewSOSStream(s, prime)
 			var want []float64
 			for _, v := range x {
 				want = append(want, ref.PushSample(v))
 			}
 			for _, chunk := range []int{1, 2, 3, 4, 5, 7, 16, 64, 250, n} {
-				st := NewSOSStream(s, 0, prime)
+				st := NewSOSStream(s, prime)
 				var got []float64
 				for lo := 0; lo < n; lo += chunk {
 					hi := lo + chunk

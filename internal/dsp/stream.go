@@ -23,9 +23,6 @@ import "math"
 //     batch kernel.
 //   - Lookahead reports how many future input samples the kernel needs
 //     before it can emit output t (its pipeline latency in samples).
-//   - Shift reports the morphological delay of the output waveform
-//     relative to the input timeline (0 for aligned/zero-phase kernels,
-//     the group delay for causal IIR kernels).
 //   - Reset returns the kernel to its initial state without freeing
 //     its buffers, so pooled engines can reuse it across sessions.
 //   - Kernels are single-stream state machines: not safe for concurrent
@@ -423,11 +420,6 @@ func (s *FIRStream) Lookahead() int {
 	return s.tailN
 }
 
-// Shift returns 0: every FIRStream alignment emits outputs on the input
-// timeline (causal alignment included — its group delay is compensated
-// by the caller's choice of constructor).
-func (s *FIRStream) Shift() int { return 0 }
-
 // run feeds a batch of samples through the filter: a linear work buffer
 // from a (the k-1 sample history followed by the chunk) turns the delay
 // line into valid-mode correlations over contiguous memory, which the
@@ -699,30 +691,21 @@ func (s *FIRStream) Reset() {
 //
 // With prime enabled, the registers are initialized on the first sample
 // to the steady state of a constant input (the lfilter_zi treatment),
-// which suppresses the start-up transient of the causal pass; shift
-// records the cascade's in-band group delay so downstream consumers can
-// re-align the output waveform with the input timeline.
+// which suppresses the start-up transient of the causal pass.
 type SOSStream struct {
 	sos    SOS
 	z1, z2 []float64
 	prime  bool
-	shift  int
 	n      int
 }
 
-// NewSOSStream returns the causal streaming form of s. shift is the
-// morphological delay (samples) the caller wants reported by Shift —
-// use s.GroupDelaySamples at the band of interest, or 0 when the
-// output is consumed as-is.
-func NewSOSStream(s SOS, shift int, prime bool) *SOSStream {
-	return &SOSStream{sos: s, z1: make([]float64, len(s)), z2: make([]float64, len(s)), prime: prime, shift: shift}
+// NewSOSStream returns the causal streaming form of s.
+func NewSOSStream(s SOS, prime bool) *SOSStream {
+	return &SOSStream{sos: s, z1: make([]float64, len(s)), z2: make([]float64, len(s)), prime: prime}
 }
 
 // Lookahead returns 0: a causal IIR emits output t at input t.
 func (s *SOSStream) Lookahead() int { return 0 }
-
-// Shift returns the declared group delay of the cascade in samples.
-func (s *SOSStream) Shift() int { return s.shift }
 
 // PushSample advances the cascade by one sample.
 func (s *SOSStream) PushSample(v float64) float64 {
@@ -784,52 +767,6 @@ func (s *SOSStream) Reset() {
 	}
 }
 
-// GroupDelaySamples estimates the cascade's group delay at frequency f
-// (Hz) for sampling rate fs, in samples, by numeric differentiation of
-// the unwrapped phase response. Streaming consumers round it to an
-// integer shift to re-align causally filtered waveforms with the input
-// timeline.
-func (s SOS) GroupDelaySamples(f, fs float64) float64 {
-	const dfRel = 1e-3
-	df := f * dfRel
-	if df == 0 {
-		df = 1e-6 * fs
-	}
-	p1 := s.phaseAt(f-df, fs)
-	p2 := s.phaseAt(f+df, fs)
-	dphi := p2 - p1
-	// The two phases are evaluated close together; fold the difference
-	// into (-pi, pi] to avoid wrap artifacts.
-	for dphi > math.Pi {
-		dphi -= 2 * math.Pi
-	}
-	for dphi <= -math.Pi {
-		dphi += 2 * math.Pi
-	}
-	dw := 2 * math.Pi * (2 * df) / fs // rad/sample
-	return -dphi / dw
-}
-
-// phaseAt returns the phase of the cascade's frequency response at f.
-func (s SOS) phaseAt(f, fs float64) float64 {
-	w := 2 * math.Pi * f / fs
-	re, im := 1.0, 0.0
-	c1, s1 := math.Cos(w), -math.Sin(w)
-	c2, s2 := math.Cos(2*w), -math.Sin(2*w)
-	for _, bq := range s {
-		nr := bq.B0 + bq.B1*c1 + bq.B2*c2
-		ni := bq.B1*s1 + bq.B2*s2
-		dr := 1 + bq.A1*c1 + bq.A2*c2
-		di := bq.A1*s1 + bq.A2*s2
-		// (nr + i ni) / (dr + i di)
-		den := dr*dr + di*di
-		hr := (nr*dr + ni*di) / den
-		hi := (ni*dr - nr*di) / den
-		re, im = re*hr-im*hi, re*hi+im*hr
-	}
-	return math.Atan2(im, re)
-}
-
 // DerivStream is the streaming form of DerivativeTo scaled by gain:
 // central differences in the interior with one-sided differences at the
 // stream edges. With gain = -1 it computes the ICG derivation
@@ -848,9 +785,6 @@ func NewDerivStream(fs, gain float64) *DerivStream {
 
 // Lookahead returns 1 (the central difference needs the next sample).
 func (s *DerivStream) Lookahead() int { return 1 }
-
-// Shift returns 0 (central differences are aligned).
-func (s *DerivStream) Shift() int { return 0 }
 
 // Push consumes a chunk and appends the computable derivatives to dst
 // (it needs no scratch from a).
@@ -926,9 +860,6 @@ func NewMovExtStream(left, right int, min bool) *MovExtStream {
 
 // Lookahead returns the window's right extent.
 func (s *MovExtStream) Lookahead() int { return s.right }
-
-// Shift returns 0 (the window is centered by construction).
-func (s *MovExtStream) Shift() int { return 0 }
 
 func (s *MovExtStream) admit(v float64) {
 	if s.min {

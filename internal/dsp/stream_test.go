@@ -131,7 +131,7 @@ func TestSOSStreamMatchesFilter(t *testing.T) {
 	x := randSignal(1000, 4)
 	want := sos.Filter(x)
 	for _, chunk := range chunkSizes {
-		s := NewSOSStream(sos, 0, false)
+		s := NewSOSStream(sos, false)
 		got := pushChunked(t, len(x), chunk, s, x)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
@@ -149,7 +149,7 @@ func TestSOSStreamPrimeSuppressesTransient(t *testing.T) {
 	}
 	// A constant input must pass through a primed DC-unity low-pass
 	// exactly from the very first sample.
-	s := NewSOSStream(sos, 0, true)
+	s := NewSOSStream(sos, true)
 	x := make([]float64, 50)
 	for i := range x {
 		x[i] = 3.7
@@ -161,41 +161,6 @@ func TestSOSStreamPrimeSuppressesTransient(t *testing.T) {
 		}
 	}
 }
-
-func TestGroupDelaySamples(t *testing.T) {
-	sos, err := DesignButterLowPass(4, 20, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd := sos.GroupDelaySamples(5, 250)
-	if gd <= 0 || gd > 30 {
-		t.Fatalf("group delay %g samples out of range", gd)
-	}
-	// Empirical check: a narrow-band tone shifted by the group delay
-	// should align with the causal filter output.
-	fs, f0 := 250.0, 5.0
-	n := 2000
-	x := make([]float64, n)
-	for i := range x {
-		env := math.Exp(-sq(float64(i)-1000) / (2 * 150 * 150))
-		x[i] = env * math.Sin(2*math.Pi*f0*float64(i)/fs)
-	}
-	y := sos.Filter(x)
-	// Locate envelope peaks via energy centroid.
-	cx, cy, wx, wy := 0.0, 0.0, 0.0, 0.0
-	for i := range x {
-		cx += float64(i) * x[i] * x[i]
-		wx += x[i] * x[i]
-		cy += float64(i) * y[i] * y[i]
-		wy += y[i] * y[i]
-	}
-	shift := cy/wy - cx/wx
-	if math.Abs(shift-gd) > 3 {
-		t.Errorf("measured shift %.2f vs group delay %.2f", shift, gd)
-	}
-}
-
-func sq(v float64) float64 { return v * v }
 
 func TestDerivStreamMatchesBatch(t *testing.T) {
 	x := randSignal(700, 5)

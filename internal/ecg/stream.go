@@ -54,9 +54,6 @@ const baselineSubChunk = 256
 // Lookahead returns the total pipeline latency in samples.
 func (s *BaselineStream) Lookahead() int { return s.la }
 
-// Shift returns 0: the baseline estimate is centered.
-func (s *BaselineStream) Shift() int { return 0 }
-
 // Push consumes raw ECG samples and appends the baseline-removed
 // samples whose estimate is complete. Two scratch buffers from ar
 // ping-pong through the cascade: each stage fully consumes its input
@@ -246,7 +243,7 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 	s := &PTStream{
 		cfg:         cfg,
 		fs:          fs,
-		band:        dsp.NewSOSStream(sos, 0, false),
+		band:        dsp.NewSOSStream(sos, false),
 		sqRing:      make([]float64, win),
 		win:         win,
 		candStart:   -1,

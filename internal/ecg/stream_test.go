@@ -185,7 +185,7 @@ func TestPTBandPassStreamConsistency(t *testing.T) {
 	}
 	x := synthECG(2000, fs, 13)
 	want := sos.Filter(x)
-	st := dsp.NewSOSStream(sos, 0, false)
+	st := dsp.NewSOSStream(sos, false)
 	got := st.Push(nil, nil, x)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {

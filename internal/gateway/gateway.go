@@ -16,8 +16,8 @@ type Config struct {
 	// Shards is the number of session.Engine shards session IDs are
 	// consistent-hashed across (default 1). Each shard has its own
 	// bounded worker pool, so shards scale the serving layer across
-	// cores and — with snapshot/WAL handoff, ROADMAP item 2 — across
-	// processes.
+	// cores. Spreading shards across processes would need a
+	// snapshot+WAL session handoff, which does not exist yet.
 	Shards int
 	// Session configures every shard's engine (workers PER SHARD,
 	// backpressure depth, health eviction, WAL, ...). The per-session
@@ -104,9 +104,8 @@ func splitmix64(x uint64) uint64 {
 
 // shardFor consistent-hashes a session ID to its engine shard
 // (Lamping–Veach jump hash): when the shard count grows from K to K+1,
-// only ~1/(K+1) of the IDs move — the property that will let the
-// snapshot+WAL handoff (ROADMAP item 2) rebalance live fleets without
-// reshuffling everything.
+// only ~1/(K+1) of the IDs move, so a future snapshot+WAL session
+// handoff could rebalance a live fleet without reshuffling everything.
 func (g *Gateway) shardFor(id uint64) *session.Engine {
 	return g.shards[jumpHash(splitmix64(id), len(g.shards))]
 }

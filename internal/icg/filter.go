@@ -19,7 +19,7 @@ type FilterConfig struct {
 	Order    int     // low-pass Butterworth order (default 4)
 	Cutoff   float64 // low-pass cut-off (Hz); the paper uses 20 Hz
 	HPOrder  int     // high-pass order (default 2)
-	HPCutoff float64 // high-pass cut-off (Hz); default 0.7, 0 disables
+	HPCutoff float64 // high-pass cut-off (Hz); DefaultFilter uses 0.5, 0 disables
 }
 
 // DefaultFilter returns the paper's configuration plus a 0.5 Hz

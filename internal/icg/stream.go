@@ -15,22 +15,23 @@ import "repro/internal/dsp"
 // forward-backward over each beat segment plus a bounded context on
 // both sides: the cascade's transients decay well inside the context,
 // so the segment interior matches the batch whole-recording filtfilt,
-// while the cost stays O(beat + context) per beat. Pass nil filters to
-// skip refiltering (the causal-ablation chain conditions the stream
-// itself, sample for sample equal to its batch form).
+// while the cost stays O(beat + context) per beat.
 //
-// align shifts the ICG clock: the delineator treats ICG sample r+align
-// as simultaneous with ECG sample r (non-zero only when the stream
-// comes from an uncompensated causal chain).
+// It has two modes: given both cascades it refilters every beat as
+// below; given neither, the stream is already conditioned (the
+// causal-ablation chain conditions it itself, sample for sample equal
+// to its batch form) and each segment is delineated as it arrives. ICG
+// sample r is simultaneous with ECG sample r in both: no conditioning
+// stage displaces its output.
 //
 // Rolling filtfilt cache: the dominant per-beat cost used to be the
 // high-pass forward-backward pass over segment + 2*ctxN samples, where
 // consecutive beats' windows overlap by almost the full context — the
-// same samples were forward-filtered again for every beat. The default
-// mode instead runs the high-pass *forward* pass exactly once per
-// sample, as a persistent causal stream (zi-primed at the stream start,
-// the same steady-state initialization filtfilt uses), and caches its
-// output in the history ring. Per beat only the *backward* pass remains,
+// same samples were forward-filtered again for every beat. The
+// refiltering mode instead runs the high-pass *forward* pass exactly
+// once per sample, as a persistent causal stream (zi-primed at the
+// stream start, the same steady-state initialization filtfilt uses),
+// and caches its output in the history ring. Per beat only the *backward* pass remains,
 // over [segLo-guard, segHi+ctxN): its transient enters at the right
 // edge and dies inside the trailing context, so the segment interior
 // matches; the leading context is not needed at all, because the cached
@@ -47,7 +48,6 @@ import "repro/internal/dsp"
 type Delineator struct {
 	cfg     DetectConfig
 	lp, hp  dsp.SOS
-	align   int
 	ctxN    int
 	maxBeat int            // longest analyzable RR interval, samples
 	history int            // ring horizon before power-of-two rounding
@@ -66,19 +66,22 @@ type beatJob struct {
 	rLo, rHi int
 }
 
-// NewDelineator builds a delineator. lp and hp (either may be nil) are
-// the pre-designed conditioning cascades applied zero-phase per beat;
-// ctxSeconds is the transient-settling context on each side of the
-// segment. maxBeatSeconds bounds the longest analyzable RR interval:
-// longer "beats" are reported as failures rather than stalling the
-// queue, a decision made from the beat's length alone. lead is how many
-// samples past a beat's closing R (ECG clock) the ICG feed may have
-// delivered when the beat is analyzed — for a streamer, how late its R
-// peaks are confirmed plus one push; the history ring holds the longest
-// beat's window at that lead, so every beat within the bound is
-// analyzed whatever the chunking. scratch lends each beat its scratch
-// arena.
-func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64, lead int, scratch *dsp.ArenaPool) *Delineator {
+// NewDelineator builds a delineator. lp and hp are the pre-designed
+// conditioning cascades applied zero-phase per beat, both nil for an
+// already conditioned stream; ctxSeconds is the transient-settling
+// context after the segment. maxBeatSeconds bounds the longest
+// analyzable RR interval: longer "beats" are reported as failures
+// rather than stalling the queue, a decision made from the beat's
+// length alone. lead is how many samples past a beat's closing R the
+// ICG feed may have delivered when the beat is analyzed — for a
+// streamer, how late its R peaks are confirmed plus one push; the
+// history ring holds the longest beat's window at that lead, so every
+// beat within the bound is analyzed whatever the chunking. scratch
+// lends each beat its scratch arena.
+func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, ctxSeconds, maxBeatSeconds float64, lead int, scratch *dsp.ArenaPool) *Delineator {
+	if (lp == nil) != (hp == nil) {
+		panic("icg: NewDelineator needs both conditioning cascades or neither")
+	}
 	fs := cfg.FS
 	if fs <= 0 {
 		fs = 250
@@ -90,58 +93,57 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 		ctxSeconds = 0
 	}
 	ctxN := 0
-	if lp != nil || hp != nil {
+	if hp != nil {
 		ctxN = int(ctxSeconds * fs)
 	}
 	d := &Delineator{
 		cfg:     cfg,
 		lp:      lp,
 		hp:      hp,
-		align:   align,
 		ctxN:    ctxN,
 		maxBeat: int(maxBeatSeconds * fs),
 		scratch: scratch,
 		lastR:   -1,
 	}
 	if hp != nil {
-		d.fwd = dsp.NewSOSStream(hp, 0, true)
+		d.fwd = dsp.NewSOSStream(hp, true)
 		d.pad = 3 * (2*len(hp) + 1) // FiltFilt's reflect-pad formula
 	}
 	// A beat's window starts back samples before its segment and is
 	// analyzed once the feed has reached the end of its trailing
 	// context, or lead past its closing R if that is later.
-	d.history = d.maxBeat + d.back() + max(lead, align+ctxN)
+	d.history = d.maxBeat + d.back() + max(lead, ctxN)
 	d.icg = dsp.NewRing(d.history)
 	return d
 }
 
 // back is how many samples before its segment a beat's window starts:
 // the low-pass guard in rolling mode, whose cached forward pass has no
-// left-edge transient, and the full settling context otherwise.
+// left-edge transient, and none for a conditioned stream.
 func (d *Delineator) back() int {
 	if d.rolling() {
 		return lpGuardSamples(d.cfg.FS)
 	}
-	return d.ctxN
+	return 0
 }
 
 // History returns how many ICG samples the delineator's ring holds,
 // before power-of-two rounding.
 func (d *Delineator) History() int { return d.history }
 
-// rolling reports whether the forward-pass cache is active (a
-// high-pass cascade is configured).
+// rolling reports whether the delineator refilters (the cascades are
+// configured), which keeps the forward-pass cache.
 func (d *Delineator) rolling() bool { return d.hp != nil }
 
 // Lookahead returns how many ICG samples past a beat's closing R peak
 // must arrive before the beat can be analyzed (the refiltering context).
 func (d *Delineator) Lookahead() int { return d.ctxN }
 
-// PushICG appends newly streamed ICG samples (on the filter-output
-// clock) and returns the beats they complete, appended to out. In
-// rolling mode each sample passes through the persistent high-pass
-// forward filter exactly once here, into a buffer checked out of a (nil
-// allocates), and the ring caches the result.
+// PushICG appends newly streamed ICG samples and returns the beats they
+// complete, appended to out. In rolling mode each sample passes through
+// the persistent high-pass forward filter exactly once here, into a
+// buffer checked out of a (nil allocates), and the ring caches the
+// result.
 func (d *Delineator) PushICG(a *dsp.Arena, out []BeatAnalysis, x []float64) []BeatAnalysis {
 	if d.rolling() {
 		d.pushRolling(a, x, false)
@@ -213,20 +215,19 @@ func (d *Delineator) Flush(a *dsp.Arena, out []BeatAnalysis) []BeatAnalysis {
 	return d.drain(out, true)
 }
 
-// drain runs the detector on every queued RR pair whose aligned ICG
-// samples (segment plus trailing context) are available.
+// drain runs the detector on every queued RR pair whose ICG samples
+// (segment plus trailing context) are available.
 func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 	done := 0
 	for _, j := range d.queue {
-		hi := j.rHi + d.align + d.ctxN
+		hi := j.rHi + d.ctxN
 		if hi > d.icg.N() {
 			if !last {
 				break
 			}
 			hi = d.icg.N()
 		}
-		segLo := j.rLo + d.align // absolute segment bounds on the ICG clock
-		segHi := min(j.rHi+d.align, hi)
+		segLo, segHi := j.rLo, min(j.rHi, hi) // absolute segment bounds
 		lo := max(segLo-d.back(), 0)
 		// A beat longer than the bound (or a starved stream) is reported
 		// as unanalyzable rather than stalling the queue. The decision
@@ -239,7 +240,7 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 			continue
 		}
 		a := d.scratch.Get()
-		out = append(out, d.analyze(a, j.rLo, lo, hi, segLo, segHi))
+		out = append(out, d.analyze(a, lo, hi, segLo, segHi))
 		d.scratch.Put(a)
 		done++
 	}
@@ -250,9 +251,9 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 }
 
 // analyze delineates one beat from the ring window [lo, hi), whose
-// segment is [segLo, segHi) on the ICG clock, with scratch drawn from a.
-// The result holds no reference into a.
-func (d *Delineator) analyze(a *dsp.Arena, rLo, lo, hi, segLo, segHi int) BeatAnalysis {
+// segment is [segLo, segHi), with scratch drawn from a. The result
+// holds no reference into a.
+func (d *Delineator) analyze(a *dsp.Arena, lo, hi, segLo, segHi int) BeatAnalysis {
 	buf := d.icg.CopyTo(a.F64(hi - lo)[:0], lo, hi)
 	cond, trim := d.refilter(a, buf, segLo-lo, segHi-lo)
 	relLo := segLo - lo - trim
@@ -266,8 +267,8 @@ func (d *Delineator) analyze(a *dsp.Arena, rLo, lo, hi, segLo, segHi int) BeatAn
 	ba := BeatAnalysis{Points: pts}
 	ba.Quality = MorphScore(cond, pts, segHi-lo-trim, d.cfg.FS)
 	ba.Shape, ba.ShapeOK = BeatShapeOf(cond, relLo, segHi-lo-trim)
-	// Back onto the ECG clock: conditioned index relLo == ECG index rLo.
-	off := rLo - relLo
+	// Back onto the stream clock: conditioned index relLo is sample segLo.
+	off := segLo - relLo
 	pts.R += off
 	pts.B += off
 	pts.C += off
@@ -290,17 +291,15 @@ func (d *Delineator) analyze(a *dsp.Arena, rLo, lo, hi, segLo, segHi int) BeatAn
 // lp-then-hp is exact for LTI cascades up to edge transients, which the
 // contexts absorb.
 func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]float64, int) {
-	if d.rolling() {
-		// buf already holds the cached forward pass; only the backward
-		// pass remains. Its zi-primed transient enters at the right edge
-		// and is absorbed by the trailing context before the segment.
-		dsp.Reverse(buf)
-		d.hp.FilterZiInPlace(buf)
-		dsp.Reverse(buf)
-	}
-	if d.lp == nil {
+	if !d.rolling() {
 		return buf, 0
 	}
+	// buf already holds the cached forward pass; only the backward pass
+	// remains. Its zi-primed transient enters at the right edge and is
+	// absorbed by the trailing context before the segment.
+	dsp.Reverse(buf)
+	d.hp.FilterZiInPlace(buf)
+	dsp.Reverse(buf)
 	guard := lpGuardSamples(d.cfg.FS)
 	lo := segLo - guard
 	if lo < 0 {

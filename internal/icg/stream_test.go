@@ -39,7 +39,7 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 	// that is the delineator's lead, which sizes its history ring (the
 	// overlong-beat test covers the starved case).
 	for _, chunk := range []int{1, 7, 250, 600} {
-		d := NewDelineator(cfg, nil, nil, 0, 0, 3, chunk, new(dsp.ArenaPool))
+		d := NewDelineator(cfg, nil, nil, 0, 3, chunk, new(dsp.ArenaPool))
 		var got []BeatAnalysis
 		pos := 0
 		nextR := 0
@@ -78,41 +78,29 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 	}
 }
 
-func TestDelineatorAlignmentShift(t *testing.T) {
-	fs := 250.0
-	sig, rPeaks := synthICG(10, fs)
-	cfg := DefaultDetect(fs)
-	want := DetectAll(sig, rPeaks, nil, cfg)
-
-	// Delay the ICG stream by a fake group delay; with align set the
-	// results must come back on the original clock.
-	shift := 7
-	delayed := make([]float64, len(sig)+shift)
-	copy(delayed[shift:], sig)
-	d := NewDelineator(cfg, nil, nil, shift, 0, 3, 0, new(dsp.ArenaPool))
-	var got []BeatAnalysis
-	got = d.PushICG(nil, got, delayed)
-	for _, r := range rPeaks {
-		got = d.PushR(got, r)
+// The delineator refilters with both cascades or with neither; a
+// lone cascade is a wiring mistake, not a third mode.
+func TestNewDelineatorNeedsBothCascadesOrNeither(t *testing.T) {
+	lp, hp, err := DefaultFilter(250).Design()
+	if err != nil {
+		t.Fatal(err)
 	}
-	got = d.Flush(nil, got)
-	if len(got) != len(want) {
-		t.Fatalf("%d beats, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			continue
-		}
-		if got[i].Points.C != want[i].Points.C {
-			t.Errorf("beat %d: C %d vs %d", i, got[i].Points.C, want[i].Points.C)
-		}
+	for _, c := range [][2]dsp.SOS{{lp, nil}, {nil, hp}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("lp %v hp %v: no panic", c[0] != nil, c[1] != nil)
+				}
+			}()
+			NewDelineator(DefaultDetect(250), c[0], c[1], 1, 3, 0, new(dsp.ArenaPool))
+		}()
 	}
 }
 
 func TestDelineatorOverlongBeatDoesNotStall(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultDetect(fs)
-	d := NewDelineator(cfg, nil, nil, 0, 0, 2, 0, new(dsp.ArenaPool)) // 2 s ring
+	d := NewDelineator(cfg, nil, nil, 0, 2, 0, new(dsp.ArenaPool)) // 2 s ring
 	long := make([]float64, int(10*fs))
 	var got []BeatAnalysis
 	got = d.PushICG(nil, got, long)
@@ -135,7 +123,7 @@ func TestDelineatorReset(t *testing.T) {
 	fs := 250.0
 	sig, rPeaks := synthICG(8, fs)
 	cfg := DefaultDetect(fs)
-	d := NewDelineator(cfg, nil, nil, 0, 0, 3, 0, new(dsp.ArenaPool))
+	d := NewDelineator(cfg, nil, nil, 0, 3, 0, new(dsp.ArenaPool))
 	run := func() []BeatAnalysis {
 		var got []BeatAnalysis
 		got = d.PushICG(nil, got, sig)
@@ -179,7 +167,7 @@ func TestDelineatorRefilterMatchesWholeRecording(t *testing.T) {
 	cfg := DefaultDetect(fs)
 	want := DetectAll(whole, rPeaks, nil, cfg)
 
-	d := NewDelineator(cfg, lp, hp, 0, 1.0, 3, 0, new(dsp.ArenaPool))
+	d := NewDelineator(cfg, lp, hp, 1.0, 3, 0, new(dsp.ArenaPool))
 	var a dsp.Arena // lent per push, like the streamer's
 	var got []BeatAnalysis
 	pos, nextR := 0, 0

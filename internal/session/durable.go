@@ -11,11 +11,6 @@ import (
 // require Config.WAL; see the wal package for the recovery laws they
 // build on.
 
-// SubscribeOptions tunes SubscribeFrom. It is currently empty —
-// reserved for time-bounded backfill — and exists so the signature is
-// stable when options arrive.
-type SubscribeOptions struct{}
-
 // SubscribeFrom attaches an additional subscriber to a live session,
 // first replaying the session's retained WAL tail into sink (FIFO,
 // oldest first), then splicing the sink into the live stream with no
@@ -27,8 +22,7 @@ type SubscribeOptions struct{}
 // worker, under the same Sink contract. The replayed tail is bounded
 // by the log's retention — with retention armed, the backfill starts
 // at the oldest retained event, not at the session's birth.
-func (e *Engine) SubscribeFrom(id uint64, sink event.Sink, opts SubscribeOptions) error {
-	_ = opts
+func (e *Engine) SubscribeFrom(id uint64, sink event.Sink) error {
 	if sink == nil {
 		return errors.New("session: SubscribeFrom requires a sink")
 	}

@@ -382,14 +382,14 @@ func TestSubscribeFromBackfillParity(t *testing.T) {
 
 	// No-WAL engines refuse the durable surfaces loudly.
 	plain := NewEngine(dev, DefaultConfig())
-	if err := plain.SubscribeFrom(1, event.Discard, SubscribeOptions{}); !errors.Is(err, ErrNoWAL) {
+	if err := plain.SubscribeFrom(1, event.Discard); !errors.Is(err, ErrNoWAL) {
 		t.Fatalf("SubscribeFrom without WAL = %v, want ErrNoWAL", err)
 	}
 	if _, err := plain.Reopen(1, event.Discard, ReopenOptions{}); !errors.Is(err, ErrNoWAL) {
 		t.Fatalf("Reopen without WAL = %v, want ErrNoWAL", err)
 	}
 	plain.Close()
-	if err := eng.SubscribeFrom(99, event.Discard, SubscribeOptions{}); !errors.Is(err, ErrSessionClosed) {
+	if err := eng.SubscribeFrom(99, event.Discard); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("SubscribeFrom unknown id = %v, want ErrSessionClosed", err)
 	}
 
@@ -406,7 +406,7 @@ func TestSubscribeFromBackfillParity(t *testing.T) {
 		}
 	}
 	late := &byteRec{}
-	if err := eng.SubscribeFrom(7, late, SubscribeOptions{}); err != nil {
+	if err := eng.SubscribeFrom(7, late); err != nil {
 		t.Fatal(err)
 	}
 	for pos := half; pos < len(ecg); pos += 125 {

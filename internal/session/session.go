@@ -249,7 +249,7 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 		runq: make(chan *Session, 1024),
 	}
 	if e.now == nil {
-		e.now = time.Now //icg:allow nodeterm -- injected-clock default: quarantine and health windows are wall time by contract; tests inject a fake
+		e.now = time.Now //icg:allow nodeterm -- injected-clock default: only the quarantine cool-down is wall time (health windows run on analyzable signal time); tests inject a fake
 	}
 	if cfg.QuarantineS > 0 {
 		e.quarantined = make(map[uint64]time.Time)

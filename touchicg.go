@@ -93,8 +93,6 @@ type (
 	// (EngineConfig.NonFinite): reject the chunk or sanitize by
 	// sample-and-hold.
 	NonFinitePolicy = session.NonFinitePolicy
-	// SubscribeOptions tunes Engine.SubscribeFrom.
-	SubscribeOptions = session.SubscribeOptions
 	// ReopenOptions tunes Engine.Reopen (Backfill replays the retained
 	// WAL tail before the re-admit event).
 	ReopenOptions = session.ReopenOptions
