@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bioimp"
 	"repro/internal/dsp"
 	"repro/internal/ecg"
 	"repro/internal/hemo"
@@ -17,8 +18,8 @@ import (
 // fuzz iteration.
 //
 // The streamer's base recordings are fuzzBaseSeconds long, longer than
-// every history ring the streamer holds (the 16 s raw-impedance and
-// delineator rings): a recording that fits every ring cannot catch a
+// every history ring the streamer holds (the 16 s raw-impedance
+// ring): a recording that fits every ring cannot catch a
 // ring overrun by a large push. One more base recording is subject 1
 // with a contact gap of fuzzGapSamples inserted after its ninth beat,
 // so the beat spanning the gap sits at the edge of those rings, where a
@@ -35,7 +36,7 @@ var fuzzEnv struct {
 }
 
 // delinRec is one FuzzDelineatorRefilterCache recording: the delineator
-// is fed the first n samples of z's -dZ/dt and the R peaks before n.
+// is fed the first n samples of z and the R peaks before n.
 type delinRec struct {
 	z  []float64
 	n  int
@@ -95,7 +96,7 @@ func fuzzSetup() error {
 		fuzzEnv.base = append(fuzzEnv.base, [2][]float64{ge, gz})
 		// Cut mid-recording, the last beat's trailing context is clamped
 		// to 33 samples at the stream end: the edge law 2's oracle must
-		// treat the way the rolling cache does.
+		// treat the way the delineator does.
 		rec, err := delinFrom(base[0], base[1], int(delinFuzzSeconds*dev.cfg.FS), dev.cfg.FS)
 		if err != nil {
 			fuzzEnv.err = err
@@ -240,7 +241,7 @@ func beatDiff(a, b icg.BeatAnalysis) string {
 // the points (on the ECG clock) and the error are reported.
 //
 // Where the recording end clamps the trailing context, the high-pass
-// backward pass starts the way the rolling cache's does: zi-primed on
+// backward pass starts the way the delineator's does: zi-primed on
 // the last sample, with no reflected tail (clampedFiltFilt).
 func windowedRefilter(sig []float64, rs []int, cfg icg.DetectConfig, lp, hp dsp.SOS, ctxN int) []icg.BeatAnalysis {
 	guard := int(0.3 * cfg.FS)
@@ -297,15 +298,16 @@ func clampedFiltFilt(s dsp.SOS, x []float64) []float64 {
 	return y
 }
 
-// FuzzDelineatorRefilterCache pins the rolling filtfilt cache's laws
-// under fuzzing, on study-subject -dZ/dt streams with fuzz-chosen
+// FuzzDelineatorRefilterCache pins the checkpointed forward pass's laws
+// under fuzzing, on study-subject impedance streams with fuzz-chosen
 // gain/offset perturbations and chunkings:
 //
-//  1. Bit identity for every chunking: pushing the stream in any
-//     chunking — 1-sample, empty and fuzz-chosen pushes included —
+//  1. Bit identity for every chunking: appending the stream to the raw
+//     ring in any chunking — 1-sample, empty and fuzz-chosen pushes
+//     included, and pushes that end on either side of a checkpoint —
 //     yields a beat stream bit-identical (every int and every float
 //     bit) to the whole-push run of the same stream.
-//  2. Cache vs the windowed full refilter (windowedRefilter): the two
+//  2. Replay vs the windowed full refilter (windowedRefilter): the two
 //     share the detected beat count and success pattern, and every
 //     characteristic point agrees within the detector's decision
 //     tolerance (±2 samples) — the residual being the windowed
@@ -316,64 +318,66 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 	f.Add(uint8(1), int64(7), []byte{1})
 	f.Add(uint8(2), int64(-9), []byte{3, 0, 40, 250})
 	f.Add(uint8(3), int64(0), []byte{125})
+	f.Add(uint8(0), int64(2), []byte{127})
+	f.Add(uint8(1), int64(3), []byte{128})
+	f.Add(uint8(3), int64(4), []byte{129})
 	f.Fuzz(func(t *testing.T, subject uint8, perturbSeed int64, chunks []byte) {
 		if err := fuzzSetup(); err != nil {
 			t.Skip("no device:", err)
 		}
 		rec := fuzzEnv.delin[int(subject)%len(fuzzEnv.delin)]
-		baseZ, rs := rec.z, rec.rs
 		fs := fuzzEnv.dev.cfg.FS
 		rng := physio.NewRNG(perturbSeed)
 		gain := 1 + 0.02*(rng.Float64()-0.5)
 		offset := 0.5 * (rng.Float64() - 0.5)
-		z := make([]float64, len(baseZ))
-		for i, v := range baseZ {
-			z[i] = v*gain + offset
+		z := make([]float64, rec.n)
+		for i := range z {
+			z[i] = rec.z[i]*gain + offset
 		}
-		// The delineator consumes the derivative stage's output; the
-		// chain's own chunk invariance is FuzzStreamerPush's law, so it
-		// runs whole here and only the delineator input is re-chunked.
-		deriv := Chain{icgDerivStage{fs: fs}}.NewStream()
-		sig := deriv.Flush(nil, deriv.Push(nil, nil, z))[:rec.n]
 
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
 		run := func(chunked bool) []icg.BeatAnalysis {
-			// The whole run feeds the 8 s acquisition before any R: that
-			// is the lead its history ring must cover.
-			d := icg.NewDelineator(dCfg, lp, hp, icgCtxSeconds, 6, len(sig), &fuzzEnv.dev.arenas)
+			// The whole run appends the 8 s acquisition before any R:
+			// that is the lead its raw ring must cover.
+			raw := dsp.NewNarrowRing(icg.RawHistory(dCfg, false, icgCtxSeconds, 6, len(z)))
+			d := icg.NewDelineator(dCfg, lp, hp, false, icgCtxSeconds, 6, raw, &fuzzEnv.dev.arenas)
+			push := func(out []icg.BeatAnalysis, x []float64) []icg.BeatAnalysis {
+				raw.Append(x)
+				return d.Advance(nil, out)
+			}
 			var out []icg.BeatAnalysis
 			if !chunked {
-				out = d.PushICG(nil, out, sig)
-				for _, r := range rs {
+				out = push(out, z)
+				for _, r := range rec.rs {
 					out = d.PushR(out, r)
 				}
 				return d.Flush(nil, out)
 			}
 			ci, pos, nextR := 0, 0, 0
-			for pos < len(sig) {
+			for pos < len(z) {
 				c := 1
 				if len(chunks) > 0 {
 					c = int(chunks[ci%len(chunks)])
 					ci++
 				}
 				end := pos + c
-				if end > len(sig) {
-					end = len(sig)
+				if end > len(z) {
+					end = len(z)
 				}
-				out = d.PushICG(nil, out, sig[pos:end])
+				out = push(out, z[pos:end])
 				pos = end
-				if c == 0 && pos < len(sig) {
-					out = d.PushICG(nil, out, sig[pos:pos+1])
+				if c == 0 && pos < len(z) {
+					out = push(out, z[pos:pos+1])
 					pos++
 				}
-				for nextR < len(rs) && rs[nextR] < pos {
-					out = d.PushR(out, rs[nextR])
+				for nextR < len(rec.rs) && rec.rs[nextR] < pos {
+					out = d.PushR(out, rec.rs[nextR])
 					nextR++
 				}
 			}
-			for ; nextR < len(rs); nextR++ {
-				out = d.PushR(out, rs[nextR])
+			for ; nextR < len(rec.rs); nextR++ {
+				out = d.PushR(out, rec.rs[nextR])
 			}
 			return d.Flush(nil, out)
 		}
@@ -388,22 +392,24 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 				t.Fatalf("beat %d: chunked differs from whole-push on %s", i, d)
 			}
 		}
-		// Law 2: cache vs the windowed full refilter, decision level.
-		oracle := windowedRefilter(sig, rs, dCfg, lp, hp, int(icgCtxSeconds*fs))
+		// Law 2: replay vs the windowed full refilter, decision level.
+		// The delineator's -dZ/dt ends one-sided where the stream does.
+		sig := bioimp.ICGFromZ(z, fs)
+		oracle := windowedRefilter(sig, rec.rs, dCfg, lp, hp, int(icgCtxSeconds*fs))
 		if len(oracle) != len(want) {
-			t.Fatalf("windowed refilter emitted %d beats, rolling cache %d", len(oracle), len(want))
+			t.Fatalf("windowed refilter emitted %d beats, replay %d", len(oracle), len(want))
 		}
 		for i := range oracle {
 			l, r := oracle[i], want[i]
 			if (l.Err == nil) != (r.Err == nil) {
-				t.Fatalf("beat %d: windowed err %v, rolling err %v", i, l.Err, r.Err)
+				t.Fatalf("beat %d: windowed err %v, replay err %v", i, l.Err, r.Err)
 			}
 			if l.Err != nil {
 				continue
 			}
 			db, dc, dx := l.Points.B-r.Points.B, l.Points.C-r.Points.C, l.Points.X-r.Points.X
 			if db < -2 || db > 2 || dc < -2 || dc > 2 || dx < -2 || dx > 2 {
-				t.Fatalf("beat %d: windowed B/C/X %d/%d/%d vs rolling %d/%d/%d",
+				t.Fatalf("beat %d: windowed B/C/X %d/%d/%d vs replay %d/%d/%d",
 					i, l.Points.B, l.Points.C, l.Points.X, r.Points.B, r.Points.C, r.Points.X)
 			}
 		}

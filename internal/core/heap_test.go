@@ -9,12 +9,13 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 70.4 KB (2-vCPU Xeon, Go 1.24) with
+// holds between pushes: measured at 38.4 KB (2-vCPU Xeon, Go 1.24) with
 // the raw-Z and baseline rings narrow (float32) on the study subjects'
-// ADC-grid samples, plus 10%. It only moves down — lower it when a
+// ADC-grid samples and no ICG ring (the delineator replays its ICG from
+// the raw-Z ring), plus 10%. It only moves down — lower it when a
 // change durably shrinks the streamer; never raise it to let a change
 // pass.
-const streamerHeapBudgetKB = 77
+const streamerHeapBudgetKB = 43
 
 // TestStreamerHeapPerStream pins the live heap of an open streamer in
 // the package that owns it (session.TestEngineHeapPerSession measures

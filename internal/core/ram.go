@@ -56,12 +56,12 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 
 // StreamingRAM returns the working set of the incremental streaming
 // engine: no rolling windows are re-analyzed, but the detectors keep
-// bounded history rings (QRS slope and refinement windows, ICG beat
-// history plus the per-beat refiltering guard and lead, the raw
-// impedance history the quality gate and the base-impedance estimate
-// share) at firmware float32 widths. The ring horizons are read off a
-// streamer built for the profile, so they follow stream.go by
-// construction; fs must admit the device's filter designs.
+// bounded history rings (QRS slope and refinement windows, and the raw
+// impedance history that the delineator replays its ICG from and the
+// quality gate and the base-impedance estimate share) at firmware
+// float32 widths. The ring horizons are read off a streamer built for
+// the profile, so they follow stream.go by construction; fs must admit
+// the device's filter designs.
 //
 // The horizons are those of the streamer the server runs, whose ECG
 // band-pass uses the block-carried overlap-save engine; its block lag
@@ -74,28 +74,27 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes = 4
 	st := profileStreamer(fs, sc)
 	samples := func(n int) int { return n * sampleBytes }
-	sec := func(s float64) int { return samples(int(s * fs)) }
 	return RAMBudget{
 		Mode:        "streaming",
 		SampleBytes: sampleBytes,
 		Items: []RAMItem{
 			// Delay lines, monotonic deques and biquad registers of the
-			// conditioning chains and the QRS band-pass.
+			// conditioning chains and the QRS band-pass, and the
+			// delineator's forward-pass checkpoints.
 			{Name: "filter-state", Bytes: 2 * 1024},
 			// Incremental Pan-Tompkins history (conditioned and
 			// band-passed): the refractory period plus the slope and
 			// refinement windows each candidate is measured over.
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
-			// Cached -dZ/dt forward pass: the longest analyzable beat plus
-			// its low-pass guard, held until the feed's lead past its
-			// closing R.
-			{Name: "icg-history", Bytes: samples(st.delin.History())},
-			// Per-beat zero-phase refiltering scratch.
-			{Name: "refilter-scratch", Bytes: sec(3 + 2*icgCtxSeconds)},
-			// Raw impedance history, shared by the quality gate (the
-			// beat segment it scores) and the causal Z0 estimate (the
-			// running sum folded up to each closing R).
-			{Name: "raw-z-history", Bytes: samples(st.rawHistory())},
+			// Per-beat scratch: the longest window the delineator
+			// replays -dZ/dt over and refilters.
+			{Name: "refilter-scratch", Bytes: samples(st.delin.MaxReplay())},
+			// Raw impedance history, read by the delineator (each beat's
+			// window back to its forward-pass checkpoint), the quality
+			// gate (the beat segment it scores) and the causal Z0
+			// estimate (the running sum folded up to each closing R):
+			// what the hungrier of the delineator and the gate needs.
+			{Name: "raw-z-history", Bytes: samples(st.rawN)},
 			// Quality-gate state: the ensemble template plus the running
 			// extremes, acceptance tallies and EWMA.
 			{Name: "gate-state", Bytes: samples(icg.ShapeBins) + 32},

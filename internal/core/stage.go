@@ -152,7 +152,9 @@ func (st firSameStage) Apply(a *dsp.Arena, x []float64) []float64 {
 func (st firSameStage) NewStream() StageStream { return dsp.NewFIRSameStream(st.f) }
 
 // icgDerivStage derives ICG = -dZ/dt from the impedance channel
-// (Section IV-B).
+// (Section IV-B). No streamer builds its stream: the delineator derives
+// -dZ/dt from the raw impedance ring with DerivStream's expressions (see
+// icg.Delineator); the Stage contract still requires one.
 type icgDerivStage struct{ fs float64 }
 
 func (st icgDerivStage) Apply(a *dsp.Arena, x []float64) []float64 {
@@ -177,8 +179,10 @@ func (st sosZeroPhaseStage) Apply(a *dsp.Arena, x []float64) []float64 {
 }
 func (st sosZeroPhaseStage) NewStream() StageStream { return dsp.NewSOSStream(st.s, true) }
 
-// sosCausalStage applies the cascade once, causally, in both engines
-// (ablation A5); batch and stream match sample for sample.
+// sosCausalStage applies the cascade once, causally (ablation A5). The
+// streaming delineator replays the same causal cascade from the zero
+// state, so batch and stream match sample for sample; no streamer
+// builds this stage's stream, which the Stage contract still requires.
 type sosCausalStage struct{ s dsp.SOS }
 
 func (st sosCausalStage) Apply(a *dsp.Arena, x []float64) []float64 {

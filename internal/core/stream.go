@@ -36,8 +36,10 @@ import (
 //
 // Memory: the streamer holds only state that must survive between
 // pushes — filter registers and history rings sized to the horizons
-// their readers need, with one raw impedance history that the quality
-// gate and the base-impedance estimate both read. Scratch is borrowed
+// their readers need. The impedance is held once, as the raw history
+// that the quality gate, the base-impedance estimate and the beat
+// delineator all read: the delineator replays its ICG from it per beat
+// (icg.Delineator), so no ICG history is kept. Scratch is borrowed
 // from the device's arena pool and returned: per push (the conditioning
 // chains' inter-stage buffers, the detectors' working buffers, the
 // pipeline's outputs, the gate's segment copies) and per beat (the
@@ -47,9 +49,10 @@ type Streamer struct {
 	fs  float64
 
 	ecgStream *ChainStream // baseline removal + zero-phase FIR
-	icgStream *ChainStream // -dZ/dt + Butterworth conditioning
 	pt        *ecg.PTStream
-	delin     *icg.Delineator
+	// delin derives and conditions the ICG from raw and delineates
+	// each beat.
+	delin *icg.Delineator
 	// gate is the per-beat quality gate state: the same
 	// quality.BeatGate the batch Process applies, in streaming form,
 	// scoring each beat from raw as its delineation completes.
@@ -95,22 +98,25 @@ type Streamer struct {
 	lastMode PowerMode
 
 	// raw is the raw impedance history, by absolute sample index: the
-	// gate scores beats from it and the causal base-impedance estimate
-	// sums it. Each beat reports the mean impedance of the session up to
-	// its closing R peak: zSum is the sequential sum of raw samples
-	// [0, zNext), folded forward to each scored beat's closing R and,
-	// before an append would overwrite them, over the samples about to
-	// leave the ring — the same additions in the same order whatever
-	// the chunking. The ring retains the longest beat plus zHorizon. It
-	// stores float32 while every sample is on the ADC grid and widens
-	// to float64 at the first sample that is not (dsp.NewNarrowRing).
+	// delineator replays -dZ/dt from it, the gate scores beats from it
+	// and the causal base-impedance estimate sums it. Each beat reports
+	// the mean impedance of the session up to its closing R peak: zSum
+	// is the sequential sum of raw samples [0, zNext), folded forward to
+	// each scored beat's closing R and, before an append would overwrite
+	// them, over the samples about to leave the ring — the same
+	// additions in the same order whatever the chunking. The ring
+	// retains what its hungrier reader needs (rawN: the gate's or the
+	// delineator's horizon). It stores float32 while every sample is on
+	// the ADC grid and widens to float64 at the first sample that is not
+	// (dsp.NewNarrowRing).
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
 	// zHorizon bounds how many samples past a beat's closing R the feed
 	// has run when the beat is emitted (see NewStreamer); maxBeat is the
-	// longest analyzable beat (StreamConfig.WindowSeconds) in samples.
-	zHorizon, maxBeat int
+	// longest analyzable beat (StreamConfig.WindowSeconds) in samples;
+	// rawN is raw's capacity before power-of-two rounding.
+	zHorizon, maxBeat, rawN int
 
 	body hemo.BodyConstants
 }
@@ -157,20 +163,14 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// device configuration was tampered with after construction.
 		panic("core: streaming QRS detector: " + err.Error())
 	}
-	var icgStream *ChainStream
-	var lp, hp dsp.SOS
+	// Zero-phase conditioning cannot be streamed causally: the
+	// delineator applies the Butterworth cascade forward-backward per
+	// beat segment with a settling context, or, in the causal ablation,
+	// the causal cascade (see icg.Delineator).
+	causal := d.cfg.CausalFilters
 	ctxSeconds := 0.0
-	if d.cfg.CausalFilters {
-		// The causal ablation conditions the stream itself: the chain's
-		// streaming form equals its batch form sample for sample.
-		icgStream = bank.icgChain.NewStream()
-	} else {
-		// Zero-phase conditioning cannot be streamed causally; only the
-		// derivative runs per sample, and the delineator applies the
-		// Butterworth cascade forward-backward per beat segment with a
-		// settling context (see icg.Delineator).
-		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
-		lp, hp, ctxSeconds = bank.icgLP, bank.icgHP, icgCtxSeconds
+	if !causal {
+		ctxSeconds = icgCtxSeconds
 	}
 	ecgStream := bank.ecgChain.NewStream()
 	// How far the feed can run past a beat's closing R before the beat
@@ -182,30 +182,32 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	// WindowSeconds bound is still held when it is analyzed, whatever
 	// the chunking.
 	ecgSide := ecgStream.Lookahead() + pt.MaxLag()
-	zHorizon := max(ecgSide, icgDelay(icgStream, int(ctxSeconds*fs))) + streamSubChunk
+	zHorizon := max(ecgSide, icgDelay(int(ctxSeconds*fs))) + streamSubChunk
+	dCfg := defaultDetectFor(d.cfg, fs)
 	s := &Streamer{
 		belowSince: -1,
 		dev:        d,
 		fs:         fs,
 		ecgStream:  ecgStream,
-		icgStream:  icgStream,
 		pt:         pt,
-		delin: icg.NewDelineator(defaultDetectFor(d.cfg, fs), lp, hp, ctxSeconds,
-			sc.WindowSeconds, zHorizon, &d.arenas),
-		zHorizon: zHorizon,
-		maxBeat:  int(sc.WindowSeconds * fs),
-		sink:     event.Discard,
-		body:     d.cfg.Body,
+		zHorizon:   zHorizon,
+		maxBeat:    int(sc.WindowSeconds * fs),
+		sink:       event.Discard,
+		body:       d.cfg.Body,
 	}
-	s.raw = dsp.NewNarrowRing(s.rawHistory())
+	// The raw ring serves the gate, which reads a beat of up to maxBeat
+	// samples as late as zHorizon after its closing R (Z0 reads up to
+	// that R), and the delineator, whose replay reaches further back.
+	// The gate restarts its running extremes at the ring's start, so the
+	// ring's size is part of the output.
+	s.rawN = max(s.maxBeat+1+zHorizon,
+		icg.RawHistory(dCfg, causal, ctxSeconds, sc.WindowSeconds, zHorizon))
+	s.raw = dsp.NewNarrowRing(s.rawN)
+	s.delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, causal, ctxSeconds,
+		sc.WindowSeconds, s.raw, &d.arenas)
 	s.gate = d.gate.NewStream(s.raw, s.maxBeat)
 	return s
 }
-
-// rawHistory is how many raw impedance samples the streamer holds: the
-// gate reads a beat of up to maxBeat samples as late as zHorizon after
-// its closing R, and Z0 reads up to that R.
-func (s *Streamer) rawHistory() int { return s.maxBeat + 1 + s.zHorizon }
 
 // streamSubChunk bounds how many samples Push feeds through the pipeline
 // per inner iteration, and so how far any history ring can run ahead of
@@ -250,33 +252,33 @@ func (s *Streamer) push(a *dsp.Arena, ecgSamples, zSamples []float64) {
 	s.foldZ(s.raw.N() + n - s.raw.Cap())
 	s.raw.Append(zSamples)
 	cond := s.ecgStream.Push(a, a.F64(n + s.ecgStream.Lookahead())[:0], ecgSamples)
-	icgX := s.icgStream.Push(a, a.F64(n + s.icgStream.Lookahead())[:0], zSamples)
-	s.deliver(a, cond, icgX, false)
+	s.deliver(a, cond, false)
 }
 
-// Flush ends the session: the conditioning chains drain their lookahead
-// with the batch edge treatment, the detector confirms its tail peaks,
-// and the final completed beats are emitted.
+// Flush ends the session: the ECG chain drains its lookahead and the
+// delineator derives the last sample with the batch edge treatment, the
+// detector confirms its tail peaks, and the final completed beats are
+// emitted.
 func (s *Streamer) Flush() {
 	a := s.dev.arenas.Get()
 	cond := s.ecgStream.Flush(a, nil)
-	icgX := s.icgStream.Flush(a, nil)
-	s.deliver(a, cond, icgX, true)
+	s.deliver(a, cond, true)
 	s.dev.arenas.Put(a)
 }
 
-// deliver feeds conditioned ECG and ICG samples to the detectors and
-// emits the beats they complete; last ends the session. The detectors'
-// outputs live in stack arrays unless a push completes more than they
-// hold.
-func (s *Streamer) deliver(a *dsp.Arena, cond, icgX []float64, last bool) {
+// deliver feeds conditioned ECG samples to the QRS detector, advances
+// the delineator over the raw samples appended since the last delivery,
+// and emits the beats they complete; last ends the session. The
+// detectors' outputs live in stack arrays unless a push completes more
+// than they hold.
+func (s *Streamer) deliver(a *dsp.Arena, cond []float64, last bool) {
 	var rsArr [8]int
 	var beatsArr [4]icg.BeatAnalysis
 	rs := s.pt.Push(a, rsArr[:0], cond)
 	if last {
 		rs = s.pt.Flush(rs)
 	}
-	beats := s.delin.PushICG(a, beatsArr[:0], icgX)
+	beats := s.delin.Advance(a, beatsArr[:0])
 	for _, r := range rs {
 		s.rHist = append(s.rHist, r)
 		beats = s.delin.PushR(beats, r)
@@ -415,7 +417,7 @@ func (s *Streamer) ArmGovernor(p PMU) {
 // entering Push to the beat being emitted when the QRS detector
 // confirms that R in the ordinary way: the conditioning chains'
 // lookahead plus the detector's confirmation-and-refinement lookahead
-// on the ECG side, or the ICG chain's lookahead plus the delineator's
+// on the ECG side, or the derivative's lookahead plus the delineator's
 // settling context on the impedance side, whichever is larger. Both
 // sides run on one clock: no stage displaces its output, so nothing is
 // re-aligned. It is not a worst case: a beat whose closing R is
@@ -427,14 +429,13 @@ func (s *Streamer) ArmGovernor(p PMU) {
 // signal clock.
 func (s *Streamer) Latency() float64 {
 	ecgSide := s.ecgStream.Lookahead() + s.pt.Lookahead()
-	return float64(max(ecgSide, icgDelay(s.icgStream, s.delin.Lookahead()))) / s.fs
+	return float64(max(ecgSide, icgDelay(s.delin.Lookahead()))) / s.fs
 }
 
-// icgDelay is the ICG side's emission delay in samples: the chain's
-// lookahead plus the delineator's settling context of ctxN samples.
-func icgDelay(icgStream *ChainStream, ctxN int) int {
-	return icgStream.Lookahead() + ctxN
-}
+// icgDelay is the ICG side's emission delay in samples: the central
+// difference's lookahead of one sample plus the delineator's settling
+// context of ctxN samples.
+func icgDelay(ctxN int) int { return 1 + ctxN }
 
 // AcceptRate returns the quality gate's acceptance rate over the beats
 // processed so far — failed delineations count as rejected. Feed it to
@@ -531,7 +532,6 @@ func (s *Streamer) AcceptCounts() (accepted, total int) { return s.gate.Counts()
 // and filter allocation, so pooled engines can reuse it across sessions.
 func (s *Streamer) Reset() {
 	s.ecgStream.Reset()
-	s.icgStream.Reset()
 	s.pt.Reset()
 	s.delin.Reset()
 	s.gate.Reset()

@@ -97,7 +97,7 @@ func TestStreamerLatency(t *testing.T) {
 		t.Errorf("latency = %g s", l)
 	}
 	ecgSide := st.ecgStream.Lookahead() + st.pt.Lookahead()
-	if icgSide := icgDelay(st.icgStream, st.delin.Lookahead()); ecgSide > icgSide {
+	if icgSide := icgDelay(st.delin.Lookahead()); ecgSide > icgSide {
 		t.Errorf("ECG side lag %d samples exceeds the ICG side's %d", ecgSide, icgSide)
 	}
 	if n := math.Round(st.Latency() * st.fs); n != 626 {
@@ -119,7 +119,7 @@ func TestStreamerRawRingDefault(t *testing.T) {
 	d := device(t, nil)
 	st := d.NewStreamer(DefaultStreamConfig())
 	if c := st.raw.Cap(); c != 4096 {
-		t.Fatalf("raw ring holds %d samples (need %d), want 4096", c, st.rawHistory())
+		t.Fatalf("raw ring holds %d samples (need %d), want 4096", c, st.rawN)
 	}
 
 	fs := d.cfg.FS

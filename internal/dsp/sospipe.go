@@ -398,3 +398,94 @@ func sosRun4(dst, x []float64, q0, q1, q2, q3 Biquad, z *[4][2]float64, prime bo
 	z[2][0], z[2][1] = z12, z22
 	z[3][0], z[3][1] = z13, z23
 }
+
+// FilterSpans applies the cascade causally in place on y cut into spans
+// of span samples (the last may be shorter), span j starting from its
+// own registers: states holds 2*len(s) values per span, z1 then z2 per
+// section, laid out as SOSStream.State returns them, and is left
+// undefined. Given the registers a stream had at each span's start, it
+// continues that stream bit for bit over all of y. The spans' recurrences
+// are independent, so a one-section cascade runs four runs of spans in
+// lockstep, which the core overlaps.
+func (s SOS) FilterSpans(y []float64, span int, states []float64) {
+	if len(s) == 1 {
+		sosRun1Spans(y, span, s[0], states)
+		return
+	}
+	w := 2 * len(s)
+	for j, lo := 0, 0; lo < len(y); j, lo = j+1, lo+span {
+		st := states[j*w:][:w]
+		seg := y[lo:min(lo+span, len(y))]
+		sosPipeRun(seg, seg, s, st[:len(s)], st[len(s):], false)
+	}
+}
+
+// sosRun1Spans is FilterSpans for one section. The spans are dealt into
+// four lanes of consecutive spans, every lane but the last nonempty one
+// the same length; the lanes run in lockstep over the shortest length,
+// then the full lanes over the rest. A lane with nothing of its own to
+// do repeats lane 0 (same samples, same registers): it reads each
+// sample before any lane writes it and writes the value lane 0 writes,
+// so the repeat changes nothing.
+func sosRun1Spans(y []float64, span int, bq Biquad, st []float64) {
+	nsp := (len(y) + span - 1) / span
+	if nsp == 0 {
+		return
+	}
+	q := (nsp + 3) / 4 // spans per lane
+	var lo, n [4]int
+	var z [4][2]float64
+	for k := range lo {
+		if j := k * q; j < nsp {
+			lo[k], n[k] = j*span, min(q*span, len(y)-j*span)
+			z[k] = [2]float64{st[2*j], st[2*j+1]}
+		} else {
+			lo[k], n[k], z[k] = lo[0], n[0], z[0]
+		}
+	}
+	m := min(n[0], n[1], n[2], n[3])
+	sosRun1Lanes(y, lo, m, bq, &z)
+	for k := range lo {
+		lo[k], n[k] = lo[k]+m, n[k]-m
+	}
+	if n[0] == 0 { // lane 0 is a longest lane
+		return
+	}
+	for k := range lo {
+		if n[k] == 0 {
+			lo[k], n[k], z[k] = lo[0], n[0], z[0]
+		}
+	}
+	sosRun1Lanes(y, lo, n[0], bq, &z)
+}
+
+// sosRun1Lanes runs one section over y[lo[k]:lo[k]+n] for the four
+// lanes k in lockstep, in place, each lane carrying its registers z[k].
+func sosRun1Lanes(y []float64, lo [4]int, n int, bq Biquad, z *[4][2]float64) {
+	y0, y1, y2, y3 := y[lo[0]:][:n], y[lo[1]:][:n], y[lo[2]:][:n], y[lo[3]:][:n]
+	b0, b1, b2, a1, a2 := bq.B0, bq.B1, bq.B2, bq.A1, bq.A2
+	z10, z20 := z[0][0], z[0][1]
+	z11, z21 := z[1][0], z[1][1]
+	z12, z22 := z[2][0], z[2][1]
+	z13, z23 := z[3][0], z[3][1]
+	for i := range y0 {
+		v0, v1, v2, v3 := y0[i], y1[i], y2[i], y3[i]
+		o0 := b0*v0 + z10
+		z10 = b1*v0 - a1*o0 + z20
+		z20 = b2*v0 - a2*o0
+		o1 := b0*v1 + z11
+		z11 = b1*v1 - a1*o1 + z21
+		z21 = b2*v1 - a2*o1
+		o2 := b0*v2 + z12
+		z12 = b1*v2 - a1*o2 + z22
+		z22 = b2*v2 - a2*o2
+		o3 := b0*v3 + z13
+		z13 = b1*v3 - a1*o3 + z23
+		z23 = b2*v3 - a2*o3
+		y0[i], y1[i], y2[i], y3[i] = o0, o1, o2, o3
+	}
+	z[0] = [2]float64{z10, z20}
+	z[1] = [2]float64{z11, z21}
+	z[2] = [2]float64{z12, z22}
+	z[3] = [2]float64{z13, z23}
+}

@@ -147,6 +147,51 @@ func TestSOSStreamPushBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSOSFilterSpansResumesStream pins the checkpoint contract: given a
+// stream's State at the start of every span, SOS.FilterSpans
+// reproduces the stream bit for bit, primed or not, for span counts
+// that fill the lanes unevenly and a short last span.
+func TestSOSFilterSpansResumesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n = 403
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for ci, s := range testCascades(t) {
+		for _, prime := range []bool{false, true} {
+			for _, span := range []int{1, 7, 32, 50, 101, 128, n} {
+				for _, from := range []int{0, 3, 2 * span} {
+					// A primed stream sets its registers at its first
+					// sample, so its State before that is not the one
+					// it runs from.
+					if from >= n || prime && from == 0 {
+						continue
+					}
+					// The stream's registers at every span start from
+					// sample from on.
+					st := NewSOSStream(s, prime)
+					want := st.Push(nil, nil, x[:from])
+					var states []float64
+					for lo := from; lo < n; lo += span {
+						z1, z2 := st.State()
+						states = append(append(states, z1...), z2...)
+						want = st.Push(nil, want, x[lo:min(lo+span, n)])
+					}
+					got := append([]float64(nil), x[from:]...)
+					s.FilterSpans(got, span, states)
+					for i, v := range got {
+						if v != want[from+i] {
+							t.Fatalf("cascade %d prime=%v span %d from %d sample %d: %g != %g",
+								ci, prime, span, from, from+i, v, want[from+i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSOSPipelineStateCarry pins the persistent-register contract: after
 // any split of the input, the carried z1/z2 must put the second half on
 // exactly the same trajectory as one uninterrupted run.

@@ -1,6 +1,9 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Streaming (stateful) counterparts of the batch kernels. The batch
 // pipeline re-runs every filter over the whole rolling window on each
@@ -167,8 +170,11 @@ func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 		if r.buf != nil {
 			dst = append(dst, r.buf[p:end]...)
 		} else {
-			for _, f := range r.b32[p:end] {
-				dst = append(dst, float64(f))
+			src := r.b32[p:end]
+			n := len(dst)
+			dst = slices.Grow(dst, len(src))[:n+len(src)]
+			for i, f := range src {
+				dst[n+i] = float64(f)
 			}
 		}
 		lo += end - p
@@ -755,6 +761,11 @@ func (s *SOSStream) Push(a *Arena, dst, x []float64) []float64 {
 	s.n += len(x)
 	return dst
 }
+
+// State returns the live registers, z1 and z2 per section: a view
+// valid until the next Push or Reset. A caller that checkpoints the
+// stream copies them, and SOS.FilterSpans resumes from the copies.
+func (s *SOSStream) State() (z1, z2 []float64) { return s.z1, s.z2 }
 
 // Flush is a no-op for a causal IIR: there is no pending output.
 func (s *SOSStream) Flush(a *Arena, dst []float64) []float64 { return dst }

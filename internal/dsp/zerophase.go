@@ -213,7 +213,8 @@ func (s SOS) filterZiInPlace(y []float64) {
 // steady-state initial conditions scaled by each section's first input —
 // one directional pass of FiltFilt. The streaming delineator uses it
 // (after a Reverse) as the backward half of its split zero-phase scheme,
-// where the forward half is a persistent causal stream.
+// where the forward half is replayed from a persistent causal stream's
+// checkpoints (FilterSpans).
 func (s SOS) FilterZiInPlace(y []float64) { s.filterZiInPlace(y) }
 
 // filterZi applies the cascade with per-section steady-state initial

@@ -94,3 +94,44 @@ func TestDetectBeatAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDelineatorBeat measures the streaming delineator's per-beat
+// work with a warm arena, cycling through a recording's beats: the
+// replay of -dZ/dt and the forward pass from the checkpoint below the
+// window, the backward and low-pass refilter, and point detection —
+// everything drain does for a beat once its samples have arrived.
+func BenchmarkDelineatorBeat(b *testing.B) {
+	rec, _ := benchBeats(b)
+	fs := rec.FS
+	// Float32-exact impedance, like the front end's ADC codes, keeps
+	// the raw ring narrow as it is in service.
+	z := make([]float64, len(rec.DZ))
+	for i := range z {
+		z[i] = float64(float32(30 + rec.DZ[i] + rec.Resp[i]))
+	}
+	lp, hp, err := DefaultFilter(fs).Design()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ctxSeconds = 2.5
+	raw := dsp.NewNarrowRing(len(z))
+	d := NewDelineator(DefaultDetect(fs), lp, hp, false, ctxSeconds, 3, raw, new(dsp.ArenaPool))
+	raw.Append(z)
+	d.Advance(nil, nil)
+	tr := rec.Truth
+	var beats [][4]int // lo, hi, segLo, segHi of every beat with its full context
+	for j := 0; j+1 < tr.Beats(); j++ {
+		segLo, segHi := tr.RPeaks[j], tr.RPeaks[j+1]
+		if hi := segHi + d.ctxN; hi <= d.n {
+			beats = append(beats, [4]int{max(segLo-d.back, 0), hi, segLo, segHi})
+		}
+	}
+	a := new(dsp.Arena)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := beats[i%len(beats)]
+		a.Reset()
+		d.analyze(a, w[0], w[1], w[2], w[3])
+	}
+}
