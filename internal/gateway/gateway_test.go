@@ -593,3 +593,38 @@ func TestConnDropFlushesSessions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGatewayOpen measures what a device waits for before it can
+// stream: one Hello→HelloAck round trip over loopback per op, server
+// side included (run with -benchmem). Streams are closed in batches
+// off the clock, so the gateway never holds more than one batch open.
+func BenchmarkGatewayOpen(b *testing.B) {
+	dev := testDevice(b)
+	g := New(dev, Config{})
+	defer g.Close()
+	c, err := Dial(startGateway(b, g), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const batch = 1024
+	open := make([]*ClientStream, 0, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs, err := c.Open(uint16(len(open)), uint64(i), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if open = append(open, cs); len(open) == batch {
+			b.StopTimer()
+			for _, cs := range open {
+				if err := cs.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			open = open[:0]
+			b.StartTimer()
+		}
+	}
+}

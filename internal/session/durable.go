@@ -95,9 +95,10 @@ func (e *Engine) Reopen(id uint64, sink event.Sink, opts ReopenOptions) (*Sessio
 				snap.HasGate = false
 			}
 			// The session exists but is not yet pushable by anyone but
-			// the caller, so restoring on this goroutine is safe: no
-			// worker can touch the streamer before the first enqueue.
-			s.st.Restore(snap)
+			// the caller, so it takes its streamer here, at once, and
+			// restores it on this goroutine: no worker can touch the
+			// streamer before the first enqueue.
+			s.streamer().Restore(snap)
 			s.mu.Lock()
 			s.accepted, s.emitted = acc, em
 			s.mu.Unlock()

@@ -116,7 +116,7 @@ func (r CloseReason) String() string {
 // so far.
 func (s *Session) healthCheck(h *HealthConfig) bool {
 	hs := s.st.Health()
-	analyzed := hs.SignalS - s.st.Latency()
+	analyzed := hs.SignalS - s.eng.latency
 	if analyzed < h.GraceS {
 		return false
 	}

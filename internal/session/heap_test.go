@@ -67,6 +67,44 @@ func TestEngineHeapPerSession(t *testing.T) {
 	}
 }
 
+// idleHeapBudgetKB is the ratchet on the live heap of a session that
+// is subscribed but has not pushed: it holds no streamer, only its
+// registration. Measured at 0.435 KB (2-vCPU Xeon, Go 1.24; 38.4 KB
+// when Subscribe still built the streamer), plus 10%; lower only, like
+// heapBudgetKB.
+const idleHeapBudgetKB = 0.48
+
+// TestEngineHeapPerIdleSession pins that opening a session is O(1) in
+// memory: 1000 subscribed sessions with no chunk must add at most
+// idleHeapBudgetKB of live heap per session — not a streamer each.
+func TestEngineHeapPerIdleSession(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("heap budget runs 1000 sessions without -short or -race")
+	}
+	const n = 1000
+	dev, err := core.NewDevice(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(dev, DefaultConfig())
+	defer eng.Close()
+	discard := event.Func(func(event.Event) {})
+
+	before := liveHeap()
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		if sessions[i], err = eng.Subscribe(uint64(i), discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perKB := float64(liveHeap()-before) / 1024 / n
+	runtime.KeepAlive(sessions)
+	t.Logf("live heap per idle session: %.3f KB (budget %.2f KB)", perKB, idleHeapBudgetKB)
+	if perKB > idleHeapBudgetKB {
+		t.Errorf("live heap per idle session %.2f KB exceeds the %.2f KB budget", perKB, idleHeapBudgetKB)
+	}
+}
+
 // liveHeap collects garbage and returns the live heap it marked. The
 // second collection frees what sync.Pools held over from the first (the
 // pools of earlier tests' engines included), so only reachable memory

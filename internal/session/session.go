@@ -120,16 +120,25 @@ type Engine struct {
 
 	// streamers pools Reset streaming state across session lifetimes:
 	// a closed session's delay lines, rings and detector state are
-	// recycled into the next session instead of being reallocated.
+	// recycled into the next session instead of being reallocated. A
+	// session takes its streamer at its first chunk, on its worker
+	// (Session.streamer), never on the goroutine that opens it.
 	streamers sync.Pool
+	// latency is every streamer's reporting latency in seconds
+	// (core.Streamer.Latency): a function of the device and
+	// Config.Stream alone, read once from the first pooled streamer.
+	latency float64
 	// chunks pools the copied input buffers.
 	chunks sync.Pool
 }
 
 // Session is one device stream.
 type Session struct {
-	ID   uint64
-	eng  *Engine
+	ID  uint64
+	eng *Engine
+	// st is nil until Session.streamer takes it from the pool, and nil
+	// again once finish returned it; only the session's worker (or
+	// Reopen, before the session is pushable) touches it.
 	st   *core.Streamer
 	seed int64
 
@@ -272,6 +281,9 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 		}
 		return st
 	}
+	st := e.streamers.New().(*core.Streamer)
+	e.latency = st.Latency()
+	e.streamers.Put(st)
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -307,8 +319,10 @@ func (e *Engine) Subscribe(id uint64, sink event.Sink) (*Session, error) {
 	return e.open(id, sink)
 }
 
-// open creates a session wired to the given sink and arms its pooled
-// streamer to emit typed events through the session's forwarder.
+// open registers a session wired to the given sink. It holds no
+// streamer yet: the session takes one from the pool on its worker at
+// its first chunk (Session.streamer), so opening stays O(1) in time and
+// memory on the caller's goroutine — the gateway's connection reader.
 func (e *Engine) open(id uint64, sink event.Sink) (*Session, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -327,13 +341,11 @@ func (e *Engine) open(id uint64, sink event.Sink) (*Session, error) {
 	s := &Session{
 		ID:        id,
 		eng:       e,
-		st:        e.streamers.Get().(*core.Streamer),
 		seed:      e.SessionSeed(id),
 		done:      make(chan struct{}),
 		sink:      sink,
 		nextSnapS: e.snapEvery,
 	}
-	s.st.Emit(forwarder{s}, id)
 	s.cond = sync.NewCond(&s.mu)
 	e.sessions[id] = s
 	e.opened++
@@ -579,7 +591,7 @@ func (s *Session) run(batch []chunk) []chunk {
 				continue
 			}
 			if c.flush {
-				if err := s.guard(func() { s.st.Flush() }); err != nil {
+				if err := s.guard(func() { s.streamer().Flush() }); err != nil {
 					s.fail(batch[i+1:])
 					return batch
 				}
@@ -626,16 +638,31 @@ func (s *Session) run(batch []chunk) []chunk {
 
 // process consumes one data chunk on the session's worker.
 func (s *Session) process(c chunk) {
+	st := s.streamer()
 	if h := s.eng.chunkHook; h != nil {
 		h(s.ID, s.nChunks)
 	}
 	s.nChunks++
 	if c.buf != nil {
-		s.st.Push(c.buf[:c.n], c.buf[c.n:])
+		st.Push(c.buf[:c.n], c.buf[c.n:])
 	} else {
 		// Owned chunk (PushOwned): read in place, drop after.
-		s.st.Push(c.ecg, c.z)
+		st.Push(c.ecg, c.z)
 	}
+}
+
+// streamer returns the session's streamer, taking it from the engine's
+// pool and arming the session's forwarder on it the first time. This is
+// the one place a session acquires its streamer: on its worker, inside
+// guard, before its first chunk or the flush of a session that never
+// got one — or in Reopen, before the session is pushable, to restore a
+// snapshot.
+func (s *Session) streamer() *core.Streamer {
+	if s.st == nil {
+		s.st = s.eng.streamers.Get().(*core.Streamer)
+		s.st.Emit(forwarder{s}, s.ID)
+	}
+	return s.st
 }
 
 // guard runs f, converting a panic into an error (satellite of the
@@ -797,9 +824,9 @@ func (s *Session) finish(reason CloseReason) { s.finishWith(reason, false) }
 // never snapshotted, and discarded instead of pooled; event delivery
 // is guarded too (the panic source may be the subscriber sink itself).
 func (s *Session) finishWith(reason CloseReason, corrupt bool) {
-	s.mu.Lock()
 	st := s.st
 	s.st = nil
+	s.mu.Lock()
 	s.reason = reason
 	acc, em := s.accepted, s.emitted
 	s.mu.Unlock()
@@ -869,12 +896,14 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 
 // Latency reports the session's beat-reporting latency in seconds for
 // a normally confirmed R (core.Streamer.Latency, not a worst case: a
-// search-back beat can arrive later); 0 after the session closed.
+// search-back beat can arrive later); 0 after the session finished. It
+// is the engine's constant, so it needs no streamer: the value holds
+// from Subscribe on, before the first chunk.
 func (s *Session) Latency() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.st == nil {
+	select {
+	case <-s.done:
 		return 0
+	default:
+		return s.eng.latency
 	}
-	return s.st.Latency()
 }
