@@ -69,9 +69,8 @@ func TestEngineHeapPerSession(t *testing.T) {
 
 // idleHeapBudgetKB is the ratchet on the live heap of a session that
 // is subscribed but has not pushed: it holds no streamer, only its
-// registration. Measured at 0.435 KB (2-vCPU Xeon, Go 1.24; 38.4 KB
-// when Subscribe still built the streamer), plus 10%; lower only, like
-// heapBudgetKB.
+// registration. Measured at 0.427-0.436 KB (2-vCPU Xeon, Go 1.24),
+// plus 10%; lower only, like heapBudgetKB.
 const idleHeapBudgetKB = 0.48
 
 // TestEngineHeapPerIdleSession pins that opening a session is O(1) in

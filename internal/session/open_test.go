@@ -224,13 +224,13 @@ func TestSessionFirstChunkRace(t *testing.T) {
 	eng := NewEngine(dev, cfg)
 	defer eng.Close()
 	const n = 8
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		s, err := eng.Subscribe(uint64(i), event.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stop := make(chan struct{})
+		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -257,6 +257,7 @@ func TestSessionFirstChunkRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		close(stop)
+		wg.Wait()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +265,6 @@ func TestSessionFirstChunkRace(t *testing.T) {
 			t.Fatal("Latency after Close is not 0")
 		}
 	}
-	wg.Wait()
 }
 
 // BenchmarkEngineSubscribe measures opening a session: registration
@@ -288,7 +288,9 @@ func BenchmarkEngineSubscribe(b *testing.B) {
 		if open = append(open, s); len(open) == batch {
 			b.StopTimer()
 			for _, s := range open {
-				s.Close()
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			open = open[:0]
 			b.StartTimer()

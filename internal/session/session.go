@@ -281,7 +281,7 @@ func NewEngine(dev *core.Device, cfg Config) *Engine {
 		}
 		return st
 	}
-	st := e.streamers.New().(*core.Streamer)
+	st := e.streamers.Get().(*core.Streamer)
 	e.latency = st.Latency()
 	e.streamers.Put(st)
 	e.wg.Add(cfg.Workers)
