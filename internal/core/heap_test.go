@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -9,13 +10,14 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 38.4 KB (2-vCPU Xeon, Go 1.24) with
-// the raw-Z and baseline rings narrow (float32) on the study subjects'
-// ADC-grid samples and no ICG ring (the delineator replays its ICG from
-// the raw-Z ring), plus 10%. It only moves down — lower it when a
-// change durably shrinks the streamer; never raise it to let a change
-// pass.
-const streamerHeapBudgetKB = 43
+// holds between pushes: measured at 30.5 KB (2-vCPU Xeon, Go 1.24) with
+// the raw-Z ring, the baseline ring and the baseline deques narrow
+// (float32) on the study subjects' ADC-grid samples, the QRS and
+// baseline rings fitted to their horizons, and no ICG ring (the
+// delineator replays its ICG from the raw-Z ring), plus 10%. It only
+// moves down — lower it when a change durably shrinks the streamer;
+// never raise it to let a change pass.
+const streamerHeapBudgetKB = 34
 
 // TestStreamerHeapPerStream pins the live heap of an open streamer in
 // the package that owns it (session.TestEngineHeapPerSession measures
@@ -23,6 +25,38 @@ const streamerHeapBudgetKB = 43
 // 10 s of 50-sample pushes, all still open, must add at most
 // streamerHeapBudgetKB of live heap per streamer.
 func TestStreamerHeapPerStream(t *testing.T) {
+	perKB, _ := openStreamers(t)
+	t.Logf("live heap per open streamer: %.1f KB (budget %d KB)", perKB, streamerHeapBudgetKB)
+	if perKB > streamerHeapBudgetKB {
+		t.Errorf("live heap per streamer %.1f KB exceeds the %d KB budget", perKB, streamerHeapBudgetKB)
+	}
+}
+
+// TestStreamerHeldBytesLedger checks the per-component RAM ledger
+// against the heap: on the streamers TestStreamerHeapPerStream
+// measures, the mean of Streamer.HeldBytes must be within 5% of the
+// live heap each one adds.
+func TestStreamerHeldBytesLedger(t *testing.T) {
+	perKB, streamers := openStreamers(t)
+	held := 0
+	for _, st := range streamers {
+		held += st.HeldBytes()
+	}
+	heldKB := float64(held) / 1024 / float64(len(streamers))
+	st := streamers[0]
+	t.Logf("HeldBytes per streamer: %.2f KB, live heap %.2f KB (ratio %.3f); streamer 0: raw-Z ring %d B, ECG chain %d B, QRS detector %d B, delineator %d B, gate %d B",
+		heldKB, perKB, heldKB/perKB, st.raw.HeldBytes(), st.ecgStream.HeldBytes(), st.pt.HeldBytes(),
+		st.delin.HeldBytes(), st.gate.HeldBytes())
+	if math.Abs(heldKB-perKB) > 0.05*perKB {
+		t.Errorf("HeldBytes %.2f KB per streamer is not within 5%% of the live heap %.2f KB", heldKB, perKB)
+	}
+}
+
+// openStreamers builds 1000 streamers, feeds each 10 s of a study
+// subject in 50-sample pushes, and returns the live heap they add per
+// streamer, in KB, with the streamers still open.
+func openStreamers(t *testing.T) (float64, []*Streamer) {
+	t.Helper()
 	if testing.Short() || raceEnabled {
 		t.Skip("heap budget runs 1000 streamers without -short or -race")
 	}
@@ -52,10 +86,7 @@ func TestStreamerHeapPerStream(t *testing.T) {
 	}
 	perKB := float64(liveHeap()-before) / 1024 / n
 	runtime.KeepAlive(streamers)
-	t.Logf("live heap per open streamer: %.1f KB (budget %d KB)", perKB, streamerHeapBudgetKB)
-	if perKB > streamerHeapBudgetKB {
-		t.Errorf("live heap per streamer %.1f KB exceeds the %d KB budget", perKB, streamerHeapBudgetKB)
-	}
+	return perKB, streamers
 }
 
 // liveHeap collects garbage and returns the live heap it marked; the

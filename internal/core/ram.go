@@ -84,7 +84,10 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			{Name: "filter-state", Bytes: 2 * 1024},
 			// Incremental Pan-Tompkins history (conditioned and
 			// band-passed): the refractory period plus the slope and
-			// refinement windows each candidate is measured over.
+			// refinement windows each candidate is measured over, plus
+			// the sub-chunk Push band-passes ahead, which takes up the
+			// rings' power-of-two rounding (History: 256 samples at
+			// 250 Hz, so 2 KB of the 28.5 KB total at float32).
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
 			// Per-beat scratch: the longest window the delineator
 			// replays -dZ/dt over and refilters.

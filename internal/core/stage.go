@@ -118,6 +118,18 @@ func (cs *ChainStream) Reset() {
 	}
 }
 
+// HeldBytes reports the bytes the chain holds between pushes: itself,
+// its stage list and every stage's state, which each stage stream
+// reports (the dsp and ecg streams' HeldBytes; the ECG chain's stages
+// all have one).
+func (cs *ChainStream) HeldBytes() int {
+	n := dsp.SizeOf[ChainStream]() + dsp.SizeOf[StageStream]()*cap(cs.stages)
+	for _, st := range cs.stages {
+		n += st.(interface{ HeldBytes() int }).HeldBytes()
+	}
+	return n
+}
+
 // --- Concrete stages of the paper's chains. ---
 
 // baselineStage removes the morphological baseline estimate

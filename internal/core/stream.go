@@ -528,6 +528,20 @@ func (s *Streamer) Health() StreamHealth {
 // saw.
 func (s *Streamer) AcceptCounts() (accepted, total int) { return s.gate.Counts() }
 
+// HeldBytes reports the bytes the streamer holds between pushes, summed
+// over its components at their current storage widths: itself, the ECG
+// chain, the QRS detector, the delineator, the gate, the raw impedance
+// ring, the R-peak list and the armed governor. The device's shared
+// designs and the borrowed scratch arenas are not counted.
+func (s *Streamer) HeldBytes() int {
+	n := dsp.SizeOf[Streamer]() + s.ecgStream.HeldBytes() + s.pt.HeldBytes() +
+		s.delin.HeldBytes() + s.gate.HeldBytes() + s.raw.HeldBytes() + 8*cap(s.rHist)
+	if s.gov != nil {
+		n += dsp.SizeOf[Governor]()
+	}
+	return n
+}
+
 // Reset returns the streamer to its initial state, keeping every buffer
 // and filter allocation, so pooled engines can reuse it across sessions.
 func (s *Streamer) Reset() {

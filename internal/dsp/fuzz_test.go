@@ -14,13 +14,20 @@ import (
 // engines: SOSStream.Push (the 4-lane software-pipelined sosPipeRun vs
 // the scalar PushSample recurrence), FIRStream (the blocked convSeqInto
 // group kernel across arbitrary chunk boundaries, via the zero-phase
-// composite), and MovExtStream (the hoisted-deque batch loop vs the
-// admit/emit reference path Flush still uses).
+// composite), and MovExtStream (chunked vs whole push, and, on input on
+// the float32 grid with its first off-grid sample at widenAt, the
+// narrow deque that widens there vs one that is wide from the start;
+// widenAt past the signal never widens).
 func FuzzDSPStreamChunkInvariance(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(20), true, []byte{7, 1, 250})
-	f.Add(int64(-42), uint8(2), uint8(3), false, []byte{1})
-	f.Add(int64(9), uint8(8), uint8(77), true, []byte{0, 64, 3})
-	f.Fuzz(func(t *testing.T, seed int64, orderSel, widthSel uint8, prime bool, chunks []byte) {
+	f.Add(int64(1), uint8(4), uint8(20), true, []byte{7, 1, 250}, uint16(0))
+	f.Add(int64(-42), uint8(2), uint8(3), false, []byte{1}, uint16(65535))
+	f.Add(int64(9), uint8(8), uint8(77), true, []byte{0, 64, 3}, uint16(40))
+	// The off-grid sample arrives mid-window: inside the first window,
+	// inside a chunk, and on a chunk boundary.
+	f.Add(int64(3), uint8(5), uint8(21), true, []byte{13}, uint16(17))
+	f.Add(int64(4), uint8(17), uint8(9), false, []byte{50, 7}, uint16(321))
+	f.Add(int64(5), uint8(29), uint8(29), true, []byte{100}, uint16(500))
+	f.Fuzz(func(t *testing.T, seed int64, orderSel, widthSel uint8, prime bool, chunks []byte, widenAt uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 600 + rng.Intn(600)
 		x := make([]float64, n)
@@ -106,5 +113,25 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		wantExt := mw.Flush(nil, mw.Push(nil, nil, x))
 		mc := NewMovExtStream(left, right, prime)
 		cmpExact("movext chunked vs whole-push", mc.Flush(nil, chunked(mc.Push)), wantExt)
+
+		// Narrow deque on float32-grid input whose first off-grid sample
+		// (one float64 ulp off the grid) is at widenAt, against the
+		// all-float64 oracle; its width must follow the samples alone.
+		grid := make([]float64, n)
+		for i, v := range x {
+			grid[i] = float64(float32(v))
+		}
+		if p := int(widenAt); p < n {
+			grid[p] = math.Nextafter(grid[p], 2)
+		}
+		wide := NewMovExtStream(left, right, prime)
+		wide.widen()
+		wantGrid := wide.Flush(nil, wide.Push(nil, nil, grid))
+		x = grid // chunked pushes x
+		nc := NewMovExtStream(left, right, prime)
+		cmpExact("narrow movext chunked vs float64 oracle", nc.Flush(nil, chunked(nc.Push)), wantGrid)
+		if nc.Narrow() != (int(widenAt) >= n) {
+			t.Fatalf("narrow movext: Narrow() = %v with the first off-grid sample at %d of %d", nc.Narrow(), widenAt, n)
+		}
 	})
 }

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"reflect"
 	"slices"
 )
 
@@ -213,6 +214,15 @@ func (r *Ring) ArgMax(lo, hi int) int {
 
 // Reset forgets all samples, keeping the storage and its width.
 func (r *Ring) Reset() { r.n = 0 }
+
+// HeldBytes reports the bytes the ring holds: itself and its storage
+// at the current width.
+func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + 8*len(r.buf) + 4*len(r.b32) }
+
+// SizeOf returns the bytes a T occupies itself, not counting what its
+// slices, maps and pointers reference: the header term of the streams'
+// HeldBytes ledgers.
+func SizeOf[T any]() int { return int(reflect.TypeFor[T]().Size()) }
 
 // FIRStream applies an FIR filter one sample at a time, carrying the
 // delay line across pushes. The alignment of the emitted outputs is
@@ -691,6 +701,18 @@ func (s *FIRStream) Reset() {
 	}
 }
 
+// HeldBytes reports the bytes the stream holds between pushes: itself,
+// its delay line, its buffered head and, under overlap-save, its engine
+// state and carry block. The taps and the kernel spectrum are shared by
+// every stream of the design and are not counted.
+func (s *FIRStream) HeldBytes() int {
+	n := SizeOf[FIRStream]() + 8*(cap(s.hist)+cap(s.pre))
+	if s.os != nil {
+		n += SizeOf[osState]() + 8*len(s.os.carry)
+	}
+	return n
+}
+
 // SOSStream applies a biquad cascade causally one sample at a time with
 // persistent direct-form-II-transposed registers, matching SOS.Filter /
 // SOS.FilterTo sample for sample when started from the zero state.
@@ -778,6 +800,10 @@ func (s *SOSStream) Reset() {
 	}
 }
 
+// HeldBytes reports the bytes the stream holds: itself and its
+// registers (the cascade design is shared and not counted).
+func (s *SOSStream) HeldBytes() int { return SizeOf[SOSStream]() + 8*(len(s.z1)+len(s.z2)) }
+
 // DerivStream is the streaming form of DerivativeTo scaled by gain:
 // central differences in the interior with one-sided differences at the
 // stream edges. With gain = -1 it computes the ICG derivation
@@ -845,73 +871,94 @@ func (s *DerivStream) Reset() { s.n = 0; s.x1, s.x2 = 0, 0 }
 // [t-left, t+right] clamped to the stream, exactly matching the batch
 // monotonic-deque engine (dsp.Erode / dsp.Dilate) including its edge
 // clamping. Amortized O(1) per sample; lookahead right.
+//
+// Storage width: the deque's values are input samples (order
+// statistics of the window), so it stores them as float32 while every
+// sample pushed is float32-exact and widens to float64 for good at the
+// first that is not — the NewNarrowRing rule: the float32 values are
+// converted over exactly and the float32 buffer is dropped. float32 to
+// float64 conversion is exact and order-preserving, so comparisons and
+// outputs are bit-identical in either width. Reset keeps the width.
+// Indices are uint32 sample counters compared by wrapping subtraction:
+// a deque entry is never more than left+right+1 samples old, so the
+// counters may wrap past 2^32 on long streams.
 type MovExtStream struct {
 	left, right int
 	min         bool
 
 	// Monotonic deque carrying (index, value) pairs in parallel rings,
-	// so neither admission nor emission chases a second buffer.
-	idx              []int
-	val              []float64
+	// so neither admission nor emission chases a second buffer. One of
+	// v32 (narrow) and v64 (wide) is non-nil.
+	idx              []uint32
+	v32              []float32
+	v64              []float64
 	mask             int
 	head, tail, size int
 
-	in, out int
+	in, out uint32
 }
 
 // NewMovExtStream returns a streaming sliding extremum over windows
-// [t-left, t+right]; min selects erosion, otherwise dilation.
+// [t-left, t+right]; min selects erosion, otherwise dilation. The
+// deque holds at most left+right+2 entries: the window plus the sample
+// being admitted before the oldest is evicted.
 func NewMovExtStream(left, right int, min bool) *MovExtStream {
 	size := NextPow2(left + right + 2)
 	return &MovExtStream{
 		left: left, right: right, min: min,
-		idx: make([]int, size), val: make([]float64, size), mask: size - 1,
+		idx: make([]uint32, size), v32: make([]float32, size), mask: size - 1,
 	}
 }
 
 // Lookahead returns the window's right extent.
 func (s *MovExtStream) Lookahead() int { return s.right }
 
-func (s *MovExtStream) admit(v float64) {
-	if s.min {
-		for s.size > 0 && v <= s.val[(s.tail-1)&s.mask] {
-			s.tail = (s.tail - 1) & s.mask
-			s.size--
-		}
-	} else {
-		for s.size > 0 && v >= s.val[(s.tail-1)&s.mask] {
-			s.tail = (s.tail - 1) & s.mask
-			s.size--
-		}
-	}
-	s.idx[s.tail] = s.in
-	s.val[s.tail] = v
-	s.tail = (s.tail + 1) & s.mask
-	s.size++
-	s.in++
-}
+// Narrow reports whether the deque still stores float32 values.
+func (s *MovExtStream) Narrow() bool { return s.v64 == nil }
 
-func (s *MovExtStream) emit(dst []float64) []float64 {
-	lo := s.out - s.left
-	for s.size > 0 && s.idx[s.head] < lo {
-		s.head = (s.head + 1) & s.mask
-		s.size--
+// widen moves the deque's values to float64 storage, converting every
+// stored value exactly.
+func (s *MovExtStream) widen() {
+	s.v64 = make([]float64, len(s.v32))
+	for i, f := range s.v32 {
+		s.v64[i] = float64(f)
 	}
-	s.out++
-	return append(dst, s.val[s.head])
+	s.v32 = nil
 }
 
 // Push consumes a chunk and appends the outputs whose full (clamped)
-// window has arrived. The deque state lives in locals for the whole
-// chunk — the admit/emit helpers reload their fields through the
-// pointer on every call, which costs ~30% of the cascade's time at
-// this call rate — with the exact same operation sequence. It needs no
-// scratch from a.
+// window has arrived. A narrow deque runs the chunk at float32 up to
+// its first sample that is not float32-exact, widens there for good,
+// and runs the rest at float64. It needs no scratch from a.
 func (s *MovExtStream) Push(a *Arena, dst, x []float64) []float64 {
-	idx, val, mask := s.idx, s.val, s.mask
+	if s.v64 == nil {
+		var k int
+		if dst, k = movExtRun(s, s.v32, dst, x); k == len(x) {
+			return dst
+		}
+		s.widen()
+		x = x[k:]
+	}
+	dst, _ = movExtRun(s, s.v64, dst, x)
+	return dst
+}
+
+// movExtRun is Push's loop at one storage width: it consumes samples of
+// x until one is not representable in T exactly and returns how many it
+// consumed (all of them at float64). The deque state lives in locals
+// for the whole chunk — reloading the fields through the pointer on
+// every sample costs ~30% of the cascade's time at this call rate.
+func movExtRun[T float32 | float64](s *MovExtStream, val []T, dst, x []float64) ([]float64, int) {
+	idx, mask := s.idx, s.mask
 	head, tail, size := s.head, s.tail, s.size
 	in, out := s.in, s.out
-	for _, v := range x {
+	k := 0
+	for ; k < len(x); k++ {
+		xv := x[k]
+		v := T(xv)
+		if math.Float64bits(float64(v)) != math.Float64bits(xv) {
+			break
+		}
 		if s.min {
 			for size > 0 && v <= val[(tail-1)&mask] {
 				tail = (tail - 1) & mask
@@ -928,32 +975,55 @@ func (s *MovExtStream) Push(a *Arena, dst, x []float64) []float64 {
 		tail = (tail + 1) & mask
 		size++
 		in++
-		for out+s.right < in {
-			lo := out - s.left
-			for size > 0 && idx[head] < lo {
+		for in-out > uint32(s.right) {
+			// Evict entries older than the window's left edge: an
+			// index is older than lo when idx-lo wraps negative.
+			lo := out - uint32(s.left)
+			for size > 0 && int32(idx[head]-lo) < 0 {
 				head = (head + 1) & mask
 				size--
 			}
 			out++
-			dst = append(dst, val[head])
+			dst = append(dst, float64(val[head]))
 		}
 	}
 	s.head, s.tail, s.size = head, tail, size
 	s.in, s.out = in, out
-	return dst
+	return dst, k
 }
 
 // Flush appends the trailing outputs, whose windows clamp at the
 // stream's end.
 func (s *MovExtStream) Flush(a *Arena, dst []float64) []float64 {
-	for s.out < s.in {
-		dst = s.emit(dst)
+	if s.v64 == nil {
+		return movExtDrain(s, s.v32, dst)
+	}
+	return movExtDrain(s, s.v64, dst)
+}
+
+// movExtDrain emits every output still owed, at one storage width.
+func movExtDrain[T float32 | float64](s *MovExtStream, val []T, dst []float64) []float64 {
+	for s.out != s.in {
+		lo := s.out - uint32(s.left)
+		for s.size > 0 && int32(s.idx[s.head]-lo) < 0 {
+			s.head = (s.head + 1) & s.mask
+			s.size--
+		}
+		s.out++
+		dst = append(dst, float64(val[s.head]))
 	}
 	return dst
 }
 
-// Reset returns the stream to its initial state.
+// Reset returns the stream to its initial state, keeping the storage
+// and its width.
 func (s *MovExtStream) Reset() {
 	s.head, s.tail, s.size = 0, 0, 0
 	s.in, s.out = 0, 0
+}
+
+// HeldBytes reports the bytes the stream holds between pushes: itself
+// and its deque at the current width.
+func (s *MovExtStream) HeldBytes() int {
+	return SizeOf[MovExtStream]() + 4*len(s.idx) + 4*len(s.v32) + 8*len(s.v64)
 }

@@ -228,3 +228,96 @@ func TestRingBasics(t *testing.T) {
 		}
 	}
 }
+
+// movExtOracle returns the outputs of a float64 deque (wide from the
+// start) over x in one push.
+func movExtOracle(left, right int, min bool, x []float64) []float64 {
+	s := NewMovExtStream(left, right, min)
+	s.widen()
+	return s.Flush(nil, s.Push(nil, nil, x))
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// onGridSignal is randSignal rounded to float32: every sample is
+// float32-exact, so a narrow deque stays narrow.
+func onGridSignal(n int, seed int64) []float64 {
+	x := randSignal(n, seed)
+	for i, v := range x {
+		x[i] = float64(float32(v))
+	}
+	return x
+}
+
+// TestMovExtStreamIndexWrap starts the deque's uint32 sample counters
+// just short of 2^32, so the stream's indices wrap mid-stream: the
+// wrapping comparisons must give the same outputs, edge clamping
+// included, as a stream whose counters start at 0.
+func TestMovExtStreamIndexWrap(t *testing.T) {
+	for _, grid := range []bool{true, false} {
+		x := randSignal(1200, 12)
+		if grid {
+			x = onGridSignal(1200, 12)
+		}
+		for _, w := range [][2]int{{0, 0}, {3, 7}, {25, 25}, {37, 37}} {
+			for _, min := range []bool{true, false} {
+				want := movExtOracle(w[0], w[1], min, x)
+				for _, start := range []uint32{math.MaxUint32 - 600, math.MaxUint32 - 3, math.MaxUint32} {
+					for _, chunk := range chunkSizes {
+						s := NewMovExtStream(w[0], w[1], min)
+						s.in, s.out = start, start
+						got := pushChunked(t, len(x), chunk, s, x)
+						if !equalBits(got, want) {
+							t.Fatalf("grid %v window %v min %v start %d chunk %d: outputs differ after the index wrap",
+								grid, w, min, start, chunk)
+						}
+						if s.in != start+uint32(len(x)) || s.Narrow() != grid {
+							t.Fatalf("grid %v: counter %d, narrow %v", grid, s.in, s.Narrow())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMovExtStreamResetKeepsWidth pins the width across Reset, as for
+// Ring: a widened deque stays wide, a narrow one stays narrow, and both
+// replay their stream bit for bit.
+func TestMovExtStreamResetKeepsWidth(t *testing.T) {
+	onGrid := onGridSignal(700, 13)
+	offGrid := randSignal(700, 13)
+	s := NewMovExtStream(12, 9, true)
+	first := s.Flush(nil, s.Push(nil, nil, onGrid))
+	if !s.Narrow() {
+		t.Fatal("deque widened on float32-exact input")
+	}
+	s.Reset()
+	if again := s.Flush(nil, s.Push(nil, nil, onGrid)); !s.Narrow() || !equalBits(again, first) {
+		t.Fatal("narrow deque changed width or output across Reset")
+	}
+	s.Push(nil, nil, offGrid[:1])
+	if s.Narrow() {
+		t.Fatal("deque stayed narrow on an off-grid sample")
+	}
+	s.Reset()
+	if s.Narrow() {
+		t.Fatal("Reset narrowed a widened deque")
+	}
+	if again := s.Flush(nil, s.Push(nil, nil, onGrid)); !equalBits(again, first) {
+		t.Fatal("widened deque's output differs after Reset")
+	}
+	if s.Narrow() || len(s.v64) != len(s.idx) || s.v32 != nil {
+		t.Fatal("widened deque does not hold exactly one float64 value buffer")
+	}
+}

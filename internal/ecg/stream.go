@@ -22,6 +22,7 @@ type BaselineStream struct {
 	raw    *dsp.Ring
 	out    int // conditioned samples emitted
 	la     int
+	sub    int // samples per pass through the cascade (see NewBaselineStream)
 }
 
 // NewBaselineStream builds the streaming baseline remover for cfg.
@@ -42,14 +43,25 @@ func NewBaselineStream(cfg BaselineConfig) *BaselineStream {
 	for _, st := range s.stages {
 		s.la += st.Lookahead()
 	}
-	s.raw = dsp.NewNarrowRing(s.la + baselineSubChunk + 2)
+	// The raw ring is read up to the cascade's lookahead (plus two
+	// samples of margin) behind the newest sample, and Push appends a
+	// sub-chunk ahead of that: the ring is the smallest power of two
+	// that holds the horizon plus minSubChunk, and the sub-chunk is
+	// whatever it holds past the horizon, so the ring has no slack.
+	horizon := s.la + 2
+	s.raw = dsp.NewNarrowRing(horizon + minSubChunk)
+	s.sub = s.raw.Cap() - horizon
 	return s
 }
 
-// baselineSubChunk bounds how many samples travel through the cascade
-// per inner iteration, so the raw-history ring stays a fixed size no
-// matter how large a chunk the caller pushes.
-const baselineSubChunk = 256
+// minSubChunk is the fewest samples the ECG streams run through their
+// batched kernels per inner iteration, ahead of the reader of their
+// history ring. Each stream's ring holds its read horizon plus at least
+// this much, rounded up to a power of two, and its sub-chunk takes up
+// the rounding (BaselineStream: 130 samples; PTStream: 144 at the
+// paper's 250 Hz), so a ring's size never depends on how large a chunk
+// the caller pushes. core.Streamer feeds at most this many per push.
+const minSubChunk = 128
 
 // Lookahead returns the total pipeline latency in samples.
 func (s *BaselineStream) Lookahead() int { return s.la }
@@ -61,12 +73,12 @@ func (s *BaselineStream) Lookahead() int { return s.la }
 // one sub-chunk plus the cascade's lookahead (no stage emits more per
 // push), so a warm arena serves every push without allocating.
 func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
-	n := min(len(x), baselineSubChunk) + s.la
+	n := min(len(x), s.sub) + s.la
 	b1, b2 := ar.F64(n)[:0], ar.F64(n)[:0]
 	for len(x) > 0 {
 		sub := x
-		if len(sub) > baselineSubChunk {
-			sub = x[:baselineSubChunk]
+		if len(sub) > s.sub {
+			sub = x[:s.sub]
 		}
 		x = x[len(sub):]
 		s.raw.Append(sub)
@@ -112,7 +124,19 @@ func (s *BaselineStream) Reset() {
 
 // Narrow reports whether the raw-ECG history still stores float32:
 // true while every sample pushed is float32-exact (dsp.NewNarrowRing).
+// The morphology deques hold order statistics of the same samples, so
+// each stays narrow at least as long as the ring does.
 func (s *BaselineStream) Narrow() bool { return s.raw.Narrow() }
+
+// HeldBytes reports the bytes the stream holds between pushes: itself,
+// its raw ring and its four deques at their current widths.
+func (s *BaselineStream) HeldBytes() int {
+	n := dsp.SizeOf[BaselineStream]() + s.raw.HeldBytes()
+	for _, st := range s.stages {
+		n += st.HeldBytes()
+	}
+	return n
+}
 
 // PTStream is the incremental Pan-Tompkins QRS detector: the band-pass,
 // five-point derivative, squaring and moving-window integration run as
@@ -151,6 +175,7 @@ type PTStream struct {
 	// when a candidate is finalized.
 	filt *dsp.Ring // band-passed
 	raw  *dsp.Ring // conditioned input
+	sub  int       // samples Push band-passes ahead of the detection loop
 
 	n int // samples consumed
 
@@ -225,7 +250,8 @@ var ErrRefractory = errors.New("ecg: streaming refractory period shorter than th
 
 // newPTStream builds the detector with sample rings retaining ringN
 // samples, or the derived History when ringN is 0 (tests pass a
-// larger ring as an oracle for the horizon).
+// larger ring as an oracle for the horizon). The sub-chunk is what the
+// ring holds past the read horizon.
 func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 	cfg = cfg.normalized()
 	sos := cfg.BandSOS
@@ -260,22 +286,25 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 		return nil, ErrRefractory
 	}
 	if ringN == 0 {
-		ringN = s.History()
+		ringN = s.horizon() + minSubChunk
 	}
 	s.filt = dsp.NewRing(ringN)
 	s.raw = dsp.NewRing(ringN)
+	s.sub = s.filt.Cap() - s.horizon()
 	return s, nil
 }
 
-// History returns how many samples each sample ring retains (before
-// power-of-two rounding): how far back the rings are read. A candidate
-// is measured when it is finalized, a refractory period after it, over
-// a window reaching win+halfRefine samples further back (slopeR+1 on the
-// band-passed ring, never more); Push appends up to one sub-chunk ahead
-// of the sample being detected.
-func (s *PTStream) History() int {
-	return s.refractory + s.win + s.halfRefine + ptSubChunk
-}
+// horizon returns how far behind the sample being detected the rings
+// are read. A candidate is measured when it is finalized, a refractory
+// period after it, over a window reaching win+halfRefine samples further
+// back (slopeR+1 on the band-passed ring, never more).
+func (s *PTStream) horizon() int { return s.refractory + s.win + s.halfRefine }
+
+// History returns how many samples each sample ring retains: the read
+// horizon plus the sub-chunk Push appends ahead of the sample being
+// detected. The sub-chunk takes up the ring's power-of-two rounding,
+// so this is the rings' capacity exactly.
+func (s *PTStream) History() int { return s.horizon() + s.sub }
 
 // Lookahead returns the confirmation delay in samples that
 // Streamer.Latency budgets for: the refractory period after which an
@@ -305,11 +334,11 @@ func (s *PTStream) Push(a *dsp.Arena, rs []int, x []float64) []int {
 	if len(x) == 0 {
 		return rs
 	}
-	fbuf := a.F64(min(len(x), ptSubChunk))[:0]
+	fbuf := a.F64(min(len(x), s.sub))[:0]
 	for len(x) > 0 {
 		sub := x
-		if len(sub) > ptSubChunk {
-			sub = x[:ptSubChunk]
+		if len(sub) > s.sub {
+			sub = x[:s.sub]
 		}
 		x = x[len(sub):]
 		fbuf = s.band.Push(a, fbuf[:0], sub)
@@ -321,11 +350,6 @@ func (s *PTStream) Push(a *dsp.Arena, rs []int, x []float64) []int {
 	}
 	return rs
 }
-
-// ptSubChunk bounds how far the raw/filtered rings run ahead of the
-// per-sample detection loop; History includes this lookahead, so
-// batching never overwrites history the detector can still read.
-const ptSubChunk = 256
 
 // pushSample advances the per-sample detection state machines with one
 // band-passed sample f (the raw and filtered rings were already extended
@@ -599,6 +623,15 @@ func (s *PTStream) Flush(rs []int) []int {
 		s.early = s.early[:0]
 	}
 	return s.drainRefined(rs)
+}
+
+// HeldBytes reports the bytes the detector holds between pushes:
+// itself, its band-pass registers, its integration window and sample
+// rings, and the capacity of its candidate and confirmation lists.
+func (s *PTStream) HeldBytes() int {
+	return dsp.SizeOf[PTStream]() + s.band.HeldBytes() + 8*cap(s.sqRing) +
+		s.filt.HeldBytes() + s.raw.HeldBytes() +
+		dsp.SizeOf[histPeak]()*(cap(s.early)+cap(s.hist)) + 8*cap(s.accepted)
 }
 
 // Reset returns the detector to its initial state, keeping allocations.

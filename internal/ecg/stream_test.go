@@ -34,30 +34,52 @@ func synthECG(n int, fs float64, seed int64) []float64 {
 	return x
 }
 
+// sweepChunks are the chunkings every ECG stream test drives: 1-sample
+// pushes, chunks around the derived sub-chunks (130 and 144 samples at
+// 250 Hz) and core.Streamer's 128-sample feed, and larger ones.
+var sweepChunks = []int{1, 13, 129, 130, 131, 143, 144, 145, 250, 997, 3000}
+
+// The streaming baseline remover matches RemoveBaseline bit for bit on
+// every chunking, on off-grid input (float64 from the first sample) and
+// on ADC-grid input, where its ring and deques stay float32.
 func TestBaselineStreamMatchesBatch(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultBaseline(fs)
-	x := synthECG(3000, fs, 7)
-	want := RemoveBaseline(x, cfg)
-	for _, chunk := range []int{1, 13, 250, 997, 3000} {
-		s := NewBaselineStream(cfg)
-		var a dsp.Arena
-		var got []float64
-		for pos := 0; pos < len(x); pos += chunk {
-			end := pos + chunk
-			if end > len(x) {
-				end = len(x)
+	off := synthECG(3000, fs, 7)
+	grid := make([]float64, len(off))
+	for i, v := range off {
+		grid[i] = float64(int64(v*4096)) / 4096
+	}
+	for _, in := range []struct {
+		name   string
+		x      []float64
+		narrow bool
+	}{{"off-grid", off, false}, {"on-grid", grid, true}} {
+		x := in.x
+		want := RemoveBaseline(x, cfg)
+		for _, chunk := range sweepChunks {
+			s := NewBaselineStream(cfg)
+			var a dsp.Arena
+			var got []float64
+			for pos := 0; pos < len(x); pos += chunk {
+				a.Reset()
+				got = s.Push(&a, got, x[pos:min(pos+chunk, len(x))])
 			}
-			a.Reset()
-			got = s.Push(&a, got, x[pos:end])
-		}
-		got = s.Flush(nil, got)
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d outputs, want %d", chunk, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("chunk %d: sample %d differs: %g vs %g", chunk, i, got[i], want[i])
+			got = s.Flush(nil, got)
+			if len(got) != len(want) {
+				t.Fatalf("%s chunk %d: %d outputs, want %d", in.name, chunk, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s chunk %d: sample %d differs: %g vs %g", in.name, chunk, i, got[i], want[i])
+				}
+			}
+			narrow := s.Narrow()
+			for _, st := range s.stages {
+				narrow = narrow && st.Narrow()
+			}
+			if narrow != in.narrow {
+				t.Fatalf("%s chunk %d: ring and deques narrow = %v", in.name, chunk, narrow)
 			}
 		}
 	}
@@ -113,7 +135,8 @@ func TestPTStreamMatchesBatch(t *testing.T) {
 	if len(batch.RPeaks) < 30 {
 		t.Fatalf("batch found only %d peaks", len(batch.RPeaks))
 	}
-	for _, chunk := range []int{1, 50, 250, 1024, len(x)} {
+	ref := streamRPeaks(t, cfg, x, 1)
+	for _, chunk := range append(sweepChunks, 50, 1024, len(x)) {
 		rs := streamRPeaks(t, cfg, x, chunk)
 		if len(rs) != len(batch.RPeaks) {
 			t.Fatalf("chunk %d: %d peaks, batch %d", chunk, len(rs), len(batch.RPeaks))
@@ -122,6 +145,11 @@ func TestPTStreamMatchesBatch(t *testing.T) {
 			if d := rs[i] - batch.RPeaks[i]; d < -1 || d > 1 {
 				t.Errorf("chunk %d: peak %d at %d, batch %d", chunk, i, rs[i], batch.RPeaks[i])
 			}
+		}
+		// The sub-chunk never reaches the output: every chunking
+		// detects the 1-sample stream's peaks exactly.
+		if !slices.Equal(rs, ref) {
+			t.Fatalf("chunk %d: R peaks %v, 1-sample pushes %v", chunk, rs, ref)
 		}
 	}
 }
@@ -304,7 +332,7 @@ func ptOracleInputs(t *testing.T, fs float64) map[string][]float64 {
 func TestPTStreamRingHorizon(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultPT(fs)
-	oldRing := int(6*fs) + ptSubChunk
+	oldRing := int(6*fs) + minSubChunk
 	var searchBacks, vetoes, gapSB int
 	for name, x := range ptOracleInputs(t, fs) {
 		for _, chunk := range []int{1, 50, 256, 1000, len(x)} {
@@ -347,5 +375,38 @@ func TestPTStreamRingHorizon(t *testing.T) {
 	if searchBacks == 0 || vetoes == 0 || gapSB == 0 {
 		t.Fatalf("oracle inputs exercised %d search-backs (%d after a gap) and %d T-wave vetoes; want all > 0",
 			searchBacks, gapSB, vetoes)
+	}
+}
+
+// TestECGStreamRingsHaveNoSlack pins the ring sizing rule: each ring is
+// the smallest power of two that holds its read horizon plus
+// minSubChunk, and the stream's sub-chunk is the rest of the ring, so
+// no power-of-two rounding is left unused.
+func TestECGStreamRingsHaveNoSlack(t *testing.T) {
+	check := func(name string, capacity, horizon, sub int) {
+		t.Helper()
+		if sub < minSubChunk || capacity != horizon+sub {
+			t.Errorf("%s: ring of %d for horizon %d and sub-chunk %d (want horizon+sub, sub >= %d)",
+				name, capacity, horizon, sub, minSubChunk)
+		}
+		if capacity&(capacity-1) != 0 || capacity/2 >= horizon+minSubChunk {
+			t.Errorf("%s: ring of %d is not the smallest power of two holding %d", name, capacity, horizon+minSubChunk)
+		}
+	}
+	for _, fs := range []float64{125, 250, 500, 1000} {
+		pt, err := NewPTStream(DefaultPT(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.filt.Cap() != pt.History() || pt.raw.Cap() != pt.History() {
+			t.Errorf("fs %g: PTStream rings %d/%d, History %d", fs, pt.filt.Cap(), pt.raw.Cap(), pt.History())
+		}
+		check(fmt.Sprintf("fs %g PTStream", fs), pt.filt.Cap(), pt.horizon(), pt.sub)
+		bs := NewBaselineStream(DefaultBaseline(fs))
+		check(fmt.Sprintf("fs %g BaselineStream", fs), bs.raw.Cap(), bs.la+2, bs.sub)
+		if fs == 250 && (pt.sub != 144 || pt.History() != 256 || bs.sub != 130 || bs.raw.Cap() != 256) {
+			t.Errorf("250 Hz: PTStream sub-chunk %d of a %d ring, BaselineStream %d of %d; want 144 of 256 and 130 of 256",
+				pt.sub, pt.History(), bs.sub, bs.raw.Cap())
+		}
 	}
 }

@@ -439,6 +439,19 @@ func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]
 // samples.
 func (d *Delineator) Pending() int { return len(d.queue) }
 
+// HeldBytes reports the bytes the delineator holds between pushes:
+// itself, its forward-pass registers and checkpoints, and the capacity
+// of its beat queue (and, in A5, the concatenated cascade). The raw
+// ring is its owner's and is not counted.
+func (d *Delineator) HeldBytes() int {
+	n := dsp.SizeOf[Delineator]() + d.fwd.HeldBytes() + 8*len(d.ck) +
+		dsp.SizeOf[beatJob]()*cap(d.queue)
+	if d.causal {
+		n += dsp.SizeOf[dsp.Biquad]() * len(d.casc)
+	}
+	return n
+}
+
 // Reset returns the delineator to its initial state, keeping buffers.
 // The raw ring is its owner's to reset.
 func (d *Delineator) Reset() {

@@ -498,6 +498,10 @@ func (gs *GateStream) Restore(s GateSnapshot) {
 	gs.cursor = 0
 }
 
+// HeldBytes reports the bytes the stream holds: itself, its template
+// included. The raw ring it reads is its owner's and is not counted.
+func (gs *GateStream) HeldBytes() int { return dsp.SizeOf[GateStream]() }
+
 // Reset returns the stream, and the history it reads, to the initial
 // state, keeping allocations.
 func (gs *GateStream) Reset() {

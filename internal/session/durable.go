@@ -53,13 +53,15 @@ type ReopenOptions struct {
 }
 
 // Reopen re-admits a session ID through the durability layer: the
-// session is created like Subscribe, then rehydrated from its newest
-// WAL snapshot — gate template and accept EWMA (the fast re-lock
-// path), governor mode and dwell, and the session clocks, so new
-// events continue the old stream's beat index and signal time
-// monotonically. The first event delivered (and logged) is
-// KindReadmit, stamped with the restored clocks and EWMA; Restored is
-// false when the log held no usable snapshot (cold re-admit).
+// session is rehydrated from its newest WAL snapshot — gate template
+// and accept EWMA (the fast re-lock path), governor mode and dwell,
+// and the session clocks, so new events continue the old stream's beat
+// index and signal time monotonically — then registered like
+// Subscribe. The first event delivered (and logged) is KindReadmit,
+// stamped with the restored clocks and EWMA; Restored is false when
+// the log held no usable snapshot (cold re-admit). An Engine.Close
+// running at the same time either makes Reopen fail with
+// ErrEngineClosed or closes the session after its KindReadmit.
 //
 // An ID evicted for dead contact must first sit out its quarantine
 // (Config.QuarantineS; ErrQuarantined before the cool-down elapses).
@@ -80,36 +82,41 @@ func (e *Engine) Reopen(id uint64, sink event.Sink, opts ReopenOptions) (*Sessio
 	if w == nil {
 		return nil, ErrNoWAL
 	}
-	s, err := e.open(id, sink)
-	if err != nil {
-		return nil, err
-	}
-	restored := false
-	beat := 0
-	tS := 0.0
-	ewma := 1.0
+	// The session is built, restored and its readmit decided before it
+	// is registered: until then nothing but this call can reach it.
+	s := e.newSession(id, sink)
+	readmit := event.Event{Kind: event.KindReadmit, Session: id, AcceptEWMA: 1}
 	if tSnap, payload, ok := w.Snapshot(id); ok {
 		if snap, acc, em, ok := decodeSessionSnapshot(payload); ok {
 			if e.health != nil && snap.HasGate && snap.Gate.AcceptEWMA < e.health.EvictBelowRate {
 				// Quarantine-poisoned gate state: re-lock cold (see above).
 				snap.HasGate = false
 			}
-			// The session exists but is not yet pushable by anyone but
-			// the caller, so it takes its streamer here, at once, and
-			// restores it on this goroutine: no worker can touch the
-			// streamer before the first enqueue.
+			// Restoring needs the streamer at once, so the session takes
+			// it here, on this goroutine, instead of at its first chunk.
 			s.streamer().Restore(snap)
-			s.mu.Lock()
 			s.accepted, s.emitted = acc, em
-			s.mu.Unlock()
 			s.nextSnapS = tSnap + e.snapEvery
-			beat, tS = snap.Beat, snap.TimeS
+			readmit.Beat, readmit.TimeS = snap.Beat, snap.TimeS
 			if snap.HasGate {
-				ewma = snap.Gate.AcceptEWMA
+				readmit.AcceptEWMA = snap.Gate.AcceptEWMA
 			}
-			restored = true
+			readmit.Restored = true
 		}
 	}
+	// Registered as scheduled, the session is held by this call the way
+	// a worker holds it: chunks and a racing Engine.Close's flush queue
+	// up behind the backfill and the readmit, and a worker takes the
+	// session only once release hands it over.
+	s.scheduled = true
+	if err := e.register(s); err != nil {
+		if s.st != nil {
+			s.st.Reset()
+			e.streamers.Put(s.st)
+		}
+		return nil, err
+	}
+	defer s.release()
 	if opts.Backfill {
 		if err := w.ReplaySession(id, func(ev event.Event) { sink.Emit(ev) }); err != nil {
 			return s, err
@@ -119,15 +126,22 @@ func (e *Engine) Reopen(id uint64, sink event.Sink, opts ReopenOptions) (*Sessio
 	// (write-ahead) and delivered like every other event — and it is
 	// appended after the backfill read the log, so a backfill never
 	// sees its own readmit twice.
-	s.forward(event.Event{
-		Kind:       event.KindReadmit,
-		Session:    id,
-		Beat:       beat,
-		TimeS:      tS,
-		AcceptEWMA: ewma,
-		Restored:   restored,
-	})
+	s.forward(readmit)
 	return s, nil
+}
+
+// release ends Reopen's hold on a session registered as scheduled: it
+// hands the session to a worker if chunks queued up meanwhile, and
+// parks it otherwise.
+func (s *Session) release() {
+	s.mu.Lock()
+	if len(s.pending) == 0 {
+		s.scheduled = false
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	s.eng.runq <- s
 }
 
 // abort simulates a process kill for the crash/restore tests: workers

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -924,4 +925,78 @@ func TestGoldenKillRestore(t *testing.T) {
 	if evs[len(evs)-1].Kind != event.KindSessionClosed {
 		t.Fatal("restored stream did not end with session-closed")
 	}
+}
+
+// TestReopenRacesEngineClose runs Reopen on one goroutine against
+// Engine.Close on another. Reopen restores the session and decides its
+// readmit before registering it, so the close either refuses the reopen
+// (ErrEngineClosed, no event) or flushes the session after its readmit:
+// never while Restore runs (the race detector watches that) and never
+// with a KindReadmit after the KindSessionClosed.
+func TestReopenRacesEngineClose(t *testing.T) {
+	dev, err := core.NewDevice(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open("w", wal.Config{FS: wal.NewMemFS(), SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.WAL = log
+
+	// A first session leaves the snapshot every Reopen restores.
+	eng := NewEngine(dev, cfg)
+	in := makeInputs(t, dev, 8)
+	s, err := eng.Subscribe(7, event.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecg, z := in.channels(s.Seed(), s.ID)
+	if err := s.Push(ecg, z); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	iters := 200
+	if testing.Short() {
+		iters = 50
+	}
+	var reopened, refused int
+	for i := 0; i < iters; i++ {
+		eng := NewEngine(dev, cfg)
+		rec := &evRec{}
+		done := make(chan error)
+		go func() {
+			_, err := eng.Reopen(7, rec, ReopenOptions{})
+			done <- err
+		}()
+		if i%2 == 1 {
+			runtime.Gosched()
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := <-done
+		evs := rec.events()
+		if err != nil {
+			if !errors.Is(err, ErrEngineClosed) || len(evs) != 0 {
+				t.Fatalf("iteration %d: refused Reopen = %v with events %v, want ErrEngineClosed and none", i, err, evs)
+			}
+			refused++
+			continue
+		}
+		reopened++
+		if len(evs) != 2 || evs[0].Kind != event.KindReadmit || evs[1].Kind != event.KindSessionClosed {
+			t.Fatalf("iteration %d: reopened stream %v, want KindReadmit then KindSessionClosed", i, evs)
+		}
+		if !evs[0].Restored {
+			t.Fatalf("iteration %d: readmit not restored from the snapshot", i)
+		}
+	}
+	t.Logf("%d reopens flushed by the close, %d refused", reopened, refused)
 }

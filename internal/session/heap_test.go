@@ -11,12 +11,14 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 44.6-46.1 KB (2-vCPU Xeon, Go 1.24) with the raw-Z and baseline rings
-// narrow (float32) on ADC-grid samples and no ICG ring, plus 10%. Like
-// the allocation budgets it only moves down — lower it when a change
-// durably shrinks the session; never raise it to let a change pass.
-// core.TestStreamerHeapPerStream ratchets the streamer alone.
-const heapBudgetKB = 51
+// 35.6-39.0 KB (2-vCPU Xeon, Go 1.24) with the raw-Z ring, the baseline
+// ring and the baseline deques narrow (float32) on ADC-grid samples,
+// the QRS and baseline rings fitted to their horizons and no ICG ring,
+// plus 10%. Like the allocation budgets it only moves down — lower it
+// when a change durably shrinks the session; never raise it to let a
+// change pass. core.TestStreamerHeapPerStream ratchets the streamer
+// alone.
+const heapBudgetKB = 43
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with

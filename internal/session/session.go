@@ -324,20 +324,15 @@ func (e *Engine) Subscribe(id uint64, sink event.Sink) (*Session, error) {
 // its first chunk (Session.streamer), so opening stays O(1) in time and
 // memory on the caller's goroutine — the gateway's connection reader.
 func (e *Engine) open(id uint64, sink event.Sink) (*Session, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrEngineClosed
+	s := e.newSession(id, sink)
+	if err := e.register(s); err != nil {
+		return nil, err
 	}
-	if _, dup := e.sessions[id]; dup {
-		return nil, ErrDuplicateID
-	}
-	if at, ok := e.quarantined[id]; ok {
-		if e.now().Sub(at).Seconds() < e.cfg.QuarantineS {
-			return nil, ErrQuarantined
-		}
-		delete(e.quarantined, id)
-	}
+	return s, nil
+}
+
+// newSession builds an unregistered session wired to sink.
+func (e *Engine) newSession(id uint64, sink event.Sink) *Session {
 	s := &Session{
 		ID:        id,
 		eng:       e,
@@ -347,9 +342,29 @@ func (e *Engine) open(id uint64, sink event.Sink) (*Session, error) {
 		nextSnapS: e.snapEvery,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	e.sessions[id] = s
+	return s
+}
+
+// register publishes s in the engine's session set, unless the engine
+// is closed, the ID is taken or it sits out its quarantine.
+func (e *Engine) register(s *Session) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrEngineClosed
+	}
+	if _, dup := e.sessions[s.ID]; dup {
+		return ErrDuplicateID
+	}
+	if at, ok := e.quarantined[s.ID]; ok {
+		if e.now().Sub(at).Seconds() < e.cfg.QuarantineS {
+			return ErrQuarantined
+		}
+		delete(e.quarantined, s.ID)
+	}
+	e.sessions[s.ID] = s
 	e.opened++
-	return s, nil
+	return nil
 }
 
 // Len returns the number of open sessions.
@@ -655,8 +670,8 @@ func (s *Session) process(c chunk) {
 // pool and arming the session's forwarder on it the first time. This is
 // the one place a session acquires its streamer: on its worker, inside
 // guard, before its first chunk or the flush of a session that never
-// got one — or in Reopen, before the session is pushable, to restore a
-// snapshot.
+// got one — or in Reopen, before the session is registered, to restore
+// a snapshot.
 func (s *Session) streamer() *core.Streamer {
 	if s.st == nil {
 		s.st = s.eng.streamers.Get().(*core.Streamer)
