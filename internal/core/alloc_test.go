@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/event"
@@ -123,4 +124,39 @@ func hopAllocs(st *Streamer, acq *Acquisition, after func()) float64 {
 		push()
 	}
 	return testing.AllocsPerRun(10, push)
+}
+
+// Ending a session must not allocate in proportion to the pipeline's
+// lookahead: the ECG chain's drain (the baseline cascade's four stage
+// tails piped through the later stages, then the zero-phase FIR's)
+// ping-pongs between arena buffers, as Push does. A warmed-up
+// streamer's Flush of 10 s of subject 1 allocated 78 objects (6.6 KB
+// of them the drain's) before; 3 are left, the analysis of the beat
+// the drain completes (icg.DetectBeatWith's result block), and the
+// budget rides just above that.
+func TestStreamerFlushAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	d, acq := allocFixture(t)
+	st := d.NewStreamer(DefaultStreamConfig())
+	const runs = 5
+	var ms runtime.MemStats
+	var allocs uint64
+	for i := 0; i <= runs; i++ {
+		st.Reset()
+		for pos := 0; pos < 2500; pos += 250 {
+			st.Push(acq.ECG[pos:pos+250], acq.Z[pos:pos+250])
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		st.Flush()
+		runtime.ReadMemStats(&ms)
+		if i > 0 { // the first run warms the arena pool
+			allocs += ms.Mallocs - before
+		}
+	}
+	if perFlush := float64(allocs) / runs; perFlush > 5 {
+		t.Errorf("Flush allocates %.1f objects, budget 5 (78 before the drain used the arena)", perFlush)
+	}
 }

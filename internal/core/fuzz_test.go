@@ -340,7 +340,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		run := func(chunked bool) []icg.BeatAnalysis {
 			// The whole run appends the 8 s acquisition before any R:
 			// that is the lead its raw ring must cover.
-			raw := dsp.NewNarrowRing(icg.RawHistory(dCfg, false, icgCtxSeconds, 6, len(z)))
+			raw := dsp.NewNarrowRing(icg.RawHistory(dCfg, false, icgCtxSeconds, 6, len(z)), fuzzEnv.dev.cfg.ICGFrontEnd.ACADC.LSB())
 			d := icg.NewDelineator(dCfg, lp, hp, false, icgCtxSeconds, 6, raw, &fuzzEnv.dev.arenas)
 			push := func(out []icg.BeatAnalysis, x []float64) []icg.BeatAnalysis {
 				raw.Append(x)

@@ -58,10 +58,12 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // engine: no rolling windows are re-analyzed, but the detectors keep
 // bounded history rings (QRS slope and refinement windows, and the raw
 // impedance history that the delineator replays its ICG from and the
-// quality gate and the base-impedance estimate share) at firmware
-// float32 widths. The ring horizons are read off a streamer built for
-// the profile, so they follow stream.go by construction; fs must admit
-// the device's filter designs.
+// quality gate and the base-impedance estimate share). Computed
+// samples are priced at the firmware's float32 width, raw samples at
+// the 2 B of the 16-bit ADC code the MCU reads (the server's raw-Z
+// ring keeps the same codes). The ring horizons are read off a
+// streamer built for the profile, so they follow stream.go by
+// construction; fs must admit the device's filter designs.
 //
 // The horizons are those of the streamer the server runs, whose ECG
 // band-pass uses the block-carried overlap-save engine; its block lag
@@ -71,7 +73,7 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // spectrum and twiddles every stream shares) is left out: the direct
 // recurrence holds only the kernel's delay line.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
-	const sampleBytes = 4
+	const sampleBytes, codeBytes = 4, 2
 	st := profileStreamer(fs, sc)
 	samples := func(n int) int { return n * sampleBytes }
 	return RAMBudget{
@@ -87,7 +89,7 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// refinement windows each candidate is measured over, plus
 			// the sub-chunk Push band-passes ahead, which takes up the
 			// rings' power-of-two rounding (History: 256 samples at
-			// 250 Hz, so 2 KB of the 28.5 KB total at float32).
+			// 250 Hz, so 2 KB of the 21.2 KB total at float32).
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
 			// Per-beat scratch: the longest window the delineator
 			// replays -dZ/dt over and refilters.
@@ -96,8 +98,9 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// window back to its forward-pass checkpoint), the quality
 			// gate (the beat segment it scores) and the causal Z0
 			// estimate (the running sum folded up to each closing R):
-			// what the hungrier of the delineator and the gate needs.
-			{Name: "raw-z-history", Bytes: samples(st.rawN)},
+			// what the hungrier of the delineator and the gate needs,
+			// as ADC codes.
+			{Name: "raw-z-history", Bytes: st.rawN * codeBytes},
 			// Quality-gate state: the ensemble template plus the running
 			// extremes, acceptance tallies and EWMA.
 			{Name: "gate-state", Bytes: samples(icg.ShapeBins) + 32},

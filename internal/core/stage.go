@@ -96,12 +96,17 @@ func (cs *ChainStream) Push(a *dsp.Arena, dst, x []float64) []float64 {
 }
 
 // Flush drains every stage in order, piping each stage's tail through
-// the rest of the chain, and appends the final samples to dst.
+// the rest of the chain, and appends the final samples to dst. The
+// tails ping-pong between two buffers checked out of a, sized for the
+// chain's lookahead: no stage holds more outputs than its lookahead,
+// nor emits more per push than it takes in.
 func (cs *ChainStream) Flush(a *dsp.Arena, dst []float64) []float64 {
+	b1, b2 := a.F64(cs.la)[:0], a.F64(cs.la)[:0]
 	for i := range cs.stages {
-		tail := cs.stages[i].Flush(a, nil)
+		tail := cs.stages[i].Flush(a, b1[:0])
 		for j := i + 1; j < len(cs.stages); j++ {
-			tail = cs.stages[j].Push(a, nil, tail)
+			b1, b2 = b2, b1
+			tail = cs.stages[j].Push(a, b1[:0], tail)
 		}
 		dst = append(dst, tail...)
 	}
@@ -135,12 +140,17 @@ func (cs *ChainStream) HeldBytes() int {
 // baselineStage removes the morphological baseline estimate
 // (Section IV-A.1). The naive-engine ablation flag affects only the
 // batch cost model; both engines compute identical sliding extrema.
-type baselineStage struct{ cfg ecg.BaselineConfig }
+// lsb is the ECG ADC's quantization step, the grid the stream's raw
+// history stores codes on.
+type baselineStage struct {
+	cfg ecg.BaselineConfig
+	lsb float64
+}
 
 func (st baselineStage) Apply(a *dsp.Arena, x []float64) []float64 {
 	return ecg.RemoveBaselineWith(a, x, st.cfg)
 }
-func (st baselineStage) NewStream() StageStream { return ecg.NewBaselineStream(st.cfg) }
+func (st baselineStage) NewStream() StageStream { return ecg.NewBaselineStream(st.cfg, st.lsb) }
 
 // firZeroPhaseStage applies the pre-designed FIR forward-backward
 // (zero phase), the paper's default ECG band-pass application.
@@ -210,12 +220,13 @@ func buildChains(cfg Config, fs float64, b *filterBank) {
 	blCfg := ecg.DefaultBaseline(fs)
 	blCfg.Naive = cfg.NaiveMorph
 	b.blCfg = blCfg
+	baseline := baselineStage{cfg: blCfg, lsb: cfg.ECGFrontEnd.ADC.LSB()}
 	if cfg.CausalFilters {
-		b.ecgChain = Chain{baselineStage{cfg: blCfg}, firSameStage{f: b.ecgFIR}}
+		b.ecgChain = Chain{baseline, firSameStage{f: b.ecgFIR}}
 		b.icgChain = Chain{icgDerivStage{fs: fs}, sosCausalStage{s: b.icgLP}, sosCausalStage{s: b.icgHP}}
 		return
 	}
-	b.ecgChain = Chain{baselineStage{cfg: blCfg}, firZeroPhaseStage{f: b.ecgFIR}}
+	b.ecgChain = Chain{baseline, firZeroPhaseStage{f: b.ecgFIR}}
 	// Zero-phase cascades commute, so the high-pass runs first: the
 	// incremental delineator exploits that order (the slow band-edge
 	// high-pass over the full settling context, the fast low-pass over a

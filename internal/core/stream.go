@@ -106,9 +106,10 @@ type Streamer struct {
 	// them, over the samples about to leave the ring — the same
 	// additions in the same order whatever the chunking. The ring
 	// retains what its hungrier reader needs (rawN: the gate's or the
-	// delineator's horizon). It stores float32 while every sample is on
-	// the ADC grid and widens to float64 at the first sample that is not
-	// (dsp.NewNarrowRing).
+	// delineator's horizon). It stores 16-bit codes on the impedance
+	// ADC's grid (the AC path's LSB, relative to the session's first
+	// sample: 2 B a sample) while every sample is on it, and widens to
+	// float64 at the first sample that is not (dsp.NewNarrowRing).
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
@@ -202,7 +203,7 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	// ring's size is part of the output.
 	s.rawN = max(s.maxBeat+1+zHorizon,
 		icg.RawHistory(dCfg, causal, ctxSeconds, sc.WindowSeconds, zHorizon))
-	s.raw = dsp.NewNarrowRing(s.rawN)
+	s.raw = dsp.NewNarrowRing(s.rawN, d.cfg.ICGFrontEnd.ACADC.LSB())
 	s.delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, causal, ctxSeconds,
 		sc.WindowSeconds, s.raw, &d.arenas)
 	s.gate = d.gate.NewStream(s.raw, s.maxBeat)
@@ -261,7 +262,7 @@ func (s *Streamer) push(a *dsp.Arena, ecgSamples, zSamples []float64) {
 // emitted.
 func (s *Streamer) Flush() {
 	a := s.dev.arenas.Get()
-	cond := s.ecgStream.Flush(a, nil)
+	cond := s.ecgStream.Flush(a, a.F64(s.ecgStream.Lookahead())[:0])
 	s.deliver(a, cond, true)
 	s.dev.arenas.Put(a)
 }
@@ -540,6 +541,16 @@ func (s *Streamer) HeldBytes() int {
 		n += dsp.SizeOf[Governor]()
 	}
 	return n
+}
+
+// Narrow reports whether the streamer's raw-sample storage is still
+// narrow: 16-bit ADC codes in the raw-Z ring and the ECG baseline's
+// ring, float32 in the baseline's deques. A session whose samples left
+// the ADC grids (a dead contact's dithered impedance, say) widened it
+// to float64 for good; Reset keeps the width, so a pool that hands
+// streamers to new sessions should take back only narrow ones.
+func (s *Streamer) Narrow() bool {
+	return s.raw.Narrow() && s.ecgStream.stages[0].(*ecg.BaselineStream).Narrow()
 }
 
 // Reset returns the streamer to its initial state, keeping every buffer

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/ecg"
 	"repro/internal/event"
 	"repro/internal/hemo"
@@ -110,11 +111,12 @@ func TestStreamerLatency(t *testing.T) {
 // gate restarts its running extremes at the ring's start, so the ring
 // size is part of the output.
 //
-// The raw-Z and ECG baseline rings store float32 while every sample is
-// float32-exact: Acquire's ADC-grid samples keep them narrow for a whole
-// recording, DeadContact's dithered samples widen them, and a recording
-// that turns dead partway emits the same events whichever push and
-// sub-chunk the widening sample lands in.
+// The raw-Z and ECG baseline rings store 16-bit ADC codes while every
+// sample is on the ADC's grid (and the baseline deques float32):
+// Acquire's samples keep them narrow for a whole recording,
+// DeadContact's dithered samples widen them, and a recording that turns
+// dead partway emits the same events whichever push and sub-chunk the
+// widening sample lands in.
 func TestStreamerRawRingDefault(t *testing.T) {
 	d := device(t, nil)
 	st := d.NewStreamer(DefaultStreamConfig())
@@ -124,7 +126,11 @@ func TestStreamerRawRingDefault(t *testing.T) {
 
 	fs := d.cfg.FS
 	narrow := func(st *Streamer) (z, ecgRaw bool) {
-		return st.raw.Narrow(), st.ecgStream.stages[0].(*ecg.BaselineStream).Narrow()
+		z, ecgRaw = st.raw.Narrow(), st.ecgStream.stages[0].(*ecg.BaselineStream).Narrow()
+		if st.Narrow() != (z && ecgRaw) {
+			t.Fatalf("Streamer.Narrow() = %v with raw-Z narrow %v, baseline narrow %v", st.Narrow(), z, ecgRaw)
+		}
+		return z, ecgRaw
 	}
 	for id := 1; id <= 5; id++ {
 		sub, _ := physio.SubjectByID(id)
@@ -186,6 +192,56 @@ func TestStreamerRawRingDefault(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("chunk %d: event hash %x, 1-sample pushes %x", chunk, got, want)
 		}
+	}
+}
+
+// A pooled streamer carries its narrow rings from session to session:
+// Reset drops the code grid's base, so two sessions with different base
+// impedances (subjects 1 and 4) through one streamer both stay narrow,
+// the raw-Z ring reads back what a float64 ring fed the same samples
+// holds, bit for bit, and the second session emits what a fresh
+// streamer does.
+func TestStreamerPooledRingsRebase(t *testing.T) {
+	d := device(t, nil)
+	hashOf := func(st *Streamer, acq *Acquisition) [sha256.Size]byte {
+		h := sha256.New()
+		var buf []byte
+		st.Emit(event.Func(func(ev event.Event) {
+			buf = wal.EncodeEvent(buf[:0], &ev)
+			h.Write(buf)
+		}), 1)
+		pushChunks(st, acq.ECG, acq.Z, every(50))
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	pooled := d.NewStreamer(DefaultStreamConfig())
+	var z0 []float64
+	for _, id := range []int{1, 4} {
+		sub, _ := physio.SubjectByID(id)
+		acq, err := d.Acquire(&sub, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z0 = append(z0, acq.Z[0])
+		pooled.Reset()
+		got := hashOf(pooled, acq)
+		if !pooled.Narrow() {
+			t.Fatalf("subject %d: the pooled streamer widened", id)
+		}
+		ref := dsp.NewRing(pooled.raw.Cap())
+		ref.Append(acq.Z)
+		for i := pooled.raw.Start(); i < pooled.raw.N(); i++ {
+			if math.Float64bits(pooled.raw.At(i)) != math.Float64bits(ref.At(i)) {
+				t.Fatalf("subject %d: raw-Z sample %d reads %v, want %v", id, i, pooled.raw.At(i), ref.At(i))
+			}
+		}
+		if want := hashOf(d.NewStreamer(DefaultStreamConfig()), acq); got != want {
+			t.Fatalf("subject %d: pooled streamer's events differ from a fresh one's", id)
+		}
+	}
+	if z0[0] == z0[1] {
+		t.Fatalf("subjects 1 and 4 start at the same impedance %v: the test needs two bases", z0[0])
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // the scalar PushSample recurrence), FIRStream (the blocked convSeqInto
 // group kernel across arbitrary chunk boundaries, via the zero-phase
 // composite), and MovExtStream (chunked vs whole push, and, on input on
-// the float32 grid with its first off-grid sample at widenAt, the
+// the ECG ADC's grid with its first off-grid sample at widenAt, the
 // narrow deque that widens there vs one that is wide from the start;
 // widenAt past the signal never widens).
 func FuzzDSPStreamChunkInvariance(f *testing.F) {
@@ -114,12 +114,14 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		mc := NewMovExtStream(left, right, prime)
 		cmpExact("movext chunked vs whole-push", mc.Flush(nil, chunked(mc.Push)), wantExt)
 
-		// Narrow deque on float32-grid input whose first off-grid sample
+		// Narrow deque on input quantized to the ECG ADC's grid (16-bit
+		// codes of 5·2⁻¹⁵, all float32-exact) whose first off-grid sample
 		// (one float64 ulp off the grid) is at widenAt, against the
 		// all-float64 oracle; its width must follow the samples alone.
+		const lsb = 5 * 0x1p-15
 		grid := make([]float64, n)
 		for i, v := range x {
-			grid[i] = float64(float32(v))
+			grid[i] = math.Round(v/lsb) * lsb
 		}
 		if p := int(widenAt); p < n {
 			grid[p] = math.Nextafter(grid[p], 2)

@@ -43,23 +43,36 @@ func (r *wideRing) argMax(lo, hi int) int {
 	return best
 }
 
-// float32Exact is the narrow-storage law: v survives a round trip
-// through float32 bit for bit.
-func float32Exact(v float64) bool {
-	return math.Float64bits(float64(float32(v))) == math.Float64bits(v)
+// onCodeGrid is the narrow-storage law written out: v is stored as a
+// 16-bit code relative to base when (v-base)/step rounded to the
+// nearest integer, ties to even, lies in the int16 range and base plus
+// that many steps reproduces v's float64 bits.
+func onCodeGrid(v, base, step float64) bool {
+	q := math.RoundToEven((v - base) / step)
+	if math.IsNaN(q) || q < math.MinInt16 || q > math.MaxInt16 {
+		return false
+	}
+	return math.Float64bits(base+float64(q*step)) == math.Float64bits(v)
 }
 
-// ringSamples decodes fuzz bytes into samples: a tag byte, then four
-// bytes of float32 bits (tag even) or eight bytes of float64 bits (tag
-// odd), so inputs mix on-grid and off-grid samples.
-func ringSamples(data []byte) []float64 {
+// ringSteps are the grids FuzzRingStorage draws from: the impedance
+// AC-path LSB (2⁻¹²), the ECG LSB (5·2⁻¹⁵, not a power of two), the
+// impedance DC-path LSB, unit and decimal steps.
+var ringSteps = []float64{0x1p-12, 5 * 0x1p-15, 1.0 / 16, 1, 0.1, 3}
+
+// ringSamples decodes fuzz bytes into samples: a tag byte, then two
+// bytes of an int16 code k standing for origin + k*step (tag even) or
+// eight bytes of float64 bits (tag odd), so inputs mix on-grid and
+// off-grid samples.
+func ringSamples(data []byte, origin, step float64) []float64 {
 	var xs []float64
 	for len(data) > 0 {
 		tag := data[0]
 		data = data[1:]
-		if tag&1 == 0 && len(data) >= 4 {
-			xs = append(xs, float64(math.Float32frombits(binary.LittleEndian.Uint32(data))))
-			data = data[4:]
+		if tag&1 == 0 && len(data) >= 2 {
+			k := int16(binary.LittleEndian.Uint16(data))
+			xs = append(xs, origin+float64(k)*step)
+			data = data[2:]
 		} else if tag&1 == 1 && len(data) >= 8 {
 			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 			data = data[8:]
@@ -81,30 +94,68 @@ func encodeRingSamples(xs ...float64) []byte {
 	return b
 }
 
+// encodeRingCodes writes int16 codes for ringSamples.
+func encodeRingCodes(ks ...int16) []byte {
+	var b []byte
+	for _, k := range ks {
+		b = append(b, 0)
+		b = binary.LittleEndian.AppendUint16(b, uint16(k))
+	}
+	return b
+}
+
 // FuzzRingStorage pins the narrow ring against the plain float64 ring:
-// for arbitrary float64 bit patterns fed through arbitrary Push/Append
-// chunkings (and Resets), At, CopyTo, ArgMax, Start, N and Cap must be
-// bit-identical; the ring must store float32 exactly while every sample
-// so far was float32-exact; and it must widen at most once, keeping one
-// buffer and never narrowing again.
+// for arbitrary float64 bit patterns and grid codes fed through
+// arbitrary Push/Append chunkings (and Resets), on each grid of
+// ringSteps, At, CopyTo, ArgMax, Start, N and Cap must be bit-identical;
+// the ring must store codes exactly while every sample so far was on
+// the code grid relative to the first sample since the last Reset
+// (onCodeGrid); and it must widen at most once, keeping one buffer and
+// never narrowing again.
 func FuzzRingStorage(f *testing.F) {
-	f.Add(uint8(7), encodeRingSamples(1, 2.5, -3, 4096.000244140625), []byte{0, 3, 9})
-	f.Add(uint8(4), encodeRingSamples(0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-40), []byte{2, 0, 1})
-	f.Add(uint8(5), encodeRingSamples(1, 2, math.NaN(), 3, 4), []byte{5})
-	f.Add(uint8(3), encodeRingSamples(1, 2, 5e-324, 3), []byte{0, 0, 2})
-	f.Add(uint8(9), encodeRingSamples(1, math.MaxFloat32*2, -1e300, 2), []byte{4})
+	const zAC, ecg = 0, 1 // ringSteps indices: 2⁻¹² and 5·2⁻¹⁵
+	f.Add(uint8(7), uint8(zAC), 400.0, encodeRingSamples(1, 2.5, -3, 4096.000244140625), []byte{0, 3, 9})
+	f.Add(uint8(4), uint8(3), 0.0, encodeRingSamples(0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e-40), []byte{2, 0, 1})
+	f.Add(uint8(5), uint8(3), 0.0, encodeRingSamples(1, 2, math.NaN(), 3, 4), []byte{5})
+	f.Add(uint8(3), uint8(3), 0.0, encodeRingSamples(1, 2, 5e-324, 3), []byte{0, 0, 2})
+	f.Add(uint8(9), uint8(3), 0.0, encodeRingSamples(1, math.MaxFloat32*2, -1e300, 2), []byte{4})
 	// The widening sample sits in the middle of one Append that also
 	// wraps the ring.
-	f.Add(uint8(3), encodeRingSamples(1, 2, 3, 4, 5, 6, 0.1, 7, 8, 9, 10, 11), []byte{12})
-	// A quiet NaN read from float32 bits is float32-exact: it stays
-	// narrow, across a Reset.
-	f.Add(uint8(16), append(encodeRingSamples(1, 2, 3), 0, 0, 0, 0xc0, 0x7f), []byte{255, 1, 2})
-	f.Fuzz(func(t *testing.T, capSel uint8, data, ops []byte) {
-		xs := ringSamples(data)
+	f.Add(uint8(3), uint8(3), 0.0, encodeRingSamples(1, 2, 3, 4, 5, 6, 0.1, 7, 8, 9, 10, 11), []byte{12})
+	// A NaN first sample widens at once; so does a -0.0 first sample
+	// (base + 0 is +0.0), and a -0.0 after a +0.0 base.
+	f.Add(uint8(8), uint8(3), 0.0, encodeRingSamples(math.NaN(), 1, 2), []byte{1})
+	f.Add(uint8(8), uint8(3), 0.0, encodeRingSamples(math.Copysign(0, -1), 1, 2), []byte{3})
+	f.Add(uint8(8), uint8(3), 0.0, encodeRingSamples(0, 1, math.Copysign(0, -1)), []byte{3})
+	// Relative codes at the int16 edges: -32768 from the first sample
+	// stays narrow, +32768 and -32769 widen.
+	f.Add(uint8(6), uint8(3), 0.0, encodeRingCodes(0, -32768, 32767, 5), []byte{2, 2})
+	f.Add(uint8(6), uint8(3), 0.0, encodeRingCodes(-1, 32767, 0), []byte{1})
+	f.Add(uint8(6), uint8(zAC), 400.0, encodeRingCodes(1, -32768, 0), []byte{3})
+	// The ECG grid, 5·2⁻¹⁵, is not a power of two: ADC codes across its
+	// span stay narrow; a sample half a step off widens.
+	f.Add(uint8(30), uint8(ecg), 0.0, encodeRingCodes(-1225, 4579, 0, -32768+4579, 17), []byte{2, 3})
+	f.Add(uint8(30), uint8(ecg), 0.0, append(encodeRingCodes(10, 11, 12), encodeRingSamples(12.5*5*0x1p-15)...), []byte{1})
+	// A Reset, then a new base: an impedance session of one Z0 after
+	// one of another (the pooled streamer's raw ring), and a base far
+	// enough that the old codes would be out of reach.
+	f.Add(uint8(16), uint8(zAC), 430.0, append(encodeRingCodes(-5, 100, 2000), encodeRingSamples(612.5, 612.5+0x1p-12, 612)...), []byte{3, 255, 2})
+	f.Add(uint8(16), uint8(0), 0.0, append(encodeRingCodes(32767, 32000, 1), encodeRingCodes(-32768, -30000, 100)...), []byte{2, 255, 2})
+	f.Fuzz(func(t *testing.T, capSel, stepSel uint8, origin float64, data, ops []byte) {
+		step := ringSteps[int(stepSel)%len(ringSteps)]
+		xs := ringSamples(data, origin, step)
 		capacity := int(capSel%40) + 1
-		r, ref := NewNarrowRing(capacity), newWideRing(capacity)
-		exact, widened := true, false
+		r, ref := NewNarrowRing(capacity, step), newWideRing(capacity)
+		exact, fresh, widened := true, true, false
+		var base float64
 		var wide *float64 // the wide storage, once widened
+		take := func(v float64) {
+			ref.push(v)
+			if fresh {
+				base, fresh = v, false
+			}
+			exact = exact && onCodeGrid(v, base, step)
+		}
 		check := func(op int) {
 			t.Helper()
 			if r.N() != ref.n || r.Start() != ref.start() || r.Cap() != len(ref.buf) {
@@ -119,8 +170,8 @@ func FuzzRingStorage(f *testing.F) {
 					t.Fatalf("op %d: narrow again after widening", op)
 				}
 			} else {
-				if r.b32 != nil {
-					t.Fatalf("op %d: widened ring kept its float32 buffer", op)
+				if r.codes != nil {
+					t.Fatalf("op %d: widened ring kept its code buffer", op)
 				}
 				if widened && &r.buf[0] != wide {
 					t.Fatalf("op %d: widened more than once", op)
@@ -156,20 +207,19 @@ func FuzzRingStorage(f *testing.F) {
 			if c == 255 { // Reset, then a 1-sample push so the loop still consumes input
 				r.Reset()
 				ref.n = 0
+				fresh = true
 				c = 0
 			}
 			switch {
 			case c == 0:
 				r.Push(xs[0])
-				ref.push(xs[0])
-				exact = exact && float32Exact(xs[0])
+				take(xs[0])
 				xs = xs[1:]
 			default:
 				chunk := xs[:min(c, len(xs))]
 				r.Append(chunk)
 				for _, v := range chunk {
-					ref.push(v)
-					exact = exact && float32Exact(v)
+					take(v)
 				}
 				xs = xs[len(chunk):]
 			}
@@ -178,11 +228,11 @@ func FuzzRingStorage(f *testing.F) {
 	})
 }
 
-// BenchmarkRing30s streams 30 s of on-grid impedance (250 Hz, a 2⁻¹² Ω
-// grid) through a 4096-sample ring the way the streamer's raw-Z ring is
-// used: 128-sample appends, every sample read back once with At, and a
-// one-beat CopyTo per second. "narrow" is the float32 storage on
-// float32-exact input, "wide" the float64 storage.
+// BenchmarkRing30s streams 30 s of on-grid impedance (250 Hz, the AC
+// path's 2⁻¹² Ω grid) through a 4096-sample ring the way the
+// streamer's raw-Z ring is used: 128-sample appends, every sample read
+// back once with At, and a one-beat CopyTo per second. "narrow" is the
+// 16-bit code storage on that grid, "wide" the float64 storage.
 func BenchmarkRing30s(b *testing.B) {
 	x := make([]float64, 7500)
 	for i := range x {
@@ -191,7 +241,7 @@ func BenchmarkRing30s(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		mk   func(int) *Ring
-	}{{"wide", NewRing}, {"narrow", NewNarrowRing}} {
+	}{{"wide", NewRing}, {"narrow", func(n int) *Ring { return NewNarrowRing(n, 0x1p-12) }}} {
 		b.Run(c.name, func(b *testing.B) {
 			r := c.mk(4096)
 			seg := make([]float64, 0, 250)

@@ -38,16 +38,17 @@ import (
 // impedance) with O(1) memory.
 //
 // Storage width: a ring built by NewRing stores float64. One built by
-// NewNarrowRing stores float32 while every sample it has taken is
-// float32-exact — converting it to float32 and back reproduces its
-// float64 bits — which every ADC code on the front end's 16-bit grids
-// is. The first sample that is not (a dithered or computed value, a
-// float64 subnormal, a magnitude beyond float32's range, most NaNs)
-// widens the ring to float64 for good: the float32 contents are
-// converted over exactly and the float32 buffer is dropped, so a
-// widened ring holds what a NewRing ring holds and never two buffers.
-// Every reader (At, CopyTo, ArgMax, Start, N, Cap) returns bit-identical
-// values in either width, so the width is invisible downstream.
+// NewNarrowRing stores 16-bit codes on a grid of the given step (the
+// front end's ADC LSB), relative to the first sample after
+// construction or Reset, while every sample it has taken is on that
+// grid (codeGrid): a 16-bit ADC's samples are, while they stay within
+// 32767 codes of the first. The first sample that is not (a dithered
+// or computed value, one beyond a code's reach, -0.0, NaN) widens the
+// ring to float64 for good: the codes are decoded over exactly and the
+// code buffer is dropped, so a widened ring holds what a NewRing ring
+// holds and never two buffers. Every reader (At, CopyTo, ArgMax,
+// Start, N, Cap) returns bit-identical values in either width, so the
+// width is invisible downstream.
 //
 // Aliasing invariant: the storage is replaced at most once in the
 // ring's life, narrow to wide, and only inside Push/Append; it is never
@@ -55,30 +56,69 @@ import (
 // current backing array. No reader keeps a slice into the storage —
 // CopyTo copies out — so the replacement cannot leave a stale view.
 // Reset rewinds the logical stream without touching the storage (a
-// widened ring stays wide), which is what lets pooled engines hand
-// rings across sessions while old absolute indices go stale rather
-// than dangle.
+// widened ring stays wide; a narrow one takes a new base from its next
+// sample), which is what lets pooled engines hand rings across
+// sessions while old absolute indices go stale rather than dangle.
 type Ring struct {
-	buf  []float64 // wide storage; nil while the ring is narrow
-	b32  []float32 // narrow storage; nil once the ring is wide
-	mask int
-	n    int // total samples pushed
+	buf   []float64 // wide storage; nil while the ring is narrow
+	codes []int16   // narrow storage; nil once the ring is wide
+	grid  codeGrid
+	mask  int
+	n     int // total samples pushed
+}
+
+// codeGrid maps samples to 16-bit codes c on the grid step relative to
+// base: a sample v is stored as c = round((v-base)/step), ties to even,
+// when c fits an int16 and base + c*step reproduces v's float64 bits.
+// base is the first sample the storage takes after construction or
+// Reset (NaN until then). Decoding is monotonic in c and codes are
+// computed from the samples alone, so for stored samples c1 < c2
+// exactly when v1 < v2: code comparisons order the samples as their
+// values do.
+type codeGrid struct {
+	step, base float64
+}
+
+func newCodeGrid(step float64) codeGrid {
+	if !(step > 0) || math.IsInf(step, 1) {
+		panic("dsp: code grid step must be positive and finite")
+	}
+	return codeGrid{step: step, base: math.NaN()}
+}
+
+// encode returns v's code and whether it is stored exactly. The range
+// is checked on the float before converting (an out-of-range float to
+// int conversion is implementation-defined), and NaN fails it.
+func (g codeGrid) encode(v float64) (int16, bool) {
+	q := math.RoundToEven((v - g.base) / g.step)
+	if !(q >= math.MinInt16 && q <= math.MaxInt16) {
+		return 0, false
+	}
+	c := int16(q)
+	return c, math.Float64bits(g.decode(c)) == math.Float64bits(v)
+}
+
+// decode returns the sample code c stands for. The explicit conversion
+// rounds the product, so the compiler cannot fuse it with the addition
+// into an FMA on one path and not another.
+func (g codeGrid) decode(c int16) float64 {
+	return g.base + float64(float64(c)*g.step)
 }
 
 // NewRing returns a float64 ring that retains at least capacity
 // samples (rounded up to a power of two). Rings of filter outputs use
-// it: their samples are rarely float32-exact.
+// it: their samples are not on any ADC grid.
 func NewRing(capacity int) *Ring {
 	size := ringSize(capacity)
 	return &Ring{buf: make([]float64, size), mask: size - 1}
 }
 
-// NewNarrowRing returns a ring like NewRing's that stores float32 until
-// its first sample that is not float32-exact. Rings of raw ADC samples
-// use it.
-func NewNarrowRing(capacity int) *Ring {
+// NewNarrowRing returns a ring like NewRing's that stores 16-bit codes
+// on the grid step (positive and finite) until its first sample off
+// that grid. Rings of raw ADC samples use it, with the ADC's LSB.
+func NewNarrowRing(capacity int, step float64) *Ring {
 	size := ringSize(capacity)
-	return &Ring{b32: make([]float32, size), mask: size - 1}
+	return &Ring{codes: make([]int16, size), grid: newCodeGrid(step), mask: size - 1}
 }
 
 func ringSize(capacity int) int {
@@ -88,24 +128,25 @@ func ringSize(capacity int) int {
 	return NextPow2(capacity)
 }
 
-// Narrow reports whether the ring still stores float32.
+// Narrow reports whether the ring still stores codes.
 func (r *Ring) Narrow() bool { return r.buf == nil }
 
-// widen moves a narrow ring to float64 storage, converting every
-// stored sample exactly.
+// widen moves a narrow ring to float64 storage, decoding every stored
+// code exactly (slots not yet written decode to a value no reader
+// reaches).
 func (r *Ring) widen() {
-	r.buf = make([]float64, len(r.b32))
-	for i, f := range r.b32 {
-		r.buf[i] = float64(f)
+	r.buf = make([]float64, len(r.codes))
+	for i, c := range r.codes {
+		r.buf[i] = r.grid.decode(c)
 	}
-	r.b32 = nil
+	r.codes = nil
 }
 
 // Push appends one sample.
 func (r *Ring) Push(v float64) { r.Append([]float64{v}) }
 
 // Append appends a chunk with at most two bulk copies per ring lap
-// (per-sample conversions while the ring is narrow).
+// (per-sample encoding while the ring is narrow).
 func (r *Ring) Append(xs []float64) {
 	if r.buf == nil {
 		if xs = r.appendNarrow(xs); len(xs) == 0 {
@@ -121,20 +162,23 @@ func (r *Ring) Append(xs []float64) {
 	}
 }
 
-// appendNarrow stores the leading float32-exact samples of xs in the
-// narrow storage and returns the rest, which starts at the first
-// sample that is not float32-exact.
+// appendNarrow stores the leading on-grid samples of xs as codes and
+// returns the rest, which starts at the first sample off the grid.
 func (r *Ring) appendNarrow(xs []float64) []float64 {
+	if len(xs) > 0 && math.IsNaN(r.grid.base) {
+		r.grid.base = xs[0] // the first sample since construction or Reset
+	}
+	g := r.grid
 	for len(xs) > 0 {
-		dst := r.b32[r.n&r.mask:]
+		dst := r.codes[r.n&r.mask:]
 		m := min(len(dst), len(xs))
 		for i, v := range xs[:m] {
-			f := float32(v)
-			if math.Float64bits(float64(f)) != math.Float64bits(v) {
+			c, ok := g.encode(v)
+			if !ok {
 				r.n += i
 				return xs[i:]
 			}
-			dst[i] = f
+			dst[i] = c
 		}
 		r.n += m
 		xs = xs[m:]
@@ -156,13 +200,13 @@ func (r *Ring) Start() int { return max(r.n-r.Cap(), 0) }
 // [Start(), N()).
 func (r *Ring) At(i int) float64 {
 	if r.buf == nil {
-		return float64(r.b32[i&r.mask])
+		return r.grid.decode(r.codes[i&r.mask])
 	}
 	return r.buf[i&r.mask]
 }
 
 // CopyTo appends the samples of [lo, hi) to dst with at most two bulk
-// copies (per-sample conversions while the ring is narrow). The range
+// copies (per-sample decoding while the ring is narrow). The range
 // must be retained.
 func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 	for lo < hi {
@@ -171,11 +215,12 @@ func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 		if r.buf != nil {
 			dst = append(dst, r.buf[p:end]...)
 		} else {
-			src := r.b32[p:end]
+			src := r.codes[p:end]
 			n := len(dst)
 			dst = slices.Grow(dst, len(src))[:n+len(src)]
-			for i, f := range src {
-				dst[n+i] = float64(f)
+			out, g := dst[n:n+len(src)], r.grid
+			for i, c := range src {
+				out[i] = g.decode(c)
 			}
 		}
 		lo += end - p
@@ -186,9 +231,8 @@ func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 // ArgMax returns the absolute index of the maximum over [lo, hi)
 // clamped to the retained window, mirroring dsp.ArgMax's clamp-to-signal
 // semantics for a stream whose ring covers the requested range; it
-// returns -1 for an empty range. float32 to float64 conversion is exact
-// and order-preserving, so a narrow ring compares its float32 samples
-// directly.
+// returns -1 for an empty range. Codes order as their samples do
+// (codeGrid), so a narrow ring compares its codes directly.
 func (r *Ring) ArgMax(lo, hi int) int {
 	lo = ClampInt(lo, r.Start(), r.n)
 	hi = ClampInt(hi, r.Start(), r.n)
@@ -198,7 +242,7 @@ func (r *Ring) ArgMax(lo, hi int) int {
 	best := lo
 	if r.buf == nil {
 		for i := lo + 1; i < hi; i++ {
-			if r.b32[i&r.mask] > r.b32[best&r.mask] {
+			if r.codes[i&r.mask] > r.codes[best&r.mask] {
 				best = i
 			}
 		}
@@ -212,12 +256,16 @@ func (r *Ring) ArgMax(lo, hi int) int {
 	return best
 }
 
-// Reset forgets all samples, keeping the storage and its width.
-func (r *Ring) Reset() { r.n = 0 }
+// Reset forgets all samples, keeping the storage and its width; a
+// narrow ring takes its next sample as the new base.
+func (r *Ring) Reset() {
+	r.n = 0
+	r.grid.base = math.NaN()
+}
 
 // HeldBytes reports the bytes the ring holds: itself and its storage
 // at the current width.
-func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + 8*len(r.buf) + 4*len(r.b32) }
+func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + 8*len(r.buf) + 2*len(r.codes) }
 
 // SizeOf returns the bytes a T occupies itself, not counting what its
 // slices, maps and pointers reference: the header term of the streams'
@@ -874,11 +922,17 @@ func (s *DerivStream) Reset() { s.n = 0; s.x1, s.x2 = 0, 0 }
 //
 // Storage width: the deque's values are input samples (order
 // statistics of the window), so it stores them as float32 while every
-// sample pushed is float32-exact and widens to float64 for good at the
-// first that is not — the NewNarrowRing rule: the float32 values are
-// converted over exactly and the float32 buffer is dropped. float32 to
-// float64 conversion is exact and order-preserving, so comparisons and
-// outputs are bit-identical in either width. Reset keeps the width.
+// sample pushed is float32-exact — converting it to float32 and back
+// reproduces its float64 bits, as every code of a 16-bit ADC whose LSB
+// is a power of two or a small multiple of one does — and widens to
+// float64 for good at the first that is not, as a NewNarrowRing ring
+// does: the float32 values are converted over exactly and the float32
+// buffer is dropped. float32 to float64 conversion is exact and
+// order-preserving, so comparisons and outputs are bit-identical in
+// either width. Reset keeps the width. (16-bit codes, the ring's
+// narrow width, would save 2 B a slot more but cost the baseline
+// cascade about 45% in time: every sample is re-encoded at each of its
+// four stages.)
 // Indices are uint32 sample counters compared by wrapping subtraction:
 // a deque entry is never more than left+right+1 samples old, so the
 // counters may wrap past 2^32 on long streams.

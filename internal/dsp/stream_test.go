@@ -203,7 +203,8 @@ func TestMovExtStreamMatchesDeque(t *testing.T) {
 }
 
 func TestRingBasics(t *testing.T) {
-	for _, mk := range []func(int) *Ring{NewRing, NewNarrowRing} {
+	narrow := func(n int) *Ring { return NewNarrowRing(n, 1) }
+	for _, mk := range []func(int) *Ring{NewRing, narrow} {
 		r := mk(8)
 		for i := 0; i < 20; i++ {
 			r.Push(float64(i))

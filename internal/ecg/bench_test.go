@@ -4,25 +4,30 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/hw/afe"
 )
 
 // Benchmarks of the streamer's ECG-side streams over the paper's 30 s
 // protocol window at 250 Hz, pushed in the 128-sample sub-chunks
 // core.Streamer feeds them, with a reused arena as the streamer does.
 
-// onGrid rounds x to a 2⁻¹² grid, as the front end's ADC codes are: every
-// sample is float32-exact, so narrow storage stays narrow.
+// ecgADC is the device's ECG quantizer (16 bits over ±5); its LSB,
+// 5·2⁻¹⁵, is the grid BaselineStream stores codes on.
+var ecgADC = afe.DefaultECG().ADC
+
+// onGrid quantizes x with the ECG ADC, as the front end does: every
+// sample is a code on its grid, so narrow storage stays narrow.
 func onGrid(x []float64) []float64 {
 	y := make([]float64, len(x))
 	for i, v := range x {
-		y[i] = float64(int64(v*4096)) / 4096
+		y[i] = ecgADC.Quantize(v)
 	}
 	return y
 }
 
 // BenchmarkBaselineStream30s runs the morphological baseline remover:
-// "narrow" on ADC-grid input (float32 ring and deques), "wide" on
-// off-grid input (float64 from the first sample).
+// "narrow" on ADC-grid input (16-bit code ring, float32 deques), "wide"
+// on off-grid input (float64 from the second sample).
 func BenchmarkBaselineStream30s(b *testing.B) {
 	fs := 250.0
 	wide := synthECG(int(30*fs), fs, 21)
@@ -31,7 +36,7 @@ func BenchmarkBaselineStream30s(b *testing.B) {
 		x    []float64
 	}{{"narrow", onGrid(wide)}, {"wide", wide}} {
 		b.Run(c.name, func(b *testing.B) {
-			s := NewBaselineStream(DefaultBaseline(fs))
+			s := NewBaselineStream(DefaultBaseline(fs), ecgADC.LSB())
 			var a dsp.Arena
 			out := make([]float64, 0, len(c.x))
 			b.ReportAllocs()

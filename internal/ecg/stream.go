@@ -25,11 +25,14 @@ type BaselineStream struct {
 	sub    int // samples per pass through the cascade (see NewBaselineStream)
 }
 
-// NewBaselineStream builds the streaming baseline remover for cfg.
+// NewBaselineStream builds the streaming baseline remover for cfg. Its
+// raw ring stores 16-bit codes on the grid lsb (the ECG ADC's
+// quantization step) while the samples stay on it; its deques store
+// float32 while the samples are float32-exact.
 // The naive-engine flag only selects the cost model of the batch path;
 // both engines compute the same sliding extrema, so the stream always
 // uses the O(1)-amortized deque kernels.
-func NewBaselineStream(cfg BaselineConfig) *BaselineStream {
+func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	l1, l2 := cfg.elementLengths()
 	h1l, h1r := (l1-1)/2, l1/2
 	h2l, h2r := (l2-1)/2, l2/2
@@ -49,7 +52,7 @@ func NewBaselineStream(cfg BaselineConfig) *BaselineStream {
 	// that holds the horizon plus minSubChunk, and the sub-chunk is
 	// whatever it holds past the horizon, so the ring has no slack.
 	horizon := s.la + 2
-	s.raw = dsp.NewNarrowRing(horizon + minSubChunk)
+	s.raw = dsp.NewNarrowRing(horizon+minSubChunk, lsb)
 	s.sub = s.raw.Cap() - horizon
 	return s
 }
@@ -92,12 +95,17 @@ func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
 }
 
 // Flush drains the morphology cascade (end-of-stream window clamping)
-// and appends the final conditioned samples.
+// and appends the final conditioned samples. Each stage's tail ping-
+// pongs through the later stages between two scratch buffers from ar,
+// sized for the cascade's lookahead: no stage holds more outputs than
+// its own lookahead, nor emits more per push than it takes in.
 func (s *BaselineStream) Flush(ar *dsp.Arena, dst []float64) []float64 {
+	b1, b2 := ar.F64(s.la)[:0], ar.F64(s.la)[:0]
 	for i := range s.stages {
-		est := s.stages[i].Flush(ar, nil)
+		est := s.stages[i].Flush(ar, b1[:0])
 		for j := i + 1; j < len(s.stages); j++ {
-			est = s.stages[j].Push(ar, nil, est)
+			b1, b2 = b2, b1
+			est = s.stages[j].Push(ar, b1[:0], est)
 		}
 		dst = s.subtract(dst, est)
 	}
@@ -122,11 +130,18 @@ func (s *BaselineStream) Reset() {
 	s.out = 0
 }
 
-// Narrow reports whether the raw-ECG history still stores float32:
-// true while every sample pushed is float32-exact (dsp.NewNarrowRing).
-// The morphology deques hold order statistics of the same samples, so
-// each stays narrow at least as long as the ring does.
-func (s *BaselineStream) Narrow() bool { return s.raw.Narrow() }
+// Narrow reports whether the raw-ECG ring still stores ADC codes and
+// the four morphology deques still store float32: true while every
+// sample pushed is on the lsb grid relative to the first
+// (dsp.NewNarrowRing) and float32-exact (dsp.MovExtStream), as every
+// code of the device's ECG ADC is.
+func (s *BaselineStream) Narrow() bool {
+	narrow := s.raw.Narrow()
+	for _, st := range s.stages {
+		narrow = narrow && st.Narrow()
+	}
+	return narrow
+}
 
 // HeldBytes reports the bytes the stream holds between pushes: itself,
 // its raw ring and its four deques at their current widths.

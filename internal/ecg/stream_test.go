@@ -40,16 +40,14 @@ func synthECG(n int, fs float64, seed int64) []float64 {
 var sweepChunks = []int{1, 13, 129, 130, 131, 143, 144, 145, 250, 997, 3000}
 
 // The streaming baseline remover matches RemoveBaseline bit for bit on
-// every chunking, on off-grid input (float64 from the first sample) and
-// on ADC-grid input, where its ring and deques stay float32.
+// every chunking, on off-grid input (widened at the second sample) and
+// on ECG ADC-grid input, where its ring keeps 16-bit codes and its
+// deques float32.
 func TestBaselineStreamMatchesBatch(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultBaseline(fs)
 	off := synthECG(3000, fs, 7)
-	grid := make([]float64, len(off))
-	for i, v := range off {
-		grid[i] = float64(int64(v*4096)) / 4096
-	}
+	grid := onGrid(off)
 	for _, in := range []struct {
 		name   string
 		x      []float64
@@ -58,7 +56,7 @@ func TestBaselineStreamMatchesBatch(t *testing.T) {
 		x := in.x
 		want := RemoveBaseline(x, cfg)
 		for _, chunk := range sweepChunks {
-			s := NewBaselineStream(cfg)
+			s := NewBaselineStream(cfg, ecgADC.LSB())
 			var a dsp.Arena
 			var got []float64
 			for pos := 0; pos < len(x); pos += chunk {
@@ -74,12 +72,8 @@ func TestBaselineStreamMatchesBatch(t *testing.T) {
 					t.Fatalf("%s chunk %d: sample %d differs: %g vs %g", in.name, chunk, i, got[i], want[i])
 				}
 			}
-			narrow := s.Narrow()
-			for _, st := range s.stages {
-				narrow = narrow && st.Narrow()
-			}
-			if narrow != in.narrow {
-				t.Fatalf("%s chunk %d: ring and deques narrow = %v", in.name, chunk, narrow)
+			if s.Narrow() != in.narrow {
+				t.Fatalf("%s chunk %d: ring and deques narrow = %v", in.name, chunk, s.Narrow())
 			}
 		}
 	}
@@ -89,7 +83,7 @@ func TestBaselineStreamReset(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultBaseline(fs)
 	x := synthECG(1500, fs, 8)
-	s := NewBaselineStream(cfg)
+	s := NewBaselineStream(cfg, ecgADC.LSB())
 	first := s.Flush(nil, s.Push(nil, nil, x))
 	s.Reset()
 	second := s.Flush(nil, s.Push(nil, nil, x))
@@ -402,7 +396,7 @@ func TestECGStreamRingsHaveNoSlack(t *testing.T) {
 			t.Errorf("fs %g: PTStream rings %d/%d, History %d", fs, pt.filt.Cap(), pt.raw.Cap(), pt.History())
 		}
 		check(fmt.Sprintf("fs %g PTStream", fs), pt.filt.Cap(), pt.horizon(), pt.sub)
-		bs := NewBaselineStream(DefaultBaseline(fs))
+		bs := NewBaselineStream(DefaultBaseline(fs), ecgADC.LSB())
 		check(fmt.Sprintf("fs %g BaselineStream", fs), bs.raw.Cap(), bs.la+2, bs.sub)
 		if fs == 250 && (pt.sub != 144 || pt.History() != 256 || bs.sub != 130 || bs.raw.Cap() != 256) {
 			t.Errorf("250 Hz: PTStream sub-chunk %d of a %d ring, BaselineStream %d of %d; want 144 of 256 and 130 of 256",

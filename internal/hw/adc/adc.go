@@ -49,7 +49,8 @@ func (c Config) TheoreticalSNR() float64 {
 }
 
 // Quantize converts one sample: clamp to full scale, round to the nearest
-// code, return the reconstructed value.
+// code, return the reconstructed value. A code is an integer, so an
+// input that rounds to code 0 reconstructs as +0, whatever its sign.
 func (c Config) Quantize(v float64) float64 {
 	fs := c.FullScale
 	if v > fs {
@@ -66,6 +67,9 @@ func (c Config) Quantize(v float64) float64 {
 	}
 	if code < -max-1 {
 		code = -max - 1
+	}
+	if code == 0 {
+		code = 0 // math.Round leaves -0 for inputs in (-lsb/2, 0)
 	}
 	return code * lsb
 }

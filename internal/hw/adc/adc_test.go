@@ -51,6 +51,18 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 }
 
+// Code 0 has no sign: an input that rounds to it, from either side,
+// reconstructs as +0, a value the code-storage rings downstream hold
+// exactly (-0.0 would widen them).
+func TestQuantizeZeroIsPositive(t *testing.T) {
+	c := Config{Bits: 16, FullScale: 5}
+	for _, v := range []float64{0, math.Copysign(0, -1), -c.LSB() / 4, c.LSB() / 4, -1e-300} {
+		if q := c.Quantize(v); math.Float64bits(q) != 0 {
+			t.Errorf("Quantize(%g) = %g (bits %x), want +0", v, q, math.Float64bits(q))
+		}
+	}
+}
+
 func TestQuantizeClips(t *testing.T) {
 	c := Config{Bits: 8, FullScale: 1}
 	hi := c.Quantize(5)

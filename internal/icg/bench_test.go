@@ -1,6 +1,7 @@
 package icg
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dsp"
@@ -103,18 +104,18 @@ func TestDetectBeatAllocBudget(t *testing.T) {
 func BenchmarkDelineatorBeat(b *testing.B) {
 	rec, _ := benchBeats(b)
 	fs := rec.FS
-	// Float32-exact impedance, like the front end's ADC codes, keeps
+	// Impedance on the AC ADC's grid, like the front end's codes, keeps
 	// the raw ring narrow as it is in service.
 	z := make([]float64, len(rec.DZ))
 	for i := range z {
-		z[i] = float64(float32(30 + rec.DZ[i] + rec.Resp[i]))
+		z[i] = math.Round((30+rec.DZ[i]+rec.Resp[i])/zLSB) * zLSB
 	}
 	lp, hp, err := DefaultFilter(fs).Design()
 	if err != nil {
 		b.Fatal(err)
 	}
 	const ctxSeconds = 2.5
-	raw := dsp.NewNarrowRing(len(z))
+	raw := dsp.NewNarrowRing(len(z), zLSB)
 	d := NewDelineator(DefaultDetect(fs), lp, hp, false, ctxSeconds, 3, raw, new(dsp.ArenaPool))
 	raw.Append(z)
 	d.Advance(nil, nil)

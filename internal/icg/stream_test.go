@@ -6,7 +6,12 @@ import (
 
 	"repro/internal/bioimp"
 	"repro/internal/dsp"
+	"repro/internal/hw/afe"
 )
+
+// zLSB is the device's impedance AC-path LSB (2⁻¹² Ω), the grid the
+// streamer's raw ring stores codes on.
+var zLSB = afe.DefaultICG().ACADC.LSB()
 
 // synthICG builds a clean-ish -dZ/dt beat train with known R anchors.
 func synthICG(nBeats int, fs float64) (sig []float64, rPeaks []int) {
@@ -103,7 +108,7 @@ func TestDelineatorMatchesDetectAll(t *testing.T) {
 	// that is the delineator's lead, which sizes the raw ring (the
 	// overlong-beat test covers the starved case).
 	for _, chunk := range []int{1, 7, 127, 128, 129, 250, 600} {
-		raw := dsp.NewNarrowRing(RawHistory(cfg, true, 0, 3, chunk))
+		raw := dsp.NewNarrowRing(RawHistory(cfg, true, 0, 3, chunk), zLSB)
 		d := NewDelineator(cfg, lp, hp, true, 0, 3, raw, new(dsp.ArenaPool))
 		got := streamZ(d, raw, z, rPeaks, chunk)
 		if len(got) != len(want) {
@@ -147,7 +152,7 @@ func TestDelineatorOverlongBeatDoesNotStall(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultDetect(fs)
 	lp, hp := designed(t)
-	raw := dsp.NewNarrowRing(RawHistory(cfg, true, 0, 2, 250)) // 2 s beats
+	raw := dsp.NewNarrowRing(RawHistory(cfg, true, 0, 2, 250), zLSB) // 2 s beats
 	d := NewDelineator(cfg, lp, hp, true, 0, 2, raw, new(dsp.ArenaPool))
 	got := streamZ(d, raw, make([]float64, int(10*fs)), nil, 250)
 	got = d.PushR(got, 0)
@@ -187,7 +192,7 @@ func TestDelineatorReset(t *testing.T) {
 	cfg := DefaultDetect(fs)
 	lp, hp := designed(t)
 	for _, causal := range []bool{false, true} {
-		raw := dsp.NewNarrowRing(RawHistory(cfg, causal, 1, 3, 50))
+		raw := dsp.NewNarrowRing(RawHistory(cfg, causal, 1, 3, 50), zLSB)
 		d := NewDelineator(cfg, lp, hp, causal, 1, 3, raw, new(dsp.ArenaPool))
 		first := streamZ(d, raw, z, rPeaks, 50)
 		raw.Reset()
@@ -224,7 +229,7 @@ func TestDelineatorRefilterMatchesWholeRecording(t *testing.T) {
 	cfg := DefaultDetect(fs)
 	want := DetectAll(whole, rPeaks, nil, cfg)
 
-	raw := dsp.NewNarrowRing(RawHistory(cfg, false, 1, 3, 125))
+	raw := dsp.NewNarrowRing(RawHistory(cfg, false, 1, 3, 125), zLSB)
 	d := NewDelineator(cfg, lp, hp, false, 1.0, 3, raw, new(dsp.ArenaPool))
 	got := streamZ(d, raw, z, rPeaks, 125)
 	if len(got) != len(want) {
@@ -307,7 +312,7 @@ func TestDelineatorReplayMatchesCachedForwardPass(t *testing.T) {
 	}
 	for _, causal := range []bool{false, true} {
 		t.Run(map[bool]string{false: "zero-phase", true: "causal"}[causal], func(t *testing.T) {
-			raw := dsp.NewNarrowRing(2048)
+			raw := dsp.NewNarrowRing(2048, zLSB)
 			d := NewDelineator(cfg, lp, hp, causal, 1, 3, raw, new(dsp.ArenaPool))
 			var a dsp.Arena
 			// Mid-stream, before the ring laps: windows from the stream head.

@@ -111,8 +111,7 @@ func (e *Engine) Reopen(id uint64, sink event.Sink, opts ReopenOptions) (*Sessio
 	s.scheduled = true
 	if err := e.register(s); err != nil {
 		if s.st != nil {
-			s.st.Reset()
-			e.streamers.Put(s.st)
+			e.recycle(s.st)
 		}
 		return nil, err
 	}

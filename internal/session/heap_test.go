@@ -11,14 +11,14 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 35.6-39.0 KB (2-vCPU Xeon, Go 1.24) with the raw-Z ring, the baseline
-// ring and the baseline deques narrow (float32) on ADC-grid samples,
-// the QRS and baseline rings fitted to their horizons and no ICG ring,
-// plus 10%. Like the allocation budgets it only moves down — lower it
-// when a change durably shrinks the session; never raise it to let a
-// change pass. core.TestStreamerHeapPerStream ratchets the streamer
-// alone.
-const heapBudgetKB = 43
+// 28.3-29.2 KB (2-vCPU Xeon, Go 1.24) with the raw-Z and baseline
+// rings holding 16-bit ADC codes and the baseline deques float32 on
+// ADC-grid samples, the QRS and baseline rings fitted to their
+// horizons and no ICG ring, plus 10%. Like the allocation budgets it
+// only moves down — lower it when a change durably shrinks the
+// session; never raise it to let a change pass. The streamer alone is
+// ratcheted by core.TestStreamerHeapPerStream.
+const heapBudgetKB = 33
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with
@@ -116,4 +116,56 @@ func liveHeap() int64 {
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)
 	return int64(s[0].Value.Uint64())
+}
+
+// A streamer whose session widened its raw-sample storage to float64
+// (a dead contact's dithered samples) must not go back to the pool:
+// Reset keeps the width, so the next session would hold the wide
+// rings. After a dead-contact session closes, a session on ADC-grid
+// samples on the same engine holds a narrow streamer.
+func TestEnginePoolsOnlyNarrowStreamers(t *testing.T) {
+	dev, err := core.NewDevice(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := makeInputs(t, dev, 4)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	eng := NewEngine(dev, cfg)
+	defer eng.Close()
+	discard := event.Func(func(event.Event) {})
+
+	dead, err := eng.Subscribe(1, discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecg, z := in.deadChannels(dead.Seed(), dead.ID)
+	if err := dead.Push(ecg, z); err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.barrier(); err != nil {
+		t.Fatal(err)
+	}
+	wide := dead.st
+	if wide.Narrow() {
+		t.Fatal("dead-contact samples left the streamer narrow")
+	}
+	if err := dead.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-dead.Done()
+
+	live, err := eng.Subscribe(2, discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Push(in.base[0][0], in.base[0][1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if live.st == wide || !live.st.Narrow() {
+		t.Fatalf("live session got the widened streamer back from the pool (same %v, narrow %v)", live.st == wide, live.st.Narrow())
+	}
 }

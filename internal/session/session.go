@@ -666,6 +666,19 @@ func (s *Session) process(c chunk) {
 	}
 }
 
+// recycle resets st and returns it to the engine's pool if its raw
+// sample storage still holds ADC codes. A streamer whose session
+// widened it to float64 (a dead contact's dithered samples) is dropped
+// instead: Reset keeps the width, so the next session would carry the
+// wide rings, about four times the raw-Z ring's narrow size.
+func (e *Engine) recycle(st *core.Streamer) {
+	if !st.Narrow() {
+		return
+	}
+	st.Reset()
+	e.streamers.Put(st)
+}
+
 // streamer returns the session's streamer, taking it from the engine's
 // pool and arming the session's forwarder on it the first time. This is
 // the one place a session acquires its streamer: on its worker, inside
@@ -892,8 +905,7 @@ func (s *Session) finishWith(reason CloseReason, corrupt bool) {
 	closed.Kind = event.KindSessionClosed
 	deliver(closed)
 	if !corrupt {
-		st.Reset()
-		s.eng.streamers.Put(st)
+		s.eng.recycle(st)
 	}
 	e := s.eng
 	e.mu.Lock()
