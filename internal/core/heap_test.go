@@ -10,14 +10,15 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 22.1 KB (2-vCPU Xeon, Go 1.24) with
-// the raw-Z and baseline rings holding 16-bit ADC codes and the
-// baseline deques float32 on the study subjects' ADC-grid samples, the
-// QRS and baseline rings fitted to their horizons, and no ICG ring (the
-// delineator replays its ICG from the raw-Z ring), plus 10%. It only
-// moves down — lower it when a change durably shrinks the streamer;
-// never raise it to let a change pass.
-const streamerHeapBudgetKB = 25
+// holds between pushes: measured at 18.2 KB (2-vCPU Xeon, Go 1.24) with
+// the raw-Z and baseline rings and the ECG band-pass's overlap-save
+// carry holding 16-bit ADC codes and the baseline deques float32 on the
+// study subjects' ADC-grid samples, the QRS and baseline rings fitted
+// to their horizons plus their streams' minimum sub-chunks, and no ICG
+// ring (the delineator replays its ICG from the raw-Z ring), plus 10%
+// to the whole KB. It only moves down — lower it when a change durably
+// shrinks the streamer; never raise it to let a change pass.
+const streamerHeapBudgetKB = 20
 
 // TestStreamerHeapPerStream pins the live heap of an open streamer in
 // the package that owns it (session.TestEngineHeapPerSession measures

@@ -69,9 +69,10 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // band-pass uses the block-carried overlap-save engine; its block lag
 // lengthens the feed's lead past a closing R, so firmware running the
 // direct recurrence needs slightly less. The engine's FFT working set
-// (~4 KB of carry block and spectrum per stream, plus the kernel
-// spectrum and twiddles every stream shares) is left out: the direct
-// recurrence holds only the kernel's delay line.
+// (a 512 B carry block of ADC codes per stream, the 2 KB block
+// spectrum each push borrows, and the kernel spectrum and twiddles
+// every stream shares) is left out: the direct recurrence holds only
+// the kernel's delay line.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes, codeBytes = 4, 2
 	st := profileStreamer(fs, sc)
@@ -88,8 +89,8 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// band-passed): the refractory period plus the slope and
 			// refinement windows each candidate is measured over, plus
 			// the sub-chunk Push band-passes ahead, which takes up the
-			// rings' power-of-two rounding (History: 256 samples at
-			// 250 Hz, so 2 KB of the 21.2 KB total at float32).
+			// rings' power-of-two rounding (History: 128 samples at
+			// 250 Hz, so 1 KB of the 20.2 KB total at float32).
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
 			// Per-beat scratch: the longest window the delineator
 			// replays -dZ/dt over and refilters.

@@ -123,6 +123,18 @@ func (cs *ChainStream) Reset() {
 	}
 }
 
+// Narrow reports whether every stage that can store its samples
+// narrow (the baseline's ADC-code ring and float32 deques, the
+// zero-phase band-pass's ADC-code carry) still does.
+func (cs *ChainStream) Narrow() bool {
+	for _, st := range cs.stages {
+		if n, ok := st.(interface{ Narrow() bool }); ok && !n.Narrow() {
+			return false
+		}
+	}
+	return true
+}
+
 // HeldBytes reports the bytes the chain holds between pushes: itself,
 // its stage list and every stage's state, which each stage stream
 // reports (the dsp and ecg streams' HeldBytes; the ECG chain's stages
@@ -153,13 +165,21 @@ func (st baselineStage) Apply(a *dsp.Arena, x []float64) []float64 {
 func (st baselineStage) NewStream() StageStream { return ecg.NewBaselineStream(st.cfg, st.lsb) }
 
 // firZeroPhaseStage applies the pre-designed FIR forward-backward
-// (zero phase), the paper's default ECG band-pass application.
-type firZeroPhaseStage struct{ f *dsp.FIR }
+// (zero phase), the paper's default ECG band-pass application. Its
+// input, the baseline stage's raw − min/max(raw), is a difference of
+// two ECG ADC codes, so lsb (the ADC's quantization step) is the grid
+// the stream's overlap-save carry stores codes on.
+type firZeroPhaseStage struct {
+	f   *dsp.FIR
+	lsb float64
+}
 
 func (st firZeroPhaseStage) Apply(a *dsp.Arena, x []float64) []float64 {
 	return dsp.FiltFiltFIRWith(a, st.f, x)
 }
-func (st firZeroPhaseStage) NewStream() StageStream { return dsp.NewZeroPhaseFIRStream(st.f) }
+func (st firZeroPhaseStage) NewStream() StageStream {
+	return dsp.NewNarrowZeroPhaseFIRStream(st.f, st.lsb)
+}
 
 // firSameStage applies the FIR once with centered group-delay
 // compensation (the single-pass ablation A5).
@@ -220,13 +240,14 @@ func buildChains(cfg Config, fs float64, b *filterBank) {
 	blCfg := ecg.DefaultBaseline(fs)
 	blCfg.Naive = cfg.NaiveMorph
 	b.blCfg = blCfg
-	baseline := baselineStage{cfg: blCfg, lsb: cfg.ECGFrontEnd.ADC.LSB()}
+	lsb := cfg.ECGFrontEnd.ADC.LSB()
+	baseline := baselineStage{cfg: blCfg, lsb: lsb}
 	if cfg.CausalFilters {
 		b.ecgChain = Chain{baseline, firSameStage{f: b.ecgFIR}}
 		b.icgChain = Chain{icgDerivStage{fs: fs}, sosCausalStage{s: b.icgLP}, sosCausalStage{s: b.icgHP}}
 		return
 	}
-	b.ecgChain = Chain{baseline, firZeroPhaseStage{f: b.ecgFIR}}
+	b.ecgChain = Chain{baseline, firZeroPhaseStage{f: b.ecgFIR, lsb: lsb}}
 	// Zero-phase cascades commute, so the high-pass runs first: the
 	// incremental delineator exploits that order (the slow band-edge
 	// high-pass over the full settling context, the fast low-pass over a

@@ -543,15 +543,14 @@ func (s *Streamer) HeldBytes() int {
 	return n
 }
 
-// Narrow reports whether the streamer's raw-sample storage is still
-// narrow: 16-bit ADC codes in the raw-Z ring and the ECG baseline's
-// ring, float32 in the baseline's deques. A session whose samples left
-// the ADC grids (a dead contact's dithered impedance, say) widened it
-// to float64 for good; Reset keeps the width, so a pool that hands
-// streamers to new sessions should take back only narrow ones.
-func (s *Streamer) Narrow() bool {
-	return s.raw.Narrow() && s.ecgStream.stages[0].(*ecg.BaselineStream).Narrow()
-}
+// Narrow reports whether the streamer's sample storage is still
+// narrow: 16-bit ADC codes in the raw-Z ring, the ECG baseline's ring
+// and the ECG band-pass's overlap-save carry, float32 in the
+// baseline's deques. A session whose samples left the ADC grids (a
+// dead contact's dithered impedance, say) widened it to float64 for
+// good; Reset keeps the width, so a pool that hands streamers to new
+// sessions should take back only narrow ones.
+func (s *Streamer) Narrow() bool { return s.raw.Narrow() && s.ecgStream.Narrow() }
 
 // Reset returns the streamer to its initial state, keeping every buffer
 // and filter allocation, so pooled engines can reuse it across sessions.

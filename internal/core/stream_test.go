@@ -197,10 +197,11 @@ func TestStreamerRawRingDefault(t *testing.T) {
 
 // A pooled streamer carries its narrow rings from session to session:
 // Reset drops the code grid's base, so two sessions with different base
-// impedances (subjects 1 and 4) through one streamer both stay narrow,
+// impedances (subjects 1 and 4) through one streamer both stay narrow —
+// the raw-Z and baseline rings and the ECG band-pass's carry alike —
 // the raw-Z ring reads back what a float64 ring fed the same samples
 // holds, bit for bit, and the second session emits what a fresh
-// streamer does.
+// streamer does. A carry that widens alone makes the streamer wide.
 func TestStreamerPooledRingsRebase(t *testing.T) {
 	d := device(t, nil)
 	hashOf := func(st *Streamer, acq *Acquisition) [sha256.Size]byte {
@@ -226,8 +227,8 @@ func TestStreamerPooledRingsRebase(t *testing.T) {
 		z0 = append(z0, acq.Z[0])
 		pooled.Reset()
 		got := hashOf(pooled, acq)
-		if !pooled.Narrow() {
-			t.Fatalf("subject %d: the pooled streamer widened", id)
+		if !pooled.Narrow() || !bandPass(pooled).Narrow() {
+			t.Fatalf("subject %d: the pooled streamer widened (band-pass carry narrow %v)", id, bandPass(pooled).Narrow())
 		}
 		ref := dsp.NewRing(pooled.raw.Cap())
 		ref.Append(acq.Z)
@@ -243,7 +244,15 @@ func TestStreamerPooledRingsRebase(t *testing.T) {
 	if z0[0] == z0[1] {
 		t.Fatalf("subjects 1 and 4 start at the same impedance %v: the test needs two bases", z0[0])
 	}
+	bandPass(pooled).Push(nil, nil, []float64{0.1}) // off the ECG grid
+	if bandPass(pooled).Narrow() || pooled.Narrow() {
+		t.Fatalf("an off-grid band-pass input left the carry narrow %v, the streamer narrow %v",
+			bandPass(pooled).Narrow(), pooled.Narrow())
+	}
 }
+
+// bandPass returns the streamer's zero-phase ECG band-pass stream.
+func bandPass(st *Streamer) *dsp.FIRStream { return st.ecgStream.stages[1].(*dsp.FIRStream) }
 
 func TestStreamerPanicsOnLengthMismatch(t *testing.T) {
 	d := device(t, nil)

@@ -58,23 +58,38 @@ func BenchmarkConvECG33(b *testing.B) {
 
 // BenchmarkZeroPhaseFIRStream30s is the streaming zero-phase ECG
 // band-pass exactly as the session path runs it: the 33-tap design's
-// 65-tap composite kernel, fed in 1 s hops.
+// 65-tap composite kernel, fed in 1 s hops, on input quantized to the
+// ECG ADC's grid (5·2⁻¹⁵) — "narrow" with the overlap-save carry stored
+// as ADC codes, as the streamer builds it, "wide" with a float64 carry.
 func BenchmarkZeroPhaseFIRStream30s(b *testing.B) {
+	const lsb = 5 * 0x1p-15
 	f := benchFIR(b, 33)
 	x := benchSignal(7500)
-	s := NewZeroPhaseFIRStream(f)
-	var a Arena
-	dst := make([]float64, 0, len(x))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		dst = dst[:0]
-		for pos := 0; pos < len(x); pos += 250 {
-			a.Reset()
-			dst = s.Push(&a, dst, x[pos:pos+250])
-		}
-		dst = s.Flush(&a, dst)
+	for i, v := range x {
+		x[i] = math.Round(v/lsb)*lsb + 0 // code 0 is +0, as the ADC's
+	}
+	for _, c := range []struct {
+		name string
+		s    *FIRStream
+	}{{"narrow", NewNarrowZeroPhaseFIRStream(f, lsb)}, {"wide", NewZeroPhaseFIRStream(f)}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := c.s
+			var a Arena
+			dst := make([]float64, 0, len(x))
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Reset()
+				dst = dst[:0]
+				for pos := 0; pos < len(x); pos += 250 {
+					a.Reset()
+					dst = s.Push(&a, dst, x[pos:pos+250])
+				}
+				dst = s.Flush(&a, dst)
+			}
+			if s.Narrow() != (c.name == "narrow") {
+				b.Fatalf("carry narrow = %v", s.Narrow())
+			}
+		})
 	}
 }
 

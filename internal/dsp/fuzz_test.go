@@ -14,10 +14,12 @@ import (
 // engines: SOSStream.Push (the 4-lane software-pipelined sosPipeRun vs
 // the scalar PushSample recurrence), FIRStream (the blocked convSeqInto
 // group kernel across arbitrary chunk boundaries, via the zero-phase
-// composite), and MovExtStream (chunked vs whole push, and, on input on
-// the ECG ADC's grid with its first off-grid sample at widenAt, the
-// narrow deque that widens there vs one that is wide from the start;
-// widenAt past the signal never widens).
+// composite), and MovExtStream (chunked vs whole push). On input on the
+// ECG ADC's grid with its first off-grid sample at widenAt (widenAt past
+// the signal never widens), the narrow MovExtStream deque and the narrow
+// zero-phase FIR carry, which widen there, must match streams that are
+// wide from the start bit for bit, and the FIR stream FiltFiltFIR to
+// rounding.
 func FuzzDSPStreamChunkInvariance(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(20), true, []byte{7, 1, 250}, uint16(0))
 	f.Add(int64(-42), uint8(2), uint8(3), false, []byte{1}, uint16(65535))
@@ -121,7 +123,9 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		const lsb = 5 * 0x1p-15
 		grid := make([]float64, n)
 		for i, v := range x {
-			grid[i] = math.Round(v/lsb) * lsb
+			// Code 0 reconstructs as +0, as the ADC's does (Round
+			// leaves -0 below zero, which no code stands for).
+			grid[i] = math.Round(v/lsb)*lsb + 0
 		}
 		if p := int(widenAt); p < n {
 			grid[p] = math.Nextafter(grid[p], 2)
@@ -134,6 +138,18 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		cmpExact("narrow movext chunked vs float64 oracle", nc.Flush(nil, chunked(nc.Push)), wantGrid)
 		if nc.Narrow() != (int(widenAt) >= n) {
 			t.Fatalf("narrow movext: Narrow() = %v with the first off-grid sample at %d of %d", nc.Narrow(), widenAt, n)
+		}
+		zwide := NewZeroPhaseFIRStream(fir)
+		wantZ := zwide.Flush(nil, zwide.Push(nil, nil, grid))
+		if d := maxAbsDiff(wantZ, FiltFiltFIR(fir, grid)); d > 1e-12 {
+			t.Fatalf("fir on the grid: the float64 stream differs from FiltFiltFIR by %g", d)
+		}
+		zn := NewNarrowZeroPhaseFIRStream(fir, lsb)
+		cmpExact("narrow fir chunked vs float64 stream", zn.Flush(nil, chunked(zn.Push)), wantZ)
+		// Kernels below the overlap-save crossover have no carry.
+		if want := zn.os == nil || int(widenAt) >= n; zn.Narrow() != want {
+			t.Fatalf("narrow fir (overlap-save %v): Narrow() = %v with the first off-grid sample at %d of %d",
+				zn.os != nil, zn.Narrow(), widenAt, n)
 		}
 	})
 }

@@ -60,19 +60,18 @@ import (
 // sample), which is what lets pooled engines hand rings across
 // sessions while old absolute indices go stale rather than dangle.
 type Ring struct {
-	buf   []float64 // wide storage; nil while the ring is narrow
-	codes []int16   // narrow storage; nil once the ring is wide
-	grid  codeGrid
-	mask  int
-	n     int // total samples pushed
+	codeStore // slot i&mask holds absolute sample i
+	mask      int
+	n         int // total samples pushed
 }
 
 // codeGrid maps samples to 16-bit codes c on the grid step relative to
 // base: a sample v is stored as c = round((v-base)/step), ties to even,
 // when c fits an int16 and base + c*step reproduces v's float64 bits.
-// base is the first sample the storage takes after construction or
-// Reset (NaN until then). Decoding is monotonic in c and codes are
-// computed from the samples alone, so for stored samples c1 < c2
+// A ring's base is the first sample it takes after construction or
+// Reset (NaN until then); an FIR stream's carry fixes it at 0 (see
+// NewNarrowZeroPhaseFIRStream). Decoding is monotonic in c and codes
+// are computed from the samples alone, so for stored samples c1 < c2
 // exactly when v1 < v2: code comparisons order the samples as their
 // values do.
 type codeGrid struct {
@@ -105,12 +104,105 @@ func (g codeGrid) decode(c int16) float64 {
 	return g.base + float64(float64(c)*g.step)
 }
 
+// codeStore is fixed-length sample storage in one of two widths: 16-bit
+// codes on a grid (codeGrid) while every sample written is on it, and
+// float64 for good from the first that is not. Widening decodes the
+// codes over exactly and drops the code buffer, so a widened store
+// holds one buffer, never two, and reads back bit-identical values in
+// either width. The storage is replaced at most once, narrow to wide,
+// and only by put.
+type codeStore struct {
+	buf   []float64 // wide storage; nil while narrow
+	codes []int16   // narrow storage; nil once wide
+	grid  codeGrid
+}
+
+func wideStore(n int) codeStore { return codeStore{buf: make([]float64, n)} }
+
+func narrowStore(n int, g codeGrid) codeStore {
+	return codeStore{codes: make([]int16, n), grid: g}
+}
+
+// narrow reports whether the store still holds codes.
+func (s *codeStore) narrow() bool { return s.buf == nil }
+
+// widen moves a narrow store to float64, decoding every code exactly
+// (slots not yet written decode to a value no reader reaches).
+func (s *codeStore) widen() {
+	s.buf = make([]float64, len(s.codes))
+	for i, c := range s.codes {
+		s.buf[i] = s.grid.decode(c)
+	}
+	s.codes = nil
+}
+
+// put writes xs to slots [p, p+len(xs)): as codes while the store is
+// narrow, widening it at the first sample off the grid.
+func (s *codeStore) put(p int, xs []float64) {
+	if s.buf == nil {
+		g, dst := s.grid, s.codes[p:p+len(xs)]
+		for i, v := range xs {
+			c, ok := g.encode(v)
+			if !ok {
+				s.widen()
+				copy(s.buf[p+i:], xs[i:])
+				return
+			}
+			dst[i] = c
+		}
+		return
+	}
+	copy(s.buf[p:], xs)
+}
+
+// at returns the sample in slot i.
+func (s *codeStore) at(i int) float64 {
+	if s.buf == nil {
+		return s.grid.decode(s.codes[i])
+	}
+	return s.buf[i]
+}
+
+// read fills out with the samples of slots [p, p+len(out)).
+func (s *codeStore) read(out []float64, p int) {
+	if s.buf != nil {
+		copy(out, s.buf[p:])
+		return
+	}
+	g := s.grid
+	for i, c := range s.codes[p : p+len(out)] {
+		out[i] = g.decode(c)
+	}
+}
+
+// zero writes the sample 0 to slots [lo, hi); the grid's base must be
+// 0 for a narrow store (code 0 then decodes to +0, as a wide one holds).
+func (s *codeStore) zero(lo, hi int) {
+	if s.buf == nil {
+		clear(s.codes[lo:hi])
+		return
+	}
+	clear(s.buf[lo:hi])
+}
+
+// slide copies slots [src, src+n) to [0, n).
+func (s *codeStore) slide(src, n int) {
+	if s.buf == nil {
+		copy(s.codes[:n], s.codes[src:src+n])
+		return
+	}
+	copy(s.buf[:n], s.buf[src:src+n])
+}
+
+// heldBytes reports the bytes of the storage at its current width.
+func (s *codeStore) heldBytes() int { return 8*len(s.buf) + 2*len(s.codes) }
+
 // NewRing returns a float64 ring that retains at least capacity
 // samples (rounded up to a power of two). Rings of filter outputs use
 // it: their samples are not on any ADC grid.
 func NewRing(capacity int) *Ring {
 	size := ringSize(capacity)
-	return &Ring{buf: make([]float64, size), mask: size - 1}
+	return &Ring{codeStore: wideStore(size), mask: size - 1}
 }
 
 // NewNarrowRing returns a ring like NewRing's that stores 16-bit codes
@@ -118,7 +210,7 @@ func NewRing(capacity int) *Ring {
 // that grid. Rings of raw ADC samples use it, with the ADC's LSB.
 func NewNarrowRing(capacity int, step float64) *Ring {
 	size := ringSize(capacity)
-	return &Ring{codes: make([]int16, size), grid: newCodeGrid(step), mask: size - 1}
+	return &Ring{codeStore: narrowStore(size, newCodeGrid(step)), mask: size - 1}
 }
 
 func ringSize(capacity int) int {
@@ -129,61 +221,24 @@ func ringSize(capacity int) int {
 }
 
 // Narrow reports whether the ring still stores codes.
-func (r *Ring) Narrow() bool { return r.buf == nil }
-
-// widen moves a narrow ring to float64 storage, decoding every stored
-// code exactly (slots not yet written decode to a value no reader
-// reaches).
-func (r *Ring) widen() {
-	r.buf = make([]float64, len(r.codes))
-	for i, c := range r.codes {
-		r.buf[i] = r.grid.decode(c)
-	}
-	r.codes = nil
-}
+func (r *Ring) Narrow() bool { return r.narrow() }
 
 // Push appends one sample.
 func (r *Ring) Push(v float64) { r.Append([]float64{v}) }
 
-// Append appends a chunk with at most two bulk copies per ring lap
+// Append appends a chunk with at most two bulk writes per ring lap
 // (per-sample encoding while the ring is narrow).
 func (r *Ring) Append(xs []float64) {
-	if r.buf == nil {
-		if xs = r.appendNarrow(xs); len(xs) == 0 {
-			return
-		}
-		r.widen()
+	if len(xs) > 0 && r.narrow() && math.IsNaN(r.grid.base) {
+		r.grid.base = xs[0] // the first sample since construction or Reset
 	}
 	for len(xs) > 0 {
 		p := r.n & r.mask
-		n := copy(r.buf[p:], xs)
-		r.n += n
-		xs = xs[n:]
-	}
-}
-
-// appendNarrow stores the leading on-grid samples of xs as codes and
-// returns the rest, which starts at the first sample off the grid.
-func (r *Ring) appendNarrow(xs []float64) []float64 {
-	if len(xs) > 0 && math.IsNaN(r.grid.base) {
-		r.grid.base = xs[0] // the first sample since construction or Reset
-	}
-	g := r.grid
-	for len(xs) > 0 {
-		dst := r.codes[r.n&r.mask:]
-		m := min(len(dst), len(xs))
-		for i, v := range xs[:m] {
-			c, ok := g.encode(v)
-			if !ok {
-				r.n += i
-				return xs[i:]
-			}
-			dst[i] = c
-		}
+		m := min(len(xs), r.Cap()-p)
+		r.put(p, xs[:m])
 		r.n += m
 		xs = xs[m:]
 	}
-	return nil
 }
 
 // N returns the total number of samples pushed so far.
@@ -198,31 +253,18 @@ func (r *Ring) Start() int { return max(r.n-r.Cap(), 0) }
 
 // At returns the sample at absolute index i, which must be in
 // [Start(), N()).
-func (r *Ring) At(i int) float64 {
-	if r.buf == nil {
-		return r.grid.decode(r.codes[i&r.mask])
-	}
-	return r.buf[i&r.mask]
-}
+func (r *Ring) At(i int) float64 { return r.at(i & r.mask) }
 
 // CopyTo appends the samples of [lo, hi) to dst with at most two bulk
-// copies (per-sample decoding while the ring is narrow). The range
-// must be retained.
+// reads (per-sample decoding while the ring is narrow). The range must
+// be retained.
 func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
 	for lo < hi {
 		p := lo & r.mask
 		end := min(p+(hi-lo), r.Cap())
-		if r.buf != nil {
-			dst = append(dst, r.buf[p:end]...)
-		} else {
-			src := r.codes[p:end]
-			n := len(dst)
-			dst = slices.Grow(dst, len(src))[:n+len(src)]
-			out, g := dst[n:n+len(src)], r.grid
-			for i, c := range src {
-				out[i] = g.decode(c)
-			}
-		}
+		n := len(dst)
+		dst = slices.Grow(dst, end-p)[:n+end-p]
+		r.read(dst[n:], p)
 		lo += end - p
 	}
 	return dst
@@ -265,7 +307,7 @@ func (r *Ring) Reset() {
 
 // HeldBytes reports the bytes the ring holds: itself and its storage
 // at the current width.
-func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + 8*len(r.buf) + 2*len(r.codes) }
+func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + r.heldBytes() }
 
 // SizeOf returns the bytes a T occupies itself, not counting what its
 // slices, maps and pointers reference: the header term of the streams'
@@ -283,8 +325,11 @@ func SizeOf[T any]() int { return int(reflect.TypeFor[T]().Size()) }
 //   - NewZeroPhaseFIRStream: the forward-backward (zero-phase) response
 //     of FiltFiltFIR, computed causally through the squared kernel
 //     h*reverse(h) with the same odd-reflection edge treatment, so the
-//     streamed output matches dsp.FiltFiltFIR exactly on the full
-//     signal. Lookahead k-1 (direct engine).
+//     streamed output matches dsp.FiltFiltFIR on the full signal up to
+//     the rounding of one pass against two (a stream shorter than the
+//     preamble runs FiltFiltFIR itself at Flush). Lookahead k-1 (direct
+//     engine). NewNarrowZeroPhaseFIRStream is the same stream with its
+//     overlap-save carry stored as ADC codes.
 //
 // Wide kernels switch the inner engine from the direct valid-mode
 // correlation to block-carried overlap-save on the packed real-input
@@ -297,12 +342,15 @@ type FIRStream struct {
 	rev  []float64 // kernel reversed, for the valid-mode correlation (shared, read-only)
 	hist []float64 // the last k-1 fed samples (zero-initialized)
 
-	skip    int       // leading raw outputs dropped (alignment)
-	tailN   int       // trailing outputs recovered by Flush
-	reflect int       // odd-reflection preamble/postamble length (0 = zero pad)
-	pre     []float64 // first samples buffered until the preamble is known
-	preNeed int
-	primed  bool
+	skip    int              // leading raw outputs dropped (alignment)
+	tailN   int              // trailing outputs recovered by Flush
+	reflect int              // odd-reflection preamble/postamble length (0 = zero pad)
+	zp      *zeroPhaseKernel // the zero-phase design (shared; nil for the other alignments)
+	// The first preNeed samples wait until the preamble is known,
+	// parked in the history storage the filter has not used yet (see
+	// park): the first npre of them have arrived.
+	npre, preNeed int
+	primed        bool
 
 	fed int // samples fed through the filter (including synthetic ones)
 
@@ -360,23 +408,30 @@ func newOSKernel(taps []float64) *osKernel {
 // which is exact for the outputs it emits — a causal convolution output
 // never reads past its own index. The half-size spectrum a block is
 // transformed in is per-push scratch, checked out of the push's arena.
+//
+// The carry holds input samples only (the block's products live in the
+// scratch spectrum), so a narrow stream stores it as 16-bit codes on
+// the input's ADC grid with base 0 (codeStore), and widens it to
+// float64 for good at the first sample off that grid.
 type osState struct {
 	*osKernel // shared, read-only
 
-	carry []float64 // fftN: [0,km1) overlap, [km1,km1+pend) pending input
+	carry codeStore // fftN slots: [0,km1) overlap, [km1,km1+pend) pending input
 	pend  int       // pending samples not yet transformed
 	base  int       // raw output index of the next block's first output
 }
 
 // enableOS switches the stream's inner engine to overlap-save on the
-// shared kernel k. Must be called at construction time, before any
+// shared kernel k, its carry stored as codes on grid or, when grid is
+// nil, as float64. Must be called at construction time, before any
 // samples are pushed. The direct engine's delay line is dropped: under
 // overlap-save the carry buffer holds the history.
-func (s *FIRStream) enableOS(k *osKernel) {
-	s.os = &osState{
-		osKernel: k,
-		carry:    make([]float64, k.fftN),
+func (s *FIRStream) enableOS(k *osKernel, grid *codeGrid) {
+	carry := wideStore(k.fftN)
+	if grid != nil {
+		carry = narrowStore(k.fftN, *grid)
 	}
+	s.os = &osState{osKernel: k, carry: carry}
 	s.hist = nil
 }
 
@@ -398,11 +453,31 @@ func NewFIRSameStream(f *FIR) *FIRStream {
 // The composite kernel and its overlap-save spectrum are built once per
 // FIR and shared by every stream (call f.Prepare before constructing
 // streams from several goroutines).
-func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
+func NewZeroPhaseFIRStream(f *FIR) *FIRStream { return newZeroPhaseFIRStreamOS(f, nil) }
+
+// NewNarrowZeroPhaseFIRStream returns a stream like
+// NewZeroPhaseFIRStream's whose overlap-save carry stores 16-bit codes
+// on the grid step (positive and finite) relative to 0 until its first
+// input sample off that grid, from which it stores float64 for good:
+// the outputs are bit-identical in either width. Streams of samples
+// that are differences of ADC codes use it, with the ADC's LSB (the
+// odd-reflection edges, 2·x0 − x[i], stay on the grid). A kernel
+// narrow enough for the direct engine has no carry; step is then
+// unused.
+func NewNarrowZeroPhaseFIRStream(f *FIR, step float64) *FIRStream {
+	g := newCodeGrid(step)
+	g.base = 0 // the zero-initialized overlap must decode to 0
+	return newZeroPhaseFIRStreamOS(f, &g)
+}
+
+// newZeroPhaseFIRStreamOS builds the zero-phase stream of f, on the
+// overlap-save engine with its carry on grid (nil: float64) when the
+// kernel is wide enough.
+func newZeroPhaseFIRStreamOS(f *FIR, grid *codeGrid) *FIRStream {
 	zp := f.zeroPhase()
 	s := newZeroPhaseFIRStream(zp)
 	if zp.os != nil {
-		s.enableOS(zp.os)
+		s.enableOS(zp.os, grid)
 	}
 	return s
 }
@@ -412,6 +487,7 @@ func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
 // the direct engine and, when the streaming crossover picks the FFT
 // engine, its overlap-save spectrum.
 type zeroPhaseKernel struct {
+	h    []float64 // the designed taps
 	k    int       // len(h)
 	taps []float64 // g, 2k-1 taps
 	rev  []float64 // g reversed
@@ -426,7 +502,7 @@ func newZeroPhaseKernel(h []float64) *zeroPhaseKernel {
 			g[i+(k-1-j)] += a * b
 		}
 	}
-	zp := &zeroPhaseKernel{k: k, taps: g, rev: reversedTaps(g)}
+	zp := &zeroPhaseKernel{h: h, k: k, taps: g, rev: reversedTaps(g)}
 	if useFFTStream(len(g)) {
 		zp.os = newOSKernel(g)
 	}
@@ -439,7 +515,9 @@ func newZeroPhaseKernel(h []float64) *zeroPhaseKernel {
 // engine is tested and benchmarked against.
 func newZeroPhaseFIRStream(zp *zeroPhaseKernel) *FIRStream {
 	k := zp.k
-	return newFIRStream(zp.taps, zp.rev, 2*(k-1), k-1, k-1)
+	s := newFIRStream(zp.taps, zp.rev, 2*(k-1), k-1, k-1)
+	s.zp = zp
+	return s
 }
 
 func newFIRStream(taps, rev []float64, skip, tail, reflect int) *FIRStream {
@@ -530,7 +608,8 @@ func (s *FIRStream) osRun(a *Arena, dst []float64, xs []float64) []float64 {
 	o := s.os
 	var blk []complex128
 	for len(xs) > 0 {
-		n := copy(o.carry[o.km1+o.pend:], xs)
+		n := min(len(xs), o.step-o.pend)
+		o.carry.put(o.km1+o.pend, xs[:n])
 		o.pend += n
 		xs = xs[n:]
 		s.fed += n
@@ -540,7 +619,7 @@ func (s *FIRStream) osRun(a *Arena, dst []float64, xs []float64) []float64 {
 			}
 			dst = s.osBlock(blk, dst, o.step)
 			// Slide: the block's last km1 inputs become the next overlap.
-			copy(o.carry[:o.km1], o.carry[o.step:])
+			o.carry.slide(o.step, o.km1)
 			o.base += o.step
 			o.pend = 0
 		}
@@ -554,9 +633,15 @@ func (s *FIRStream) osRun(a *Arena, dst []float64, xs []float64) []float64 {
 // carry buffer is left untouched.
 func (s *FIRStream) osBlock(blk []complex128, dst []float64, emitN int) []float64 {
 	o := s.os
-	carry := o.carry
-	for c := range blk {
-		blk[c] = complex(carry[2*c], carry[2*c+1])
+	if carry := o.carry.buf; carry != nil {
+		for c := range blk {
+			blk[c] = complex(carry[2*c], carry[2*c+1])
+		}
+	} else {
+		codes, g := o.carry.codes, o.carry.grid
+		for c := range blk {
+			blk[c] = complex(g.decode(codes[2*c]), g.decode(codes[2*c+1]))
+		}
 	}
 	fftWith(blk, o.w)
 	mulSpectrumPacked(blk, o.h, o.wr, o.half)
@@ -660,27 +745,52 @@ func (s *FIRStream) Push(a *Arena, dst, x []float64) []float64 {
 	if s.primed {
 		return s.run(a, dst, x)
 	}
-	for len(x) > 0 && !s.primed {
-		take := s.preNeed - len(s.pre)
-		if take > len(x) {
-			take = len(x)
-		}
-		s.pre = append(s.pre, x[:take]...)
-		x = x[take:]
-		if len(s.pre) < s.preNeed {
-			return dst
-		}
-		// Synthesize the odd-reflection preamble ext[-reflect..-1]
-		// (ext[-i] = 2 x[0] - x[i]) and run it plus the buffered head.
-		pre := a.F64(s.reflect)
-		for i := 1; i <= s.reflect; i++ {
-			pre[s.reflect-i] = 2*s.pre[0] - s.pre[i]
-		}
-		dst = s.run(a, dst, pre)
-		dst = s.run(a, dst, s.pre)
-		s.primed = true
+	take := min(s.preNeed-s.npre, len(x))
+	s.park(x[:take])
+	x = x[take:]
+	if s.npre < s.preNeed {
+		return dst
 	}
+	// Synthesize the odd-reflection preamble ext[-reflect..-1]
+	// (ext[-i] = 2 x[0] - x[i]) and run it plus the buffered head.
+	head := s.unpark(a)
+	pre := a.F64(s.reflect)
+	for i := 1; i <= s.reflect; i++ {
+		pre[s.reflect-i] = 2*head[0] - head[i]
+	}
+	dst = s.run(a, dst, pre)
+	dst = s.run(a, dst, head)
+	s.primed = true
 	return s.run(a, dst, x)
+}
+
+// park stores the next head samples while the stream waits for its
+// preamble, in the history storage the filter has not used yet: the
+// overlap-save carry's pending slots (as codes while the carry is
+// narrow) or the direct engine's delay line. Both hold the head:
+// preNeed = k is at most the 2k-2 slots of the composite kernel's
+// delay line and at most the carry's block advance (fftN >= 2(2k-1)).
+func (s *FIRStream) park(xs []float64) {
+	if o := s.os; o != nil {
+		o.carry.put(o.km1+s.npre, xs)
+	} else {
+		copy(s.hist[s.npre:], xs)
+	}
+	s.npre += len(xs)
+}
+
+// unpark returns the parked head in scratch from a and gives its slots
+// back to the filter: the delay line is zeroed again, and the carry's
+// pending slots are rewritten by the run before any block reads them.
+func (s *FIRStream) unpark(a *Arena) []float64 {
+	head := a.F64(s.npre)
+	if o := s.os; o != nil {
+		o.carry.read(head, o.km1)
+	} else {
+		copy(head, s.hist)
+		clear(s.hist[:s.npre])
+	}
+	return head
 }
 
 // Flush ends the stream, appending the outputs that were waiting on
@@ -689,14 +799,14 @@ func (s *FIRStream) Push(a *Arena, dst, x []float64) []float64 {
 func (s *FIRStream) Flush(a *Arena, dst []float64) []float64 {
 	if !s.primed {
 		// Degenerate stream shorter than the reflection preamble (only
-		// possible for the zero-phase alignment): approximate with the
-		// centered squared kernel on the buffered head.
-		if len(s.pre) == 0 {
+		// possible for the zero-phase alignment): the whole signal is
+		// the parked head, so run the batch filter over it.
+		if s.npre == 0 {
 			return dst
 		}
-		f := &FIR{Taps: s.taps}
-		y := f.Apply(s.pre)
-		return append(dst, y...)
+		head := s.unpark(a)
+		s.npre = 0
+		return append(dst, FiltFiltFIRWith(a, &FIR{Taps: s.zp.h}, head)...)
 	}
 	if s.tailN == 0 {
 		return dst
@@ -710,7 +820,8 @@ func (s *FIRStream) Flush(a *Arena, dst []float64) []float64 {
 		// at the stream start, exactly like hist).
 		h := s.hist
 		if o := s.os; o != nil {
-			h = o.carry[o.pend : o.pend+o.km1]
+			h = a.F64(o.km1)
+			o.carry.read(h, o.pend)
 		}
 		last := h[len(h)-1]
 		for i := 0; i < s.tailN; i++ {
@@ -722,9 +833,7 @@ func (s *FIRStream) Flush(a *Arena, dst []float64) []float64 {
 		// Final partial block: zero-pad the unfilled tail (exact for the
 		// pend outputs emitted — causal outputs never read past their own
 		// index) and emit the stragglers.
-		for i := o.km1 + o.pend; i < len(o.carry); i++ {
-			o.carry[i] = 0
-		}
+		o.carry.zero(o.km1+o.pend, o.fftN)
 		dst = s.osBlock(a.C128(o.half), dst, o.pend)
 		o.base += o.pend
 		o.pend = 0
@@ -735,28 +844,32 @@ func (s *FIRStream) Flush(a *Arena, dst []float64) []float64 {
 // Reset returns the stream to its initial state.
 func (s *FIRStream) Reset() {
 	s.fed = 0
-	s.pre = s.pre[:0]
+	s.npre = 0
 	s.primed = s.reflect == 0
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
+	clear(s.hist)
 	if o := s.os; o != nil {
-		for i := range o.carry {
-			o.carry[i] = 0
-		}
+		o.carry.zero(0, o.fftN)
 		o.pend = 0
 		o.base = 0
 	}
 }
 
+// Narrow reports whether the stream still stores its input history as
+// codes: true until the first input sample off a narrow stream's grid.
+// The direct engine's float64 delay line never changes width, so a
+// stream on it reports true, as a pool that takes back only narrow
+// streams wants.
+func (s *FIRStream) Narrow() bool { return s.os == nil || s.os.carry.narrow() }
+
 // HeldBytes reports the bytes the stream holds between pushes: itself,
-// its delay line, its buffered head and, under overlap-save, its engine
-// state and carry block. The taps and the kernel spectrum are shared by
-// every stream of the design and are not counted.
+// its delay line and, under overlap-save, its engine state and carry
+// block at its current width (the head waiting for the preamble is
+// parked in one of them). The taps and the kernel spectrum are shared
+// by every stream of the design and are not counted.
 func (s *FIRStream) HeldBytes() int {
-	n := SizeOf[FIRStream]() + 8*(cap(s.hist)+cap(s.pre))
+	n := SizeOf[FIRStream]() + 8*cap(s.hist)
 	if s.os != nil {
-		n += SizeOf[osState]() + 8*len(s.os.carry)
+		n += SizeOf[osState]() + s.os.carry.heldBytes()
 	}
 	return n
 }

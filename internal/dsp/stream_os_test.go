@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,5 +99,71 @@ func TestZeroPhaseFIRStreamOverlapSaveMatchesDirect(t *testing.T) {
 				t.Fatalf("after input %d only %d outputs emitted; Lookahead %d promises >= %d", i, emitted, la, need)
 			}
 		}
+	}
+}
+
+// A narrow zero-phase stream stores its overlap-save carry as 16-bit
+// codes of the ECG ADC's LSB while its input is on that grid, and
+// widens at the first sample that is not; its output must not show
+// which. On grid input with the first off-grid sample at widenAt (or
+// none), every chunking matches a stream that is float64 from the
+// start bit for bit and reports Narrow() by the samples alone. Against
+// FiltFiltFIR the output agrees to rounding once the stream is primed
+// (one pass of the composite kernel against two of the design), and
+// bit for bit on a stream shorter than the preamble, whose Flush runs
+// FiltFiltFIR itself. Reset keeps the width.
+func TestNarrowZeroPhaseFIRStreamMatchesFiltFilt(t *testing.T) {
+	const lsb = 5 * 0x1p-15 // the ECG ADC's LSB
+	f, err := DesignBandPass(32, 0.05, 40, 250, WindowHamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preNeed := len(f.Taps) // the preamble's k-1 samples plus x[0]
+	for _, n := range []int{1, 5, preNeed - 1, preNeed, 200, 1500} {
+		grid := randSignal(n, int64(n))
+		for i, v := range grid {
+			grid[i] = math.Round(v*0.5/lsb)*lsb + 0 // code 0 is +0, as the ADC's
+		}
+		for _, widenAt := range []int{n, 0, n / 2, n - 1} {
+			x := slices.Clone(grid)
+			if widenAt < n {
+				x[widenAt] = math.Nextafter(x[widenAt], 2)
+			}
+			// The second pass, after Reset, pushes the on-grid signal.
+			var want [2][]float64
+			for pass, in := range [][]float64{x, grid} {
+				want[pass] = pushChunked(t, n, n, NewZeroPhaseFIRStream(f), in)
+				batch := FiltFiltFIR(f, in)
+				if d := maxAbsDiff(want[pass], batch); n < preNeed && d != 0 || d > 1e-12 {
+					t.Fatalf("n=%d widenAt %d: the float64 stream differs from FiltFiltFIR by %g", n, widenAt, d)
+				}
+			}
+			for _, chunk := range chunkSizes {
+				s := NewNarrowZeroPhaseFIRStream(f, lsb)
+				if s.os == nil || !s.Narrow() {
+					t.Fatal("the 65-tap composite's stream is not a narrow overlap-save stream")
+				}
+				for pass, in := range [][]float64{x, grid} {
+					got := pushChunked(t, n, chunk, s, in)
+					if len(got) != n {
+						t.Fatalf("n=%d chunk %d: %d outputs", n, chunk, len(got))
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[pass][i]) {
+							t.Fatalf("n=%d widenAt %d chunk %d pass %d: output %d is %x, the float64 stream's %x",
+								n, widenAt, chunk, pass, i, math.Float64bits(got[i]), math.Float64bits(want[pass][i]))
+						}
+					}
+					if s.Narrow() != (widenAt >= n) {
+						t.Fatalf("n=%d widenAt %d chunk %d pass %d: Narrow() = %v", n, widenAt, chunk, pass, s.Narrow())
+					}
+					s.Reset()
+				}
+			}
+		}
+	}
+	s := NewNarrowZeroPhaseFIRStream(f, lsb)
+	if hb, wb := s.HeldBytes(), NewZeroPhaseFIRStream(f).HeldBytes(); hb > 800 || wb-hb != 6*len(s.os.carry.codes) {
+		t.Errorf("HeldBytes narrow %d B, wide %d B: want at most 800 B narrow and 6 B less a carry slot", hb, wb)
 	}
 }

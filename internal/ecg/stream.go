@@ -49,22 +49,32 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	// The raw ring is read up to the cascade's lookahead (plus two
 	// samples of margin) behind the newest sample, and Push appends a
 	// sub-chunk ahead of that: the ring is the smallest power of two
-	// that holds the horizon plus minSubChunk, and the sub-chunk is
+	// that holds the horizon plus baselineMinSub, and the sub-chunk is
 	// whatever it holds past the horizon, so the ring has no slack.
 	horizon := s.la + 2
-	s.raw = dsp.NewNarrowRing(horizon+minSubChunk, lsb)
+	s.raw = dsp.NewNarrowRing(horizon+baselineMinSub, lsb)
 	s.sub = s.raw.Cap() - horizon
 	return s
 }
 
-// minSubChunk is the fewest samples the ECG streams run through their
-// batched kernels per inner iteration, ahead of the reader of their
-// history ring. Each stream's ring holds its read horizon plus at least
-// this much, rounded up to a power of two, and its sub-chunk takes up
-// the rounding (BaselineStream: 130 samples; PTStream: 144 at the
-// paper's 250 Hz), so a ring's size never depends on how large a chunk
-// the caller pushes. core.Streamer feeds at most this many per push.
-const minSubChunk = 128
+// The ECG streams append to their history ring in sub-chunks, ahead of
+// the ring's reader. Each stream's ring holds its read horizon plus at
+// least its minimum sub-chunk, rounded up to a power of two, and its
+// sub-chunk takes up the rounding, so a ring's size never depends on
+// how large a chunk the caller pushes:
+//
+//   - baselineMinSub: the four-deque cascade runs once per sub-chunk
+//     and pays per pass (each stage's call and state reload), so its
+//     passes take at least the 128 samples core.Streamer feeds per push
+//     (130 at the paper's 250 Hz);
+//   - ptMinSub: PTStream band-passes the whole chunk at once, so its
+//     sub-chunk only paces two ring appends ahead of its per-sample
+//     detection loop, and 16 samples do (16 at 250 Hz, where the
+//     horizon is 112).
+const (
+	baselineMinSub = 128
+	ptMinSub       = 16
+)
 
 // Lookahead returns the total pipeline latency in samples.
 func (s *BaselineStream) Lookahead() int { return s.la }
@@ -190,7 +200,7 @@ type PTStream struct {
 	// when a candidate is finalized.
 	filt *dsp.Ring // band-passed
 	raw  *dsp.Ring // conditioned input
-	sub  int       // samples Push band-passes ahead of the detection loop
+	sub  int       // samples Push appends to the rings ahead of the detection loop
 
 	n int // samples consumed
 
@@ -301,7 +311,7 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 		return nil, ErrRefractory
 	}
 	if ringN == 0 {
-		ringN = s.horizon() + minSubChunk
+		ringN = s.horizon() + ptMinSub
 	}
 	s.filt = dsp.NewRing(ringN)
 	s.raw = dsp.NewRing(ringN)
@@ -340,28 +350,25 @@ func (s *PTStream) MaxLag() int { return max(s.sbWindow, s.initN) + s.win + s.ha
 // confirmed by this chunk (absolute indices into the conditioned
 // stream), appended to rs.
 //
-// The band-pass runs over each sub-chunk through the pipelined SOS
+// The band-pass runs over the whole chunk through the pipelined SOS
 // kernel, into a buffer checked out of a, before the per-sample
 // detection loop; a chunked causal Push is bit-identical to the
 // per-sample recurrence, so detection sees exactly the samples it would
-// have one at a time.
+// have one at a time. The rings take the chunk a sub-chunk at a time,
+// never further ahead of the detection loop than their size allows.
 func (s *PTStream) Push(a *dsp.Arena, rs []int, x []float64) []int {
 	if len(x) == 0 {
 		return rs
 	}
-	fbuf := a.F64(min(len(x), s.sub))[:0]
+	f := s.band.Push(a, a.F64(len(x))[:0], x)
 	for len(x) > 0 {
-		sub := x
-		if len(sub) > s.sub {
-			sub = x[:s.sub]
+		n := min(len(x), s.sub)
+		s.raw.Append(x[:n])
+		s.filt.Append(f[:n])
+		for _, v := range f[:n] {
+			rs = s.pushSample(rs, v)
 		}
-		x = x[len(sub):]
-		fbuf = s.band.Push(a, fbuf[:0], sub)
-		s.raw.Append(sub)
-		s.filt.Append(fbuf)
-		for k := range sub {
-			rs = s.pushSample(rs, fbuf[k])
-		}
+		x, f = x[n:], f[n:]
 	}
 	return rs
 }

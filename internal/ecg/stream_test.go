@@ -35,9 +35,9 @@ func synthECG(n int, fs float64, seed int64) []float64 {
 }
 
 // sweepChunks are the chunkings every ECG stream test drives: 1-sample
-// pushes, chunks around the derived sub-chunks (130 and 144 samples at
+// pushes, chunks around the derived sub-chunks (130 and 16 samples at
 // 250 Hz) and core.Streamer's 128-sample feed, and larger ones.
-var sweepChunks = []int{1, 13, 129, 130, 131, 143, 144, 145, 250, 997, 3000}
+var sweepChunks = []int{1, 13, 15, 16, 17, 129, 130, 131, 143, 144, 145, 250, 997, 3000}
 
 // The streaming baseline remover matches RemoveBaseline bit for bit on
 // every chunking, on off-grid input (widened at the second sample) and
@@ -326,7 +326,7 @@ func ptOracleInputs(t *testing.T, fs float64) map[string][]float64 {
 func TestPTStreamRingHorizon(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultPT(fs)
-	oldRing := int(6*fs) + minSubChunk
+	oldRing := int(6*fs) + ptMinSub
 	var searchBacks, vetoes, gapSB int
 	for name, x := range ptOracleInputs(t, fs) {
 		for _, chunk := range []int{1, 50, 256, 1000, len(x)} {
@@ -373,18 +373,18 @@ func TestPTStreamRingHorizon(t *testing.T) {
 }
 
 // TestECGStreamRingsHaveNoSlack pins the ring sizing rule: each ring is
-// the smallest power of two that holds its read horizon plus
-// minSubChunk, and the stream's sub-chunk is the rest of the ring, so
-// no power-of-two rounding is left unused.
+// the smallest power of two that holds its read horizon plus its
+// stream's minimum sub-chunk, and the stream's sub-chunk is the rest of
+// the ring, so no power-of-two rounding is left unused.
 func TestECGStreamRingsHaveNoSlack(t *testing.T) {
-	check := func(name string, capacity, horizon, sub int) {
+	check := func(name string, capacity, horizon, sub, minSub int) {
 		t.Helper()
-		if sub < minSubChunk || capacity != horizon+sub {
+		if sub < minSub || capacity != horizon+sub {
 			t.Errorf("%s: ring of %d for horizon %d and sub-chunk %d (want horizon+sub, sub >= %d)",
-				name, capacity, horizon, sub, minSubChunk)
+				name, capacity, horizon, sub, minSub)
 		}
-		if capacity&(capacity-1) != 0 || capacity/2 >= horizon+minSubChunk {
-			t.Errorf("%s: ring of %d is not the smallest power of two holding %d", name, capacity, horizon+minSubChunk)
+		if capacity&(capacity-1) != 0 || capacity/2 >= horizon+minSub {
+			t.Errorf("%s: ring of %d is not the smallest power of two holding %d", name, capacity, horizon+minSub)
 		}
 	}
 	for _, fs := range []float64{125, 250, 500, 1000} {
@@ -395,11 +395,11 @@ func TestECGStreamRingsHaveNoSlack(t *testing.T) {
 		if pt.filt.Cap() != pt.History() || pt.raw.Cap() != pt.History() {
 			t.Errorf("fs %g: PTStream rings %d/%d, History %d", fs, pt.filt.Cap(), pt.raw.Cap(), pt.History())
 		}
-		check(fmt.Sprintf("fs %g PTStream", fs), pt.filt.Cap(), pt.horizon(), pt.sub)
+		check(fmt.Sprintf("fs %g PTStream", fs), pt.filt.Cap(), pt.horizon(), pt.sub, ptMinSub)
 		bs := NewBaselineStream(DefaultBaseline(fs), ecgADC.LSB())
-		check(fmt.Sprintf("fs %g BaselineStream", fs), bs.raw.Cap(), bs.la+2, bs.sub)
-		if fs == 250 && (pt.sub != 144 || pt.History() != 256 || bs.sub != 130 || bs.raw.Cap() != 256) {
-			t.Errorf("250 Hz: PTStream sub-chunk %d of a %d ring, BaselineStream %d of %d; want 144 of 256 and 130 of 256",
+		check(fmt.Sprintf("fs %g BaselineStream", fs), bs.raw.Cap(), bs.la+2, bs.sub, baselineMinSub)
+		if fs == 250 && (pt.sub != 16 || pt.History() != 128 || bs.sub != 130 || bs.raw.Cap() != 256) {
+			t.Errorf("250 Hz: PTStream sub-chunk %d of a %d ring, BaselineStream %d of %d; want 16 of 128 and 130 of 256",
 				pt.sub, pt.History(), bs.sub, bs.raw.Cap())
 		}
 	}

@@ -8,10 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/event"
 	"repro/internal/hw/radio"
 	"repro/internal/session"
-	"repro/internal/wal"
 )
 
 // writeTimeout bounds every frame write to a subscriber so one dead
@@ -66,12 +64,11 @@ func newConn(g *Gateway, nc net.Conn) *conn {
 	}
 }
 
-// sendEvent queues one event for this subscriber. Called synchronously
-// from session workers (the Sink contract), so it must never block: a
-// full queue drops the event and counts it.
-func (c *conn) sendEvent(e event.Event) {
-	payload := make([]byte, 0, wal.EventSize)
-	payload = wal.EncodeEvent(payload, &e)
+// sendEvent queues one encoded event for this subscriber; the payload
+// is shared with the session's other subscribers and never written.
+// Called synchronously from session workers (the Sink contract), so it
+// must never block: a full queue drops the event and counts it.
+func (c *conn) sendEvent(payload []byte) {
 	c.outMu.RLock()
 	defer c.outMu.RUnlock()
 	if c.outClosed {
@@ -244,7 +241,7 @@ func (c *conn) handleHello(f *radio.Frame) error {
 	// can slip past it; back out if the engine rejects the open.
 	fo := &fanout{g: c.g, id: id}
 	if flags&HelloSubscribe != 0 {
-		fo.targets = append(fo.targets, &subTarget{c: c, stream: stream})
+		fo.targets = append(fo.targets, c)
 	}
 	c.g.subMu.Lock()
 	if _, live := c.g.subs[id]; live {
@@ -338,7 +335,7 @@ func (c *conn) handleSub(f *radio.Frame) error {
 		return nil
 	}
 	if _, dup := c.subs[id]; !dup {
-		fo.add(&subTarget{c: c, stream: subStream})
+		fo.add(c)
 		c.subs[id] = fo
 	}
 	c.send(TypeSubAck, append(putU64(nil, id), CodeOK))

@@ -3,12 +3,14 @@ package gateway
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/session"
+	"repro/internal/wal"
 )
 
 // Config tunes the gateway.
@@ -131,23 +133,19 @@ type fanout struct {
 	id uint64
 
 	mu      sync.RWMutex
-	targets []*subTarget
+	targets []*conn // the owner (when it subscribed) and every TypeSub joiner
 }
 
-// subTarget is one subscriber connection's slot in a fanout.
-type subTarget struct {
-	c      *conn
-	stream uint16 // owner's stream id, or subStream for TypeSub joins
-}
-
-// subStream marks a TypeSub subscription (no owning stream).
-const subStream = 0xFFFF
-
-// Emit implements event.Sink on the session's worker.
+// Emit implements event.Sink on the session's worker. The event is
+// encoded once, and every target queues the same payload: the writers
+// only read it.
 func (f *fanout) Emit(e event.Event) {
 	f.mu.RLock()
-	for _, t := range f.targets {
-		t.c.sendEvent(e)
+	if len(f.targets) > 0 {
+		payload := wal.EncodeEvent(make([]byte, 0, wal.EventSize), &e)
+		for _, c := range f.targets {
+			c.sendEvent(payload)
+		}
 	}
 	f.mu.RUnlock()
 	if e.Kind == event.KindSessionClosed {
@@ -155,32 +153,17 @@ func (f *fanout) Emit(e event.Event) {
 	}
 }
 
-func (f *fanout) add(t *subTarget) {
+func (f *fanout) add(c *conn) {
 	f.mu.Lock()
-	f.targets = append(f.targets, t)
+	f.targets = append(f.targets, c)
 	f.mu.Unlock()
 }
 
-// removeConn detaches every slot of a tearing-down connection.
+// removeConn detaches a tearing-down connection.
 func (f *fanout) removeConn(c *conn) {
 	f.mu.Lock()
-	kept := f.targets[:0]
-	for _, t := range f.targets {
-		if t.c != c {
-			kept = append(kept, t)
-		}
-	}
-	f.targets = kept
+	f.targets = slices.DeleteFunc(f.targets, func(t *conn) bool { return t == c })
 	f.mu.Unlock()
-}
-
-// register installs a fanout for a session about to be opened.
-func (g *Gateway) register(id uint64) *fanout {
-	f := &fanout{g: g, id: id}
-	g.subMu.Lock()
-	g.subs[id] = f
-	g.subMu.Unlock()
-	return f
 }
 
 // dropFanout unregisters a finished session's fanout (worker-called; it

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/hemo"
 	"repro/internal/hw/radio"
 	"repro/internal/physio"
 	"repro/internal/session"
@@ -466,8 +468,9 @@ func TestEventQueueBounded(t *testing.T) {
 	defer p1.Close()
 	defer p2.Close()
 	c := newConn(g, p1) // writer never started: the queue cannot drain
+	payload := wal.EncodeEvent(nil, &event.Event{Kind: event.KindBeat, Session: 1})
 	for i := 0; i < 5; i++ {
-		c.sendEvent(event.Event{Kind: event.KindBeat, Session: 1})
+		c.sendEvent(payload)
 	}
 	if got := g.Stats().EventsOut; got != 2 {
 		t.Fatalf("queued %d events, want the bound 2", got)
@@ -481,9 +484,78 @@ func TestEventQueueBounded(t *testing.T) {
 	c.outClosed = true
 	close(c.out)
 	c.outMu.Unlock()
-	c.sendEvent(event.Event{Kind: event.KindBeat, Session: 1})
+	c.sendEvent(payload)
 	if got := g.Stats().EventsDropped; got != 4 {
 		t.Fatalf("post-close emit not drop-counted: %d", got)
+	}
+}
+
+// TestFanoutSharesEventFrames pins the fan-out's encode-once law: the
+// two subscribers of one session queue one shared payload per event,
+// the event's encoding, and their writers put byte-identical frames on
+// the wire.
+func TestFanoutSharesEventFrames(t *testing.T) {
+	dev := testDevice(t)
+	g := New(dev, Config{Session: session.Config{Workers: 1}})
+	defer g.Close()
+	var conns [2]*conn
+	var peers [2]net.Conn
+	for i := range conns {
+		p1, p2 := net.Pipe()
+		defer p1.Close()
+		defer p2.Close()
+		conns[i], peers[i] = newConn(g, p1), p2
+	}
+	fo := &fanout{g: g, id: 9, targets: conns[:]}
+	evs := []event.Event{
+		{Kind: event.KindBeat, Session: 9, Beat: 3, TimeS: 2.5,
+			Params: hemo.BeatParams{TimeS: 1.7, HR: 71, SVKub: 64.5, CO: 4.6, Quality: 0.83, Accepted: true}},
+		{Kind: event.KindHealth, Session: 9, Beat: 3, TimeS: 2.5, AcceptEWMA: 0.4, Below: true, Floor: 0.45},
+		{Kind: event.KindSessionClosed, Session: 9, Beat: 4, TimeS: 3, Accepted: 3, Emitted: 4},
+	}
+
+	// Writers not started: the queued payloads are the encoding, shared.
+	fo.Emit(evs[0])
+	a, b := <-conns[0].out, <-conns[1].out
+	if want := wal.EncodeEvent(nil, &evs[0]); string(a.payload) != string(want) || &a.payload[0] != &b.payload[0] {
+		t.Fatalf("payloads %x and %x (shared %v), want the one encoding %x", a.payload, b.payload, &a.payload[0] == &b.payload[0], want)
+	}
+
+	var wire []byte
+	for i, e := range evs {
+		f := radio.Frame{Type: TypeEvent, Seq: byte(i), Payload: wal.EncodeEvent(nil, &e)}
+		var err error
+		if wire, err = f.AppendTo(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2][]byte
+	var wg sync.WaitGroup
+	for i, c := range conns {
+		go c.writer()
+		got[i] = make([]byte, len(wire))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			peers[i].SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.ReadFull(peers[i], got[i]); err != nil {
+				t.Errorf("subscriber %d: %v", i, err)
+			}
+		}()
+	}
+	for _, e := range evs {
+		fo.Emit(e)
+	}
+	wg.Wait()
+	for i, c := range conns {
+		if string(got[i]) != string(wire) {
+			t.Errorf("subscriber %d read %x, want %x", i, got[i], wire)
+		}
+		c.outMu.Lock()
+		c.outClosed = true
+		close(c.out)
+		c.outMu.Unlock()
+		<-c.writerDone
 	}
 }
 

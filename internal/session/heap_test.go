@@ -11,14 +11,15 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 28.3-29.2 KB (2-vCPU Xeon, Go 1.24) with the raw-Z and baseline
-// rings holding 16-bit ADC codes and the baseline deques float32 on
-// ADC-grid samples, the QRS and baseline rings fitted to their
-// horizons and no ICG ring, plus 10%. Like the allocation budgets it
+// 23.7-24.3 KB (2-vCPU Xeon, Go 1.24) with the raw-Z and baseline
+// rings and the ECG band-pass's carry holding 16-bit ADC codes and the
+// baseline deques float32 on ADC-grid samples, the QRS and baseline
+// rings fitted to their horizons plus their streams' minimum
+// sub-chunks and no ICG ring, plus 10%. Like the allocation budgets it
 // only moves down — lower it when a change durably shrinks the
 // session; never raise it to let a change pass. The streamer alone is
 // ratcheted by core.TestStreamerHeapPerStream.
-const heapBudgetKB = 33
+const heapBudgetKB = 27
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with
