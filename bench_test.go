@@ -365,7 +365,8 @@ func BenchmarkAblationBaseline(b *testing.B) {
 		rmseMorph, rmseWave, rmseFIR)
 }
 
-// --- A4: morphology engine ablation (naive O(nk) vs deque O(n)). ---
+// --- A4: morphology engine ablation (naive O(nk) vs O(n); "Deque"
+// names the O(n) engine, now dsp.MovExtStream's block kernel). ---
 
 func BenchmarkAblationMorphEngineNaive(b *testing.B) {
 	sub, _ := physio.SubjectByID(1)

@@ -33,7 +33,8 @@ func (c *costEstimator) baseline(n int, cfg ecg.BaselineConfig) {
 		c.counter.Add("ecg-baseline", mcu.OpFloatCmp, ops)
 		c.counter.Add("ecg-baseline", mcu.OpMemory, ops)
 	} else {
-		// Monotonic deque: amortized ~3 comparisons/sample per scan.
+		// Block kernel (van Herk/Gil-Werman): ~3 comparisons/sample
+		// per scan — prefix, output and suffix pass.
 		ops := nn * 4 * 3
 		c.counter.Add("ecg-baseline", mcu.OpFloatCmp, ops)
 		c.counter.Add("ecg-baseline", mcu.OpMemory, ops*2)

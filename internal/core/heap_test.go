@@ -10,15 +10,16 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 18.2 KB (2-vCPU Xeon, Go 1.24) with
+// holds between pushes: measured at 16.0 KB (2-vCPU Xeon, Go 1.24) with
 // the raw-Z and baseline rings and the ECG band-pass's overlap-save
-// carry holding 16-bit ADC codes and the baseline deques float32 on the
-// study subjects' ADC-grid samples, the QRS and baseline rings fitted
+// carry holding 16-bit ADC codes, the baseline's four sliding extrema
+// one window-length float32 block buffer each on the study subjects'
+// ADC-grid samples, the QRS and baseline rings fitted
 // to their horizons plus their streams' minimum sub-chunks, and no ICG
 // ring (the delineator replays its ICG from the raw-Z ring), plus 10%
 // to the whole KB. It only moves down — lower it when a change durably
 // shrinks the streamer; never raise it to let a change pass.
-const streamerHeapBudgetKB = 20
+const streamerHeapBudgetKB = 18
 
 // TestStreamerHeapPerStream pins the live heap of an open streamer in
 // the package that owns it (session.TestEngineHeapPerSession measures

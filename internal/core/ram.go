@@ -81,9 +81,9 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 		Mode:        "streaming",
 		SampleBytes: sampleBytes,
 		Items: []RAMItem{
-			// Delay lines, monotonic deques and biquad registers of the
-			// conditioning chains and the QRS band-pass, and the
-			// delineator's forward-pass checkpoints.
+			// Delay lines, sliding-extremum block buffers and biquad
+			// registers of the conditioning chains and the QRS
+			// band-pass, and the delineator's forward-pass checkpoints.
 			{Name: "filter-state", Bytes: 2 * 1024},
 			// Incremental Pan-Tompkins history (conditioned and
 			// band-passed): the refractory period plus the slope and

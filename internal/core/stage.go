@@ -15,9 +15,10 @@ import (
 //
 //   - A Stage itself is immutable after construction (it may hold
 //     designed filters) and safe for concurrent Apply calls.
-//   - All mutable per-stream state (delay lines, deques, registers)
-//     lives in the StageStream, one instance per stream; StageStreams
-//     are single-goroutine objects, reusable across sessions via Reset.
+//   - All mutable per-stream state (delay lines, block buffers,
+//     registers) lives in the StageStream, one instance per stream;
+//     StageStreams are single-goroutine objects, reusable across
+//     sessions via Reset.
 
 // Stage is one conditioning step usable by both engines.
 type Stage interface {
@@ -124,7 +125,7 @@ func (cs *ChainStream) Reset() {
 }
 
 // Narrow reports whether every stage that can store its samples
-// narrow (the baseline's ADC-code ring and float32 deques, the
+// narrow (the baseline's ADC-code ring and float32 block buffers, the
 // zero-phase band-pass's ADC-code carry) still does.
 func (cs *ChainStream) Narrow() bool {
 	for _, st := range cs.stages {

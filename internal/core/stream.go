@@ -546,7 +546,7 @@ func (s *Streamer) HeldBytes() int {
 // Narrow reports whether the streamer's sample storage is still
 // narrow: 16-bit ADC codes in the raw-Z ring, the ECG baseline's ring
 // and the ECG band-pass's overlap-save carry, float32 in the
-// baseline's deques. A session whose samples left the ADC grids (a
+// baseline's sliding-extremum buffers. A session whose samples left the ADC grids (a
 // dead contact's dithered impedance, say) widened it to float64 for
 // good; Reset keeps the width, so a pool that hands streamers to new
 // sessions should take back only narrow ones.

@@ -112,7 +112,7 @@ func TestStreamerLatency(t *testing.T) {
 // size is part of the output.
 //
 // The raw-Z and ECG baseline rings store 16-bit ADC codes while every
-// sample is on the ADC's grid (and the baseline deques float32):
+// sample is on the ADC's grid (and the baseline's block buffers float32):
 // Acquire's samples keep them narrow for a whole recording,
 // DeadContact's dithered samples widen them, and a recording that turns
 // dead partway emits the same events whichever push and sub-chunk the

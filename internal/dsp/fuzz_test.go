@@ -14,11 +14,12 @@ import (
 // engines: SOSStream.Push (the 4-lane software-pipelined sosPipeRun vs
 // the scalar PushSample recurrence), FIRStream (the blocked convSeqInto
 // group kernel across arbitrary chunk boundaries, via the zero-phase
-// composite), and MovExtStream (chunked vs whole push). On input on the
-// ECG ADC's grid with its first off-grid sample at widenAt (widenAt past
-// the signal never widens), the narrow MovExtStream deque and the narrow
-// zero-phase FIR carry, which widen there, must match streams that are
-// wide from the start bit for bit, and the FIR stream FiltFiltFIR to
+// composite), and MovExtStream (chunked vs whole push, and both vs the
+// monotonic deque it replaced). On input on the ECG ADC's grid with its
+// first off-grid sample at widenAt (widenAt past the signal never
+// widens), the narrow MovExtStream and the narrow zero-phase FIR carry,
+// which widen there, must match streams that are wide from the start
+// bit for bit (and the deque), and the FIR stream FiltFiltFIR to
 // rounding.
 func FuzzDSPStreamChunkInvariance(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(20), true, []byte{7, 1, 250}, uint16(0))
@@ -111,12 +112,13 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		// Moving extremum: fuzz-chosen asymmetric window, both polarities
 		// via prime.
 		left, right := int(widthSel)%30, int(orderSel)%30
+		wantExt := dequeExt(x, left, right, prime)
 		mw := NewMovExtStream(left, right, prime)
-		wantExt := mw.Flush(nil, mw.Push(nil, nil, x))
+		cmpExact("movext whole-push vs deque", mw.Flush(nil, mw.Push(nil, nil, x)), wantExt)
 		mc := NewMovExtStream(left, right, prime)
 		cmpExact("movext chunked vs whole-push", mc.Flush(nil, chunked(mc.Push)), wantExt)
 
-		// Narrow deque on input quantized to the ECG ADC's grid (16-bit
+		// Narrow stream on input quantized to the ECG ADC's grid (16-bit
 		// codes of 5·2⁻¹⁵, all float32-exact) whose first off-grid sample
 		// (one float64 ulp off the grid) is at widenAt, against the
 		// all-float64 oracle; its width must follow the samples alone.
@@ -133,6 +135,7 @@ func FuzzDSPStreamChunkInvariance(f *testing.F) {
 		wide := NewMovExtStream(left, right, prime)
 		wide.widen()
 		wantGrid := wide.Flush(nil, wide.Push(nil, nil, grid))
+		cmpExact("wide movext vs deque", wantGrid, dequeExt(grid, left, right, prime))
 		x = grid // chunked pushes x
 		nc := NewMovExtStream(left, right, prime)
 		cmpExact("narrow movext chunked vs float64 oracle", nc.Flush(nil, chunked(nc.Push)), wantGrid)

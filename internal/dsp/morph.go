@@ -7,8 +7,9 @@ package dsp
 // result estimates the baseline drift.
 //
 // Two engines are provided: a naive O(n*k) scan, which is what a
-// straightforward firmware implementation computes, and a van Herk-style
-// monotonic-deque engine in O(n), used to benchmark the duty-cycle impact
+// straightforward firmware implementation computes, and the van
+// Herk/Gil-Werman block kernel of MovExtStream in O(n), which the
+// streaming baseline runs too, used to benchmark the duty-cycle impact
 // of the implementation choice (ablation A4 in DESIGN.md).
 
 // windowBounds returns the inclusive window [lo, hi] for output index i
@@ -71,79 +72,36 @@ func slideNaive(x []float64, left, right int, min bool) []float64 {
 	return y
 }
 
-// Erode computes the flat erosion of x with a structuring element of
-// length k in O(n) using a monotonic deque.
+// Erode computes the flat erosion (sliding-window minimum) of x with a
+// structuring element of length k in O(n), with the MovExtStream block
+// kernel.
 func Erode(x []float64, k int) []float64 {
 	if k < 1 {
 		return nil
 	}
-	return slideDeque(x, (k-1)/2, k/2, true)
+	return slideWith(nil, x, (k-1)/2, k/2, true)
 }
 
-// Dilate computes the flat dilation of x with a structuring element of
-// length k in O(n) using a monotonic deque.
+// Dilate computes the flat dilation (sliding-window maximum) of x with
+// a structuring element of length k in O(n), with the MovExtStream block
+// kernel.
 func Dilate(x []float64, k int) []float64 {
 	if k < 1 {
 		return nil
 	}
-	return slideDeque(x, (k-1)/2, k/2, false)
+	return slideWith(nil, x, (k-1)/2, k/2, false)
 }
 
-func slideDeque(x []float64, left, right int, min bool) []float64 {
-	return slideDequeWith(nil, x, left, right, min)
-}
-
-// slideDequeWith is slideDeque drawing its output and deque storage from
-// an arena (nil falls back to the heap).
-func slideDequeWith(a *Arena, x []float64, left, right int, min bool) []float64 {
-	n := len(x)
-	if n == 0 || left < 0 || right < 0 || left+right+1 < 1 {
+// slideWith runs the MovExtStream block kernel at float64 over x in one
+// push, drawing its output and block buffer from an arena (nil falls
+// back to the heap).
+func slideWith(a *Arena, x []float64, left, right int, min bool) []float64 {
+	if len(x) == 0 || left < 0 || right < 0 {
 		return nil
 	}
-	y := a.F64(n)
-	slideDequeInto(y, x, left, right, min, a.Ints(NextPow2(left+right+2)))
-	return y
-}
-
-// slideDequeInto runs the monotonic-deque sliding min/max into dst. The
-// live deque never exceeds the window length, so dq is a power-of-two
-// ring buffer of at least left+right+2 entries.
-func slideDequeInto(dst, x []float64, left, right int, min bool, dq []int) {
-	n := len(x)
-	mask := len(dq) - 1
-	head, tail, size := 0, 0, 0 // front index, next write index, entries
-	j := 0                      // next signal index to push
-	for i := 0; i < n; i++ {
-		hi := i + right
-		if hi > n-1 {
-			hi = n - 1
-		}
-		lo := i - left
-		if lo < 0 {
-			lo = 0
-		}
-		for ; j <= hi; j++ {
-			if min {
-				for size > 0 && x[j] <= x[dq[(tail-1)&mask]] {
-					tail = (tail - 1) & mask
-					size--
-				}
-			} else {
-				for size > 0 && x[j] >= x[dq[(tail-1)&mask]] {
-					tail = (tail - 1) & mask
-					size--
-				}
-			}
-			dq[tail] = j
-			tail = (tail + 1) & mask
-			size++
-		}
-		for size > 0 && dq[head] < lo {
-			head = (head + 1) & mask
-			size--
-		}
-		dst[i] = x[dq[head]]
-	}
+	s := MovExtStream{left: left, right: right, min: min, v64: a.F64(left + right + 1)}
+	s.Reset()
+	return s.Flush(a, s.Push(a, a.F64(len(x))[:0], x))
 }
 
 // Open computes the morphological opening (erosion then dilation with the
@@ -161,7 +119,7 @@ func OpenWith(a *Arena, x []float64, k int) []float64 {
 		return nil
 	}
 	left, right := (k-1)/2, k/2
-	return slideDequeWith(a, slideDequeWith(a, x, left, right, true), right, left, false)
+	return slideWith(a, slideWith(a, x, left, right, true), right, left, false)
 }
 
 // Close computes the morphological closing (dilation then erosion with the
@@ -178,7 +136,7 @@ func CloseWith(a *Arena, x []float64, k int) []float64 {
 		return nil
 	}
 	left, right := (k-1)/2, k/2
-	return slideDequeWith(a, slideDequeWith(a, x, left, right, false), right, left, true)
+	return slideWith(a, slideWith(a, x, left, right, false), right, left, true)
 }
 
 // OpenNaive is the O(n*k) variant of Open.

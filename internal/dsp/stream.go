@@ -9,8 +9,8 @@ import (
 // Streaming (stateful) counterparts of the batch kernels. The batch
 // pipeline re-runs every filter over the whole rolling window on each
 // hop; these kernels instead carry their state — delay lines, biquad
-// registers, monotonic deques — across pushes, so conditioning costs
-// O(1) per sample regardless of the analysis window. They are the
+// registers, sliding-extremum blocks — across pushes, so conditioning
+// costs O(1) per sample regardless of the analysis window. They are the
 // foundation of the incremental streaming engine in internal/core.
 //
 // Conventions shared by every kernel:
@@ -1030,61 +1030,84 @@ func (s *DerivStream) Reset() { s.n = 0; s.x1, s.x2 = 0, 0 }
 // MovExtStream is the streaming sliding-window extremum (flat erosion or
 // dilation): output t is the min or max of the inputs in
 // [t-left, t+right] clamped to the stream, exactly matching the batch
-// monotonic-deque engine (dsp.Erode / dsp.Dilate) including its edge
-// clamping. Amortized O(1) per sample; lookahead right.
+// dsp.Erode / dsp.Dilate (which run this kernel) including their edge
+// clamping. O(1) per sample; lookahead right.
 //
-// Storage width: the deque's values are input samples (order
-// statistics of the window), so it stores them as float32 while every
-// sample pushed is float32-exact — converting it to float32 and back
-// reproduces its float64 bits, as every code of a 16-bit ADC whose LSB
-// is a power of two or a small multiple of one does — and widens to
-// float64 for good at the first that is not, as a NewNarrowRing ring
-// does: the float32 values are converted over exactly and the float32
-// buffer is dropped. float32 to float64 conversion is exact and
-// order-preserving, so comparisons and outputs are bit-identical in
-// either width. Reset keeps the width. (16-bit codes, the ring's
-// narrow width, would save 2 B a slot more but cost the baseline
-// cascade about 45% in time: every sample is re-encoded at each of its
-// four stages.)
-// Indices are uint32 sample counters compared by wrapping subtraction:
-// a deque entry is never more than left+right+1 samples old, so the
-// counters may wrap past 2^32 on long streams.
+// Kernel: van Herk/Gil-Werman over blocks of w = left+right+1 samples.
+// The stream is padded at its start with left identity samples (+Inf
+// for erosion, -Inf for dilation), which is the start clamping, and
+// Flush pushes right more, which is the end clamping; the window that
+// ends at block offset j is then the previous block's suffix from offset
+// j+1 and the current block's prefix through j. One buffer of w values
+// holds everything: the previous block's suffix extremum from j+1 sits
+// in slot j+1, the current block's prefix extremum is the scalar p, and
+// the new sample overwrites slot j, which nothing reads again. At the
+// end of each block one in-place backward pass turns the buffer into
+// that block's suffix extrema. That is about three comparisons per
+// sample and no data-dependent loop.
+//
+// Ties: among equal values the output is the newest, as a monotonic
+// deque's is (a newer equal evicts the older): the prefix takes v when
+// v <= p (>= for max), the suffix pass keeps the newer slot unless the
+// older is strictly better, and the output takes p unless the suffix is
+// strictly better. So ±0, which compare equal, come out bit for bit as
+// the deque's. Bit-identity with the deque is pinned for finite inputs;
+// the session layer's NonFinite policy keeps NaN and ±Inf out of every
+// streamer.
+//
+// Storage width: the buffer's values are input samples or extrema of
+// them, so it stores them as float32 while every sample pushed is
+// float32-exact — converting it to float32 and back reproduces its
+// float64 bits, as every code of a 16-bit ADC whose LSB is a power of
+// two or a small multiple of one does — and widens to float64 for good
+// at the first that is not, as a NewNarrowRing ring does: the float32
+// values are converted over exactly and the float32 buffer is dropped.
+// float32 to float64 conversion is exact and order-preserving, so
+// comparisons and outputs are bit-identical in either width. Reset
+// keeps the width. (16-bit codes, the ring's narrow width, would save
+// 2 B a slot more but cost the baseline cascade about 45% in time with
+// the deque this kernel replaced: every sample is re-encoded at each of
+// its four stages.)
 type MovExtStream struct {
 	left, right int
 	min         bool
 
-	// Monotonic deque carrying (index, value) pairs in parallel rings,
-	// so neither admission nor emission chases a second buffer. One of
-	// v32 (narrow) and v64 (wide) is non-nil.
-	idx              []uint32
-	v32              []float32
-	v64              []float64
-	mask             int
-	head, tail, size int
-
-	in, out uint32
+	// The block buffer: one of v32 (narrow) and v64 (wide) is non-nil.
+	// Slots below j hold the current block's samples, slots from j on
+	// the previous block's suffix extrema.
+	v32 []float32
+	v64 []float64
+	j   int     // offset in the current block
+	p   float64 // the current block's prefix extremum
+	lag int     // samples still to take before the first output
 }
 
 // NewMovExtStream returns a streaming sliding extremum over windows
-// [t-left, t+right]; min selects erosion, otherwise dilation. The
-// deque holds at most left+right+2 entries: the window plus the sample
-// being admitted before the oldest is evicted.
+// [t-left, t+right]; min selects erosion, otherwise dilation. It holds
+// one block buffer of left+right+1 values.
 func NewMovExtStream(left, right int, min bool) *MovExtStream {
-	size := NextPow2(left + right + 2)
-	return &MovExtStream{
-		left: left, right: right, min: min,
-		idx: make([]uint32, size), v32: make([]float32, size), mask: size - 1,
-	}
+	s := &MovExtStream{left: left, right: right, min: min, v32: make([]float32, left+right+1)}
+	s.Reset()
+	return s
 }
 
 // Lookahead returns the window's right extent.
 func (s *MovExtStream) Lookahead() int { return s.right }
 
-// Narrow reports whether the deque still stores float32 values.
+// Narrow reports whether the buffer still stores float32 values.
 func (s *MovExtStream) Narrow() bool { return s.v64 == nil }
 
-// widen moves the deque's values to float64 storage, converting every
-// stored value exactly.
+// identity is the extremum's neutral value: +Inf for erosion, -Inf for
+// dilation.
+func (s *MovExtStream) identity() float64 {
+	if s.min {
+		return math.Inf(1)
+	}
+	return math.Inf(-1)
+}
+
+// widen moves the buffer to float64 storage, converting every stored
+// value exactly.
 func (s *MovExtStream) widen() {
 	s.v64 = make([]float64, len(s.v32))
 	for i, f := range s.v32 {
@@ -1094,7 +1117,7 @@ func (s *MovExtStream) widen() {
 }
 
 // Push consumes a chunk and appends the outputs whose full (clamped)
-// window has arrived. A narrow deque runs the chunk at float32 up to
+// window has arrived. A narrow stream runs the chunk at float32 up to
 // its first sample that is not float32-exact, widens there for good,
 // and runs the rest at float64. It needs no scratch from a.
 func (s *MovExtStream) Push(a *Arena, dst, x []float64) []float64 {
@@ -1112,13 +1135,12 @@ func (s *MovExtStream) Push(a *Arena, dst, x []float64) []float64 {
 
 // movExtRun is Push's loop at one storage width: it consumes samples of
 // x until one is not representable in T exactly and returns how many it
-// consumed (all of them at float64). The deque state lives in locals
+// consumed (all of them at float64). The kernel state lives in locals
 // for the whole chunk — reloading the fields through the pointer on
 // every sample costs ~30% of the cascade's time at this call rate.
-func movExtRun[T float32 | float64](s *MovExtStream, val []T, dst, x []float64) ([]float64, int) {
-	idx, mask := s.idx, s.mask
-	head, tail, size := s.head, s.tail, s.size
-	in, out := s.in, s.out
+func movExtRun[T float32 | float64](s *MovExtStream, buf []T, dst, x []float64) ([]float64, int) {
+	w, min := len(buf), s.min
+	j, p, lag := s.j, T(s.p), s.lag
 	k := 0
 	for ; k < len(x); k++ {
 		xv := x[k]
@@ -1126,71 +1148,80 @@ func movExtRun[T float32 | float64](s *MovExtStream, val []T, dst, x []float64) 
 		if math.Float64bits(float64(v)) != math.Float64bits(xv) {
 			break
 		}
-		if s.min {
-			for size > 0 && v <= val[(tail-1)&mask] {
-				tail = (tail - 1) & mask
-				size--
+		var out T
+		if min {
+			if j == 0 || v <= p {
+				p = v
+			}
+			if out = p; j+1 < w && buf[j+1] < p {
+				out = buf[j+1]
 			}
 		} else {
-			for size > 0 && v >= val[(tail-1)&mask] {
-				tail = (tail - 1) & mask
-				size--
+			if j == 0 || v >= p {
+				p = v
+			}
+			if out = p; j+1 < w && buf[j+1] > p {
+				out = buf[j+1]
 			}
 		}
-		idx[tail] = in
-		val[tail] = v
-		tail = (tail + 1) & mask
-		size++
-		in++
-		for in-out > uint32(s.right) {
-			// Evict entries older than the window's left edge: an
-			// index is older than lo when idx-lo wraps negative.
-			lo := out - uint32(s.left)
-			for size > 0 && int32(idx[head]-lo) < 0 {
-				head = (head + 1) & mask
-				size--
+		buf[j] = v
+		if lag > 0 {
+			lag--
+		} else {
+			dst = append(dst, float64(out))
+		}
+		if j++; j == w {
+			j = 0
+			// The block is complete: turn its samples into its suffix
+			// extrema, the newer slot winning ties.
+			if min {
+				for i := w - 2; i >= 0; i-- {
+					if buf[i+1] <= buf[i] {
+						buf[i] = buf[i+1]
+					}
+				}
+			} else {
+				for i := w - 2; i >= 0; i-- {
+					if buf[i+1] >= buf[i] {
+						buf[i] = buf[i+1]
+					}
+				}
 			}
-			out++
-			dst = append(dst, float64(val[head]))
 		}
 	}
-	s.head, s.tail, s.size = head, tail, size
-	s.in, s.out = in, out
+	s.j, s.p, s.lag = j, float64(p), lag
 	return dst, k
 }
 
 // Flush appends the trailing outputs, whose windows clamp at the
-// stream's end.
+// stream's end: it pushes right identity samples.
 func (s *MovExtStream) Flush(a *Arena, dst []float64) []float64 {
-	if s.v64 == nil {
-		return movExtDrain(s, s.v32, dst)
+	var pad [64]float64
+	for i := range pad {
+		pad[i] = s.identity()
 	}
-	return movExtDrain(s, s.v64, dst)
-}
-
-// movExtDrain emits every output still owed, at one storage width.
-func movExtDrain[T float32 | float64](s *MovExtStream, val []T, dst []float64) []float64 {
-	for s.out != s.in {
-		lo := s.out - uint32(s.left)
-		for s.size > 0 && int32(s.idx[s.head]-lo) < 0 {
-			s.head = (s.head + 1) & s.mask
-			s.size--
-		}
-		s.out++
-		dst = append(dst, float64(val[s.head]))
+	for n := s.right; n > 0; n -= len(pad) {
+		dst = s.Push(a, dst, pad[:min(n, len(pad))])
 	}
 	return dst
 }
 
-// Reset returns the stream to its initial state, keeping the storage
-// and its width.
+// Reset returns the stream to its initial state, keeping the buffer and
+// its width: the buffer holds the identity, as do the left samples the
+// start clamping pads the stream with.
 func (s *MovExtStream) Reset() {
-	s.head, s.tail, s.size = 0, 0, 0
-	s.in, s.out = 0, 0
+	id := s.identity()
+	for i := range s.v32 {
+		s.v32[i] = float32(id)
+	}
+	for i := range s.v64 {
+		s.v64[i] = id
+	}
+	s.j, s.p, s.lag = s.left, id, s.right
 }
 
 // HeldBytes reports the bytes the stream holds between pushes: itself
-// and its deque at the current width.
+// and its buffer at the current width.
 func (s *MovExtStream) HeldBytes() int {
-	return SizeOf[MovExtStream]() + 4*len(s.idx) + 4*len(s.v32) + 8*len(s.v64)
+	return SizeOf[MovExtStream]() + 4*len(s.v32) + 8*len(s.v64)
 }

@@ -185,18 +185,19 @@ func TestMovExtStreamMatchesDeque(t *testing.T) {
 	x := randSignal(800, 6)
 	for _, k := range []int{3, 25, 51, 76} {
 		left, right := (k-1)/2, k/2
-		wantMin := Erode(x, k)
-		wantMax := Dilate(x, k)
+		wantMin := dequeExt(x, left, right, true)
+		wantMax := dequeExt(x, left, right, false)
+		if !equalBits(Erode(x, k), wantMin) || !equalBits(Dilate(x, k), wantMax) {
+			t.Fatalf("k=%d: batch Erode/Dilate differ from the deque", k)
+		}
 		for _, chunk := range chunkSizes {
 			smin := NewMovExtStream(left, right, true)
-			gotMin := pushChunked(t, len(x), chunk, smin, x)
-			if d := maxAbsDiff(gotMin, wantMin); len(gotMin) != len(wantMin) || d > 0 {
-				t.Errorf("k=%d chunk %d erode: len %d/%d diff %g", k, chunk, len(gotMin), len(wantMin), d)
+			if got := pushChunked(t, len(x), chunk, smin, x); !equalBits(got, wantMin) {
+				t.Errorf("k=%d chunk %d erode: outputs differ from the deque", k, chunk)
 			}
 			smax := NewMovExtStream(left, right, false)
-			gotMax := pushChunked(t, len(x), chunk, smax, x)
-			if d := maxAbsDiff(gotMax, wantMax); len(gotMax) != len(wantMax) || d > 0 {
-				t.Errorf("k=%d chunk %d dilate: len %d/%d diff %g", k, chunk, len(gotMax), len(wantMax), d)
+			if got := pushChunked(t, len(x), chunk, smax, x); !equalBits(got, wantMax) {
+				t.Errorf("k=%d chunk %d dilate: outputs differ from the deque", k, chunk)
 			}
 		}
 	}
@@ -230,12 +231,32 @@ func TestRingBasics(t *testing.T) {
 	}
 }
 
-// movExtOracle returns the outputs of a float64 deque (wide from the
-// start) over x in one push.
-func movExtOracle(left, right int, min bool, x []float64) []float64 {
-	s := NewMovExtStream(left, right, min)
-	s.widen()
-	return s.Flush(nil, s.Push(nil, nil, x))
+// dequeExt is the monotonic-deque sliding min/max over windows
+// [i-left, i+right] clamped to x: the engine MovExtStream's block kernel
+// replaced, kept as its oracle. Among equal values the deque keeps the
+// newest (a newer equal evicts the older), so that is the one it emits.
+func dequeExt(x []float64, left, right int, min bool) []float64 {
+	n := len(x)
+	dst := make([]float64, n)
+	dq := make([]int, 0, n)
+	j := 0 // next signal index to admit
+	for i := range n {
+		hi := i + right
+		if hi > n-1 {
+			hi = n - 1
+		}
+		for ; j <= hi; j++ {
+			for len(dq) > 0 && (min && x[j] <= x[dq[len(dq)-1]] || !min && x[j] >= x[dq[len(dq)-1]]) {
+				dq = dq[:len(dq)-1]
+			}
+			dq = append(dq, j)
+		}
+		for dq[0] < i-left {
+			dq = dq[1:]
+		}
+		dst[i] = x[dq[0]]
+	}
+	return dst
 }
 
 func equalBits(a, b []float64) bool {
@@ -260,31 +281,35 @@ func onGridSignal(n int, seed int64) []float64 {
 	return x
 }
 
-// TestMovExtStreamIndexWrap starts the deque's uint32 sample counters
-// just short of 2^32, so the stream's indices wrap mid-stream: the
-// wrapping comparisons must give the same outputs, edge clamping
-// included, as a stream whose counters start at 0.
-func TestMovExtStreamIndexWrap(t *testing.T) {
+// TestMovExtStreamBlockPhase sweeps the block kernel's phase against
+// the chunking: windows from a single sample to asymmetric ones (the
+// last with a right extent past Flush's 64-sample pad), chunks of one
+// sample, one short of the block, one block, one past it and a size
+// prime to every block, on float32-exact input (the stream stays
+// narrow) and off it (it widens at the first sample). Every output,
+// the edge clamping at both ends included, must equal the deque's bit
+// for bit.
+func TestMovExtStreamBlockPhase(t *testing.T) {
 	for _, grid := range []bool{true, false} {
 		x := randSignal(1200, 12)
 		if grid {
 			x = onGridSignal(1200, 12)
 		}
-		for _, w := range [][2]int{{0, 0}, {3, 7}, {25, 25}, {37, 37}} {
+		for _, win := range [][2]int{{0, 0}, {3, 7}, {25, 25}, {37, 37}, {10, 40}, {2, 70}} {
+			w := win[0] + win[1] + 1
 			for _, min := range []bool{true, false} {
-				want := movExtOracle(w[0], w[1], min, x)
-				for _, start := range []uint32{math.MaxUint32 - 600, math.MaxUint32 - 3, math.MaxUint32} {
-					for _, chunk := range chunkSizes {
-						s := NewMovExtStream(w[0], w[1], min)
-						s.in, s.out = start, start
-						got := pushChunked(t, len(x), chunk, s, x)
-						if !equalBits(got, want) {
-							t.Fatalf("grid %v window %v min %v start %d chunk %d: outputs differ after the index wrap",
-								grid, w, min, start, chunk)
-						}
-						if s.in != start+uint32(len(x)) || s.Narrow() != grid {
-							t.Fatalf("grid %v: counter %d, narrow %v", grid, s.in, s.Narrow())
-						}
+				want := dequeExt(x, win[0], win[1], min)
+				for _, chunk := range []int{1, w - 1, w, w + 1, 997} {
+					if chunk < 1 {
+						continue
+					}
+					s := NewMovExtStream(win[0], win[1], min)
+					if got := pushChunked(t, len(x), chunk, s, x); !equalBits(got, want) {
+						t.Fatalf("grid %v window %v min %v chunk %d: outputs differ from the deque",
+							grid, win, min, chunk)
+					}
+					if s.Narrow() != grid {
+						t.Fatalf("grid %v window %v: narrow %v", grid, win, s.Narrow())
 					}
 				}
 			}
@@ -292,8 +317,36 @@ func TestMovExtStreamIndexWrap(t *testing.T) {
 	}
 }
 
+// TestMovExtStreamTies pins the tie rule on input drawn from {-0, +0,
+// -1, +1}, where most windows hold equal extrema: -0 and +0 compare
+// equal but differ in their bits, so only the deque's rule, the newest
+// of equal values, reproduces its outputs. Stream and batch kernel
+// alike.
+func TestMovExtStreamTies(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, -1, 1}
+	rng := rand.New(rand.NewSource(14))
+	x := make([]float64, 900)
+	for i := range x {
+		x[i] = vals[rng.Intn(len(vals))]
+	}
+	for _, win := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {2, 3}, {25, 25}, {37, 37}} {
+		for _, min := range []bool{true, false} {
+			want := dequeExt(x, win[0], win[1], min)
+			for _, chunk := range []int{1, 7, 64, 997} {
+				s := NewMovExtStream(win[0], win[1], min)
+				if got := pushChunked(t, len(x), chunk, s, x); !equalBits(got, want) {
+					t.Fatalf("window %v min %v chunk %d: outputs differ from the deque", win, min, chunk)
+				}
+			}
+			if got := slideWith(nil, x, win[0], win[1], min); !equalBits(got, want) {
+				t.Fatalf("window %v min %v: batch kernel differs from the deque", win, min)
+			}
+		}
+	}
+}
+
 // TestMovExtStreamResetKeepsWidth pins the width across Reset, as for
-// Ring: a widened deque stays wide, a narrow one stays narrow, and both
+// Ring: a widened stream stays wide, a narrow one stays narrow, and both
 // replay their stream bit for bit.
 func TestMovExtStreamResetKeepsWidth(t *testing.T) {
 	onGrid := onGridSignal(700, 13)
@@ -301,24 +354,24 @@ func TestMovExtStreamResetKeepsWidth(t *testing.T) {
 	s := NewMovExtStream(12, 9, true)
 	first := s.Flush(nil, s.Push(nil, nil, onGrid))
 	if !s.Narrow() {
-		t.Fatal("deque widened on float32-exact input")
+		t.Fatal("stream widened on float32-exact input")
 	}
 	s.Reset()
 	if again := s.Flush(nil, s.Push(nil, nil, onGrid)); !s.Narrow() || !equalBits(again, first) {
-		t.Fatal("narrow deque changed width or output across Reset")
+		t.Fatal("narrow stream changed width or output across Reset")
 	}
 	s.Push(nil, nil, offGrid[:1])
 	if s.Narrow() {
-		t.Fatal("deque stayed narrow on an off-grid sample")
+		t.Fatal("stream stayed narrow on an off-grid sample")
 	}
 	s.Reset()
 	if s.Narrow() {
-		t.Fatal("Reset narrowed a widened deque")
+		t.Fatal("Reset narrowed a widened stream")
 	}
 	if again := s.Flush(nil, s.Push(nil, nil, onGrid)); !equalBits(again, first) {
-		t.Fatal("widened deque's output differs after Reset")
+		t.Fatal("widened stream's output differs after Reset")
 	}
-	if s.Narrow() || len(s.v64) != len(s.idx) || s.v32 != nil {
-		t.Fatal("widened deque does not hold exactly one float64 value buffer")
+	if s.Narrow() || len(s.v64) != 12+9+1 || s.v32 != nil {
+		t.Fatal("widened stream does not hold exactly one window-length float64 buffer")
 	}
 }

@@ -27,11 +27,11 @@ type BaselineStream struct {
 
 // NewBaselineStream builds the streaming baseline remover for cfg. Its
 // raw ring stores 16-bit codes on the grid lsb (the ECG ADC's
-// quantization step) while the samples stay on it; its deques store
-// float32 while the samples are float32-exact.
+// quantization step) while the samples stay on it; its four sliding
+// extrema store float32 while the samples are float32-exact.
 // The naive-engine flag only selects the cost model of the batch path;
 // both engines compute the same sliding extrema, so the stream always
-// uses the O(1)-amortized deque kernels.
+// uses the O(1) block kernel (dsp.MovExtStream).
 func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	l1, l2 := cfg.elementLengths()
 	h1l, h1r := (l1-1)/2, l1/2
@@ -63,7 +63,7 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 // sub-chunk takes up the rounding, so a ring's size never depends on
 // how large a chunk the caller pushes:
 //
-//   - baselineMinSub: the four-deque cascade runs once per sub-chunk
+//   - baselineMinSub: the four-stage cascade runs once per sub-chunk
 //     and pays per pass (each stage's call and state reload), so its
 //     passes take at least the 128 samples core.Streamer feeds per push
 //     (130 at the paper's 250 Hz);
@@ -141,7 +141,7 @@ func (s *BaselineStream) Reset() {
 }
 
 // Narrow reports whether the raw-ECG ring still stores ADC codes and
-// the four morphology deques still store float32: true while every
+// the four sliding extrema still store float32: true while every
 // sample pushed is on the lsb grid relative to the first
 // (dsp.NewNarrowRing) and float32-exact (dsp.MovExtStream), as every
 // code of the device's ECG ADC is.
@@ -154,7 +154,7 @@ func (s *BaselineStream) Narrow() bool {
 }
 
 // HeldBytes reports the bytes the stream holds between pushes: itself,
-// its raw ring and its four deques at their current widths.
+// its raw ring and its four sliding extrema at their current widths.
 func (s *BaselineStream) HeldBytes() int {
 	n := dsp.SizeOf[BaselineStream]() + s.raw.HeldBytes()
 	for _, st := range s.stages {

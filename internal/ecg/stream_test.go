@@ -42,7 +42,7 @@ var sweepChunks = []int{1, 13, 15, 16, 17, 129, 130, 131, 143, 144, 145, 250, 99
 // The streaming baseline remover matches RemoveBaseline bit for bit on
 // every chunking, on off-grid input (widened at the second sample) and
 // on ECG ADC-grid input, where its ring keeps 16-bit codes and its
-// deques float32.
+// sliding extrema float32.
 func TestBaselineStreamMatchesBatch(t *testing.T) {
 	fs := 250.0
 	cfg := DefaultBaseline(fs)
@@ -73,7 +73,7 @@ func TestBaselineStreamMatchesBatch(t *testing.T) {
 				}
 			}
 			if s.Narrow() != in.narrow {
-				t.Fatalf("%s chunk %d: ring and deques narrow = %v", in.name, chunk, s.Narrow())
+				t.Fatalf("%s chunk %d: ring and extrema narrow = %v", in.name, chunk, s.Narrow())
 			}
 		}
 	}

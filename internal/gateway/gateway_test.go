@@ -670,7 +670,15 @@ func TestConnDropFlushesSessions(t *testing.T) {
 // stream: one Hello→HelloAck round trip over loopback per op, server
 // side included (run with -benchmem). Streams are closed in batches
 // off the clock, so the gateway never holds more than one batch open.
+// "plain" opens without subscribing; "subscribe" sets HelloSubscribe,
+// so each open also takes the session's event fan-out slot (a goroutine
+// drains the closes' events).
 func BenchmarkGatewayOpen(b *testing.B) {
+	b.Run("plain", func(b *testing.B) { benchGatewayOpen(b, false) })
+	b.Run("subscribe", func(b *testing.B) { benchGatewayOpen(b, true) })
+}
+
+func benchGatewayOpen(b *testing.B, subscribe bool) {
 	dev := testDevice(b)
 	g := New(dev, Config{})
 	defer g.Close()
@@ -679,12 +687,16 @@ func BenchmarkGatewayOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	go func() {
+		for range c.Events() {
+		}
+	}()
 	const batch = 1024
 	open := make([]*ClientStream, 0, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs, err := c.Open(uint16(len(open)), uint64(i), false)
+		cs, err := c.Open(uint16(len(open)), uint64(i), subscribe)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -181,18 +181,28 @@ type Session struct {
 	lastE, lastZ float64
 }
 
-// chunk is one queued input: either a pooled combined buffer (Push —
-// ecg is buf[:n], z is buf[n:]) or caller-owned slices (PushOwned —
-// ecg/z, never returned to the pool). A ctl chunk carries no samples:
-// it is the FIFO splice point of SubscribeFrom (and the test barrier),
-// processed in order with the data around it.
+// chunk is one queued input: the samples of a data chunk (ecg, z) or a
+// control payload (ctl), in 56 B. A session keeps its backlog array at
+// its high-water length, MaxPending slots, so a slot holds one sample
+// representation and ctl also tags the chunks that are not splices:
+//
+//   - nil: caller-owned slices (PushOwned), never returned to the pool;
+//   - pooledCtl: one pooled combined buffer (Push), ecg its head and z
+//     the rest, recycled through ecg once processed;
+//   - flushCtl: the close (Session.Close);
+//   - any other: the FIFO splice point of SubscribeFrom (or the test
+//     barrier), processed in order with the data around it.
 type chunk struct {
-	buf    []float64
-	n      int
 	ecg, z []float64
-	flush  bool
 	ctl    *attachCtl
 }
+
+// The sentinel ctl values of pooled data chunks and of the flush; they
+// are compared by address and never read.
+var (
+	pooledCtl = new(attachCtl)
+	flushCtl  = new(attachCtl)
+)
 
 // attachCtl is the control payload of a SubscribeFrom splice: the
 // worker replays the WAL tail into sink, attaches it to the live
@@ -477,7 +487,7 @@ func (s *Session) Push(ecgSamples, zSamples []float64) error {
 	if s.eng.cfg.NonFinite == NonFiniteSanitize {
 		s.sanitize(buf[:n], buf[n:])
 	}
-	if err := s.enqueue(chunk{buf: buf, n: n}); err != nil {
+	if err := s.enqueue(chunk{ecg: buf[:n], z: buf[n:], ctl: pooledCtl}); err != nil {
 		// Closed or evicted mid-push: recycle the copy instead of
 		// dropping it — with eviction armed this is a routine path.
 		s.eng.chunks.Put(buf[:0])
@@ -525,7 +535,7 @@ func (s *Session) PushOwned(ecgSamples, zSamples []float64) error {
 // beats were dropped; reporting success there would be a lie). The
 // subscriber has received every event either way.
 func (s *Session) Close() error {
-	if err := s.enqueue(chunk{flush: true}); err != nil {
+	if err := s.enqueue(chunk{ctl: flushCtl}); err != nil {
 		return err
 	}
 	<-s.done
@@ -559,7 +569,8 @@ func (s *Session) enqueue(c chunk) error {
 		s.mu.Unlock()
 		return err
 	}
-	for len(s.pending) >= s.eng.cfg.MaxPending && !c.flush && c.ctl == nil {
+	// Only data chunks wait for room: a flush or a splice never blocks.
+	for len(s.pending) >= s.eng.cfg.MaxPending && (c.ctl == nil || c.ctl == pooledCtl) {
 		s.cond.Wait()
 		if s.closing {
 			err := s.closedErr()
@@ -567,7 +578,7 @@ func (s *Session) enqueue(c chunk) error {
 			return err
 		}
 	}
-	if c.flush {
+	if c.ctl == flushCtl {
 		s.closing = true
 	}
 	s.pending = append(s.pending, c)
@@ -601,17 +612,18 @@ func (s *Session) run(batch []chunk) []chunk {
 		s.mu.Unlock()
 
 		for i, c := range batch {
-			if c.ctl != nil {
-				s.splice(c.ctl)
-				continue
-			}
-			if c.flush {
+			switch c.ctl {
+			case nil, pooledCtl:
+			case flushCtl:
 				if err := s.guard(func() { s.streamer().Flush() }); err != nil {
 					s.fail(batch[i+1:])
 					return batch
 				}
 				s.finish(ReasonClient)
 				return batch
+			default:
+				s.splice(c.ctl)
+				continue
 			}
 			// The streamer has the session's forwarder armed as its
 			// event sink, so Push/Flush return nil and every beat,
@@ -627,8 +639,8 @@ func (s *Session) run(batch []chunk) []chunk {
 				s.fail(batch[i+1:])
 				return batch
 			}
-			if c.buf != nil {
-				s.eng.chunks.Put(c.buf[:0])
+			if c.ctl == pooledCtl {
+				s.eng.chunks.Put(c.ecg[:0])
 			}
 			// Health check after every consumed chunk: the signals are
 			// pure functions of the input consumed so far, so the
@@ -658,12 +670,7 @@ func (s *Session) process(c chunk) {
 		h(s.ID, s.nChunks)
 	}
 	s.nChunks++
-	if c.buf != nil {
-		st.Push(c.buf[:c.n], c.buf[c.n:])
-	} else {
-		// Owned chunk (PushOwned): read in place, drop after.
-		st.Push(c.ecg, c.z)
-	}
+	st.Push(c.ecg, c.z)
 }
 
 // recycle resets st and returns it to the engine's pool if its raw
@@ -741,10 +748,11 @@ func (s *Session) fail(rest []chunk) {
 // any control chunks' waiters with err.
 func (s *Session) discard(chunks []chunk, err error) {
 	for _, c := range chunks {
-		if c.buf != nil {
-			s.eng.chunks.Put(c.buf[:0])
-		}
-		if c.ctl != nil {
+		switch c.ctl {
+		case nil, flushCtl:
+		case pooledCtl:
+			s.eng.chunks.Put(c.ecg[:0])
+		default:
 			c.ctl.err = err
 			close(c.ctl.done)
 		}
