@@ -101,7 +101,7 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// estimate (the running sum folded up to each closing R):
 			// what the hungrier of the delineator and the gate needs,
 			// as ADC codes.
-			{Name: "raw-z-history", Bytes: st.rawN * codeBytes},
+			{Name: "raw-z-history", Bytes: st.raw.Cap() * codeBytes},
 			// Quality-gate state: the ensemble template plus the running
 			// extremes, acceptance tallies and EWMA.
 			{Name: "gate-state", Bytes: samples(icg.ShapeBins) + 32},

@@ -58,10 +58,10 @@ type Streamer struct {
 	// scoring each beat from raw as its delineation completes.
 	gate *quality.GateStream
 
-	// Confirmed R peaks not yet consumed as beat boundaries: beat k is
-	// delimited by rHist[beatIdx], rHist[beatIdx+1].
-	rHist   []int
-	beatIdx int
+	// Confirmed R peaks not yet consumed as beat boundaries: the next
+	// beat is delimited by rHist[0], rHist[1]. emit drops the peaks it
+	// consumes, so it holds the few beats the delineator has queued.
+	rHist []int
 
 	// Contact-health signals (Health): the sample clock, the number of
 	// beat attempts consumed (scored and failed), and the closing R of
@@ -104,8 +104,9 @@ type Streamer struct {
 	// is the sequential sum of raw samples [0, zNext), folded forward to
 	// each scored beat's closing R and, before an append would overwrite
 	// them, over the samples about to leave the ring — the same
-	// additions in the same order whatever the chunking. The ring
-	// retains what its hungrier reader needs (rawN: the gate's or the
+	// additions in the same order whatever the chunking. The gate's
+	// running extremes fold at the same two points. The ring retains
+	// exactly what its hungrier reader needs (the gate's or the
 	// delineator's horizon). It stores 16-bit codes on the impedance
 	// ADC's grid (the AC path's LSB, relative to the session's first
 	// sample: 2 B a sample) while every sample is on it, and widens to
@@ -115,9 +116,8 @@ type Streamer struct {
 	zNext int
 	// zHorizon bounds how many samples past a beat's closing R the feed
 	// has run when the beat is emitted (see NewStreamer); maxBeat is the
-	// longest analyzable beat (StreamConfig.WindowSeconds) in samples;
-	// rawN is raw's capacity before power-of-two rounding.
-	zHorizon, maxBeat, rawN int
+	// longest analyzable beat (StreamConfig.WindowSeconds) in samples.
+	zHorizon, maxBeat int
 
 	body hemo.BodyConstants
 }
@@ -199,11 +199,9 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	// The raw ring serves the gate, which reads a beat of up to maxBeat
 	// samples as late as zHorizon after its closing R (Z0 reads up to
 	// that R), and the delineator, whose replay reaches further back.
-	// The gate restarts its running extremes at the ring's start, so the
-	// ring's size is part of the output.
-	s.rawN = max(s.maxBeat+1+zHorizon,
+	rawN := max(s.maxBeat+1+zHorizon,
 		icg.RawHistory(dCfg, causal, ctxSeconds, sc.WindowSeconds, zHorizon))
-	s.raw = dsp.NewNarrowRing(s.rawN, d.cfg.ICGFrontEnd.ACADC.LSB())
+	s.raw = dsp.NewNarrowRing(rawN, d.cfg.ICGFrontEnd.ACADC.LSB())
 	s.delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, causal, ctxSeconds,
 		sc.WindowSeconds, s.raw, &d.arenas)
 	s.gate = d.gate.NewStream(s.raw, s.maxBeat)
@@ -250,7 +248,11 @@ func (s *Streamer) Push(ecgSamples, zSamples []float64) {
 func (s *Streamer) push(a *dsp.Arena, ecgSamples, zSamples []float64) {
 	n := len(zSamples)
 	s.nSamples += n
-	s.foldZ(s.raw.N() + n - s.raw.Cap())
+	// The samples this append overwrites leave every running statistic
+	// of the ring folded: the Z0 sum and the gate's rails.
+	leaving := s.raw.N() + n - s.raw.Cap()
+	s.foldZ(leaving)
+	s.gate.Fold(leaving)
 	s.raw.Append(zSamples)
 	cond := s.ecgStream.Push(a, a.F64(n + s.ecgStream.Lookahead())[:0], ecgSamples)
 	s.deliver(a, cond, false)
@@ -300,8 +302,8 @@ func (s *Streamer) foldZ(hi int) {
 
 // emit converts completed beat analyses into hemodynamic parameters,
 // each scored by the quality gate as it completes, and delivers them to
-// the sink. Beat k corresponds to the R pair (rHist[beatIdx],
-// rHist[beatIdx+1]); failed beats consume their pair without emitting,
+// the sink. Beat i of beats corresponds to the R pair (rHist[i],
+// rHist[i+1]); failed beats consume their pair without emitting,
 // exactly once (the gate counts them against the acceptance rate).
 //
 // Event ordering law (pinned by the event tests): per beat attempt the
@@ -312,8 +314,7 @@ func (s *Streamer) foldZ(hi int) {
 func (s *Streamer) emit(a *dsp.Arena, beats []icg.BeatAnalysis) {
 	for i := range beats {
 		b := &beats[i]
-		rLo, rHi := s.rHist[s.beatIdx], s.rHist[s.beatIdx+1]
-		s.beatIdx++
+		rLo, rHi := s.rHist[i], s.rHist[i+1]
 		s.nBeats++
 		s.lastBeatEnd = rHi
 		if b.Err != nil || b.Points == nil {
@@ -339,10 +340,9 @@ func (s *Streamer) emit(a *dsp.Arena, beats []icg.BeatAnalysis) {
 		})
 		s.afterBeat(rHi)
 	}
-	// Compact the consumed R history so a long session stays O(1).
-	if s.beatIdx > 256 {
-		s.rHist = append(s.rHist[:0], s.rHist[s.beatIdx:]...)
-		s.beatIdx = 0
+	// Drop the consumed R peaks; the last closing R opens the next beat.
+	if len(beats) > 0 {
+		s.rHist = append(s.rHist[:0], s.rHist[len(beats):]...)
 	}
 }
 
@@ -560,7 +560,6 @@ func (s *Streamer) Reset() {
 	s.delin.Reset()
 	s.gate.Reset()
 	s.rHist = s.rHist[:0]
-	s.beatIdx = 0
 	s.nSamples = 0
 	s.nBeats = 0
 	s.lastBeatEnd = 0

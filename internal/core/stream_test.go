@@ -12,6 +12,7 @@ import (
 	"repro/internal/ecg"
 	"repro/internal/event"
 	"repro/internal/hemo"
+	"repro/internal/icg"
 	"repro/internal/physio"
 	"repro/internal/wal"
 )
@@ -106,10 +107,10 @@ func TestStreamerLatency(t *testing.T) {
 	}
 }
 
-// The default streamer's raw-Z ring holds the longest beat plus the
-// feed's lead past its closing R, rounded up to a power of two. The
-// gate restarts its running extremes at the ring's start, so the ring
-// size is part of the output.
+// The default streamer's raw-Z ring holds exactly what its hungrier
+// reader needs: the gate's longest beat plus the feed's lead past its
+// closing R, or the delineator's replay horizon (3742 samples at
+// 250 Hz), with no rounding.
 //
 // The raw-Z and ECG baseline rings store 16-bit ADC codes while every
 // sample is on the ADC's grid (and the baseline's block buffers float32):
@@ -120,8 +121,10 @@ func TestStreamerLatency(t *testing.T) {
 func TestStreamerRawRingDefault(t *testing.T) {
 	d := device(t, nil)
 	st := d.NewStreamer(DefaultStreamConfig())
-	if c := st.raw.Cap(); c != 4096 {
-		t.Fatalf("raw ring holds %d samples (need %d), want 4096", c, st.rawN)
+	rawN := max(st.maxBeat+1+st.zHorizon,
+		icg.RawHistory(defaultDetectFor(d.cfg, d.cfg.FS), false, icgCtxSeconds, DefaultStreamConfig().WindowSeconds, st.zHorizon))
+	if c := st.raw.Cap(); c != rawN || c != 3742 {
+		t.Fatalf("raw ring holds %d samples, want rawN = %d (3742 at 250 Hz)", c, rawN)
 	}
 
 	fs := d.cfg.FS
@@ -596,6 +599,116 @@ func TestStreamerLongBeatChunkInvariant(t *testing.T) {
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("gap %d chunk %d: event %d %+v, 1-sample pushes %+v", gap, chunk, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamerRHistBounded pins the R-peak list to the beats the
+// delineator still has queued: a 300 s session of subject 1 in 50-sample
+// pushes never grows it past 16 peaks of capacity, so a pooled streamer
+// that served a long session does not carry a long list to the next.
+func TestStreamerRHistBounded(t *testing.T) {
+	d := device(t, nil)
+	sub, _ := physio.SubjectByID(1)
+	acq, err := d.Acquire(&sub, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := d.NewStreamer(DefaultStreamConfig())
+	beats := 0
+	st.Emit(event.Func(func(e event.Event) {
+		if e.Kind == event.KindBeat {
+			beats++
+		}
+	}), 0)
+	for pos := 0; pos < len(acq.Z); pos += 50 {
+		end := min(pos+50, len(acq.Z))
+		st.Push(acq.ECG[pos:end], acq.Z[pos:end])
+		if c := cap(st.rHist); c > 16 {
+			t.Fatalf("sample %d, %d beats: the R-peak list holds capacity for %d peaks", end, beats, c)
+		}
+	}
+	if beats < 260 {
+		t.Fatalf("only %d beats in 300 s", beats)
+	}
+}
+
+// TestStreamerRailsAfterLongGap pins the gate's rails to the beat: a
+// beat scored after a failed span longer than the raw ring sees the
+// extremes of every sample before its closing R, whatever the chunking
+// (and so whatever the ring's capacity). Subject 1's ECG loses contact
+// (held, so no R peaks) for 14 s while Z keeps moving, and a Z
+// excursion past the session's rails sweeps across the 128 samples at
+// the ring's start edge as the first beat after the gap is scored —
+// where rails restarted at the ring's start would take the excursion in
+// under some chunkings and not others, since the feed's position at
+// that beat depends on where the sub-chunk boundaries fell.
+func TestStreamerRailsAfterLongGap(t *testing.T) {
+	d := device(t, nil)
+	fs := d.cfg.FS
+	sub, _ := physio.SubjectByID(1)
+	acq, err := d.Acquire(&sub, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, gap := int(8*fs), int(14*fs)
+	e := append([]float64(nil), acq.ECG...)
+	for i := cut; i < cut+gap; i++ {
+		e[i] = e[cut]
+	}
+	// The ring's start edge: the feed's position, minus the ring's
+	// capacity, when the first beat after the gap is scored under
+	// 1-sample pushes. It must lie past the last beat scored before the
+	// gap, or the rails would have no unscored samples to lose.
+	st := d.NewStreamer(DefaultStreamConfig())
+	pushed, lastBefore, edge := 0, -1, -1
+	st.Emit(event.Func(func(ev event.Event) {
+		switch rHi := int(math.Round(ev.TimeS * fs)); {
+		case ev.Kind != event.KindBeat:
+		case rHi < cut+gap:
+			lastBefore = rHi
+		case edge < 0:
+			edge = pushed - st.raw.Cap()
+		}
+	}), 0)
+	for i := range e {
+		pushed++
+		st.Push(e[i:i+1], acq.Z[i:i+1])
+	}
+	st.Flush()
+	if lastBefore < 0 || edge <= lastBefore || edge+128 > cut+gap {
+		t.Fatalf("the ring's start edge %d does not lie in the gap [%d, %d) past the last beat before it (%d)",
+			edge, cut, cut+gap, lastBefore)
+	}
+	step := 1
+	if testing.Short() {
+		step = 9
+	}
+	for off := 0; off < 128; off += step {
+		// A 50 Ω rise for 16 samples, past the rails (and past the
+		// 16-bit codes' reach, so the raw-Z ring widens there).
+		z := append([]float64(nil), acq.Z...)
+		for i := edge + off; i < edge+off+16; i++ {
+			z[i] += 50
+		}
+		var ref []event.Event
+		for _, chunk := range []int{1, 50, 97, 128, 1000} {
+			var got []event.Event
+			st := d.NewStreamer(DefaultStreamConfig())
+			st.Emit(event.Func(func(e event.Event) { got = append(got, e) }), 0)
+			pushChunks(st, e, z, every(chunk))
+			if chunk == 1 {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("offset %d chunk %d: %d events, 1-sample pushes %d", off, chunk, len(got), len(ref))
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("offset %d chunk %d: event %d %+v, 1-sample pushes %+v", off, chunk, i, got[i], ref[i])
 				}
 			}
 		}

@@ -7,26 +7,26 @@ import (
 )
 
 // wideRing is the plain float64 ring every Ring must be bit-identical
-// to, whatever its storage width: the oracle of FuzzRingStorage.
+// to, whatever its storage width: the oracle of FuzzRingStorage. It
+// holds exactly its capacity (at least one sample), sample i in slot
+// i mod capacity.
 type wideRing struct {
-	buf  []float64
-	mask int
-	n    int
+	buf []float64
+	n   int
 }
 
 func newWideRing(capacity int) *wideRing {
-	size := NextPow2(max(capacity, 2))
-	return &wideRing{buf: make([]float64, size), mask: size - 1}
+	return &wideRing{buf: make([]float64, max(capacity, 1))}
 }
 
 func (r *wideRing) push(v float64) {
-	r.buf[r.n&r.mask] = v
+	r.buf[r.n%len(r.buf)] = v
 	r.n++
 }
 
 func (r *wideRing) start() int { return max(r.n-len(r.buf), 0) }
 
-func (r *wideRing) at(i int) float64 { return r.buf[i&r.mask] }
+func (r *wideRing) at(i int) float64 { return r.buf[i%len(r.buf)] }
 
 func (r *wideRing) argMax(lo, hi int) int {
 	lo = ClampInt(lo, r.start(), r.n)
@@ -104,14 +104,20 @@ func encodeRingCodes(ks ...int16) []byte {
 	return b
 }
 
+// ringCaps are the capacities FuzzRingStorage draws from besides 1-40:
+// larger ones that are not powers of two, the last the streamer's
+// raw-Z ring at 250 Hz.
+var ringCaps = []int{100, 3742}
+
 // FuzzRingStorage pins the narrow ring against the plain float64 ring:
 // for arbitrary float64 bit patterns and grid codes fed through
 // arbitrary Push/Append chunkings (and Resets), on each grid of
-// ringSteps, At, CopyTo, ArgMax, Start, N and Cap must be bit-identical;
-// the ring must store codes exactly while every sample so far was on
-// the code grid relative to the first sample since the last Reset
-// (onCodeGrid); and it must widen at most once, keeping one buffer and
-// never narrowing again.
+// ringSteps and at capacities that are and are not powers of two
+// (whose narrow storage is two blocks), At, CopyTo, ArgMax, Start, N
+// and Cap must be bit-identical; the ring must store codes exactly
+// while every sample so far was on the code grid relative to the first
+// sample since the last Reset (onCodeGrid); and it must widen at most
+// once, keeping one buffer and never narrowing again.
 func FuzzRingStorage(f *testing.F) {
 	const zAC, ecg = 0, 1 // ringSteps indices: 2⁻¹² and 5·2⁻¹⁵
 	f.Add(uint8(7), uint8(zAC), 400.0, encodeRingSamples(1, 2.5, -3, 4096.000244140625), []byte{0, 3, 9})
@@ -141,10 +147,22 @@ func FuzzRingStorage(f *testing.F) {
 	// enough that the old codes would be out of reach.
 	f.Add(uint8(16), uint8(zAC), 430.0, append(encodeRingCodes(-5, 100, 2000), encodeRingSamples(612.5, 612.5+0x1p-12, 612)...), []byte{3, 255, 2})
 	f.Add(uint8(16), uint8(0), 0.0, append(encodeRingCodes(32767, 32000, 1), encodeRingCodes(-32768, -30000, 100)...), []byte{2, 255, 2})
+	// The large capacities, lapped in uneven Appends: 100 slots with a
+	// widening sample in the second lap, and the raw-Z ring's 3742
+	// slots fed a sweep of codes one and a half times round.
+	lap := make([]int16, 5600)
+	for i := range lap {
+		lap[i] = int16(i%2000 - 1000)
+	}
+	f.Add(uint8(240), uint8(3), 0.0, append(encodeRingCodes(lap[:130]...), encodeRingSamples(0.5, 1, 2)...), []byte{37, 0, 61})
+	f.Add(uint8(241), uint8(zAC), 400.0, encodeRingCodes(lap...), []byte{200, 251, 233})
 	f.Fuzz(func(t *testing.T, capSel, stepSel uint8, origin float64, data, ops []byte) {
 		step := ringSteps[int(stepSel)%len(ringSteps)]
 		xs := ringSamples(data, origin, step)
 		capacity := int(capSel%40) + 1
+		if capSel >= 240 {
+			capacity = ringCaps[int(capSel)%len(ringCaps)]
+		}
 		r, ref := NewNarrowRing(capacity, step), newWideRing(capacity)
 		exact, fresh, widened := true, true, false
 		var base float64
@@ -170,8 +188,8 @@ func FuzzRingStorage(f *testing.F) {
 					t.Fatalf("op %d: narrow again after widening", op)
 				}
 			} else {
-				if r.codes != nil {
-					t.Fatalf("op %d: widened ring kept its code buffer", op)
+				if r.codes != nil || r.tail != nil {
+					t.Fatalf("op %d: widened ring kept a code block", op)
 				}
 				if widened && &r.buf[0] != wide {
 					t.Fatalf("op %d: widened more than once", op)
@@ -229,21 +247,26 @@ func FuzzRingStorage(f *testing.F) {
 }
 
 // BenchmarkRing30s streams 30 s of on-grid impedance (250 Hz, the AC
-// path's 2⁻¹² Ω grid) through a 4096-sample ring the way the
-// streamer's raw-Z ring is used: 128-sample appends, every sample read
-// back once with At, and a one-beat CopyTo per second. "narrow" is the
-// 16-bit code storage on that grid, "wide" the float64 storage.
+// path's 2⁻¹² Ω grid) through a ring the way the streamer's raw-Z ring
+// is used: 128-sample appends, every sample read back once with At,
+// and a one-beat CopyTo per second. "narrow" is the 16-bit code
+// storage on that grid, "wide" the float64 storage, both at 4096
+// samples, whose appends and copies wrap at lap boundaries only;
+// "exact" is the narrow storage at the raw-Z ring's 3742 samples,
+// whose appends and copies also wrap inside a chunk.
 func BenchmarkRing30s(b *testing.B) {
 	x := make([]float64, 7500)
 	for i := range x {
 		x[i] = 400 + float64(int(4096*math.Sin(float64(i)/40)))/4096
 	}
+	narrow := func(n int) *Ring { return NewNarrowRing(n, 0x1p-12) }
 	for _, c := range []struct {
 		name string
 		mk   func(int) *Ring
-	}{{"wide", NewRing}, {"narrow", func(n int) *Ring { return NewNarrowRing(n, 0x1p-12) }}} {
+		n    int
+	}{{"wide", NewRing, 4096}, {"narrow", narrow, 4096}, {"exact", narrow, 3742}} {
 		b.Run(c.name, func(b *testing.B) {
-			r := c.mk(4096)
+			r := c.mk(c.n)
 			seg := make([]float64, 0, 250)
 			var sum float64
 			for b.Loop() {
@@ -259,7 +282,7 @@ func BenchmarkRing30s(b *testing.B) {
 					}
 				}
 			}
-			if !r.Narrow() && c.name == "narrow" || sum == 0 || len(seg) == 0 {
+			if !r.Narrow() && c.name != "wide" || sum == 0 || len(seg) == 0 {
 				b.Fatal("ring widened or read nothing")
 			}
 		})

@@ -45,24 +45,31 @@ import (
 // 32767 codes of the first. The first sample that is not (a dithered
 // or computed value, one beyond a code's reach, -0.0, NaN) widens the
 // ring to float64 for good: the codes are decoded over exactly and the
-// code buffer is dropped, so a widened ring holds what a NewRing ring
-// holds and never two buffers. Every reader (At, CopyTo, ArgMax,
+// code blocks are dropped, so a widened ring holds what a NewRing ring
+// holds and never both widths. Every reader (At, CopyTo, ArgMax,
 // Start, N, Cap) returns bit-identical values in either width, so the
 // width is invisible downstream.
 //
+// Capacity: a ring holds exactly the capacity it is built with (at
+// least one sample), so a ring sized from its reader's horizon keeps no
+// rounding slack; narrow storage that is not a power of two of slots is
+// two blocks, so the heap does not round it up either (codeStore).
+// Absolute index i lives head-(N-i) slots behind the head cursor,
+// wrapped once when that falls below slot 0.
+//
 // Aliasing invariant: the storage is replaced at most once in the
 // ring's life, narrow to wide, and only inside Push/Append; it is never
-// resized, so the power-of-two index masking always lands inside the
-// current backing array. No reader keeps a slice into the storage —
+// resized, so every slot the head cursor wraps into lies inside the
+// current storage. No reader keeps a slice into the storage —
 // CopyTo copies out — so the replacement cannot leave a stale view.
 // Reset rewinds the logical stream without touching the storage (a
 // widened ring stays wide; a narrow one takes a new base from its next
 // sample), which is what lets pooled engines hand rings across
 // sessions while old absolute indices go stale rather than dangle.
 type Ring struct {
-	codeStore // slot i&mask holds absolute sample i
-	mask      int
-	n         int // total samples pushed
+	codeStore      // slot head holds absolute sample n, the next one
+	size, head int // the capacity; the slot of the next sample
+	n          int // total samples pushed
 }
 
 // codeGrid maps samples to 16-bit codes c on the grid step relative to
@@ -107,41 +114,75 @@ func (g codeGrid) decode(c int16) float64 {
 // codeStore is fixed-length sample storage in one of two widths: 16-bit
 // codes on a grid (codeGrid) while every sample written is on it, and
 // float64 for good from the first that is not. Widening decodes the
-// codes over exactly and drops the code buffer, so a widened store
+// codes over exactly and drops the code blocks, so a widened store
 // holds one buffer, never two, and reads back bit-identical values in
 // either width. The storage is replaced at most once, narrow to wide,
 // and only by put.
+//
+// Narrow storage is two blocks: the largest power of two of slots the
+// store holds, then the rest (none when its length is a power of two).
+// The Go heap serves an object of up to 32 KB from the smallest size
+// class that holds it; every power of two of bytes is a class, so only
+// the rest is rounded up: the streamer's 3742-slot raw-Z ring takes
+// 4,096 + 3,456 B, where one block would take an 8,192 B class.
 type codeStore struct {
 	buf   []float64 // wide storage; nil while narrow
-	codes []int16   // narrow storage; nil once wide
+	codes []int16   // narrow slots [0, len(codes)); nil once wide
+	tail  []int16   // narrow slots from len(codes) on; nil once wide
 	grid  codeGrid
 }
 
 func wideStore(n int) codeStore { return codeStore{buf: make([]float64, n)} }
 
 func narrowStore(n int, g codeGrid) codeStore {
-	return codeStore{codes: make([]int16, n), grid: g}
+	m := n
+	if !IsPow2(n) {
+		m = NextPow2(n) / 2
+	}
+	s := codeStore{codes: make([]int16, m), grid: g}
+	if n > m {
+		s.tail = make([]int16, n-m)
+	}
+	return s
 }
 
 // narrow reports whether the store still holds codes.
 func (s *codeStore) narrow() bool { return s.buf == nil }
 
+// run returns the narrow slots from p on, at most n of them, that lie
+// in one block.
+func (s *codeStore) run(p, n int) []int16 {
+	if p < len(s.codes) {
+		return s.codes[p:min(p+n, len(s.codes))]
+	}
+	p -= len(s.codes)
+	return s.tail[p:min(p+n, len(s.tail))]
+}
+
 // widen moves a narrow store to float64, decoding every code exactly
 // (slots not yet written decode to a value no reader reaches).
 func (s *codeStore) widen() {
-	s.buf = make([]float64, len(s.codes))
+	s.buf = make([]float64, len(s.codes)+len(s.tail))
 	for i, c := range s.codes {
 		s.buf[i] = s.grid.decode(c)
 	}
-	s.codes = nil
+	for i, c := range s.tail {
+		s.buf[len(s.codes)+i] = s.grid.decode(c)
+	}
+	s.codes, s.tail = nil, nil
 }
 
 // put writes xs to slots [p, p+len(xs)): as codes while the store is
 // narrow, widening it at the first sample off the grid.
 func (s *codeStore) put(p int, xs []float64) {
-	if s.buf == nil {
-		g, dst := s.grid, s.codes[p:p+len(xs)]
-		for i, v := range xs {
+	if s.buf != nil {
+		copy(s.buf[p:], xs)
+		return
+	}
+	g := s.grid
+	for len(xs) > 0 {
+		dst := s.run(p, len(xs))
+		for i, v := range xs[:len(dst)] {
 			c, ok := g.encode(v)
 			if !ok {
 				s.widen()
@@ -150,17 +191,20 @@ func (s *codeStore) put(p int, xs []float64) {
 			}
 			dst[i] = c
 		}
-		return
+		p, xs = p+len(dst), xs[len(dst):]
 	}
-	copy(s.buf[p:], xs)
 }
 
 // at returns the sample in slot i.
 func (s *codeStore) at(i int) float64 {
-	if s.buf == nil {
-		return s.grid.decode(s.codes[i])
+	if s.buf != nil {
+		return s.buf[i]
 	}
-	return s.buf[i]
+	c := s.codes
+	if i >= len(c) {
+		c, i = s.tail, i-len(c)
+	}
+	return s.grid.decode(c[i])
 }
 
 // read fills out with the samples of slots [p, p+len(out)).
@@ -170,13 +214,18 @@ func (s *codeStore) read(out []float64, p int) {
 		return
 	}
 	g := s.grid
-	for i, c := range s.codes[p : p+len(out)] {
-		out[i] = g.decode(c)
+	for len(out) > 0 {
+		src := s.run(p, len(out))
+		for i, c := range src {
+			out[i] = g.decode(c)
+		}
+		p, out = p+len(src), out[len(src):]
 	}
 }
 
 // zero writes the sample 0 to slots [lo, hi); the grid's base must be
-// 0 for a narrow store (code 0 then decodes to +0, as a wide one holds).
+// 0 for a narrow store (code 0 then decodes to +0, as a wide one holds),
+// and its length a power of two (one block).
 func (s *codeStore) zero(lo, hi int) {
 	if s.buf == nil {
 		clear(s.codes[lo:hi])
@@ -185,7 +234,8 @@ func (s *codeStore) zero(lo, hi int) {
 	clear(s.buf[lo:hi])
 }
 
-// slide copies slots [src, src+n) to [0, n).
+// slide copies slots [src, src+n) to [0, n); a narrow store's length
+// must be a power of two (one block).
 func (s *codeStore) slide(src, n int) {
 	if s.buf == nil {
 		copy(s.codes[:n], s.codes[src:src+n])
@@ -195,29 +245,22 @@ func (s *codeStore) slide(src, n int) {
 }
 
 // heldBytes reports the bytes of the storage at its current width.
-func (s *codeStore) heldBytes() int { return 8*len(s.buf) + 2*len(s.codes) }
+func (s *codeStore) heldBytes() int { return 8*len(s.buf) + 2*(len(s.codes)+len(s.tail)) }
 
-// NewRing returns a float64 ring that retains at least capacity
-// samples (rounded up to a power of two). Rings of filter outputs use
-// it: their samples are not on any ADC grid.
+// NewRing returns a float64 ring that retains exactly capacity
+// samples (at least one). Rings of filter outputs use it: their
+// samples are not on any ADC grid.
 func NewRing(capacity int) *Ring {
-	size := ringSize(capacity)
-	return &Ring{codeStore: wideStore(size), mask: size - 1}
+	size := max(capacity, 1)
+	return &Ring{codeStore: wideStore(size), size: size}
 }
 
 // NewNarrowRing returns a ring like NewRing's that stores 16-bit codes
 // on the grid step (positive and finite) until its first sample off
 // that grid. Rings of raw ADC samples use it, with the ADC's LSB.
 func NewNarrowRing(capacity int, step float64) *Ring {
-	size := ringSize(capacity)
-	return &Ring{codeStore: narrowStore(size, newCodeGrid(step)), mask: size - 1}
-}
-
-func ringSize(capacity int) int {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return NextPow2(capacity)
+	size := max(capacity, 1)
+	return &Ring{codeStore: narrowStore(size, newCodeGrid(step)), size: size}
 }
 
 // Narrow reports whether the ring still stores codes.
@@ -233,39 +276,55 @@ func (r *Ring) Append(xs []float64) {
 		r.grid.base = xs[0] // the first sample since construction or Reset
 	}
 	for len(xs) > 0 {
-		p := r.n & r.mask
-		m := min(len(xs), r.Cap()-p)
-		r.put(p, xs[:m])
+		m := min(len(xs), r.size-r.head)
+		r.put(r.head, xs[:m])
 		r.n += m
+		r.head += m
+		if r.head == r.size {
+			r.head = 0
+		}
 		xs = xs[m:]
 	}
+}
+
+// slot returns the storage slot of absolute index i, which must be in
+// [Start(), N()]: i = N() is the head's slot.
+func (r *Ring) slot(i int) int {
+	p := r.head - (r.n - i)
+	if p < 0 {
+		p += r.size
+	}
+	return p
 }
 
 // N returns the total number of samples pushed so far.
 func (r *Ring) N() int { return r.n }
 
-// Cap returns how many samples the ring retains: its capacity rounded
-// up to a power of two.
-func (r *Ring) Cap() int { return r.mask + 1 }
+// Cap returns how many samples the ring retains: the capacity it was
+// built with, the length of its storage at either width.
+func (r *Ring) Cap() int { return r.size }
 
 // Start returns the oldest absolute index still retained.
-func (r *Ring) Start() int { return max(r.n-r.Cap(), 0) }
+func (r *Ring) Start() int { return max(r.n-r.size, 0) }
 
 // At returns the sample at absolute index i, which must be in
 // [Start(), N()).
-func (r *Ring) At(i int) float64 { return r.at(i & r.mask) }
+func (r *Ring) At(i int) float64 { return r.at(r.slot(i)) }
 
 // CopyTo appends the samples of [lo, hi) to dst with at most two bulk
 // reads (per-sample decoding while the ring is narrow). The range must
 // be retained.
 func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
-	for lo < hi {
-		p := lo & r.mask
-		end := min(p+(hi-lo), r.Cap())
-		n := len(dst)
-		dst = slices.Grow(dst, end-p)[:n+end-p]
-		r.read(dst[n:], p)
-		lo += end - p
+	if lo >= hi {
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
+	out, p := dst[n:], r.slot(lo)
+	for len(out) > 0 {
+		m := min(len(out), r.size-p)
+		r.read(out[:m], p)
+		out, p = out[m:], 0
 	}
 	return dst
 }
@@ -281,18 +340,28 @@ func (r *Ring) ArgMax(lo, hi int) int {
 	if lo >= hi {
 		return -1
 	}
-	best := lo
 	if r.buf == nil {
-		for i := lo + 1; i < hi; i++ {
-			if r.codes[i&r.mask] > r.codes[best&r.mask] {
-				best = i
+		return ringArgMax(r, lo, hi, r.run)
+	}
+	return ringArgMax(r, lo, hi, func(p, n int) []float64 { return r.buf[p:min(p+n, len(r.buf))] })
+}
+
+// ringArgMax returns the absolute index of the first maximum over the
+// retained range [lo, hi), scanning the contiguous slot runs run
+// returns (each at most n long, within one block and before the wrap).
+func ringArgMax[T int16 | float64](r *Ring, lo, hi int, run func(p, n int) []T) int {
+	best, p := -1, r.slot(lo)
+	var bv T
+	for i := lo; i < hi; {
+		s := run(p, hi-i)
+		for j, v := range s {
+			if best < 0 || v > bv {
+				best, bv = i+j, v
 			}
 		}
-		return best
-	}
-	for i := lo + 1; i < hi; i++ {
-		if r.buf[i&r.mask] > r.buf[best&r.mask] {
-			best = i
+		i, p = i+len(s), p+len(s)
+		if p == r.size {
+			p = 0
 		}
 	}
 	return best
@@ -301,7 +370,7 @@ func (r *Ring) ArgMax(lo, hi int) int {
 // Reset forgets all samples, keeping the storage and its width; a
 // narrow ring takes its next sample as the new base.
 func (r *Ring) Reset() {
-	r.n = 0
+	r.n, r.head = 0, 0
 	r.grid.base = math.NaN()
 }
 

@@ -52,7 +52,7 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	// that holds the horizon plus baselineMinSub, and the sub-chunk is
 	// whatever it holds past the horizon, so the ring has no slack.
 	horizon := s.la + 2
-	s.raw = dsp.NewNarrowRing(horizon+baselineMinSub, lsb)
+	s.raw = dsp.NewNarrowRing(dsp.NextPow2(horizon+baselineMinSub), lsb)
 	s.sub = s.raw.Cap() - horizon
 	return s
 }
@@ -311,7 +311,7 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 		return nil, ErrRefractory
 	}
 	if ringN == 0 {
-		ringN = s.horizon() + ptMinSub
+		ringN = dsp.NextPow2(s.horizon() + ptMinSub)
 	}
 	s.filt = dsp.NewRing(ringN)
 	s.raw = dsp.NewRing(ringN)

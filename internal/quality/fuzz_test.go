@@ -11,9 +11,12 @@ import (
 // fuzzFixture builds a gate scenario from fuzz-chosen seeds: a
 // pulsatile raw impedance stream with artifacts (flatline dropouts,
 // rail clipping, noise bursts) injected at rng-chosen beats, plus the
-// per-beat delineator analyses. Everything derives deterministically
-// from the two seeds.
-func fuzzFixture(sigSeed, artSeed int64, nBeats int) *gateFixture {
+// per-beat delineator analyses. With long, the middle beat is a failed
+// delineation stretched by 4096-6143 samples, longer than a batch
+// stream's ring (lost ECG contact while the impedance keeps moving), and
+// the impedance makes one excursion past the rails inside it.
+// Everything derives deterministically from the two seeds.
+func fuzzFixture(sigSeed, artSeed int64, nBeats int, long bool) *gateFixture {
 	const fs = 250
 	beatLen := 150 + int(uint64(sigSeed)%150) // 0.6-1.2 s beats
 	n := beatLen*nBeats + 100
@@ -80,22 +83,55 @@ func fuzzFixture(sigSeed, artSeed int64, nBeats int) *gateFixture {
 		}
 		f.beats = append(f.beats, ba)
 	}
+	if long {
+		stretchBeat(f, nBeats/2, 4096+int(art.Float64()*2048), art.Float64())
+	}
 	return f
+}
+
+// stretchBeat turns beat b into a failed delineation gap samples
+// longer: the inserted impedance keeps moving, and the later beats
+// shift. It makes one 5 kΩ excursion of 8 samples (toward open
+// circuit, which flattens every later beat against the rails) at
+// fraction at of the first 1024 samples a batch stream's 4096-sample
+// ring holds when the next beat closes: where a sample feed running up
+// to 1021 samples ahead of that beat moves the ring's start.
+func stretchBeat(f *gateFixture, b, gap int, at float64) {
+	const fs = 250
+	cut := f.rPeaks[b+1]
+	next := cut + gap + f.rPeaks[b+2] - f.rPeaks[b+1] // the next beat's closing R
+	ins := make([]float64, gap)
+	for k := range ins {
+		tt := float64(cut+k) / fs
+		ins[k] = 250 + 1.5*math.Sin(2*math.Pi*0.25*tt) + 0.4*math.Sin(2*math.Pi*1.25*tt)
+	}
+	ex := min(next-4096+int(at*1016)-cut, gap-8)
+	for k := ex; k < ex+8; k++ {
+		ins[k] += 5000
+	}
+	f.z = append(f.z[:cut], append(ins, f.z[cut:]...)...)
+	for i := b + 1; i < len(f.rPeaks); i++ {
+		f.rPeaks[i] += gap
+	}
+	f.beats[b] = icg.BeatAnalysis{Err: icg.ErrBeatTooShort}
 }
 
 // FuzzGateStreamChunkInvariance is the gate parity law under fuzzing:
 // for random signals, random artifact mixes and random chunk splits —
 // with the sample feed running arbitrarily far ahead of beat scoring —
-// the chunked GateStream must reproduce the batch Apply bit for bit.
+// the chunked GateStream must reproduce the batch Apply bit for bit,
+// also when a failed span longer than the stream's ring (nBeats of 128
+// and up) leaves samples the rails fold only as they leave the ring.
 // The seed corpus derives its signal seeds from the study subjects.
 func FuzzGateStreamChunkInvariance(f *testing.F) {
 	for _, sub := range physio.Subjects() {
 		f.Add(sub.Seed, sub.Seed*3+1, uint8(24), []byte{1, 7, 64, 250})
+		f.Add(sub.Seed, sub.Seed*5+2, uint8(128+26), []byte{250, 31, 200, 7})
 	}
 	f.Add(int64(99), int64(7), uint8(30), []byte{0, 255, 3, 17, 5})
 	f.Fuzz(func(t *testing.T, sigSeed, artSeed int64, nBeats uint8, chunks []byte) {
 		nb := 4 + int(nBeats)%28 // 4-31 beats keeps an iteration cheap
-		fx := fuzzFixture(sigSeed, artSeed, nb)
+		fx := fuzzFixture(sigSeed, artSeed, nb, nBeats >= 128)
 		g := NewBeatGate(DefaultGate(250))
 		ref := g.Apply(fx.z, fx.beats, fx.rPeaks)
 
@@ -130,7 +166,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 			if end > len(fx.z) {
 				end = len(fx.z)
 			}
-			gs.ring.Append(fx.z[pushed:end])
+			gs.feed(fx.z[pushed:end])
 			pushed = end
 			score(false)
 		}

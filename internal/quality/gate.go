@@ -190,7 +190,8 @@ func (g *BeatGate) Config() GateConfig { return g.cfg }
 // NewStream returns fresh streaming gate state that scores beats from
 // raw, the raw impedance history by absolute sample index. The caller
 // appends every sample to raw before scoring the beats it completes,
-// and sizes raw to hold a beat of maxBeat samples for as long after its
+// calls Fold before each append that would overwrite samples, and
+// sizes raw to hold a beat of maxBeat samples for as long after its
 // closing R as the beat can be scored; longer beats are unanalyzable
 // (see PushBeat). raw may be shared.
 func (g *BeatGate) NewStream(raw *dsp.Ring, maxBeat int) *GateStream {
@@ -211,9 +212,11 @@ func (g *BeatGate) Apply(z []float64, beats []icg.BeatAnalysis, rPeaks []int) []
 	return g.NewBatchStream().Apply(nil, make([]BeatSQI, 0, len(beats)), z, beats, rPeaks)
 }
 
-// batchHistorySeconds sizes the raw-sample ring of a batch gate stream
-// (rounded up to a power of two). GateStream.Apply feeds the ring
-// exactly up to each beat's closing R, so it only has to hold the beat.
+// batchHistorySeconds sizes the raw-sample ring of a batch gate stream:
+// the ring is the smallest power of two of samples that spans it, and
+// that size is the longest analyzable beat. GateStream.Apply feeds the
+// ring exactly up to each beat's closing R, so it only has to hold the
+// beat.
 const batchHistorySeconds = 16
 
 // NewBatchStream returns fresh gate state over a ring of its own, for
@@ -221,7 +224,7 @@ const batchHistorySeconds = 16
 // raw history, and any beat the ring holds is analyzable. Apply and the
 // device's pooled batch streams both build their state here.
 func (g *BeatGate) NewBatchStream() *GateStream {
-	raw := dsp.NewRing(int(batchHistorySeconds * g.cfg.FS))
+	raw := dsp.NewRing(dsp.NextPow2(int(batchHistorySeconds * g.cfg.FS)))
 	return g.NewStream(raw, raw.Cap())
 }
 
@@ -235,12 +238,13 @@ type GateStream struct {
 	ring    *dsp.Ring // raw impedance samples by absolute index (the caller appends)
 	maxBeat int       // longest analyzable beat, samples
 
-	// Running session extremes over [0, cursor); the cursor advances to
-	// each beat's closing R when the beat is scored, never past it, so
-	// the rails a beat sees are a function of the beat alone, not of
-	// how far the sample feed has run ahead (chunking invariance).
-	// haveExt guards the first consumed sample — the cursor may start
-	// past 0 when the ring wrapped before the first scored beat.
+	// Running session extremes over [0, cursor). The cursor advances
+	// to each beat's closing R when the beat is scored, and over the
+	// samples about to leave the ring before an append overwrites them
+	// (Fold), never past either, so the rails a beat sees are the
+	// extremes over [0, rHi) whatever the chunking and the ring's size.
+	// haveExt is false until the first sample is folded, unless a
+	// restored snapshot carried extremes.
 	cursor       int
 	runLo, runHi float64
 	haveExt      bool
@@ -289,23 +293,7 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	if hi := gs.ring.N(); rHi > hi {
 		rHi = hi
 	}
-	if gs.cursor < gs.ring.Start() {
-		gs.cursor = gs.ring.Start()
-	}
-	for ; gs.cursor < rHi; gs.cursor++ {
-		v := gs.ring.At(gs.cursor)
-		if !gs.haveExt {
-			gs.runLo, gs.runHi = v, v
-			gs.haveExt = true
-			continue
-		}
-		if v < gs.runLo {
-			gs.runLo = v
-		}
-		if v > gs.runHi {
-			gs.runHi = v
-		}
-	}
+	gs.Fold(rHi)
 	span := gs.runHi - gs.runLo
 
 	if rHi-rLo > gs.maxBeat || rHi-rLo < 4 || rLo < gs.ring.Start() {
@@ -391,6 +379,45 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	return gs.record(sqi)
 }
 
+// Fold advances the running extremes over the raw samples up to (not
+// including) hi. The ring's owner calls it before every append, with
+// hi = N() + len(chunk) - Cap() and where it folds any other running
+// statistic of the ring, so no sample leaves the ring before the rails
+// have seen it and the rails never depend on the ring's capacity.
+func (gs *GateStream) Fold(hi int) {
+	if gs.cursor >= hi {
+		return
+	}
+	if gs.cursor < gs.ring.Start() {
+		panic("quality: the raw ring lapped the gate's running extremes")
+	}
+	for ; gs.cursor < hi; gs.cursor++ {
+		v := gs.ring.At(gs.cursor)
+		if !gs.haveExt {
+			gs.runLo, gs.runHi = v, v
+			gs.haveExt = true
+			continue
+		}
+		if v < gs.runLo {
+			gs.runLo = v
+		}
+		if v > gs.runHi {
+			gs.runHi = v
+		}
+	}
+}
+
+// feed appends xs to the ring, folding the samples each piece
+// overwrites first; a piece is at most the ring's capacity.
+func (gs *GateStream) feed(xs []float64) {
+	for len(xs) > 0 {
+		m := min(len(xs), gs.ring.Cap())
+		gs.Fold(gs.ring.N() + m - gs.ring.Cap())
+		gs.ring.Append(xs[:m])
+		xs = xs[m:]
+	}
+}
+
 // record updates the acceptance counters and the accept-rate EWMA.
 func (gs *GateStream) record(sqi BeatSQI) BeatSQI {
 	if sqi.Accepted {
@@ -402,15 +429,17 @@ func (gs *GateStream) record(sqi BeatSQI) BeatSQI {
 
 // Apply drives the stream over a complete recording: raw samples are
 // appended to its history exactly up to each beat's closing R before
-// the beat is scored, reproducing the streaming schedule. Results are appended to dst; the
-// per-beat segment copies are drawn from a (nil allocates).
+// the beat is scored, folding the samples each append overwrites into
+// the rails first, reproducing the streaming schedule. Results are
+// appended to dst; the per-beat segment copies are drawn from a (nil
+// allocates).
 func (gs *GateStream) Apply(a *dsp.Arena, dst []BeatSQI, z []float64, beats []icg.BeatAnalysis, rPeaks []int) []BeatSQI {
 	pushed := 0
 	for i := range beats {
 		b := &beats[i]
 		if i+1 < len(rPeaks) {
 			if need := min(rPeaks[i+1], len(z)); need > pushed {
-				gs.ring.Append(z[pushed:need])
+				gs.feed(z[pushed:need])
 				pushed = need
 			}
 		}

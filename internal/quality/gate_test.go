@@ -142,7 +142,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 				if end > len(f.z) {
 					end = len(f.z)
 				}
-				gs.ring.Append(f.z[pushed:end])
+				gs.feed(f.z[pushed:end])
 				pushed = end
 				score(false)
 			}
@@ -221,7 +221,7 @@ func TestGateDegenerate(t *testing.T) {
 	for i := range huge {
 		huge[i] = float64(i % 17)
 	}
-	gs.ring.Append(huge)
+	gs.feed(huge)
 	sqi = gs.PushBeat(nil, 0, 200, b)
 	if sqi.Accepted {
 		t.Error("beat with lost history accepted")
@@ -229,9 +229,9 @@ func TestGateDegenerate(t *testing.T) {
 }
 
 // When the first scored beat arrives after the ring has wrapped (a
-// long run of failed delineations), the running extremes must
-// initialize from the first consumed sample — not fold in a phantom
-// zero that would inflate the session span forever.
+// long run of failed delineations), the running extremes must be those
+// of every sample before its closing R, folded as they left the ring —
+// with no phantom zero that would inflate the session span forever.
 func TestGateExtremesAfterRingWrap(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
 	gs := g.NewBatchStream()
@@ -240,12 +240,15 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 	for i := range z {
 		z[i] = 30 + 0.5*math.Sin(float64(i)/40) // all samples near 30 Ohm
 	}
-	gs.ring.Append(z)
+	gs.feed(z)
 	b := &icg.BeatAnalysis{Points: &icg.BeatPoints{}, Quality: 1}
 	rLo := n - 300
 	sqi := gs.PushBeat(nil, rLo, n-50, b)
 	if gs.runLo < 29 {
 		t.Fatalf("phantom zero folded into running extremes: runLo = %g", gs.runLo)
+	}
+	if lo, hi := dsp.MinMax(z[:n-50]); gs.runLo != lo || gs.runHi != hi {
+		t.Fatalf("running extremes [%g, %g], want [%g, %g] over every sample before the closing R", gs.runLo, gs.runHi, lo, hi)
 	}
 	if sqi.Flat {
 		t.Errorf("live beat flagged flat after ring wrap: %+v", sqi)
@@ -315,7 +318,7 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 	}
 	g := NewBeatGate(cfg)
 	gs = g.NewBatchStream()
-	gs.ring.Append(z)
+	gs.feed(z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
 		if b >= 6 && b < 14 {
