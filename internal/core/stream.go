@@ -250,9 +250,7 @@ func (s *Streamer) push(a *dsp.Arena, ecgSamples, zSamples []float64) {
 	s.nSamples += n
 	// The samples this append overwrites leave every running statistic
 	// of the ring folded: the Z0 sum and the gate's rails.
-	leaving := s.raw.N() + n - s.raw.Cap()
-	s.foldZ(leaving)
-	s.gate.Fold(leaving)
+	s.fold(a, s.raw.N()+n-s.raw.Cap())
 	s.raw.Append(zSamples)
 	cond := s.ecgStream.Push(a, a.F64(n + s.ecgStream.Lookahead())[:0], ecgSamples)
 	s.deliver(a, cond, false)
@@ -292,12 +290,21 @@ func (s *Streamer) deliver(a *dsp.Arena, cond []float64, last bool) {
 	s.emit(a, beats)
 }
 
-// foldZ advances the running impedance sum over raw samples up to (not
-// including) index hi.
-func (s *Streamer) foldZ(hi int) {
-	for ; s.zNext < hi; s.zNext++ {
-		s.zSum += s.raw.At(s.zNext)
+// fold advances the running impedance sum and the gate's rails over raw
+// samples up to (not including) index hi. Both stand at zNext (each
+// folds only here, and PushBeat's own fold to a closing R finds the
+// rails there already), so one copy of the span out of the ring, into
+// scratch from a, serves both.
+func (s *Streamer) fold(a *dsp.Arena, hi int) {
+	if s.zNext >= hi {
+		return
 	}
+	xs := s.raw.CopyTo(a.F64(hi - s.zNext)[:0], s.zNext, hi)
+	for _, v := range xs {
+		s.zSum += v
+	}
+	s.gate.Fold(s.zNext, xs)
+	s.zNext = hi
 }
 
 // emit converts completed beat analyses into hemodynamic parameters,
@@ -325,7 +332,7 @@ func (s *Streamer) emit(a *dsp.Arena, beats []icg.BeatAnalysis) {
 		// Causal base impedance: session mean up to the closing R. The
 		// streamer serves the touch device, so it always applies the
 		// hand-to-hand calibration.
-		s.foldZ(rHi)
+		s.fold(a, rHi)
 		z0 := s.zSum / float64(rHi)
 		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, hemo.TouchCal())
 		sqi := s.gate.PushBeat(a, rLo, rHi, b)

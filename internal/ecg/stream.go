@@ -82,12 +82,13 @@ func (s *BaselineStream) Lookahead() int { return s.la }
 // Push consumes raw ECG samples and appends the baseline-removed
 // samples whose estimate is complete. Two scratch buffers from ar
 // ping-pong through the cascade: each stage fully consumes its input
-// before the buffer is rewritten two stages later. They are sized for
-// one sub-chunk plus the cascade's lookahead (no stage emits more per
-// push), so a warm arena serves every push without allocating.
+// before the buffer is rewritten two stages later; a third takes the
+// raw span each pass subtracts from. They are sized for one sub-chunk
+// plus the cascade's lookahead (no stage emits more per push), so a
+// warm arena serves every push without allocating.
 func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
 	n := min(len(x), s.sub) + s.la
-	b1, b2 := ar.F64(n)[:0], ar.F64(n)[:0]
+	b1, b2, b3 := ar.F64(n)[:0], ar.F64(n)[:0], ar.F64(n)
 	for len(x) > 0 {
 		sub := x
 		if len(sub) > s.sub {
@@ -99,7 +100,7 @@ func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
 		b := s.stages[1].Push(ar, b2[:0], a)
 		a = s.stages[2].Push(ar, a[:0], b)
 		b = s.stages[3].Push(ar, b[:0], a)
-		dst = s.subtract(dst, b)
+		dst = s.subtract(dst, b, b3)
 	}
 	return dst
 }
@@ -107,27 +108,31 @@ func (s *BaselineStream) Push(ar *dsp.Arena, dst, x []float64) []float64 {
 // Flush drains the morphology cascade (end-of-stream window clamping)
 // and appends the final conditioned samples. Each stage's tail ping-
 // pongs through the later stages between two scratch buffers from ar,
-// sized for the cascade's lookahead: no stage holds more outputs than
-// its own lookahead, nor emits more per push than it takes in.
+// and a third takes the raw span it is subtracted from, all sized for
+// the cascade's lookahead: no stage holds more outputs than its own
+// lookahead, nor emits more per push than it takes in.
 func (s *BaselineStream) Flush(ar *dsp.Arena, dst []float64) []float64 {
-	b1, b2 := ar.F64(s.la)[:0], ar.F64(s.la)[:0]
+	b1, b2, b3 := ar.F64(s.la)[:0], ar.F64(s.la)[:0], ar.F64(s.la)
 	for i := range s.stages {
 		est := s.stages[i].Flush(ar, b1[:0])
 		for j := i + 1; j < len(s.stages); j++ {
 			b1, b2 = b2, b1
 			est = s.stages[j].Push(ar, b1[:0], est)
 		}
-		dst = s.subtract(dst, est)
+		dst = s.subtract(dst, est, b3)
 	}
 	return dst
 }
 
-// subtract emits raw[t] - baseline[t] for each newly available estimate.
-func (s *BaselineStream) subtract(dst []float64, est []float64) []float64 {
-	for _, b := range est {
-		dst = append(dst, s.raw.At(s.out)-b)
-		s.out++
+// subtract emits raw[t] - baseline[t] for each newly available estimate,
+// copying the raw span out of the ring once, into scratch (whose
+// capacity holds est).
+func (s *BaselineStream) subtract(dst, est, scratch []float64) []float64 {
+	raw := s.raw.CopyTo(scratch[:0], s.out, s.out+len(est))
+	for i, b := range est {
+		dst = append(dst, raw[i]-b)
 	}
+	s.out += len(est)
 	return dst
 }
 

@@ -166,7 +166,7 @@ func FuzzGateStreamChunkInvariance(f *testing.F) {
 			if end > len(fx.z) {
 				end = len(fx.z)
 			}
-			gs.feed(fx.z[pushed:end])
+			gs.feed(nil, fx.z[pushed:end])
 			pushed = end
 			score(false)
 		}

@@ -190,7 +190,7 @@ func (g *BeatGate) Config() GateConfig { return g.cfg }
 // NewStream returns fresh streaming gate state that scores beats from
 // raw, the raw impedance history by absolute sample index. The caller
 // appends every sample to raw before scoring the beats it completes,
-// calls Fold before each append that would overwrite samples, and
+// calls Fold with the samples each append would overwrite, and
 // sizes raw to hold a beat of maxBeat samples for as long after its
 // closing R as the beat can be scored; longer beats are unanalyzable
 // (see PushBeat). raw may be shared.
@@ -293,7 +293,7 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	if hi := gs.ring.N(); rHi > hi {
 		rHi = hi
 	}
-	gs.Fold(rHi)
+	gs.fold(a, rHi)
 	span := gs.runHi - gs.runLo
 
 	if rHi-rLo > gs.maxBeat || rHi-rLo < 4 || rLo < gs.ring.Start() {
@@ -379,20 +379,24 @@ func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) 
 	return gs.record(sqi)
 }
 
-// Fold advances the running extremes over the raw samples up to (not
-// including) hi. The ring's owner calls it before every append, with
-// hi = N() + len(chunk) - Cap() and where it folds any other running
-// statistic of the ring, so no sample leaves the ring before the rails
-// have seen it and the rails never depend on the ring's capacity.
-func (gs *GateStream) Fold(hi int) {
-	if gs.cursor >= hi {
+// Fold advances the running extremes over xs, the raw samples [lo,
+// lo+len(xs)) the caller copied out of the ring, from the cursor to
+// their end; lo must not be past the cursor. The ring's owner calls it
+// before every append, with the span up to N() + len(chunk) - Cap(),
+// where it folds any other running statistic of the ring from the same
+// copy, so no sample leaves the ring before the rails have seen it and
+// the rails never depend on the ring's capacity.
+func (gs *GateStream) Fold(lo int, xs []float64) {
+	if gs.cursor >= lo+len(xs) {
 		return
 	}
-	if gs.cursor < gs.ring.Start() {
+	if gs.cursor < lo {
+		panic("quality: a gap before the span the gate's running extremes fold")
+	}
+	if lo < gs.ring.Start() {
 		panic("quality: the raw ring lapped the gate's running extremes")
 	}
-	for ; gs.cursor < hi; gs.cursor++ {
-		v := gs.ring.At(gs.cursor)
+	for _, v := range xs[gs.cursor-lo:] {
 		if !gs.haveExt {
 			gs.runLo, gs.runHi = v, v
 			gs.haveExt = true
@@ -405,14 +409,25 @@ func (gs *GateStream) Fold(hi int) {
 			gs.runHi = v
 		}
 	}
+	gs.cursor = lo + len(xs)
+}
+
+// fold advances the running extremes up to (not including) hi, copying
+// the span out of the ring into scratch from a (nil allocates).
+func (gs *GateStream) fold(a *dsp.Arena, hi int) {
+	if gs.cursor >= hi {
+		return
+	}
+	gs.Fold(gs.cursor, gs.ring.CopyTo(a.F64(hi - gs.cursor)[:0], gs.cursor, hi))
 }
 
 // feed appends xs to the ring, folding the samples each piece
-// overwrites first; a piece is at most the ring's capacity.
-func (gs *GateStream) feed(xs []float64) {
+// overwrites first (their copy drawn from a); a piece is at most the
+// ring's capacity.
+func (gs *GateStream) feed(a *dsp.Arena, xs []float64) {
 	for len(xs) > 0 {
 		m := min(len(xs), gs.ring.Cap())
-		gs.Fold(gs.ring.N() + m - gs.ring.Cap())
+		gs.fold(a, gs.ring.N()+m-gs.ring.Cap())
 		gs.ring.Append(xs[:m])
 		xs = xs[m:]
 	}
@@ -439,7 +454,7 @@ func (gs *GateStream) Apply(a *dsp.Arena, dst []BeatSQI, z []float64, beats []ic
 		b := &beats[i]
 		if i+1 < len(rPeaks) {
 			if need := min(rPeaks[i+1], len(z)); need > pushed {
-				gs.feed(z[pushed:need])
+				gs.feed(a, z[pushed:need])
 				pushed = need
 			}
 		}

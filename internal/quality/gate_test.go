@@ -142,7 +142,7 @@ func TestGateBatchStreamParity(t *testing.T) {
 				if end > len(f.z) {
 					end = len(f.z)
 				}
-				gs.feed(f.z[pushed:end])
+				gs.feed(nil, f.z[pushed:end])
 				pushed = end
 				score(false)
 			}
@@ -221,7 +221,7 @@ func TestGateDegenerate(t *testing.T) {
 	for i := range huge {
 		huge[i] = float64(i % 17)
 	}
-	gs.feed(huge)
+	gs.feed(nil, huge)
 	sqi = gs.PushBeat(nil, 0, 200, b)
 	if sqi.Accepted {
 		t.Error("beat with lost history accepted")
@@ -240,7 +240,7 @@ func TestGateExtremesAfterRingWrap(t *testing.T) {
 	for i := range z {
 		z[i] = 30 + 0.5*math.Sin(float64(i)/40) // all samples near 30 Ohm
 	}
-	gs.feed(z)
+	gs.feed(nil, z)
 	b := &icg.BeatAnalysis{Points: &icg.BeatPoints{}, Quality: 1}
 	rLo := n - 300
 	sqi := gs.PushBeat(nil, rLo, n-50, b)
@@ -318,7 +318,7 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 	}
 	g := NewBeatGate(cfg)
 	gs = g.NewBatchStream()
-	gs.feed(z)
+	gs.feed(nil, z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
 		if b >= 6 && b < 14 {
