@@ -10,17 +10,18 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 15.37 KB (2-vCPU Xeon, Go 1.24) with
-// the raw-Z ring holding exactly its readers' horizon in two code
-// blocks, the raw-Z and baseline rings and the ECG band-pass's
-// overlap-save carry holding 16-bit ADC codes, the baseline's four
-// sliding extrema one window-length float32 block buffer each on the
-// study subjects' ADC-grid samples, the QRS and baseline rings fitted
-// to their horizons plus their streams' minimum sub-chunks, and no ICG
-// ring (the delineator replays its ICG from the raw-Z ring), plus 10%
-// to the whole KB. It only moves down — lower it when a change durably
+// holds between pushes: measured at 12.06-12.07 KB (2-vCPU Xeon, Go
+// 1.24) with the raw-Z ring holding exactly its readers' horizon packed
+// a byte a sample (differences of 16-bit ADC codes, anchors and a few
+// escapes), the baseline ring and the ECG band-pass's overlap-save
+// carry holding 16-bit ADC codes, the baseline's four sliding extrema
+// one window-length float32 block buffer each on the study subjects'
+// ADC-grid samples, the QRS and baseline rings fitted to their
+// horizons plus their streams' minimum sub-chunks, and no ICG ring (the
+// delineator replays its ICG from the raw-Z ring), plus 10% to the
+// whole KB. It only moves down — lower it when a change durably
 // shrinks the streamer; never raise it to let a change pass.
-const streamerHeapBudgetKB = 17
+const streamerHeapBudgetKB = 14
 
 // TestStreamerHeapPerStream pins the live heap of an open streamer in
 // the package that owns it (session.TestEngineHeapPerSession measures

@@ -9,6 +9,7 @@ package core
 // conclusion.
 
 import (
+	"repro/internal/dsp"
 	"repro/internal/icg"
 	"repro/internal/quality"
 )
@@ -59,11 +60,13 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // bounded history rings (QRS slope and refinement windows, and the raw
 // impedance history that the delineator replays its ICG from and the
 // quality gate and the base-impedance estimate share). Computed
-// samples are priced at the firmware's float32 width, raw samples at
-// the 2 B of the 16-bit ADC code the MCU reads (the server's raw-Z
-// ring keeps the same codes). The ring horizons are read off a
-// streamer built for the profile, so they follow stream.go by
-// construction; fs must admit the device's filter designs.
+// samples are priced at the firmware's float32 width, the raw
+// impedance history as the server's raw-Z ring stores it: one byte a
+// sample, the difference of its 16-bit ADC code from the previous
+// one's, plus the ring's anchor codes (dsp.NewNarrowRing). The ring
+// horizons and storage are read off a streamer built for the profile,
+// so they follow stream.go and the ring by construction; fs must admit
+// the device's filter designs.
 //
 // The horizons are those of the streamer the server runs, whose ECG
 // band-pass uses the block-carried overlap-save engine; its block lag
@@ -74,7 +77,7 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 // every stream shares) is left out: the direct recurrence holds only
 // the kernel's delay line.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
-	const sampleBytes, codeBytes = 4, 2
+	const sampleBytes = 4
 	st := profileStreamer(fs, sc)
 	samples := func(n int) int { return n * sampleBytes }
 	return RAMBudget{
@@ -90,7 +93,7 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// refinement windows each candidate is measured over, plus
 			// the sub-chunk Push band-passes ahead, which takes up the
 			// rings' power-of-two rounding (History: 128 samples at
-			// 250 Hz, so 1 KB of the 20.2 KB total at float32).
+			// 250 Hz, so 1 KB at float32).
 			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
 			// Per-beat scratch: the longest window the delineator
 			// replays -dZ/dt over and refilters.
@@ -100,8 +103,12 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// gate (the beat segment it scores) and the causal Z0
 			// estimate (the running sum folded up to each closing R):
 			// what the hungrier of the delineator and the gate needs,
-			// as ADC codes.
-			{Name: "raw-z-history", Bytes: st.raw.Cap() * codeBytes},
+			// in the ring's packed storage — a byte a sample, an anchor
+			// code every 64 samples and the plane's header. The list of
+			// differences past a byte grows on demand from empty, as
+			// the profile's unfed ring holds it: the study subjects put
+			// at most 16 in it (128 B; TestRawZRingStaysPacked).
+			{Name: "raw-z-history", Bytes: st.raw.HeldBytes() - dsp.SizeOf[dsp.Ring]()},
 			// Quality-gate state: the ensemble template plus the running
 			// extremes, acceptance tallies and EWMA.
 			{Name: "gate-state", Bytes: samples(icg.ShapeBins) + 32},

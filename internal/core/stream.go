@@ -107,10 +107,13 @@ type Streamer struct {
 	// additions in the same order whatever the chunking. The gate's
 	// running extremes fold at the same two points. The ring retains
 	// exactly what its hungrier reader needs (the gate's or the
-	// delineator's horizon). It stores 16-bit codes on the impedance
-	// ADC's grid (the AC path's LSB, relative to the session's first
-	// sample: 2 B a sample) while every sample is on it, and widens to
-	// float64 at the first sample that is not (dsp.NewNarrowRing).
+	// delineator's horizon). It stores codes on the impedance ADC's
+	// grid (the AC path's LSB, relative to the session's first sample)
+	// while every sample is on it, packed as their sample-to-sample
+	// differences (1 B a sample), and widens to float64 at the first
+	// sample that is not (dsp.NewNarrowRing). Its readers copy spans
+	// out of it (fold, the gate, the delineator): a packed At decodes
+	// from an anchor.
 	raw   *dsp.Ring
 	zSum  float64
 	zNext int
@@ -551,12 +554,13 @@ func (s *Streamer) HeldBytes() int {
 }
 
 // Narrow reports whether the streamer's sample storage is still
-// narrow: 16-bit ADC codes in the raw-Z ring, the ECG baseline's ring
-// and the ECG band-pass's overlap-save carry, float32 in the
-// baseline's sliding-extremum buffers. A session whose samples left the ADC grids (a
-// dead contact's dithered impedance, say) widened it to float64 for
-// good; Reset keeps the width, so a pool that hands streamers to new
-// sessions should take back only narrow ones.
+// narrow: ADC codes in the raw-Z ring and the ECG baseline's ring
+// (packed or 16-bit) and in the ECG band-pass's overlap-save carry,
+// float32 in the baseline's sliding-extremum buffers. A session whose
+// samples left the ADC grids (a dead contact's dithered impedance,
+// say) widened it to float64 for good; Reset keeps the width, so a
+// pool that hands streamers to new sessions should take back only
+// narrow ones.
 func (s *Streamer) Narrow() bool { return s.raw.Narrow() && s.ecgStream.Narrow() }
 
 // Reset returns the streamer to its initial state, keeping every buffer

@@ -112,8 +112,9 @@ func TestStreamerLatency(t *testing.T) {
 // closing R, or the delineator's replay horizon (3742 samples at
 // 250 Hz), with no rounding.
 //
-// The raw-Z and ECG baseline rings store 16-bit ADC codes while every
-// sample is on the ADC's grid (and the baseline's block buffers float32):
+// The raw-Z and ECG baseline rings store ADC codes (packed or 16-bit)
+// while every sample is on the ADC's grid (and the baseline's block
+// buffers float32):
 // Acquire's samples keep them narrow for a whole recording,
 // DeadContact's dithered samples widen them, and a recording that turns
 // dead partway emits the same events whichever push and sub-chunk the
@@ -195,6 +196,39 @@ func TestStreamerRawRingDefault(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("chunk %d: event hash %x, 1-sample pushes %x", chunk, got, want)
 		}
+	}
+}
+
+// The raw-Z ring keeps its packed form (dsp.NewNarrowRing) through
+// 120 s of every study subject: each sample's code differs from its
+// predecessor's by what a byte holds, but for a few escapes far short
+// of the count that would step it down to 16-bit codes. A dead
+// contact's dithered samples still widen it to float64.
+func TestRawZRingStaysPacked(t *testing.T) {
+	d := device(t, nil)
+	for _, sub := range physio.Subjects() {
+		acq, err := d.Acquire(&sub, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := d.NewStreamer(DefaultStreamConfig())
+		fresh := st.raw.HeldBytes()
+		pushChunks(st, acq.ECG, acq.Z, every(50))
+		if !st.raw.Packed() {
+			t.Fatalf("subject %d: the raw-Z ring left the packed form (narrow %v)", sub.ID, st.raw.Narrow())
+		}
+		// The escape list, empty in the ring StreamingRAM prices, stays
+		// within 32 entries of 8 B.
+		if grown := st.raw.HeldBytes() - fresh; grown > 256 {
+			t.Errorf("subject %d: the raw-Z ring's escapes hold %d B", sub.ID, grown)
+		}
+		t.Logf("subject %d: raw-Z ring holds %d B, %d B of them escapes", sub.ID, st.raw.HeldBytes(), st.raw.HeldBytes()-fresh)
+	}
+	de, dz := physio.DeadContact(5, int(10*d.cfg.FS))
+	st := d.NewStreamer(DefaultStreamConfig())
+	pushChunks(st, de, dz, every(50))
+	if st.raw.Narrow() || st.raw.Packed() {
+		t.Fatalf("dead contact left the raw-Z ring coded (packed %v)", st.raw.Packed())
 	}
 }
 

@@ -3,6 +3,8 @@ package dsp
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,27 +62,57 @@ func onCodeGrid(v, base, step float64) bool {
 // impedance DC-path LSB, unit and decimal steps.
 var ringSteps = []float64{0x1p-12, 5 * 0x1p-15, 1.0 / 16, 1, 0.1, 3}
 
-// ringSamples decodes fuzz bytes into samples: a tag byte, then two
-// bytes of an int16 code k standing for origin + k*step (tag even) or
-// eight bytes of float64 bits (tag odd), so inputs mix on-grid and
-// off-grid samples.
+// ringSamples decodes fuzz bytes into samples, each led by a tag byte:
+// two bytes of an int16 code k standing for origin + k*step (tag 0
+// mod 4), eight bytes of float64 bits (tag odd), or a random walk on
+// the grid (tag 2 mod 4; ringWalk), so inputs mix on-grid and off-grid
+// samples, and differences within and past a byte.
 func ringSamples(data []byte, origin, step float64) []float64 {
 	var xs []float64
+	walk := 0 // the random walk's code, carried from segment to segment
 	for len(data) > 0 {
 		tag := data[0]
 		data = data[1:]
-		if tag&1 == 0 && len(data) >= 2 {
+		switch {
+		case tag&3 == 0 && len(data) >= 2:
 			k := int16(binary.LittleEndian.Uint16(data))
 			xs = append(xs, origin+float64(k)*step)
 			data = data[2:]
-		} else if tag&1 == 1 && len(data) >= 8 {
+		case tag&3 == 2 && len(data) >= 4:
+			xs, walk = ringWalk(xs, walk, origin, step, data[:4])
+			data = data[4:]
+		case tag&1 == 1 && len(data) >= 8:
 			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
 			data = data[8:]
-		} else {
-			break
+		default:
+			return xs
 		}
 	}
 	return xs
+}
+
+// ringWalk appends a random walk of grid samples origin + k*step from
+// code k = walk on, and returns the walk's last code: a little-endian
+// count (at most 4096 samples), a spread and a seed byte. Its steps are
+// Gaussian with the spread as their standard deviation in codes, so a
+// spread near 127 puts some steps past what an int8 holds and one near
+// 255 puts half of them there, a burst of escapes; the walk reflects
+// off ±16000 codes, staying within an int16 of any base it starts
+// from.
+func ringWalk(xs []float64, walk int, origin, step float64, b []byte) ([]float64, int) {
+	n := int(binary.LittleEndian.Uint16(b)) % 4097
+	spread := float64(b[2])
+	rng := rand.New(rand.NewSource(int64(b[3])<<16 | int64(n)))
+	for range n {
+		walk += int(math.Round(rng.NormFloat64() * spread))
+		if walk > 16000 {
+			walk = 32000 - walk
+		} else if walk < -16000 {
+			walk = -32000 - walk
+		}
+		xs = append(xs, origin+float64(walk)*step)
+	}
+	return xs, walk
 }
 
 // encodeRingSamples is ringSamples' inverse for seeds: every sample is
@@ -94,6 +126,11 @@ func encodeRingSamples(xs ...float64) []byte {
 	return b
 }
 
+// encodeRingWalk writes a random-walk segment for ringSamples.
+func encodeRingWalk(n uint16, spread, seed uint8) []byte {
+	return append(binary.LittleEndian.AppendUint16([]byte{2}, n), spread, seed)
+}
+
 // encodeRingCodes writes int16 codes for ringSamples.
 func encodeRingCodes(ks ...int16) []byte {
 	var b []byte
@@ -104,20 +141,91 @@ func encodeRingCodes(ks ...int16) []byte {
 	return b
 }
 
-// ringCaps are the capacities FuzzRingStorage draws from besides 1-40:
-// larger ones that are not powers of two, the last the streamer's
-// raw-Z ring at 250 Hz.
-var ringCaps = []int{100, 3742}
+// ringCaps are the capacities FuzzRingStorage draws from besides 1-40
+// (all too small for the packed form to pay, so 16-bit from the
+// start): 100, the same; 3742, the streamer's raw-Z ring at 250 Hz; 128,
+// packed with room for two escapes; 256, the ECG baseline's ring.
+var ringCaps = []int{100, 3742, 128, 256}
 
-// FuzzRingStorage pins the narrow ring against the plain float64 ring:
-// for arbitrary float64 bit patterns and grid codes fed through
-// arbitrary Push/Append chunkings (and Resets), on each grid of
-// ringSteps and at capacities that are and are not powers of two
-// (whose narrow storage is two blocks), At, CopyTo, ArgMax, Start, N
-// and Cap must be bit-identical; the ring must store codes exactly
-// while every sample so far was on the code grid relative to the first
-// sample since the last Reset (onCodeGrid); and it must widen at most
-// once, keeping one buffer and never narrowing again.
+// Storage forms of a coded ring, down the ladder.
+const (
+	formWide   = iota // float64
+	formCodes         // 16-bit codes
+	formPacked        // a delta plane
+)
+
+// ringForm returns r's storage form, checking it holds exactly one.
+func ringForm(t *testing.T, r *Ring) int {
+	t.Helper()
+	switch {
+	case r.pk != nil && r.buf == nil && r.codes == nil && r.tail == nil:
+		return formPacked
+	case r.pk == nil && r.buf == nil && r.codes != nil:
+		return formCodes
+	case r.pk == nil && r.buf != nil && r.codes == nil && r.tail == nil:
+		return formWide
+	}
+	t.Fatalf("ring holds more than one form (plane %v, codes %v, float64 %v)", r.pk != nil, r.codes != nil, r.buf != nil)
+	return -1
+}
+
+// formOracle follows the form a coded ring must be in from the samples
+// alone: packed from construction when escLimit allows, 16-bit from
+// the first sample whose code differs from its predecessor's by more
+// than an int8 holds (-128 included, the plane's escape mark) while
+// escLimit such samples are already among those the ring retains, and
+// float64 from the first sample off the grid.
+type formOracle struct {
+	form, size, prev int
+	esc              []int // absolute indices of the escapes, while packed
+}
+
+func newFormOracle(size int) *formOracle {
+	o := &formOracle{form: formCodes, size: size}
+	if escLimit(size) >= 0 {
+		o.form = formPacked
+	}
+	return o
+}
+
+// take follows sample i, whose code relative to base is code, or which
+// is off the grid.
+func (o *formOracle) take(i, code int, onGrid bool) {
+	switch {
+	case !onGrid:
+		o.form = formWide
+	case o.form == formPacked:
+		if d := code - o.prev; d < -127 || d > 127 {
+			live := 0
+			for _, j := range o.esc {
+				if j > i-o.size {
+					live++
+				}
+			}
+			if live >= escLimit(o.size) {
+				o.form = formCodes
+			}
+			o.esc = append(o.esc, i)
+		}
+	}
+	o.prev = code
+}
+
+// reset follows a Reset: the next sample is code 0 again.
+func (o *formOracle) reset() { o.prev, o.esc = 0, o.esc[:0] }
+
+// FuzzRingStorage pins the coded ring against the plain float64 ring:
+// for arbitrary float64 bit patterns, grid codes and random walks on
+// the grid fed through arbitrary Push/Append chunkings (and Resets), on
+// each grid of ringSteps and at capacities that are and are not powers
+// of two (whose byte and code storage is two blocks), At, CopyTo,
+// ArgMax, Start, N and Cap must be bit-identical; the ring must store
+// codes exactly while every sample so far was on the code grid
+// relative to the first sample since the last Reset (onCodeGrid); its
+// form must be the one formOracle derives from the samples, which only
+// moves down the ladder packed → 16-bit → float64; a packed ring must
+// hold no more bytes than 16-bit codes would; and the ring must widen
+// at most once, keeping one buffer.
 func FuzzRingStorage(f *testing.F) {
 	const zAC, ecg = 0, 1 // ringSteps indices: 2⁻¹² and 5·2⁻¹⁵
 	f.Add(uint8(7), uint8(zAC), 400.0, encodeRingSamples(1, 2.5, -3, 4096.000244140625), []byte{0, 3, 9})
@@ -156,6 +264,20 @@ func FuzzRingStorage(f *testing.F) {
 	}
 	f.Add(uint8(240), uint8(3), 0.0, append(encodeRingCodes(lap[:130]...), encodeRingSamples(0.5, 1, 2)...), []byte{37, 0, 61})
 	f.Add(uint8(241), uint8(zAC), 400.0, encodeRingCodes(lap...), []byte{200, 251, 233})
+	// Random walks on the impedance grid through the raw-Z ring. Steps
+	// around the int8 limit stay packed, through Resets and new bases;
+	// a burst of escapes (half the steps past a byte) steps the ring
+	// down to 16-bit codes, and a Reset keeps it there; an off-grid
+	// sample widens a packed ring at once.
+	f.Add(uint8(241), uint8(zAC), 400.0, encodeRingWalk(4096, 50, 8), []byte{200, 255, 77, 97})
+	burst := append(append(encodeRingWalk(4096, 40, 1), encodeRingWalk(1200, 255, 2)...), encodeRingWalk(1000, 30, 6)...)
+	f.Add(uint8(241), uint8(zAC), 400.0, burst, append(slices.Repeat([]byte{150}, 38), 255))
+	f.Add(uint8(241), uint8(zAC), 400.0, append(encodeRingWalk(4096, 60, 3), encodeRingSamples(400.1)...), []byte{250, 1, 128})
+	// The ECG baseline's ring on the ECG grid, packed until a burst, and
+	// a 128-slot ring with room for two escapes in chunks of one sample
+	// and Resets.
+	f.Add(uint8(243), uint8(ecg), 0.0, append(encodeRingWalk(1500, 40, 4), encodeRingWalk(500, 200, 7)...), []byte{130, 7, 61})
+	f.Add(uint8(242), uint8(3), 0.0, append(encodeRingWalk(300, 60, 5), encodeRingCodes(-128, 0, 127, 0)...), []byte{1, 5, 255, 64})
 	f.Fuzz(func(t *testing.T, capSel, stepSel uint8, origin float64, data, ops []byte) {
 		step := ringSteps[int(stepSel)%len(ringSteps)]
 		xs := ringSamples(data, origin, step)
@@ -163,16 +285,18 @@ func FuzzRingStorage(f *testing.F) {
 		if capSel >= 240 {
 			capacity = ringCaps[int(capSel)%len(ringCaps)]
 		}
-		r, ref := NewNarrowRing(capacity, step), newWideRing(capacity)
-		exact, fresh, widened := true, true, false
+		r, ref, forms := NewNarrowRing(capacity, step), newWideRing(capacity), newFormOracle(capacity)
+		exact, fresh := true, true
 		var base float64
 		var wide *float64 // the wide storage, once widened
+		form := ringForm(t, r)
 		take := func(v float64) {
 			ref.push(v)
 			if fresh {
 				base, fresh = v, false
 			}
 			exact = exact && onCodeGrid(v, base, step)
+			forms.take(ref.n-1, int(math.RoundToEven((v-base)/step)), exact)
 		}
 		check := func(op int) {
 			t.Helper()
@@ -183,19 +307,23 @@ func FuzzRingStorage(f *testing.F) {
 			if r.Narrow() != exact {
 				t.Fatalf("op %d: narrow %v, want %v", op, r.Narrow(), exact)
 			}
-			if r.Narrow() {
-				if widened {
-					t.Fatalf("op %d: narrow again after widening", op)
-				}
-			} else {
-				if r.codes != nil || r.tail != nil {
-					t.Fatalf("op %d: widened ring kept a code block", op)
-				}
-				if widened && &r.buf[0] != wide {
+			fm := ringForm(t, r)
+			if fm > form {
+				t.Fatalf("op %d: form %d after %d: the ladder moved up", op, fm, form)
+			}
+			if fm != forms.form {
+				t.Fatalf("op %d: form %d, the samples call for %d", op, fm, forms.form)
+			}
+			if fm == formPacked && r.pk.heldBytes() > 2*r.Cap() {
+				t.Fatalf("op %d: the packed form holds %d B, 16-bit codes %d", op, r.pk.heldBytes(), 2*r.Cap())
+			}
+			if fm == formWide {
+				if wide != nil && &r.buf[0] != wide {
 					t.Fatalf("op %d: widened more than once", op)
 				}
-				widened, wide = true, &r.buf[0]
+				wide = &r.buf[0]
 			}
+			form = fm
 			lo, hi := ref.start(), ref.n
 			got := r.CopyTo(nil, lo, hi)
 			if len(got) != hi-lo {
@@ -226,6 +354,7 @@ func FuzzRingStorage(f *testing.F) {
 				r.Reset()
 				ref.n = 0
 				fresh = true
+				forms.reset()
 				c = 0
 			}
 			switch {
@@ -244,47 +373,4 @@ func FuzzRingStorage(f *testing.F) {
 			check(op)
 		}
 	})
-}
-
-// BenchmarkRing30s streams 30 s of on-grid impedance (250 Hz, the AC
-// path's 2⁻¹² Ω grid) through a ring the way the streamer's raw-Z ring
-// is used: 128-sample appends, every sample read back once with At,
-// and a one-beat CopyTo per second. "narrow" is the 16-bit code
-// storage on that grid, "wide" the float64 storage, both at 4096
-// samples, whose appends and copies wrap at lap boundaries only;
-// "exact" is the narrow storage at the raw-Z ring's 3742 samples,
-// whose appends and copies also wrap inside a chunk.
-func BenchmarkRing30s(b *testing.B) {
-	x := make([]float64, 7500)
-	for i := range x {
-		x[i] = 400 + float64(int(4096*math.Sin(float64(i)/40)))/4096
-	}
-	narrow := func(n int) *Ring { return NewNarrowRing(n, 0x1p-12) }
-	for _, c := range []struct {
-		name string
-		mk   func(int) *Ring
-		n    int
-	}{{"wide", NewRing, 4096}, {"narrow", narrow, 4096}, {"exact", narrow, 3742}} {
-		b.Run(c.name, func(b *testing.B) {
-			r := c.mk(c.n)
-			seg := make([]float64, 0, 250)
-			var sum float64
-			for b.Loop() {
-				r.Reset()
-				next := 0
-				for pos := 0; pos < len(x); pos += 128 {
-					r.Append(x[pos:min(pos+128, len(x))])
-					for ; next < r.N(); next++ {
-						sum += r.At(next)
-					}
-					if r.N() >= 250 && r.N()%250 < 128 {
-						seg = r.CopyTo(seg[:0], r.N()-250, r.N())
-					}
-				}
-			}
-			if !r.Narrow() && c.name != "wide" || sum == 0 || len(seg) == 0 {
-				b.Fatal("ring widened or read nothing")
-			}
-		})
-	}
 }

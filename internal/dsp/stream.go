@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"reflect"
-	"slices"
 )
 
 // Streaming (stateful) counterparts of the batch kernels. The batch
@@ -31,352 +30,6 @@ import (
 //     its buffers, so pooled engines can reuse it across sessions.
 //   - Kernels are single-stream state machines: not safe for concurrent
 //     use; use one instance per stream.
-
-// Ring retains the most recent samples of a stream, addressed by
-// absolute sample index. It backs the history-dependent streaming
-// stages (R-peak refinement, beat delineation, the gate's raw
-// impedance) with O(1) memory.
-//
-// Storage width: a ring built by NewRing stores float64. One built by
-// NewNarrowRing stores 16-bit codes on a grid of the given step (the
-// front end's ADC LSB), relative to the first sample after
-// construction or Reset, while every sample it has taken is on that
-// grid (codeGrid): a 16-bit ADC's samples are, while they stay within
-// 32767 codes of the first. The first sample that is not (a dithered
-// or computed value, one beyond a code's reach, -0.0, NaN) widens the
-// ring to float64 for good: the codes are decoded over exactly and the
-// code blocks are dropped, so a widened ring holds what a NewRing ring
-// holds and never both widths. Every reader (At, CopyTo, ArgMax,
-// Start, N, Cap) returns bit-identical values in either width, so the
-// width is invisible downstream.
-//
-// Capacity: a ring holds exactly the capacity it is built with (at
-// least one sample), so a ring sized from its reader's horizon keeps no
-// rounding slack; narrow storage that is not a power of two of slots is
-// two blocks, so the heap does not round it up either (codeStore).
-// Absolute index i lives head-(N-i) slots behind the head cursor,
-// wrapped once when that falls below slot 0.
-//
-// Aliasing invariant: the storage is replaced at most once in the
-// ring's life, narrow to wide, and only inside Push/Append; it is never
-// resized, so every slot the head cursor wraps into lies inside the
-// current storage. No reader keeps a slice into the storage —
-// CopyTo copies out — so the replacement cannot leave a stale view.
-// Reset rewinds the logical stream without touching the storage (a
-// widened ring stays wide; a narrow one takes a new base from its next
-// sample), which is what lets pooled engines hand rings across
-// sessions while old absolute indices go stale rather than dangle.
-type Ring struct {
-	codeStore      // slot head holds absolute sample n, the next one
-	size, head int // the capacity; the slot of the next sample
-	n          int // total samples pushed
-}
-
-// codeGrid maps samples to 16-bit codes c on the grid step relative to
-// base: a sample v is stored as c = round((v-base)/step), ties to even,
-// when c fits an int16 and base + c*step reproduces v's float64 bits.
-// A ring's base is the first sample it takes after construction or
-// Reset (NaN until then); an FIR stream's carry fixes it at 0 (see
-// NewNarrowZeroPhaseFIRStream). Decoding is monotonic in c and codes
-// are computed from the samples alone, so for stored samples c1 < c2
-// exactly when v1 < v2: code comparisons order the samples as their
-// values do.
-type codeGrid struct {
-	step, base float64
-}
-
-func newCodeGrid(step float64) codeGrid {
-	if !(step > 0) || math.IsInf(step, 1) {
-		panic("dsp: code grid step must be positive and finite")
-	}
-	return codeGrid{step: step, base: math.NaN()}
-}
-
-// encode returns v's code and whether it is stored exactly. The range
-// is checked on the float before converting (an out-of-range float to
-// int conversion is implementation-defined), and NaN fails it.
-func (g codeGrid) encode(v float64) (int16, bool) {
-	q := math.RoundToEven((v - g.base) / g.step)
-	if !(q >= math.MinInt16 && q <= math.MaxInt16) {
-		return 0, false
-	}
-	c := int16(q)
-	return c, math.Float64bits(g.decode(c)) == math.Float64bits(v)
-}
-
-// decode returns the sample code c stands for. The explicit conversion
-// rounds the product, so the compiler cannot fuse it with the addition
-// into an FMA on one path and not another.
-func (g codeGrid) decode(c int16) float64 {
-	return g.base + float64(float64(c)*g.step)
-}
-
-// codeStore is fixed-length sample storage in one of two widths: 16-bit
-// codes on a grid (codeGrid) while every sample written is on it, and
-// float64 for good from the first that is not. Widening decodes the
-// codes over exactly and drops the code blocks, so a widened store
-// holds one buffer, never two, and reads back bit-identical values in
-// either width. The storage is replaced at most once, narrow to wide,
-// and only by put.
-//
-// Narrow storage is two blocks: the largest power of two of slots the
-// store holds, then the rest (none when its length is a power of two).
-// The Go heap serves an object of up to 32 KB from the smallest size
-// class that holds it; every power of two of bytes is a class, so only
-// the rest is rounded up: the streamer's 3742-slot raw-Z ring takes
-// 4,096 + 3,456 B, where one block would take an 8,192 B class.
-type codeStore struct {
-	buf   []float64 // wide storage; nil while narrow
-	codes []int16   // narrow slots [0, len(codes)); nil once wide
-	tail  []int16   // narrow slots from len(codes) on; nil once wide
-	grid  codeGrid
-}
-
-func wideStore(n int) codeStore { return codeStore{buf: make([]float64, n)} }
-
-func narrowStore(n int, g codeGrid) codeStore {
-	m := n
-	if !IsPow2(n) {
-		m = NextPow2(n) / 2
-	}
-	s := codeStore{codes: make([]int16, m), grid: g}
-	if n > m {
-		s.tail = make([]int16, n-m)
-	}
-	return s
-}
-
-// narrow reports whether the store still holds codes.
-func (s *codeStore) narrow() bool { return s.buf == nil }
-
-// run returns the narrow slots from p on, at most n of them, that lie
-// in one block.
-func (s *codeStore) run(p, n int) []int16 {
-	if p < len(s.codes) {
-		return s.codes[p:min(p+n, len(s.codes))]
-	}
-	p -= len(s.codes)
-	return s.tail[p:min(p+n, len(s.tail))]
-}
-
-// widen moves a narrow store to float64, decoding every code exactly
-// (slots not yet written decode to a value no reader reaches).
-func (s *codeStore) widen() {
-	s.buf = make([]float64, len(s.codes)+len(s.tail))
-	for i, c := range s.codes {
-		s.buf[i] = s.grid.decode(c)
-	}
-	for i, c := range s.tail {
-		s.buf[len(s.codes)+i] = s.grid.decode(c)
-	}
-	s.codes, s.tail = nil, nil
-}
-
-// put writes xs to slots [p, p+len(xs)): as codes while the store is
-// narrow, widening it at the first sample off the grid.
-func (s *codeStore) put(p int, xs []float64) {
-	if s.buf != nil {
-		copy(s.buf[p:], xs)
-		return
-	}
-	g := s.grid
-	for len(xs) > 0 {
-		dst := s.run(p, len(xs))
-		for i, v := range xs[:len(dst)] {
-			c, ok := g.encode(v)
-			if !ok {
-				s.widen()
-				copy(s.buf[p+i:], xs[i:])
-				return
-			}
-			dst[i] = c
-		}
-		p, xs = p+len(dst), xs[len(dst):]
-	}
-}
-
-// at returns the sample in slot i.
-func (s *codeStore) at(i int) float64 {
-	if s.buf != nil {
-		return s.buf[i]
-	}
-	c := s.codes
-	if i >= len(c) {
-		c, i = s.tail, i-len(c)
-	}
-	return s.grid.decode(c[i])
-}
-
-// read fills out with the samples of slots [p, p+len(out)).
-func (s *codeStore) read(out []float64, p int) {
-	if s.buf != nil {
-		copy(out, s.buf[p:])
-		return
-	}
-	g := s.grid
-	for len(out) > 0 {
-		src := s.run(p, len(out))
-		for i, c := range src {
-			out[i] = g.decode(c)
-		}
-		p, out = p+len(src), out[len(src):]
-	}
-}
-
-// zero writes the sample 0 to slots [lo, hi); the grid's base must be
-// 0 for a narrow store (code 0 then decodes to +0, as a wide one holds),
-// and its length a power of two (one block).
-func (s *codeStore) zero(lo, hi int) {
-	if s.buf == nil {
-		clear(s.codes[lo:hi])
-		return
-	}
-	clear(s.buf[lo:hi])
-}
-
-// slide copies slots [src, src+n) to [0, n); a narrow store's length
-// must be a power of two (one block).
-func (s *codeStore) slide(src, n int) {
-	if s.buf == nil {
-		copy(s.codes[:n], s.codes[src:src+n])
-		return
-	}
-	copy(s.buf[:n], s.buf[src:src+n])
-}
-
-// heldBytes reports the bytes of the storage at its current width.
-func (s *codeStore) heldBytes() int { return 8*len(s.buf) + 2*(len(s.codes)+len(s.tail)) }
-
-// NewRing returns a float64 ring that retains exactly capacity
-// samples (at least one). Rings of filter outputs use it: their
-// samples are not on any ADC grid.
-func NewRing(capacity int) *Ring {
-	size := max(capacity, 1)
-	return &Ring{codeStore: wideStore(size), size: size}
-}
-
-// NewNarrowRing returns a ring like NewRing's that stores 16-bit codes
-// on the grid step (positive and finite) until its first sample off
-// that grid. Rings of raw ADC samples use it, with the ADC's LSB.
-func NewNarrowRing(capacity int, step float64) *Ring {
-	size := max(capacity, 1)
-	return &Ring{codeStore: narrowStore(size, newCodeGrid(step)), size: size}
-}
-
-// Narrow reports whether the ring still stores codes.
-func (r *Ring) Narrow() bool { return r.narrow() }
-
-// Push appends one sample.
-func (r *Ring) Push(v float64) { r.Append([]float64{v}) }
-
-// Append appends a chunk with at most two bulk writes per ring lap
-// (per-sample encoding while the ring is narrow).
-func (r *Ring) Append(xs []float64) {
-	if len(xs) > 0 && r.narrow() && math.IsNaN(r.grid.base) {
-		r.grid.base = xs[0] // the first sample since construction or Reset
-	}
-	for len(xs) > 0 {
-		m := min(len(xs), r.size-r.head)
-		r.put(r.head, xs[:m])
-		r.n += m
-		r.head += m
-		if r.head == r.size {
-			r.head = 0
-		}
-		xs = xs[m:]
-	}
-}
-
-// slot returns the storage slot of absolute index i, which must be in
-// [Start(), N()]: i = N() is the head's slot.
-func (r *Ring) slot(i int) int {
-	p := r.head - (r.n - i)
-	if p < 0 {
-		p += r.size
-	}
-	return p
-}
-
-// N returns the total number of samples pushed so far.
-func (r *Ring) N() int { return r.n }
-
-// Cap returns how many samples the ring retains: the capacity it was
-// built with, the length of its storage at either width.
-func (r *Ring) Cap() int { return r.size }
-
-// Start returns the oldest absolute index still retained.
-func (r *Ring) Start() int { return max(r.n-r.size, 0) }
-
-// At returns the sample at absolute index i, which must be in
-// [Start(), N()).
-func (r *Ring) At(i int) float64 { return r.at(r.slot(i)) }
-
-// CopyTo appends the samples of [lo, hi) to dst with at most two bulk
-// reads (per-sample decoding while the ring is narrow). The range must
-// be retained.
-func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
-	if lo >= hi {
-		return dst
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
-	out, p := dst[n:], r.slot(lo)
-	for len(out) > 0 {
-		m := min(len(out), r.size-p)
-		r.read(out[:m], p)
-		out, p = out[m:], 0
-	}
-	return dst
-}
-
-// ArgMax returns the absolute index of the maximum over [lo, hi)
-// clamped to the retained window, mirroring dsp.ArgMax's clamp-to-signal
-// semantics for a stream whose ring covers the requested range; it
-// returns -1 for an empty range. Codes order as their samples do
-// (codeGrid), so a narrow ring compares its codes directly.
-func (r *Ring) ArgMax(lo, hi int) int {
-	lo = ClampInt(lo, r.Start(), r.n)
-	hi = ClampInt(hi, r.Start(), r.n)
-	if lo >= hi {
-		return -1
-	}
-	if r.buf == nil {
-		return ringArgMax(r, lo, hi, r.run)
-	}
-	return ringArgMax(r, lo, hi, func(p, n int) []float64 { return r.buf[p:min(p+n, len(r.buf))] })
-}
-
-// ringArgMax returns the absolute index of the first maximum over the
-// retained range [lo, hi), scanning the contiguous slot runs run
-// returns (each at most n long, within one block and before the wrap).
-func ringArgMax[T int16 | float64](r *Ring, lo, hi int, run func(p, n int) []T) int {
-	best, p := -1, r.slot(lo)
-	var bv T
-	for i := lo; i < hi; {
-		s := run(p, hi-i)
-		for j, v := range s {
-			if best < 0 || v > bv {
-				best, bv = i+j, v
-			}
-		}
-		i, p = i+len(s), p+len(s)
-		if p == r.size {
-			p = 0
-		}
-	}
-	return best
-}
-
-// Reset forgets all samples, keeping the storage and its width; a
-// narrow ring takes its next sample as the new base.
-func (r *Ring) Reset() {
-	r.n, r.head = 0, 0
-	r.grid.base = math.NaN()
-}
-
-// HeldBytes reports the bytes the ring holds: itself and its storage
-// at the current width.
-func (r *Ring) HeldBytes() int { return SizeOf[Ring]() + r.heldBytes() }
 
 // SizeOf returns the bytes a T occupies itself, not counting what its
 // slices, maps and pointers reference: the header term of the streams'
@@ -1133,10 +786,10 @@ func (s *DerivStream) Reset() { s.n = 0; s.x1, s.x2 = 0, 0 }
 // values are converted over exactly and the float32 buffer is dropped.
 // float32 to float64 conversion is exact and order-preserving, so
 // comparisons and outputs are bit-identical in either width. Reset
-// keeps the width. (16-bit codes, the ring's narrow width, would save
-// 2 B a slot more but cost the baseline cascade about 45% in time with
-// the deque this kernel replaced: every sample is re-encoded at each of
-// its four stages.)
+// keeps the width. (16-bit codes, a NewNarrowRing ring's wider coded
+// form, would save 2 B a slot more but cost the baseline cascade about
+// 45% in time with the deque this kernel replaced: every sample is
+// re-encoded at each of its four stages.)
 type MovExtStream struct {
 	left, right int
 	min         bool

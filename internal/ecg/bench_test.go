@@ -26,7 +26,7 @@ func onGrid(x []float64) []float64 {
 }
 
 // BenchmarkBaselineStream30s runs the morphological baseline remover:
-// "narrow" on ADC-grid input (16-bit code ring, float32 block buffers),
+// "narrow" on ADC-grid input (coded ring, float32 block buffers),
 // "wide" on off-grid input (float64 from the second sample).
 func BenchmarkBaselineStream30s(b *testing.B) {
 	fs := 250.0

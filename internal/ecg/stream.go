@@ -26,9 +26,11 @@ type BaselineStream struct {
 }
 
 // NewBaselineStream builds the streaming baseline remover for cfg. Its
-// raw ring stores 16-bit codes on the grid lsb (the ECG ADC's
-// quantization step) while the samples stay on it; its four sliding
-// extrema store float32 while the samples are float32-exact.
+// raw ring stores codes on the grid lsb (the ECG ADC's quantization
+// step) while the samples stay on it — packed, until QRS slopes put
+// more sample differences past a byte than packing pays for, then
+// 16-bit (dsp.NewNarrowRing); its four sliding extrema store float32
+// while the samples are float32-exact.
 // The naive-engine flag only selects the cost model of the batch path;
 // both engines compute the same sliding extrema, so the stream always
 // uses the O(1) block kernel (dsp.MovExtStream).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/hw/afe"
 	"repro/internal/physio"
 )
 
@@ -41,7 +42,7 @@ var sweepChunks = []int{1, 13, 15, 16, 17, 129, 130, 131, 143, 144, 145, 250, 99
 
 // The streaming baseline remover matches RemoveBaseline bit for bit on
 // every chunking, on off-grid input (widened at the second sample) and
-// on ECG ADC-grid input, where its ring keeps 16-bit codes and its
+// on ECG ADC-grid input, where its ring keeps ADC codes and its
 // sliding extrema float32.
 func TestBaselineStreamMatchesBatch(t *testing.T) {
 	fs := 250.0
@@ -94,6 +95,33 @@ func TestBaselineStreamReset(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("sample %d differs after Reset", i)
 		}
+	}
+}
+
+// The baseline's raw ring (256 slots at 250 Hz) holds no more than
+// the 512 B of its 16-bit codes in whichever form the samples leave it:
+// packed while the ECG's sample-to-sample differences mostly fit a
+// byte, 16-bit codes once QRS slopes put too many past one (the packed
+// form steps down rather than outgrow them), on 60 s of every study
+// subject's ECG through the front end's gain, noise and ADC.
+func TestBaselineRingHoldsNoMoreThanCodes(t *testing.T) {
+	fs := 250.0
+	gen := physio.DefaultGenConfig()
+	gen.Duration = 60
+	for _, sub := range physio.Subjects() {
+		x := afe.DefaultECG().Acquire(sub.Generate(gen).ECG, rand.New(rand.NewSource(sub.Seed)))
+		s := NewBaselineStream(DefaultBaseline(fs), ecgADC.LSB())
+		codes := 2 * s.raw.Cap()
+		var a dsp.Arena
+		for pos := 0; pos < len(x); pos += 50 {
+			a.Reset()
+			s.Push(&a, nil, x[pos:min(pos+50, len(x))])
+			if held := s.raw.HeldBytes() - dsp.SizeOf[dsp.Ring](); !s.raw.Narrow() || held > codes {
+				t.Fatalf("subject %d, sample %d: the raw ring holds %d B (narrow %v, packed %v), its 16-bit codes %d B",
+					sub.ID, pos, held, s.raw.Narrow(), s.raw.Packed(), codes)
+			}
+		}
+		t.Logf("subject %d: raw ring packed %v, %d B of %d", sub.ID, s.raw.Packed(), s.raw.HeldBytes()-dsp.SizeOf[dsp.Ring](), codes)
 	}
 }
 

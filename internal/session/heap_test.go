@@ -11,18 +11,17 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 19.1-20.3 KB over seven runs (2-vCPU Xeon, Go 1.24) with the raw-Z
-// ring holding exactly its readers' horizon in two code blocks, the
-// raw-Z and baseline rings and the ECG band-pass's carry holding
-// 16-bit ADC codes, the baseline's four sliding extrema one
-// window-length float32 block buffer each on ADC-grid samples, the QRS
-// and baseline rings fitted to their horizons plus their streams'
-// minimum sub-chunks, no ICG ring and 56 B backlog slots, plus 10% to
-// the whole KB. Like the allocation budgets it only moves down — lower
-// it when a change durably shrinks the session; never raise it to let
-// a change pass. The streamer alone is ratcheted by
-// core.TestStreamerHeapPerStream.
-const heapBudgetKB = 23
+// 16.2-16.7 KB over three runs (2-vCPU Xeon, Go 1.24) with the raw-Z
+// ring holding exactly its readers' horizon packed a byte a sample,
+// the baseline ring and the ECG band-pass's carry holding 16-bit ADC
+// codes, the baseline's four sliding extrema one window-length float32
+// block buffer each on ADC-grid samples, the QRS and baseline rings
+// fitted to their horizons plus their streams' minimum sub-chunks, no
+// ICG ring and 56 B backlog slots, plus 10% to the whole KB. Like the
+// allocation budgets it only moves down — lower it when a change
+// durably shrinks the session; never raise it to let a change pass.
+// The streamer alone is ratcheted by core.TestStreamerHeapPerStream.
+const heapBudgetKB = 19
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with

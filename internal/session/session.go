@@ -674,10 +674,12 @@ func (s *Session) process(c chunk) {
 }
 
 // recycle resets st and returns it to the engine's pool if its raw
-// sample storage still holds ADC codes. A streamer whose session
-// widened it to float64 (a dead contact's dithered samples) is dropped
-// instead: Reset keeps the width, so the next session would carry the
-// wide rings, about four times the raw-Z ring's narrow size.
+// sample storage still holds ADC codes, packed or 16-bit (a ring that
+// stepped down to 16-bit codes is no larger than a packed one may
+// grow). A streamer whose session widened it to float64 (a dead
+// contact's dithered samples) is dropped instead: Reset keeps the
+// form, so the next session would carry the wide rings, about seven
+// times the raw-Z ring's packed size.
 func (e *Engine) recycle(st *core.Streamer) {
 	if !st.Narrow() {
 		return
