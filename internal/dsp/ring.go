@@ -442,16 +442,15 @@ func (r *Ring) advance(m int) {
 // ladder there — to float64 at a sample off the grid, to 16-bit codes
 // at one escape past escLimit — for put to write the rest.
 func (r *Ring) pack(xs []float64) int {
-	pk, g := r.pk, r.grid
+	pk, g, last := r.pk, r.grid, int32(r.pk.last)
 	for k := 0; k < len(xs); {
-		run := pk.run(r.head+k, len(xs)-k)
+		run, i := pk.run(r.head+k, len(xs)-k), r.n+k
 		for j, v := range xs[k : k+len(run)] {
 			c, ok := g.encode(v)
-			i := r.n + k + j
-			d := int32(c) - int32(pk.last)
+			d := int32(c) - last
 			if ok && (d < -127 || d > 127) {
-				ok = pk.escape(i, d, r.size)
-				if !ok {
+				if ok = pk.escape(i+j, d, r.size); !ok {
+					pk.last = int16(last)
 					r.advance(k + j)
 					r.unpack(narrowStore(r.size, g))
 					return k + j
@@ -459,18 +458,20 @@ func (r *Ring) pack(xs []float64) int {
 				d = escMark
 			}
 			if !ok {
+				pk.last = int16(last)
 				r.advance(k + j)
 				r.unpack(wideStore(r.size))
 				return k + j
 			}
-			if i&(planeBlock-1) == 0 {
-				pk.anchors[i/planeBlock%len(pk.anchors)] = c
+			if (i+j)&(planeBlock-1) == 0 {
+				pk.anchors[(i+j)/planeBlock%len(pk.anchors)] = c
 			}
 			run[j] = int8(d)
-			pk.last = c
+			last = int32(c)
 		}
 		k += len(run)
 	}
+	pk.last = int16(last)
 	r.advance(len(xs))
 	pk.evict(r.Start())
 	return len(xs)

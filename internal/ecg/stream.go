@@ -27,10 +27,11 @@ type BaselineStream struct {
 
 // NewBaselineStream builds the streaming baseline remover for cfg. Its
 // raw ring stores codes on the grid lsb (the ECG ADC's quantization
-// step) while the samples stay on it — packed, until QRS slopes put
-// more sample differences past a byte than packing pays for, then
-// 16-bit (dsp.NewNarrowRing); its four sliding extrema store float32
-// while the samples are float32-exact.
+// step) while the samples stay on it (dsp.NewNarrowRing): packed, until
+// more sample differences pass a byte than packing pays for, then
+// 16-bit — the device's ECG, front-end noise included, gets there
+// within 0.2 s; its four sliding extrema store float32 while the
+// samples are float32-exact.
 // The naive-engine flag only selects the cost model of the batch path;
 // both engines compute the same sliding extrema, so the stream always
 // uses the O(1) block kernel (dsp.MovExtStream).

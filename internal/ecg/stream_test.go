@@ -99,11 +99,11 @@ func TestBaselineStreamReset(t *testing.T) {
 }
 
 // The baseline's raw ring (256 slots at 250 Hz) holds no more than
-// the 512 B of its 16-bit codes in whichever form the samples leave it:
-// packed while the ECG's sample-to-sample differences mostly fit a
-// byte, 16-bit codes once QRS slopes put too many past one (the packed
-// form steps down rather than outgrow them), on 60 s of every study
-// subject's ECG through the front end's gain, noise and ADC.
+// the 512 B of its 16-bit codes in whichever form the samples leave it
+// (packed until too many sample differences pass a byte, then 16-bit:
+// the packed form steps down rather than outgrow the codes), on 60 s
+// of every study subject's ECG through the front end's gain, noise
+// and ADC.
 func TestBaselineRingHoldsNoMoreThanCodes(t *testing.T) {
 	fs := 250.0
 	gen := physio.DefaultGenConfig()

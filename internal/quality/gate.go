@@ -283,31 +283,29 @@ func (gs *GateStream) observe(accepted bool) {
 // counters, and returns the assessment. Beats must be pushed in order
 // of non-decreasing rHi. A beat longer than the stream's maxBeat is
 // flagged Flat without being read, so the decision never depends on
-// how far the sample feed ran ahead of it. The beat's segment copy is drawn from a (nil
-// allocates); the assessment holds no reference into it.
+// how far the sample feed ran ahead of it. The beat's segment copy is
+// drawn from a (nil allocates), and the running extremes fold over it;
+// the assessment holds no reference into it.
 func (gs *GateStream) PushBeat(a *dsp.Arena, rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 	gs.total++
 	c := &gs.cfg
 
-	// Advance the running extremes exactly to the beat's closing R.
+	// The running extremes advance exactly to the beat's closing R.
 	if hi := gs.ring.N(); rHi > hi {
 		rHi = hi
 	}
-	gs.fold(a, rHi)
-	span := gs.runHi - gs.runLo
-
 	if rHi-rLo > gs.maxBeat || rHi-rLo < 4 || rLo < gs.ring.Start() {
 		// Beat longer than the bound, or degenerate segment:
 		// unanalyzable, reject deterministically. (History lost to a
 		// feed running further ahead than the ring was sized for is
 		// rejected the same way.)
+		gs.fold(a, rHi)
 		return gs.record(BeatSQI{Flat: true})
 	}
-	var seg []float64
-	if a != nil {
-		seg = a.F64(rHi - rLo)[:0]
-	}
-	seg = gs.ring.CopyTo(seg, rLo, rHi)
+	seg := gs.ring.CopyTo(a.F64(rHi - rLo)[:0], rLo, rHi)
+	gs.fold(a, rLo) // the samples before the beat not folded yet, if any
+	gs.Fold(rLo, seg)
+	span := gs.runHi - gs.runLo
 
 	sqi := BeatSQI{Morph: b.Quality, TemplateR: 1}
 
