@@ -9,7 +9,7 @@ import (
 )
 
 // wideRing is the plain float64 ring every Ring must be bit-identical
-// to, whatever its storage width: the oracle of FuzzRingStorage. It
+// to, whatever its storage form: the oracle of FuzzRingStorage. It
 // holds exactly its capacity (at least one sample), sample i in slot
 // i mod capacity.
 type wideRing struct {
@@ -278,6 +278,10 @@ func FuzzRingStorage(f *testing.F) {
 	// and Resets.
 	f.Add(uint8(243), uint8(ecg), 0.0, append(encodeRingWalk(1500, 40, 4), encodeRingWalk(500, 200, 7)...), []byte{130, 7, 61})
 	f.Add(uint8(242), uint8(3), 0.0, append(encodeRingWalk(300, 60, 5), encodeRingCodes(-128, 0, 127, 0)...), []byte{1, 5, 255, 64})
+	// The step down lands on the escape one past escLimit, sample by
+	// sample: the 128-slot ring holds two escapes, and the third steps
+	// it down.
+	f.Add(uint8(242), uint8(3), 0.0, encodeRingCodes(0, 200, 0, 200, 0), []byte{0})
 	f.Fuzz(func(t *testing.T, capSel, stepSel uint8, origin float64, data, ops []byte) {
 		step := ringSteps[int(stepSel)%len(ringSteps)]
 		xs := ringSamples(data, origin, step)
