@@ -10,16 +10,17 @@ import (
 )
 
 // streamerHeapBudgetKB is the ratchet on the live heap one Streamer
-// holds between pushes: measured at 12.06-12.07 KB (2-vCPU Xeon, Go
-// 1.24) with the raw-Z ring holding exactly its readers' horizon packed
-// a byte a sample (differences of 16-bit ADC codes, anchors and a few
+// holds between pushes: measured at 11.99 KB (2-vCPU Xeon, Go 1.24)
+// with the raw-Z ring holding exactly its readers' horizon packed a
+// byte a sample (differences of 16-bit ADC codes, anchors and a few
 // escapes), the baseline ring and the ECG band-pass's overlap-save
 // carry holding 16-bit ADC codes, the baseline's four sliding extrema
 // one window-length float32 block buffer each on the study subjects'
-// ADC-grid samples, the QRS and baseline rings fitted to their
-// horizons plus their streams' minimum sub-chunks, and no ICG ring (the
-// delineator replays its ICG from the raw-Z ring), plus 10% to the
-// whole KB. It only moves down — lower it when a change durably
+// ADC-grid samples, the QRS conditioned and baseline rings fitted to
+// their horizons plus their streams' minimum sub-chunks, the QRS
+// band-passed ring to its own horizon plus that sub-chunk, and no ICG
+// ring (the delineator replays its ICG from the raw-Z ring), plus 10%
+// to the whole KB. It only moves down — lower it when a change durably
 // shrinks the streamer; never raise it to let a change pass.
 const streamerHeapBudgetKB = 14
 
@@ -89,6 +90,9 @@ func openStreamers(t *testing.T) (float64, []*Streamer) {
 		}
 	}
 	perKB := float64(liveHeap()-before) / 1024 / n
+	// The inputs were live when before was read: they must be at the
+	// closing read too, or the streamers are short-changed by their size.
+	runtime.KeepAlive(in)
 	runtime.KeepAlive(streamers)
 	return perKB, streamers
 }

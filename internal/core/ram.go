@@ -80,6 +80,7 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes = 4
 	st := profileStreamer(fs, sc)
 	samples := func(n int) int { return n * sampleBytes }
+	rawQRS, filtQRS := st.pt.History()
 	return RAMBudget{
 		Mode:        "streaming",
 		SampleBytes: sampleBytes,
@@ -88,13 +89,18 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// registers of the conditioning chains and the QRS
 			// band-pass, and the delineator's forward-pass checkpoints.
 			{Name: "filter-state", Bytes: 2 * 1024},
-			// Incremental Pan-Tompkins history (conditioned and
-			// band-passed): the refractory period plus the slope and
-			// refinement windows each candidate is measured over, plus
-			// the sub-chunk Push band-passes ahead, which takes up the
-			// rings' power-of-two rounding (History: 128 samples at
-			// 250 Hz, so 1 KB at float32).
-			{Name: "qrs-history", Bytes: 2 * samples(st.pt.History())},
+			// Incremental Pan-Tompkins history, each ring priced at
+			// its own horizon plus the sub-chunk Push band-passes
+			// ahead (History): the conditioned ring covers the
+			// refractory period plus the refinement window each
+			// candidate is measured over, its sub-chunk taking up the
+			// power-of-two rounding (128 samples at 250 Hz); the
+			// band-passed one the refractory period plus the slope
+			// window, which also covers the five-point derivative of
+			// the sample leaving the integration window (85 samples),
+			// so the squared derivatives keep no window of their own.
+			// 852 B at float32.
+			{Name: "qrs-history", Bytes: samples(rawQRS) + samples(filtQRS)},
 			// Per-beat scratch: the longest window the delineator
 			// replays -dZ/dt over and refilters.
 			{Name: "refilter-scratch", Bytes: samples(st.delin.MaxReplay())},

@@ -24,7 +24,8 @@ import (
 //     almost every difference fits;
 //   - 16-bit codes (codeStore), from the first sample whose difference
 //     would leave the packed form holding more bytes than the codes, or
-//     from construction for a ring too small for packing to pay.
+//     from construction for a ring too small for packing to pay and
+//     for one built by NewCodeRing.
 //
 // The first sample off the grid (a dithered or computed value, one
 // beyond a code's reach, -0.0, NaN) widens the ring to float64. The
@@ -393,11 +394,20 @@ func NewRing(capacity int) *Ring {
 // packing to pay. Rings of raw ADC samples use it, with the ADC's LSB.
 func NewNarrowRing(capacity int, step float64) *Ring {
 	size := max(capacity, 1)
-	g := newCodeGrid(step)
 	if escLimit(size) < 0 {
-		return &Ring{codeStore: narrowStore(size, g), size: size}
+		return NewCodeRing(size, step)
 	}
-	return &Ring{codeStore: codeStore{grid: g}, pk: newDeltaPlane(size), size: size}
+	return &Ring{codeStore: codeStore{grid: newCodeGrid(step)}, pk: newDeltaPlane(size), size: size}
+}
+
+// NewCodeRing returns a ring like NewNarrowRing's held as 16-bit codes
+// from the start, the form a packed ring steps down to: rings of
+// samples whose differences mostly pass a byte of the grid (the ECG's,
+// front-end noise included) use it, so no plane is allocated to be
+// dropped after a few dozen samples.
+func NewCodeRing(capacity int, step float64) *Ring {
+	size := max(capacity, 1)
+	return &Ring{codeStore: narrowStore(size, newCodeGrid(step)), size: size}
 }
 
 // Narrow reports whether the ring still stores codes, packed or 16-bit.

@@ -26,12 +26,13 @@ type BaselineStream struct {
 }
 
 // NewBaselineStream builds the streaming baseline remover for cfg. Its
-// raw ring stores codes on the grid lsb (the ECG ADC's quantization
-// step) while the samples stay on it (dsp.NewNarrowRing): packed, until
-// more sample differences pass a byte than packing pays for, then
-// 16-bit — the device's ECG, front-end noise included, gets there
-// within 0.2 s; its four sliding extrema store float32 while the
-// samples are float32-exact.
+// raw ring stores 16-bit codes on the grid lsb (the ECG ADC's
+// quantization step) while the samples stay on it (dsp.NewCodeRing),
+// never packed: the device's ECG, front-end noise included, passes a
+// byte of its LSB from sample to sample too often for packing to pay
+// (a packed ring steps down within 0.2 s on every study subject); its
+// four sliding extrema store float32 while the samples are
+// float32-exact.
 // The naive-engine flag only selects the cost model of the batch path;
 // both engines compute the same sliding extrema, so the stream always
 // uses the O(1) block kernel (dsp.MovExtStream).
@@ -55,7 +56,7 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	// that holds the horizon plus baselineMinSub, and the sub-chunk is
 	// whatever it holds past the horizon, so the ring has no slack.
 	horizon := s.la + 2
-	s.raw = dsp.NewNarrowRing(dsp.NextPow2(horizon+baselineMinSub), lsb)
+	s.raw = dsp.NewCodeRing(dsp.NextPow2(horizon+baselineMinSub), lsb)
 	s.sub = s.raw.Cap() - horizon
 	return s
 }
@@ -151,7 +152,7 @@ func (s *BaselineStream) Reset() {
 // Narrow reports whether the raw-ECG ring still stores ADC codes and
 // the four sliding extrema still store float32: true while every
 // sample pushed is on the lsb grid relative to the first
-// (dsp.NewNarrowRing) and float32-exact (dsp.MovExtStream), as every
+// (dsp.NewCodeRing) and float32-exact (dsp.MovExtStream), as every
 // code of the device's ECG ADC is.
 func (s *BaselineStream) Narrow() bool {
 	narrow := s.raw.Narrow()
@@ -189,23 +190,31 @@ func (s *BaselineStream) HeldBytes() int {
 // rings cover just the refractory period plus the measurement windows
 // (see History), not the search-back horizon.
 //
+// Each value is held once. The squared derivative leaving the
+// integration window is recomputed from the band-passed ring, one span
+// copy per sub-chunk, rather than kept in a window of its own; the
+// candidates finalized before the thresholds initialize are replayed
+// from the search-back history, which holds exactly them then (no peak
+// is pruned before sbWindow >= initN samples have arrived).
+//
 // R peaks are emitted exactly once, in strictly increasing order, as
 // soon as they are confirmed (accepted or recovered by search-back):
 // about RefractMs after the integrated-signal peak.
 type PTStream struct {
-	cfg  PTConfig
-	fs   float64
-	band *dsp.SOSStream
+	fs          float64
+	band        *dsp.SOSStream
+	searchBack  bool // PTConfig.SearchBack
+	refineOnRaw bool // PTConfig.RefineOnRaw
 
 	// Five-point derivative + squaring + moving integration state.
 	d0, d1, d2, d3 float64 // last four band-passed samples
-	sqRing         []float64
 	win            int
 	acc            float64
 	prevGi         float64 // integrated value of the previous sample
 
 	// Short histories for the slope and refinement measurements taken
-	// when a candidate is finalized.
+	// when a candidate is finalized, and for the squared derivative
+	// leaving the integration window.
 	filt *dsp.Ring // band-passed
 	raw  *dsp.Ring // conditioned input
 	sub  int       // samples Push appends to the rings ahead of the detection loop
@@ -225,7 +234,6 @@ type PTStream struct {
 	initN            int
 	initMax, initSum float64
 	inited           bool
-	early            []histPeak // candidates finalized before initialization
 
 	// Adaptive threshold state.
 	spki, npki, th1 float64
@@ -240,7 +248,8 @@ type PTStream struct {
 	rrLen           int
 
 	// Finalized candidate peaks retained for search-back (the last
-	// searchBackSeconds).
+	// searchBackSeconds), and until initialization every candidate
+	// finalized so far.
 	hist     []histPeak
 	sbWindow int // searchBackSeconds in samples
 
@@ -281,10 +290,10 @@ func NewPTStream(cfg PTConfig) (*PTStream, error) {
 // period after it, and those windows must have arrived by then.
 var ErrRefractory = errors.New("ecg: streaming refractory period shorter than the refinement window")
 
-// newPTStream builds the detector with sample rings retaining ringN
-// samples, or the derived History when ringN is 0 (tests pass a
-// larger ring as an oracle for the horizon). The sub-chunk is what the
-// ring holds past the read horizon.
+// newPTStream builds the detector with both sample rings retaining
+// ringN samples, or the derived History when ringN is 0 (tests pass
+// larger rings as an oracle for the horizons). The sub-chunk is what
+// the conditioned ring holds past its read horizon.
 func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 	cfg = cfg.normalized()
 	sos := cfg.BandSOS
@@ -300,10 +309,10 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 		win = 1
 	}
 	s := &PTStream{
-		cfg:         cfg,
 		fs:          fs,
 		band:        dsp.NewSOSStream(sos, false),
-		sqRing:      make([]float64, win),
+		searchBack:  cfg.SearchBack,
+		refineOnRaw: cfg.RefineOnRaw,
 		win:         win,
 		candStart:   -1,
 		initN:       int(2 * fs),
@@ -318,26 +327,37 @@ func newPTStream(cfg PTConfig, ringN int) (*PTStream, error) {
 	if s.refractory <= s.halfRefine || s.refractory <= s.slopeR {
 		return nil, ErrRefractory
 	}
+	rawN, filtN := ringN, ringN
 	if ringN == 0 {
-		ringN = dsp.NextPow2(s.horizon() + ptMinSub)
+		rawN = dsp.NextPow2(s.horizon() + ptMinSub)
+		filtN = s.filtHorizon() + rawN - s.horizon()
 	}
-	s.filt = dsp.NewRing(ringN)
-	s.raw = dsp.NewRing(ringN)
-	s.sub = s.filt.Cap() - s.horizon()
+	s.raw = dsp.NewRing(rawN)
+	s.sub = rawN - s.horizon()
+	s.filt = dsp.NewRing(filtN)
 	return s, nil
 }
 
-// horizon returns how far behind the sample being detected the rings
-// are read. A candidate is measured when it is finalized, a refractory
-// period after it, over a window reaching win+halfRefine samples further
-// back (slopeR+1 on the band-passed ring, never more).
+// horizon returns how far behind the sample being detected the
+// conditioned ring is read. A candidate is measured when it is
+// finalized, a refractory period after it, over a refinement window
+// reaching win+halfRefine samples further back.
 func (s *PTStream) horizon() int { return s.refractory + s.win + s.halfRefine }
 
-// History returns how many samples each sample ring retains: the read
-// horizon plus the sub-chunk Push appends ahead of the sample being
-// detected. The sub-chunk takes up the ring's power-of-two rounding,
-// so this is the rings' capacity exactly.
-func (s *PTStream) History() int { return s.horizon() + s.sub }
+// filtHorizon returns how far behind the sample being detected the
+// band-passed ring is read: slopeR+1 samples before a candidate
+// finalized a refractory period ago (maxSlope), or the five-point
+// derivative of the sample leaving the integration window (leaving).
+func (s *PTStream) filtHorizon() int { return max(s.refractory+s.slopeR+1, s.win+4) }
+
+// History returns how many samples the conditioned and the band-passed
+// ring retain: each one's read horizon plus the sub-chunk Push appends
+// ahead of the sample being detected. The sub-chunk takes up the
+// conditioned ring's power-of-two rounding, so these are the rings'
+// capacities exactly.
+func (s *PTStream) History() (raw, filt int) {
+	return s.horizon() + s.sub, s.filtHorizon() + s.sub
+}
 
 // Lookahead returns the confirmation delay in samples that
 // Streamer.Latency budgets for: the refractory period after which an
@@ -363,44 +383,75 @@ func (s *PTStream) MaxLag() int { return max(s.sbWindow, s.initN) + s.win + s.ha
 // detection loop; a chunked causal Push is bit-identical to the
 // per-sample recurrence, so detection sees exactly the samples it would
 // have one at a time. The rings take the chunk a sub-chunk at a time,
-// never further ahead of the detection loop than their size allows.
+// never further ahead of the detection loop than their size allows;
+// a second buffer from a takes each sub-chunk's squared derivatives
+// leaving the integration window.
 func (s *PTStream) Push(a *dsp.Arena, rs []int, x []float64) []int {
 	if len(x) == 0 {
 		return rs
 	}
 	f := s.band.Push(a, a.F64(len(x))[:0], x)
+	lv := a.F64(min(len(x), s.sub) + 4)
 	for len(x) > 0 {
 		n := min(len(x), s.sub)
 		s.raw.Append(x[:n])
 		s.filt.Append(f[:n])
-		for _, v := range f[:n] {
-			rs = s.pushSample(rs, v)
+		for k, v := range s.leaving(lv, n) {
+			rs = s.pushSample(rs, f[k], v)
 		}
 		x, f = x[n:], f[n:]
 	}
 	return rs
 }
 
+// sqDeriv returns the squared five-point derivative at a band-passed
+// sample f given the samples one, three and four before it.
+func sqDeriv(f, f1, f3, f4, fs float64) float64 {
+	d := (2*f + f1 - f3 - 2*f4) / 8 * fs
+	return float64(d * d)
+}
+
+// leaving returns the squared derivatives that leave the integration
+// window as the next n samples enter it, in buf (at least n+4 long):
+// that of sample i-win for sample i, recomputed from one span copied
+// out of the band-passed ring (zero for the first four samples, and
+// unused before the window fills). Slot k of the span holds sample
+// j0-4+k, j0 being the sample leaving as the first one enters; slots
+// before sample 0 are never read. Each derivative is computed in place
+// over the oldest of the five samples it reads.
+func (s *PTStream) leaving(buf []float64, n int) []float64 {
+	j0 := s.n - s.win
+	pre := min(max(4-j0, 0), n+4)
+	f := s.filt.CopyTo(buf[:pre], max(j0-4, 0), j0+n)
+	for k := range n {
+		if j0+k < 4 {
+			f[k] = 0
+			continue
+		}
+		f[k] = sqDeriv(f[k+4], f[k+3], f[k+1], f[k], s.fs)
+	}
+	return f[:n]
+}
+
 // pushSample advances the per-sample detection state machines with one
-// band-passed sample f (the raw and filtered rings were already extended
+// band-passed sample f, out being the squared derivative leaving the
+// integration window (the raw and filtered rings were already extended
 // by Push).
-func (s *PTStream) pushSample(rs []int, f float64) []int {
+func (s *PTStream) pushSample(rs []int, f, out float64) []int {
 	i := s.n
 
 	// Five-point derivative (zero for the first four samples), squared.
-	var d float64
+	var sqv float64
 	if i >= 4 {
-		d = (2*f + s.d0 - s.d2 - 2*s.d3) / 8 * s.fs
+		sqv = sqDeriv(f, s.d0, s.d2, s.d3, s.fs)
 	}
 	s.d3, s.d2, s.d1, s.d0 = s.d2, s.d1, s.d0, f
-	sqv := d * d
 
 	// Causal moving-window integration with warm-up denominator.
 	s.acc += sqv
 	if i >= s.win {
-		s.acc -= s.sqRing[i%s.win]
+		s.acc -= out
 	}
-	s.sqRing[i%s.win] = sqv
 	den := s.win
 	if i+1 < s.win {
 		den = i + 1
@@ -418,10 +469,6 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		s.initSum += gi
 		if i == s.initN-1 {
 			s.initThresholds(s.initN)
-			for _, hp := range s.early {
-				s.processPeak(hp)
-			}
-			s.early = s.early[:0]
 		}
 	}
 
@@ -474,24 +521,22 @@ func (s *PTStream) offerCandidate(idx int, val float64) {
 }
 
 // finalize records a suppressed-peak survivor with its slope and refined
-// position, and runs it through the adaptive thresholds (or queues it
-// until initialization completes).
+// position, and runs it through the adaptive thresholds (or leaves it
+// in the history until initialization replays it).
 func (s *PTStream) finalize(idx int, val float64) {
 	hp := histPeak{idx: idx, val: val, slope: s.maxSlope(idx), r: s.refine(idx)}
 	s.hist = append(s.hist, hp)
 	s.prune()
-	if !s.inited {
-		s.early = append(s.early, hp)
-		return
+	if s.inited {
+		s.processPeak(hp)
 	}
-	s.processPeak(hp)
 }
 
 // refine returns the R position of the candidate at p: the conditioned
 // input's maximum over [p-win-halfRefine, p+halfRefine) when refining on
 // the raw signal, p itself otherwise.
 func (s *PTStream) refine(p int) int {
-	if s.cfg.RefineOnRaw {
+	if s.refineOnRaw {
 		if m := s.raw.ArgMax(p-s.win-s.halfRefine, p+s.halfRefine); m >= 0 {
 			return m
 		}
@@ -511,6 +556,9 @@ func (s *PTStream) prune() {
 	}
 }
 
+// initThresholds sets the thresholds from the first n samples'
+// statistics and replays the candidates finalized so far, all of which
+// the history still holds.
 func (s *PTStream) initThresholds(n int) {
 	mean := 0.0
 	if n > 0 {
@@ -520,30 +568,32 @@ func (s *PTStream) initThresholds(n int) {
 	s.npki = 0.5 * mean
 	s.th1 = s.npki + 0.25*(s.spki-s.npki)
 	s.inited = true
+	for _, hp := range s.hist {
+		s.processPeak(hp)
+	}
 }
 
-// maxSlope mirrors maxSlopeAround on the band-passed ring.
+// maxSlope mirrors maxSlopeAround on the band-passed ring, copying the
+// span out of it (in pieces of a stack buffer, each overlapping the
+// last by the sample its first difference reads).
 func (s *PTStream) maxSlope(p int) float64 {
-	lo := p - s.slopeR
-	hi := p + s.slopeR
-	if lo < 1 {
-		lo = 1
-	}
-	if m := s.filt.N() - 1; hi > m {
-		hi = m
-	}
-	if min := s.filt.Start() + 1; lo < min {
-		lo = min
-	}
+	lo := max(p-s.slopeR, 1, s.filt.Start()+1)
+	hi := min(p+s.slopeR, s.filt.N()-1)
+	var buf [128]float64
 	best := 0.0
-	for i := lo; i <= hi; i++ {
-		d := s.filt.At(i) - s.filt.At(i-1)
-		if d < 0 {
-			d = -d
+	for lo <= hi {
+		m := min(hi-lo+1, len(buf)-1)
+		f := s.filt.CopyTo(buf[:0], lo-1, lo+m)
+		for k := 1; k <= m; k++ {
+			d := f[k] - f[k-1]
+			if d < 0 {
+				d = -d
+			}
+			if d > best {
+				best = d
+			}
 		}
-		if d > best {
-			best = d
-		}
+		lo += m
 	}
 	return best
 }
@@ -592,7 +642,7 @@ func (s *PTStream) processPeak(hp histPeak) {
 	s.th1 = s.npki + 0.25*(s.spki-s.npki)
 
 	// Search-back: recover the largest missed peak in a long RR gap.
-	if s.cfg.SearchBack && s.rrLen >= 2 && s.nQRS > 0 {
+	if s.searchBack && s.rrLen >= 2 && s.nQRS > 0 {
 		avg := 0.0
 		for i := 0; i < s.rrLen; i++ {
 			avg += s.rr[i]
@@ -625,7 +675,7 @@ func (s *PTStream) processPeak(hp histPeak) {
 // emitted R (the batch detector's dedupeSorted).
 func (s *PTStream) drainRefined(rs []int) []int {
 	for _, r := range s.accepted {
-		if s.cfg.RefineOnRaw {
+		if s.refineOnRaw {
 			if r-s.lastRefined < s.refractory {
 				continue
 			}
@@ -647,30 +697,23 @@ func (s *PTStream) Flush(rs []int) []int {
 	}
 	if !s.inited {
 		s.initThresholds(s.n)
-		for _, hp := range s.early {
-			s.processPeak(hp)
-		}
-		s.early = s.early[:0]
 	}
 	return s.drainRefined(rs)
 }
 
 // HeldBytes reports the bytes the detector holds between pushes:
-// itself, its band-pass registers, its integration window and sample
-// rings, and the capacity of its candidate and confirmation lists.
+// itself, its band-pass registers, its sample rings, and the capacity
+// of its candidate and confirmation lists.
 func (s *PTStream) HeldBytes() int {
-	return dsp.SizeOf[PTStream]() + s.band.HeldBytes() + 8*cap(s.sqRing) +
+	return dsp.SizeOf[PTStream]() + s.band.HeldBytes() +
 		s.filt.HeldBytes() + s.raw.HeldBytes() +
-		dsp.SizeOf[histPeak]()*(cap(s.early)+cap(s.hist)) + 8*cap(s.accepted)
+		dsp.SizeOf[histPeak]()*cap(s.hist) + 8*cap(s.accepted)
 }
 
 // Reset returns the detector to its initial state, keeping allocations.
 func (s *PTStream) Reset() {
 	s.band.Reset()
 	s.d0, s.d1, s.d2, s.d3 = 0, 0, 0, 0
-	for i := range s.sqRing {
-		s.sqRing[i] = 0
-	}
 	s.acc = 0
 	s.prevGi = 0
 	s.filt.Reset()
@@ -680,7 +723,6 @@ func (s *PTStream) Reset() {
 	s.hasPending = false
 	s.initMax, s.initSum = 0, 0
 	s.inited = false
-	s.early = s.early[:0]
 	s.spki, s.npki, s.th1 = 0, 0, 0
 	s.nQRS = 0
 	s.lastQRS = -s.refractory

@@ -99,11 +99,11 @@ func TestBaselineStreamReset(t *testing.T) {
 }
 
 // The baseline's raw ring (256 slots at 250 Hz) holds no more than
-// the 512 B of its 16-bit codes in whichever form the samples leave it
-// (packed until too many sample differences pass a byte, then 16-bit:
-// the packed form steps down rather than outgrow the codes), on 60 s
-// of every study subject's ECG through the front end's gain, noise
-// and ADC.
+// the 512 B of its 16-bit codes, and is never packed: it is built as
+// codes (a packed ring would step down after a few dozen samples of
+// the ECG, whose differences pass a byte too often) and stays narrow
+// on 60 s of every study subject's ECG through the front end's gain,
+// noise and ADC.
 func TestBaselineRingHoldsNoMoreThanCodes(t *testing.T) {
 	fs := 250.0
 	gen := physio.DefaultGenConfig()
@@ -116,12 +116,11 @@ func TestBaselineRingHoldsNoMoreThanCodes(t *testing.T) {
 		for pos := 0; pos < len(x); pos += 50 {
 			a.Reset()
 			s.Push(&a, nil, x[pos:min(pos+50, len(x))])
-			if held := s.raw.HeldBytes() - dsp.SizeOf[dsp.Ring](); !s.raw.Narrow() || held > codes {
+			if held := s.raw.HeldBytes() - dsp.SizeOf[dsp.Ring](); !s.raw.Narrow() || s.raw.Packed() || held > codes {
 				t.Fatalf("subject %d, sample %d: the raw ring holds %d B (narrow %v, packed %v), its 16-bit codes %d B",
 					sub.ID, pos, held, s.raw.Narrow(), s.raw.Packed(), codes)
 			}
 		}
-		t.Logf("subject %d: raw ring packed %v, %d B of %d", sub.ID, s.raw.Packed(), s.raw.HeldBytes()-dsp.SizeOf[dsp.Ring](), codes)
 	}
 }
 
@@ -390,8 +389,12 @@ func TestPTStreamRingHorizon(t *testing.T) {
 			}
 		}
 	}
-	if gs, err := NewPTStream(cfg); err != nil || gs.History() >= oldRing/2 {
-		t.Fatalf("History %d is not below half the six-second ring %d", gs.History(), oldRing)
+	gs, err := NewPTStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, filt := gs.History(); raw >= oldRing/2 || filt > raw {
+		t.Fatalf("History %d/%d is not below half the six-second ring %d", raw, filt, oldRing)
 	}
 	// The oracle must exercise the paths that read old peaks.
 	if searchBacks == 0 || vetoes == 0 || gapSB == 0 {
@@ -400,10 +403,12 @@ func TestPTStreamRingHorizon(t *testing.T) {
 	}
 }
 
-// TestECGStreamRingsHaveNoSlack pins the ring sizing rule: each ring is
-// the smallest power of two that holds its read horizon plus its
-// stream's minimum sub-chunk, and the stream's sub-chunk is the rest of
-// the ring, so no power-of-two rounding is left unused.
+// TestECGStreamRingsHaveNoSlack pins the ring sizing rule: each stream's
+// first ring is the smallest power of two that holds its read horizon
+// plus its stream's minimum sub-chunk, and the stream's sub-chunk is the
+// rest of the ring, so no power-of-two rounding is left unused; the QRS
+// detector's band-passed ring holds its own, shorter horizon plus that
+// sub-chunk exactly.
 func TestECGStreamRingsHaveNoSlack(t *testing.T) {
 	check := func(name string, capacity, horizon, sub, minSub int) {
 		t.Helper()
@@ -420,15 +425,38 @@ func TestECGStreamRingsHaveNoSlack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt.filt.Cap() != pt.History() || pt.raw.Cap() != pt.History() {
-			t.Errorf("fs %g: PTStream rings %d/%d, History %d", fs, pt.filt.Cap(), pt.raw.Cap(), pt.History())
+		raw, filt := pt.History()
+		if pt.raw.Cap() != raw || pt.filt.Cap() != filt {
+			t.Errorf("fs %g: PTStream rings %d/%d, History %d/%d", fs, pt.raw.Cap(), pt.filt.Cap(), raw, filt)
 		}
-		check(fmt.Sprintf("fs %g PTStream", fs), pt.filt.Cap(), pt.horizon(), pt.sub, ptMinSub)
+		check(fmt.Sprintf("fs %g PTStream", fs), pt.raw.Cap(), pt.horizon(), pt.sub, ptMinSub)
+		if fh := pt.filtHorizon(); filt != fh+pt.sub || fh > pt.horizon() {
+			t.Errorf("fs %g: PTStream band-passed ring of %d for horizon %d and sub-chunk %d (conditioned horizon %d)",
+				fs, filt, fh, pt.sub, pt.horizon())
+		}
 		bs := NewBaselineStream(DefaultBaseline(fs), ecgADC.LSB())
 		check(fmt.Sprintf("fs %g BaselineStream", fs), bs.raw.Cap(), bs.la+2, bs.sub, baselineMinSub)
-		if fs == 250 && (pt.sub != 16 || pt.History() != 128 || bs.sub != 130 || bs.raw.Cap() != 256) {
-			t.Errorf("250 Hz: PTStream sub-chunk %d of a %d ring, BaselineStream %d of %d; want 16 of 128 and 130 of 256",
-				pt.sub, pt.History(), bs.sub, bs.raw.Cap())
+		if fs == 250 && (pt.sub != 16 || raw != 128 || filt != 85 || bs.sub != 130 || bs.raw.Cap() != 256) {
+			t.Errorf("250 Hz: PTStream sub-chunk %d of %d and %d rings, BaselineStream %d of %d; want 16 of 128 and 85, 130 of 256",
+				pt.sub, raw, filt, bs.sub, bs.raw.Cap())
+		}
+	}
+}
+
+// The deferred first candidates are replayed from the search-back
+// history at threshold initialization, which holds every candidate
+// finalized until then only because none is pruned before the search-
+// back window has passed: it must not be shorter than the
+// initialization window at any rate.
+func TestPTStreamSearchBackCoversInit(t *testing.T) {
+	for _, fs := range []float64{125, 250, 500, 1000} {
+		pt, err := NewPTStream(DefaultPT(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.sbWindow < pt.initN {
+			t.Errorf("fs %g: search-back window %d samples is shorter than the %d-sample initialization",
+				fs, pt.sbWindow, pt.initN)
 		}
 	}
 }

@@ -11,17 +11,19 @@ import (
 
 // heapBudgetKB is the ratchet on the live heap one open session holds
 // (streamer, session bookkeeping, its share of the engine): measured at
-// 16.2-16.7 KB over three runs (2-vCPU Xeon, Go 1.24) with the raw-Z
+// 14.8-16.0 KB over eight runs (2-vCPU Xeon, Go 1.24) with the raw-Z
 // ring holding exactly its readers' horizon packed a byte a sample,
 // the baseline ring and the ECG band-pass's carry holding 16-bit ADC
 // codes, the baseline's four sliding extrema one window-length float32
-// block buffer each on ADC-grid samples, the QRS and baseline rings
-// fitted to their horizons plus their streams' minimum sub-chunks, no
-// ICG ring and 56 B backlog slots, plus 10% to the whole KB. Like the
-// allocation budgets it only moves down — lower it when a change
-// durably shrinks the session; never raise it to let a change pass.
-// The streamer alone is ratcheted by core.TestStreamerHeapPerStream.
-const heapBudgetKB = 19
+// block buffer each on ADC-grid samples, the QRS conditioned and
+// baseline rings fitted to their horizons plus their streams' minimum
+// sub-chunks, the QRS band-passed ring to its own horizon plus that
+// sub-chunk, no ICG ring and 56 B backlog slots, plus 10% to the whole
+// KB. Like the allocation budgets it only moves down — lower it when a
+// change durably shrinks the session; never raise it to let a change
+// pass. The streamer alone is ratcheted by
+// core.TestStreamerHeapPerStream.
+const heapBudgetKB = 18
 
 // TestEngineHeapPerSession pins the per-session live heap: 1000
 // subscribed sessions each fed 10 s of 50-sample PushOwned chunks, with
@@ -65,6 +67,9 @@ func TestEngineHeapPerSession(t *testing.T) {
 		}
 	}
 	perKB := float64(liveHeap()-before) / 1024 / n
+	// The inputs were live when before was read: they must be at the
+	// closing read too, or the sessions are short-changed by their size.
+	runtime.KeepAlive(in)
 	runtime.KeepAlive(sessions)
 	t.Logf("live heap per open session: %.1f KB (budget %d KB)", perKB, heapBudgetKB)
 	if perKB > heapBudgetKB {
