@@ -61,11 +61,12 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 	return s
 }
 
-// The ECG streams append to their history ring in sub-chunks, ahead of
-// the ring's reader. Each stream's ring holds its read horizon plus at
-// least its minimum sub-chunk, rounded up to a power of two, and its
-// sub-chunk takes up the rounding, so a ring's size never depends on
-// how large a chunk the caller pushes:
+// The ECG streams append to their history rings in sub-chunks, ahead
+// of the rings' readers. Each stream's raw-input ring holds its read
+// horizon plus at least its minimum sub-chunk, rounded up to a power of
+// two, and its sub-chunk takes up the rounding; PTStream's band-passed
+// ring holds its own, shorter horizon plus that sub-chunk. So no ring's
+// size depends on how large a chunk the caller pushes:
 //
 //   - baselineMinSub: the four-stage cascade runs once per sub-chunk
 //     and pays per pass (each stage's call and state reload), so its
@@ -74,7 +75,7 @@ func NewBaselineStream(cfg BaselineConfig, lsb float64) *BaselineStream {
 //   - ptMinSub: PTStream band-passes the whole chunk at once, so its
 //     sub-chunk only paces two ring appends ahead of its per-sample
 //     detection loop, and 16 samples do (16 at 250 Hz, where the
-//     horizon is 112).
+//     conditioned ring's horizon is 112).
 const (
 	baselineMinSub = 128
 	ptMinSub       = 16
